@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import DistPair
+from .divergence import DistPair, _np_sweep, worst_pair
 from .model import World
 
 
@@ -33,35 +33,10 @@ class RocCurve:
         return np.interp(fpr, self.fpr, self.tpr)
 
 
-def _np_vertices(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Accumulate (q-mass, p-mass) over outcomes sorted by decreasing p/q."""
-    with np.errstate(divide="ignore"):
-        ratio = np.where(q > 0.0, p / np.where(q > 0.0, q, 1.0), np.inf)
-    order = np.argsort(-ratio, kind="stable")
-    ps, qs, rs = p[order], q[order], ratio[order]
-    fpr = [0.0]
-    tpr = [0.0]
-    i = 0
-    n = ps.size
-    while i < n:
-        j = i
-        while j < n and rs[j] == rs[i]:
-            j += 1
-        f = fpr[-1] + float(qs[i:j].sum())
-        t = tpr[-1] + float(ps[i:j].sum())
-        if f > fpr[-1]:
-            fpr.append(f)
-            tpr.append(t)
-        else:
-            tpr[-1] = t  # zero-fpr group (q = 0): raise the starting vertex
-        i = j
-    fpr[-1], tpr[-1] = 1.0, 1.0
-    return np.array(fpr), np.array(tpr)
-
-
 def lr_attack_roc(pair: DistPair) -> RocCurve:
-    """ROC of the likelihood-ratio attacker distinguishing p from q."""
-    fpr, tpr = _np_vertices(pair.p, pair.q)
+    """ROC of the likelihood-ratio attacker distinguishing p from q: the
+    Neyman-Pearson sweep with the two sides swapped."""
+    fpr, tpr = _np_sweep(pair.q, pair.p, 0.0)
     auc = float(np.trapezoid(tpr, fpr))
     flipped = False
     if auc < 0.5:
@@ -111,18 +86,13 @@ def compare_protocol(
     laws may be passed directly.  Both setups must actually satisfy their
     certificate at each grid point unless ``require_certified`` is off.
     """
-    from .divergence import hockey_stick
-
     rows = []
     for eps_g, delta_g in grid:
         out = []
         for name, setup in (("composed", setup_composed), ("single", setup_single)):
             law = setup(eps_g, delta_g) if callable(setup) else setup
             law = np.asarray(law, dtype=float)
-            worst_delta = max(
-                hockey_stick(DistPair(law[s0], law[s1]), eps_g)
-                for (s0, s1) in sorted(world.adjacency)
-            )
+            worst_delta = worst_pair(world, law, eps=eps_g).value
             if require_certified and worst_delta > delta_g + 1e-9:
                 raise ValueError(
                     f"{name} setup is not certified at (eps={eps_g}, delta={delta_g}): "

@@ -19,10 +19,11 @@ import numpy as np
 
 from . import __version__
 from . import composition as comp
+from . import config
 from . import ic
 from .audit import worst_pair_roc
 from .copula import copula_spec_from_mapping, psedr_samples
-from .divergence import DistPair, check_dcp, hockey_stick
+from .divergence import DistPair, check_dcp, worst_pair
 from .experiments import run_copula_experiment, run_independent_experiment
 from .model import Model, ModelError, load_model
 from .pld import pld_from_pair
@@ -80,16 +81,12 @@ def cmd_check(args) -> int:
         ok = ok and rep.holds
     if len(model.mechanisms) >= 1:
         cj = comp.composed_joint(world, list(model.mechanisms), list(model.dependence))
-        worst_pair, worst = None, -1.0
-        for (s0, s1) in sorted(world.adjacency):
-            d = hockey_stick(cj.pair(s0, s1), args.eps)
-            if d > worst:
-                worst, worst_pair = d, (s0, s1)
-        comp_holds = worst <= args.delta + 1e-12
+        worst = worst_pair(world, cj.matrix, eps=args.eps)
+        comp_holds = worst.value <= args.delta + 1e-12
         reports["__composition__"] = {
             "holds": comp_holds,
-            "worst_pair": [world.secrets[worst_pair[0]], world.secrets[worst_pair[1]]],
-            "worst_delta": worst,
+            "worst_pair": [world.secrets[worst.pair[0]], world.secrets[worst.pair[1]]],
+            "worst_delta": worst.value,
         }
         ok = ok and comp_holds
     payload = {"eps": args.eps, "delta": args.delta, "holds": ok, "reports": reports}
@@ -212,16 +209,13 @@ def cmd_audit(args) -> int:
     law_comp = comp.composed_joint(world, rest, dep).matrix
     lines = [_header(args, "audit"), "eps_g,delta_g,auc_composed,auc_single,gap\n"]
     ok = True
+    roc_c, _ = worst_pair_roc(world, law_comp)
+    roc_s, _ = worst_pair_roc(world, law_single)
     for eg in args.eps_g:
+        worst = max(worst_pair(world, law, eps=eg).value for law in (law_comp, law_single))
         for dg in args.delta_g:
-            for law, name in ((law_comp, "composed"), (law_single, "single")):
-                worst = max(
-                    hockey_stick(DistPair(law[a], law[b]), eg) for (a, b) in sorted(world.adjacency)
-                )
-                if worst > dg + 1e-9:
-                    ok = False
-            roc_c, _ = worst_pair_roc(world, law_comp)
-            roc_s, _ = worst_pair_roc(world, law_single)
+            if worst > dg + 1e-9:
+                ok = False
             lines.append(
                 f"{_fmt(eg)},{_fmt(dg)},{_fmt(roc_c.auc)},{_fmt(roc_s.auc)},{_fmt(roc_c.auc - roc_s.auc)}\n"
             )
@@ -330,12 +324,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    if args.cap is not None and not 0 < args.cap <= 10**7:
+        sys.stderr.write("dcp: error: --cap must lie in (0, 1e7]\n")
+        return 2
+    cap = config.OUTCOME_CAP
     if args.cap is not None:
-        from . import config
-
-        if not 0 < args.cap <= 10**7:
-            sys.stderr.write("dcp: error: --cap must lie in (0, 1e7]\n")
-            return 2
         config.OUTCOME_CAP = args.cap
     try:
         if args.command == "ic" and args.task == 1 and args.tau is None:
@@ -344,6 +337,8 @@ def main(argv=None) -> int:
     except (ModelError, ValueError, OSError) as exc:
         sys.stderr.write(f"dcp: error: {exc}\n")
         return 2
+    finally:
+        config.OUTCOME_CAP = cap
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import config
 from .config import PROB_ATOL
-from .divergence import DistPair, hockey_stick, optimal_epsilon, tradeoff_curve
+from .divergence import DistPair, hockey_stick, optimal_epsilon, tradeoff_curve, worst_pair
 from .model import DependenceGroup, MechanismKernel, World, effective_kernel
 from .pld import Pld, convolve, decompose_plrv, epsilon_for_delta, pld_from_pair, privacy_profile
 
@@ -36,9 +36,6 @@ class ComposedJoint:
 
     def pair(self, s0: int, s1: int) -> DistPair:
         return DistPair(self.matrix[s0], self.matrix[s1])
-
-    def outcome_index(self, outputs: tuple[int, ...]) -> int:
-        return int(np.ravel_multi_index(outputs, self.dims))
 
 
 def _per_dataset_joint(
@@ -95,17 +92,22 @@ def composed_joint(
     return ComposedJoint(matrix=np.array(rows), dims=dims)
 
 
-def _product_row(world: World, mechs: list[MechanismKernel], s: int) -> np.ndarray:
-    row = np.ones(1)
-    for mech in mechs:
-        eff = effective_kernel(world, mech)
-        row = np.multiply.outer(row, eff.matrix[s]).ravel()
-    return row
+def _product_law(world: World, mechs: list[MechanismKernel]) -> np.ndarray:
+    """Per-secret product of the effective marginals (rows = secrets)."""
+    effs = [effective_kernel(world, mech).matrix for mech in mechs]
+    rows = []
+    for s in range(len(world.secrets)):
+        row = np.ones(1)
+        for eff in effs:
+            row = np.multiply.outer(row, eff[s]).ravel()
+        rows.append(row)
+    return np.array(rows)
 
 
 def product_pair(world: World, mechs: list[MechanismKernel], s0: int, s1: int) -> DistPair:
     """Product of the effective marginals: the dependence-ignoring joint."""
-    return DistPair(_product_row(world, mechs, s0), _product_row(world, mechs, s1))
+    law = _product_law(world, mechs)
+    return DistPair(law[s0], law[s1])
 
 
 def true_opt(
@@ -116,10 +118,8 @@ def true_opt(
     per_pair: bool = False,
 ):
     """Tightest epsilon of the actual composition at delta_g (max over adjacency)."""
-    cj = composed_joint(world, mechs, dependence)
-    vals = {pr: optimal_epsilon(cj.pair(*pr), delta_g) for pr in sorted(world.adjacency)}
-    worst = max(vals.values())
-    return (worst, vals) if per_pair else worst
+    worst = worst_pair(world, composed_joint(world, mechs, dependence).matrix, delta=delta_g)
+    return (worst.value, worst.values) if per_pair else worst.value
 
 
 def underline_opt(
@@ -129,12 +129,8 @@ def underline_opt(
     per_pair: bool = False,
 ):
     """Dependence-ignoring epsilon: optimal composition of the marginals alone."""
-    vals = {
-        (s0, s1): optimal_epsilon(product_pair(world, mechs, s0, s1), delta_g)
-        for (s0, s1) in sorted(world.adjacency)
-    }
-    worst = max(vals.values())
-    return (worst, vals) if per_pair else worst
+    worst = worst_pair(world, _product_law(world, mechs), delta=delta_g)
+    return (worst.value, worst.values) if per_pair else worst.value
 
 
 def _overline_pld(
@@ -201,10 +197,11 @@ def composition_report(
     eps_gs: list[float],
 ) -> CompositionReport:
     cj = composed_joint(world, mechs, dependence)
+    prod_law = _product_law(world, mechs)
     opt_rows, dt_rows = [], []
     for (s0, s1) in sorted(world.adjacency):
         joint_pair = cj.pair(s0, s1)
-        prod = product_pair(world, mechs, s0, s1)
+        prod = DistPair(prod_law[s0], prod_law[s1])
         over_pld = _overline_pld(world, mechs, dependence, s0, s1)
         for dg in delta_gs:
             opt_rows.append(
@@ -244,34 +241,28 @@ def basic_composition_check(
     hockey-stick at the summed epsilon against the summed delta on every
     adjacent pair.
     """
-    pairs = sorted(world.adjacency)
     eps_list, delta_list = [], []
     for i, mech in enumerate(mechs):
-        eff = effective_kernel(world, mech)
+        eff = effective_kernel(world, mech).matrix
         if delta_is is not None:
             d_i = delta_is[i]
-            e_i = max(optimal_epsilon(DistPair(*eff.pair(s0, s1)), d_i) for (s0, s1) in pairs)
+            e_i = worst_pair(world, eff, delta=d_i).value
         else:
             e_i = eps_budget / len(mechs)
-            d_i = max(hockey_stick(DistPair(*eff.pair(s0, s1)), e_i) for (s0, s1) in pairs)
+            d_i = worst_pair(world, eff, eps=e_i).value
         eps_list.append(e_i)
         delta_list.append(d_i)
     eps_sum, delta_sum = sum(eps_list), sum(delta_list)
     if math.isinf(eps_sum):
         return {"holds": True, "witness": None, "eps_sum": eps_sum, "delta_sum": delta_sum,
                 "per_mechanism": list(zip(eps_list, delta_list))}
-    cj = composed_joint(world, mechs, dependence)
-    worst, witness = -1.0, None
-    for (s0, s1) in pairs:
-        d = hockey_stick(cj.pair(s0, s1), eps_sum)
-        if d > worst:
-            worst, witness = d, (s0, s1)
+    worst = worst_pair(world, composed_joint(world, mechs, dependence).matrix, eps=eps_sum)
     return {
-        "holds": worst <= delta_sum + PROB_ATOL,
-        "witness": (witness, eps_sum, delta_sum, worst),
+        "holds": worst.value <= delta_sum + PROB_ATOL,
+        "witness": (worst.pair, eps_sum, delta_sum, worst.value),
         "eps_sum": eps_sum,
         "delta_sum": delta_sum,
-        "composed_delta": worst,
+        "composed_delta": worst.value,
         "per_mechanism": list(zip(eps_list, delta_list)),
     }
 
@@ -313,18 +304,19 @@ def tradeoff_dominance(
     amount it sits below.
     """
     cj = composed_joint(world, mechs, dependence)
-    worst_violation, worst_gap, worst_pair = -math.inf, 0.0, None
+    prod_law = _product_law(world, mechs)
+    worst_violation, worst_gap, worst_at = -math.inf, 0.0, None
     for (s0, s1) in sorted(world.adjacency):
         joint_curve = tradeoff_curve(cj.pair(s0, s1))
-        prod_curve = tradeoff_curve(product_pair(world, mechs, s0, s1))
+        prod_curve = tradeoff_curve(DistPair(prod_law[s0], prod_law[s1]))
         grid = np.union1d(joint_curve.alphas, prod_curve.alphas)
         diff = joint_curve.beta(grid) - prod_curve.beta(grid)
         violation = float(diff.max())
         gap = float(-diff.min())
         if violation > worst_violation:
-            worst_violation, worst_pair = violation, (s0, s1)
+            worst_violation, worst_at = violation, (s0, s1)
         worst_gap = max(worst_gap, gap)
-    return {"max_violation": worst_violation, "max_gap": worst_gap, "worst_pair": worst_pair}
+    return {"max_violation": worst_violation, "max_gap": worst_gap, "worst_pair": worst_at}
 
 
 def cel_compare(
@@ -339,7 +331,7 @@ def cel_compare(
     cj = composed_joint(world, mechs, dependence)
     prior = world.marginal_secret
     b = cj.matrix                      # secrets x outcomes, true law
-    prod = np.array([_product_row(world, mechs, s) for s in range(len(world.secrets))])
+    prod = _product_law(world, mechs)
     # posteriors: columns normalized over secrets
     w_joint = b * prior[:, None]
     w_prod = prod * prior[:, None]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 from scipy import integrate, stats
@@ -114,22 +114,6 @@ class EmpiricalMarginal:
     @property
     def spread(self) -> float:
         return float(self.xs[-1] - self.xs[0]) / 4.0
-
-
-def invert_cdf_by_bisection(cdf: Callable[[float], float], u: float,
-                            lo: float = -1e8, hi: float = 1e8, tol: float = 1e-12) -> float:
-    """Monotone bisection fallback for marginals supplied as bare callables."""
-    if not 0.0 <= u <= 1.0:
-        raise ValueError(f"u must lie in [0, 1], got {u}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < tol:
-            return mid
-        if cdf(mid) < u:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def marginal_from_spec(spec: Mapping):

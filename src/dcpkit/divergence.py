@@ -3,15 +3,20 @@
 Everything here works directly on probability vectors: the hockey-stick
 divergence, its inversion to the smallest feasible epsilon, certification of
 a mechanism against a world's adjacency, and Neyman-Pearson trade-off
-curves.  The privacy-loss-distribution route in ``dcpkit.pld`` computes the
-same quantities through loss atoms; the two routes stay independent so each
-can serve as the other's oracle.
+curves.  It also holds the three primitives every other layer builds on: the
+worst adjacent pair of a per-secret law (``worst_pair``), the
+likelihood-ratio sweep behind trade-off curves and attacker ROCs, and the
+monotone bisection behind every calibration (``bisect_monotone``).  The
+privacy-loss-distribution route in ``dcpkit.pld`` computes the same
+quantities through loss atoms; the two routes stay independent so each can
+serve as the other's oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,6 +37,8 @@ class DistPair:
         if p.shape != q.shape or p.ndim != 1:
             raise ValueError(f"p and q must be equal-length vectors, got {p.shape} and {q.shape}")
         for name, v in (("p", p), ("q", q)):
+            if not np.all(np.isfinite(v)):
+                raise ValueError(f"{name} has a non-finite entry: {v[~np.isfinite(v)][0]}")
             if np.any(v < -PROB_ATOL):
                 raise ValueError(f"{name} has a negative entry: {v.min()}")
             if abs(v.sum() - 1.0) > PROB_ATOL:
@@ -102,6 +109,58 @@ def optimal_epsilon(pair: DistPair, delta: float) -> float:
     return float(max(eps, 0.0))
 
 
+class WorstPair(NamedTuple):
+    """Largest per-pair value over an adjacency, the first pair reaching it,
+    and every pair's value in pair order."""
+
+    value: float
+    pair: tuple[int, int]
+    values: dict[tuple[int, int], float]
+
+
+def worst_pair(world: World, law: np.ndarray, *, eps: float | None = None,
+               delta: float | None = None) -> WorstPair:
+    """Worst adjacent pair of a per-secret outcome law (rows = secrets).
+
+    With ``eps`` each pair scores its hockey-stick delta at eps, with
+    ``delta`` its tight epsilon at delta.  Pairs are taken in sorted order
+    and the first one reaching the maximum wins ties.
+    """
+    if (eps is None) == (delta is None):
+        raise ValueError("give exactly one of eps and delta")
+    pairs = sorted(world.adjacency)
+    if not pairs:
+        raise ValueError("nothing to certify: world has an empty adjacency relation")
+    values = {
+        (s0, s1): hockey_stick(DistPair(law[s0], law[s1]), eps) if delta is None
+        else optimal_epsilon(DistPair(law[s0], law[s1]), delta)
+        for (s0, s1) in pairs
+    }
+    first = max(values, key=values.__getitem__)
+    return WorstPair(values[first], first, values)
+
+
+def bisect_monotone(pred: Callable[[float], bool], lo: float, hi: float, *,
+                    geometric: bool, tol: float, max_iter: int) -> tuple[float, float]:
+    """Shrink the bracket [lo, hi] around the switch point of a monotone test.
+
+    ``pred`` is false below the switch and true above it.  Each step tests
+    the midpoint (``sqrt(lo * hi)`` when ``geometric``, else the mean) and
+    moves the bracket edge on its side.  The loop stops once ``hi / lo < 1 +
+    tol`` (geometric) or ``hi - lo < tol * max(1, hi)``, or after
+    ``max_iter`` steps, and returns the bracket it has.
+    """
+    for _ in range(max_iter):
+        mid = math.sqrt(lo * hi) if geometric else 0.5 * (lo + hi)
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+        if (hi / lo < 1.0 + tol) if geometric else (hi - lo < tol * max(1.0, hi)):
+            break
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class DcpReport:
     holds: bool
@@ -113,18 +172,11 @@ class DcpReport:
 
 def check_dcp(world: World, mech: MechanismKernel, eps: float, delta: float) -> DcpReport:
     """Certify one mechanism at (eps, delta) over every adjacent secret pair."""
-    if not world.adjacency:
-        raise ValueError("nothing to certify: world has an empty adjacency relation")
-    eff = effective_kernel(world, mech)
-    worst_pair, worst_delta = None, -1.0
-    for (s0, s1) in sorted(world.adjacency):
-        d = hockey_stick(DistPair(*eff.pair(s0, s1)), eps)
-        if d > worst_delta:
-            worst_pair, worst_delta = (s0, s1), d
+    worst = worst_pair(world, effective_kernel(world, mech).matrix, eps=eps)
     return DcpReport(
-        holds=worst_delta <= delta + PROB_ATOL,
-        worst_pair=worst_pair,
-        worst_delta=worst_delta,
+        holds=worst.value <= delta + PROB_ATOL,
+        worst_pair=worst.pair,
+        worst_delta=worst.value,
         eps=eps,
         delta=delta,
     )
@@ -151,6 +203,36 @@ class TradeoffCurve:
         return np.interp(alpha, self.alphas, self.betas)
 
 
+def _np_sweep(a: np.ndarray, b: np.ndarray, b_from: float) -> tuple[np.ndarray, np.ndarray]:
+    """Neyman-Pearson sweep over outcomes in decreasing order of b/a.
+
+    Outcomes with exactly equal ratios form one group.  Returns the vertices
+    (a_run, b_run): a_run is the a-mass taken so far, rising strictly from 0
+    to 1; b_run starts at ``b_from`` and moves by each group's b-mass in
+    sequence, down from 1 (type-II error) or up from 0 (true-positive rate).
+    A group without a-mass moves the vertex before it instead of adding one.
+    """
+    with np.errstate(divide="ignore"):
+        ratio = np.where(a > 0.0, b / np.where(a > 0.0, a, 1.0), np.inf)
+    order = np.argsort(-ratio, kind="stable")
+    ratio = ratio[order]
+    starts = np.flatnonzero(np.concatenate(([True], ratio[1:] != ratio[:-1])))
+    del ratio
+    # reduceat adds a group's first entry to the pairwise sum of the rest; a
+    # zero put ahead of each group makes it sum the group as ``.sum()`` does
+    padded = starts + np.arange(starts.size)
+    a_steps, b_steps = (np.add.reduceat(np.insert(v[order], starts, 0.0), padded) for v in (a, b))
+    a_run = np.concatenate(([0.0], np.cumsum(a_steps)))
+    # step from b_from one group at a time (subtracting -b_steps adds them):
+    # 1 - cumsum would drift by up to 1e-14 on 1e5-outcome alphabets
+    b_run = np.subtract.accumulate(np.concatenate(([b_from], b_steps if b_from else -b_steps)))
+    vertex = np.concatenate(([True], a_run[1:] > a_run[:-1]))
+    ends = np.append(np.flatnonzero(vertex)[1:] - 1, a_run.size - 1)
+    a_run, b_run = a_run[vertex], np.maximum(b_run[ends], 0.0)
+    a_run[-1], b_run[-1] = 1.0, 1.0 - b_from
+    return a_run, b_run
+
+
 def tradeoff_curve(pair: DistPair) -> TradeoffCurve:
     """Neyman-Pearson curve: reject in decreasing order of q/p, accumulate errors.
 
@@ -158,30 +240,5 @@ def tradeoff_curve(pair: DistPair) -> TradeoffCurve:
     vertex list canonical; outcomes with p = 0 collapse into the alpha = 0
     vertex and outcomes with q = 0 into the final beta = 0 segment.
     """
-    p, q = pair.p, pair.q
-    with np.errstate(divide="ignore"):
-        ratio = np.where(p > 0.0, q / np.where(p > 0.0, p, 1.0), np.inf)
-    order = np.argsort(-ratio, kind="stable")
-    p_sorted, q_sorted, r_sorted = p[order], q[order], ratio[order]
-
-    alphas = [0.0]
-    betas = [1.0]
-    acc_a, acc_b = 0.0, 1.0
-    i = 0
-    n = p_sorted.size
-    while i < n:
-        j = i
-        while j < n and r_sorted[j] == r_sorted[i]:
-            j += 1
-        acc_a += float(p_sorted[i:j].sum())
-        acc_b -= float(q_sorted[i:j].sum())
-        if acc_a > alphas[-1]:
-            alphas.append(acc_a)
-            betas.append(max(acc_b, 0.0))
-        else:
-            # zero p-mass group (infinite ratio): move the starting vertex down
-            betas[-1] = max(acc_b, 0.0)
-        i = j
-    alphas[-1] = 1.0
-    betas[-1] = 0.0
-    return TradeoffCurve(alphas=np.array(alphas), betas=np.array(betas))
+    alphas, betas = _np_sweep(pair.p, pair.q, 1.0)
+    return TradeoffCurve(alphas=alphas, betas=betas)

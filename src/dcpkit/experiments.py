@@ -19,7 +19,7 @@ from . import ic
 from .audit import roc_bound_check, worst_pair_roc
 from .composition import composed_joint
 from .copula import GaussianCopulaSpec, LaplaceMarginal, coupled_block_law
-from .divergence import DistPair, hockey_stick, optimal_epsilon
+from .divergence import bisect_monotone, worst_pair
 from .model import World, effective_kernel
 from .synth import (
     binned_laplace_kernel,
@@ -160,60 +160,36 @@ def run_copula_experiment(
             block, _, _ = coupled_block_law(spec, world, (f1, f2), bins=block_bins)
             return np.einsum("sb,sy->sby", block, rest_law).reshape(len(world.secrets), -1)
 
-        def achieved(eps_c):
-            law = law_at(eps_c)
-            return max(
-                hockey_stick(DistPair(law[s0], law[s1]), eps_g)
-                for (s0, s1) in sorted(world.adjacency)
-            )
+        def overshoots(eps_c):
+            return worst_pair(world, law_at(eps_c), eps=eps_g).value > delta
 
         lo, hi = 1e-4, 64.0
-        if achieved(lo) > delta:
+        if overshoots(lo):
             law, eps_c, flag = law_at(lo), math.inf, "fill-infeasible"
         else:
-            if achieved(hi) <= delta:
+            if not overshoots(hi):
                 lo = hi
             else:
-                for _ in range(60):
-                    mid = math.sqrt(lo * hi)
-                    if achieved(mid) > delta:
-                        hi = mid
-                    else:
-                        lo = mid
-                    if hi / lo < 1.0 + 1e-9:
-                        break
+                lo, _ = bisect_monotone(overshoots, lo, hi, geometric=True, tol=1e-9, max_iter=60)
             eps_c, law, flag = lo, law_at(lo), "coupling-filled"
         rows.append(_audit_row(world, law, eps_g, eps_i, delta, flag, eps_c))
     return ExperimentResult(name="copula", seed=seed, rows=rows)
 
 
 def _calibrate_laplace_scale(world, values, eps_target, delta, bins) -> float:
-    lo, hi = 1e-3, 1e4
-
     def tight(scale):
         mech = binned_laplace_kernel(values, scale, bins)
-        eff = effective_kernel(world, mech)
-        return max(
-            optimal_epsilon(DistPair(*eff.pair(s0, s1)), delta)
-            for (s0, s1) in sorted(world.adjacency)
-        )
+        return worst_pair(world, effective_kernel(world, mech).matrix, delta=delta).value
 
-    for _ in range(80):
-        mid = math.sqrt(lo * hi)
-        if tight(mid) > eps_target:
-            lo = mid
-        else:
-            hi = mid
-        if hi / lo < 1.0 + 1e-12:
-            break
+    _, hi = bisect_monotone(lambda scale: tight(scale) <= eps_target, 1e-3, 1e4,
+                            geometric=True, tol=1e-12, max_iter=80)
     return hi
 
 
 def _audit_row(world, law, eps_g, eps_i, delta, flag, fill_param) -> ExperimentRow:
     single = _single_setup(world, eps_g, delta)
-    pairs = sorted(world.adjacency)
-    d_comp = max(hockey_stick(DistPair(law[a], law[b]), eps_g) for (a, b) in pairs)
-    d_single = max(hockey_stick(DistPair(single[a], single[b]), eps_g) for (a, b) in pairs)
+    d_comp = worst_pair(world, law, eps=eps_g).value
+    d_single = worst_pair(world, single, eps=eps_g).value
     roc_c, _ = worst_pair_roc(world, law)
     roc_s, _ = worst_pair_roc(world, single)
     return ExperimentRow(

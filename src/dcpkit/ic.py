@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .composition import composed_joint
-from .divergence import DistPair, hockey_stick
+from .divergence import bisect_monotone, worst_pair
 from .model import DependenceGroup, MechanismKernel, World
 
 LOG_FLOOR = 1e-12
@@ -400,39 +400,16 @@ def solve_task1(problem: IcProblem) -> IcSolution:
         return pi_feasible(post, world, tau_g, delta_g, live_mask).max_residual
 
     if residual_of(alpha) > 0.0 and residual_of(uniform) <= 0.0:
-        lo_t, hi_t = 0.0, 1.0  # mixing weight toward uniform
-        for _ in range(80):
-            mid = 0.5 * (lo_t + hi_t)
-            if residual_of((1.0 - mid) * alpha + mid * uniform) <= 0.0:
-                hi_t = mid
-            else:
-                lo_t = mid
+        # mixing weight toward uniform
+        _, hi_t = bisect_monotone(
+            lambda t: residual_of((1.0 - t) * alpha + t * uniform) <= 0.0, 0.0, 1.0,
+            geometric=False, tol=0.0, max_iter=80,
+        )
         alpha = (1.0 - hi_t) * alpha + hi_t * uniform
 
-    # exact re-certification from the final alpha
     post, _, live = posterior(world, mechs, dependence, alpha)
-    report = pi_feasible(post, world, tau_g, delta_g, live)
-    eps_g = epsilon_of_tau(tau_g, world)
-    law = joint_with_alpha(world, mechs, dependence, alpha)
-    direct = max(
-        hockey_stick(DistPair(law[s0], law[s1]), eps_g) for (s0, s1) in sorted(world.adjacency)
-    )
-    certified = report.max_residual <= 1e-6 and direct <= delta_g + 1e-6
-    return IcSolution(
-        alpha=alpha,
-        pi=post,
-        tau_g=tau_g,
-        eps_g=eps_g,
-        feasibility=report.max_residual,
-        certified=certified,
-        direct_check_delta=direct,
-        loss_value=spsr_loss(post, world, mechs, dependence, alpha, problem.loss),
-        diagnostics={
-            "prescreen_prior_feasible": prescreen.feasible,
-            "residuals": report,
-            "live_outcomes": int(live.sum()),
-        },
-    )
+    return _certified_solution(problem, alpha, tau_g, post, live,
+                               {"prescreen_prior_feasible": prescreen.feasible})
 
 
 def solve_task2(problem: IcProblem) -> IcSolution:
@@ -450,40 +427,37 @@ def solve_task2(problem: IcProblem) -> IcSolution:
     def feasible(tau):
         return pi_feasible(post, world, tau, delta_g, live).max_residual <= 0.0
 
-    lo, hi = 1.0, 1.0
+    hi = 1.0
     if not feasible(hi):
         hi = 2.0
         while not feasible(hi):
             hi *= 2.0
             if hi > TAU_CAP:
                 raise ValueError(f"no feasible tau_g below the cap {TAU_CAP}")
-        lo = hi / 2.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if feasible(mid):
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo < 1e-12 * max(1.0, hi):
-                break
-    tau_star = hi
-    report = pi_feasible(post, world, tau_star, delta_g, live)
-    eps_g = epsilon_of_tau(tau_star, world)
+        _, hi = bisect_monotone(feasible, hi / 2.0, hi, geometric=False, tol=1e-12, max_iter=200)
+    return _certified_solution(problem, alpha, hi, post, live, {})
+
+
+def _certified_solution(problem: IcProblem, alpha: np.ndarray, tau_g: float, post: np.ndarray,
+                        live: np.ndarray, diagnostics: dict) -> IcSolution:
+    """Certify from scratch at tau_g: constraint residuals of the exact
+    posterior ``post`` of ``alpha``, plus a direct divergence check of the
+    full composition."""
+    world, mechs, dependence = problem.world, problem.mechs, problem.dependence
+    report = pi_feasible(post, world, tau_g, problem.delta_g, live)
+    eps_g = epsilon_of_tau(tau_g, world)
     law = joint_with_alpha(world, mechs, dependence, alpha)
-    direct = max(
-        hockey_stick(DistPair(law[s0], law[s1]), eps_g) for (s0, s1) in sorted(world.adjacency)
-    )
-    certified = report.max_residual <= 1e-6 and direct <= delta_g + 1e-6
+    direct = worst_pair(world, law, eps=eps_g).value
     return IcSolution(
         alpha=alpha,
         pi=post,
-        tau_g=tau_star,
+        tau_g=tau_g,
         eps_g=eps_g,
         feasibility=report.max_residual,
-        certified=certified,
+        certified=report.max_residual <= 1e-6 and direct <= problem.delta_g + 1e-6,
         direct_check_delta=direct,
         loss_value=spsr_loss(post, world, mechs, dependence, alpha, problem.loss),
-        diagnostics={"residuals": report, "live_outcomes": int(live.sum())},
+        diagnostics={**diagnostics, "residuals": report, "live_outcomes": int(live.sum())},
     )
 
 
@@ -529,10 +503,7 @@ def certify(
     stage2 = stage2_tail <= delta_g + 1e-9
 
     eps_g = epsilon_of_tau(tau_g, world)
-    law = joint_with_alpha(world, mechs, dependence, alpha)
-    direct = max(
-        hockey_stick(DistPair(law[s0], law[s1]), eps_g) for (s0, s1) in sorted(world.adjacency)
-    )
+    direct = worst_pair(world, joint_with_alpha(world, mechs, dependence, alpha), eps=eps_g).value
     stage3 = direct <= delta_g + 1e-6
 
     return CertReport(

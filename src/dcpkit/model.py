@@ -28,7 +28,14 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_finite(mat: np.ndarray, what: str) -> None:
+    if not np.all(np.isfinite(mat)):
+        i, j = np.argwhere(~np.isfinite(mat))[0]
+        raise ModelError(f"{what}: non-finite entry at row {i}, col {j}: {mat[i, j]}")
+
+
 def _check_rows_stochastic(mat: np.ndarray, what: str) -> None:
+    _check_finite(mat, what)
     if np.any(mat < -PROB_ATOL):
         i, j = np.argwhere(mat < -PROB_ATOL)[0]
         raise ModelError(f"{what}: negative entry at row {i}, col {j}: {mat[i, j]}")
@@ -51,8 +58,6 @@ class World:
     datasets: tuple[str, ...]
     joint: np.ndarray
     adjacency: frozenset[tuple[int, int]]
-    metric_table: np.ndarray | None = None
-    metric_threshold: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "joint", _freeze(self.joint))
@@ -61,6 +66,7 @@ class World:
                 f"joint shape {self.joint.shape} does not match "
                 f"{len(self.secrets)} secrets x {len(self.datasets)} datasets"
             )
+        _check_finite(self.joint, "joint")
         if np.any(self.joint < -PROB_ATOL):
             i, j = np.argwhere(self.joint < -PROB_ATOL)[0]
             raise ModelError(f"joint entry ({i},{j}) is negative: {self.joint[i, j]}")
@@ -81,8 +87,6 @@ class World:
                 raise ModelError(f"adjacency pair ({a},{b}) is not a pair of distinct secrets")
             if (b, a) not in self.adjacency:
                 raise ModelError(f"adjacency is not symmetric: ({a},{b}) present, ({b},{a}) missing")
-        if self.metric_table is not None:
-            object.__setattr__(self, "metric_table", _freeze(self.metric_table))
 
     @property
     def marginal_secret(self) -> np.ndarray:
@@ -145,6 +149,12 @@ class DependenceGroup:
         _check_rows_stochastic(self.joint_kernel, f"dependence group {self.members} joint kernel")
 
     def validate_against(self, mechanisms: Sequence[MechanismKernel]) -> None:
+        for i in self.members:
+            if not 0 <= i < len(mechanisms):
+                raise ModelError(
+                    f"dependence group {self.members}: member index {i} out of range "
+                    f"for {len(mechanisms)} mechanisms"
+                )
         dims = tuple(mechanisms[i].n_outputs for i in self.members)
         if int(np.prod(dims)) != self.joint_kernel.shape[1]:
             raise ModelError(
@@ -177,11 +187,6 @@ class EffectiveKernel:
     def pair(self, s0: int, s1: int) -> tuple[np.ndarray, np.ndarray]:
         return self.matrix[s0], self.matrix[s1]
 
-    @property
-    def cumulative(self) -> np.ndarray:
-        """Running per-row cumulative sums over the output ordering."""
-        return np.cumsum(self.matrix, axis=1)
-
 
 @dataclass(frozen=True)
 class Model:
@@ -209,6 +214,9 @@ def build_adjacency(
     n = joint.shape[0]
     if metric.shape != (n, n):
         raise ModelError(f"metric table shape {metric.shape} does not match {n} secrets")
+    _check_finite(metric, "metric table")
+    if np.isnan(d):
+        raise ModelError("metric threshold d is NaN")
     if np.any(metric < 0):
         i, j = np.argwhere(metric < 0)[0]
         raise ModelError(f"metric entry ({i},{j}) is negative")
@@ -269,19 +277,32 @@ def is_invertible(world: World, tol: float = PROB_ATOL) -> tuple[bool, dict[int,
     return True, witness
 
 
-def _parse_adjacency(spec, joint: np.ndarray) -> tuple[frozenset, np.ndarray | None, float | None]:
+def _key(raw: Mapping, key: str, what: str):
+    if key not in raw:
+        raise ModelError(f"{what} missing required key {key!r}")
+    return raw[key]
+
+
+def _index(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ModelError(f"{what}: {value!r} is not an index") from None
+
+
+def _parse_adjacency(spec, joint: np.ndarray) -> frozenset:
     if spec is None:
-        return default_adjacency(joint), None, None
+        return default_adjacency(joint)
     if "pairs" in spec:
         pairs = set()
         for a, b in spec["pairs"]:
-            pairs.add((int(a), int(b)))
-            pairs.add((int(b), int(a)))
-        return frozenset(pairs), None, None
+            a, b = _index(a, "adjacency pair"), _index(b, "adjacency pair")
+            pairs.add((a, b))
+            pairs.add((b, a))
+        return frozenset(pairs)
     if "metric" in spec:
-        metric = np.asarray(spec["metric"], dtype=float)
-        d = float(spec["d"])
-        return build_adjacency(metric, d, joint), metric, d
+        d = float(_key(spec, "d", "metric adjacency"))
+        return build_adjacency(np.asarray(spec["metric"], dtype=float), d, joint)
     raise ModelError("adjacency must provide either 'pairs' or 'metric'+'d'")
 
 
@@ -293,33 +314,26 @@ def load_model(path) -> Model:
     except json.JSONDecodeError as exc:
         raise ModelError(f"cannot parse {path}: {exc}") from exc
 
-    for key in ("secrets", "datasets", "joint"):
-        if key not in raw:
-            raise ModelError(f"model file missing required key {key!r}")
-
-    joint = np.asarray(raw["joint"], dtype=float)
-    adjacency, metric, d = _parse_adjacency(raw.get("adjacency"), joint)
+    joint = np.asarray(_key(raw, "joint", "model file"), dtype=float)
     world = World(
-        secrets=tuple(str(s) for s in raw["secrets"]),
-        datasets=tuple(str(x) for x in raw["datasets"]),
+        secrets=tuple(str(s) for s in _key(raw, "secrets", "model file")),
+        datasets=tuple(str(x) for x in _key(raw, "datasets", "model file")),
         joint=joint,
-        adjacency=adjacency,
-        metric_table=metric,
-        metric_threshold=d,
+        adjacency=_parse_adjacency(raw.get("adjacency"), joint),
     )
 
     mechanisms = tuple(
         MechanismKernel(
             name=str(m.get("name", f"mech{i}")),
-            outputs=tuple(str(o) for o in m["outputs"]),
-            kernel=np.asarray(m["kernel"], dtype=float),
+            outputs=tuple(str(o) for o in _key(m, "outputs", f"mechanism {i}")),
+            kernel=np.asarray(_key(m, "kernel", f"mechanism {i}"), dtype=float),
         )
         for i, m in enumerate(raw.get("mechanisms", []))
     )
     dependence = tuple(
         DependenceGroup(
-            members=tuple(int(i) for i in g["members"]),
-            joint_kernel=np.asarray(g["joint_kernel"], dtype=float),
+            members=tuple(_index(i, "dependence member") for i in _key(g, "members", "dependence group")),
+            joint_kernel=np.asarray(_key(g, "joint_kernel", "dependence group"), dtype=float),
             joint_outputs=tuple(str(o) for o in g.get("joint_outputs", [])),
         )
         for g in raw.get("dependence", [])

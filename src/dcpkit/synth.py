@@ -8,7 +8,7 @@ import math
 import numpy as np
 from scipy import stats
 
-from .divergence import DistPair, hockey_stick, optimal_epsilon
+from .divergence import bisect_monotone, worst_pair
 from .model import MechanismKernel, World, default_adjacency, effective_kernel, is_invertible
 
 
@@ -137,13 +137,6 @@ def binned_laplace_kernel(values, scale: float, bins: int = 33, span: float = 8.
     return MechanismKernel(name, tuple(f"b{i}" for i in range(bins)), np.array(rows))
 
 
-def _worst_pair_epsilon(world: World, mech: MechanismKernel, delta: float) -> float:
-    eff = effective_kernel(world, mech)
-    return max(
-        optimal_epsilon(DistPair(*eff.pair(s0, s1)), delta) for (s0, s1) in sorted(world.adjacency)
-    )
-
-
 def calibrate_gaussian_mechanism(
     world: World, values, eps_target: float, delta: float,
     bins: int = 33, name: str = "gauss",
@@ -154,18 +147,13 @@ def calibrate_gaussian_mechanism(
     lo, hi = sigma_bounds
 
     def tight(sigma):
-        return _worst_pair_epsilon(world, binned_gaussian_kernel(values, sigma, bins, name=name), delta)
+        mech = binned_gaussian_kernel(values, sigma, bins, name=name)
+        return worst_pair(world, effective_kernel(world, mech).matrix, delta=delta).value
 
     if tight(lo) < eps_target or tight(hi) > eps_target:
         raise ValueError("eps_target outside the reachable range for these bounds")
-    for _ in range(80):
-        mid = math.sqrt(lo * hi)
-        if tight(mid) > eps_target:
-            lo = mid
-        else:
-            hi = mid
-        if hi / lo < 1.0 + 1e-12:
-            break
+    _, hi = bisect_monotone(lambda sigma: tight(sigma) <= eps_target, lo, hi,
+                            geometric=True, tol=1e-12, max_iter=80)
     return binned_gaussian_kernel(values, hi, bins, name=name)
 
 
@@ -192,24 +180,16 @@ def calibrate_alpha_fill(
     returns (alpha, sigma); sigma = inf means even the widest channel in
     bounds cannot be certified.
     """
-    pairs = sorted(world.adjacency)
-
     def achieved(sigma):
         alpha = secret_gaussian_channel(world, eta, sigma, bins)
         law = np.einsum("sy,sa->sya", base_law, alpha).reshape(base_law.shape[0], -1)
-        return max(hockey_stick(DistPair(law[s0], law[s1]), eps_g) for (s0, s1) in pairs)
+        return worst_pair(world, law, eps=eps_g).value
 
     lo, hi = sigma_bounds
     if achieved(hi) > delta_g:
         return secret_gaussian_channel(world, eta, hi, bins), math.inf
     if achieved(lo) <= delta_g:
         return secret_gaussian_channel(world, eta, lo, bins), lo
-    for _ in range(80):
-        mid = math.sqrt(lo * hi)
-        if achieved(mid) > delta_g:
-            lo = mid
-        else:
-            hi = mid
-        if hi / lo < 1.0 + 1e-12:
-            break
+    _, hi = bisect_monotone(lambda sigma: achieved(sigma) <= delta_g, lo, hi,
+                            geometric=True, tol=1e-12, max_iter=80)
     return secret_gaussian_channel(world, eta, hi, bins), hi

@@ -125,3 +125,46 @@ def test_experiment_reproducible(tmp_path):
     assert lines[1].startswith("eps_g,eps_i,delta_g,auc_composed,auc_single,gap")
     assert len(lines) == 2 + 5  # header comment + columns + five grid points
     assert svg.read_text().startswith("<svg")
+
+
+MALFORMED_BASE = {
+    "secrets": ["s0", "s1"],
+    "datasets": ["x0", "x1"],
+    "joint": [[0.4, 0.1], [0.1, 0.4]],
+    "mechanisms": [
+        {"name": "a", "outputs": ["0", "1"], "kernel": [[0.7, 0.3], [0.3, 0.7]]},
+        {"name": "b", "outputs": ["0", "1"], "kernel": [[0.6, 0.4], [0.2, 0.8]]},
+    ],
+}
+
+
+def _no_outputs(m):
+    del m["mechanisms"][1]["outputs"]
+
+
+def _member_out_of_range(m):
+    m["dependence"] = [{"members": [0, 5], "joint_kernel": [[0.25] * 4, [0.25] * 4]}]
+
+
+def _nan_kernel(m):
+    m["mechanisms"][0]["kernel"][0][0] = float("nan")
+
+
+@pytest.mark.parametrize("mutate", [_no_outputs, _member_out_of_range, _nan_kernel])
+def test_check_rejects_malformed_model_with_exit_2(tmp_path, capsys, mutate):
+    model = json.loads(json.dumps(MALFORMED_BASE))
+    mutate(model)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(model))
+    assert run(["--model", str(path), "check", "--eps", "1.0", "--delta", "0.05"]) == 2
+    assert capsys.readouterr().err.startswith("dcp: error: ")
+
+
+def test_cap_applies_to_one_invocation():
+    from dcpkit import config
+
+    cap = config.OUTCOME_CAP
+    # the mixing model's product alphabet has 2 * 2 * 3 = 12 outcomes
+    assert run(["--cap", "4", "--model", MIXING, "check", "--eps", "3.0", "--delta", "0.05"]) == 2
+    assert config.OUTCOME_CAP == cap
+    assert run(["--model", MIXING, "check", "--eps", "3.0", "--delta", "0.05"]) == 0

@@ -14,7 +14,6 @@ from dcpkit.copula import (
     copula_cdf,
     copula_plrv,
     coupled_block_law,
-    invert_cdf_by_bisection,
     marginal_from_spec,
     marginal_tight_budget,
     perturb_pair,
@@ -120,14 +119,6 @@ def test_marginal_from_spec_round_trip():
     assert emp.ppf(0.25) == pytest.approx(-0.5)
     with pytest.raises(ValueError):
         marginal_from_spec({"family": "cauchy"})
-
-
-def test_bisection_inverse_matches_ppf():
-    g = GaussianMarginal(2.0)
-    for u in (0.1, 0.5, 0.9):
-        assert invert_cdf_by_bisection(lambda v: g.cdf(v), u, -100, 100) == pytest.approx(
-            g.ppf(u), abs=1e-9
-        )
 
 
 # ---------------------------------------------------------------- sampling

@@ -4,15 +4,20 @@ import numpy as np
 import pytest
 
 from conftest import random_dist_pair
+from dcpkit.audit import lr_attack_roc
+from dcpkit.composition import composed_joint
 from dcpkit.divergence import (
     DistPair,
+    bisect_monotone,
     check_dcp,
     hockey_stick,
     optimal_epsilon,
     total_variation,
     tradeoff_curve,
+    worst_pair,
 )
 from dcpkit.model import MechanismKernel, World, default_adjacency
+from dcpkit.synth import mixing_world
 
 RR = DistPair(np.array([0.75, 0.25]), np.array([0.25, 0.75]))
 
@@ -184,3 +189,167 @@ def test_tradeoff_curve_convex_below_diagonal():
         assert curve.alphas[0] == 0.0 and curve.alphas[-1] == 1.0
         assert np.all(np.diff(curve.alphas) > 0)
         assert np.all(np.diff(curve.betas) <= 1e-15)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_dist_pair_rejects_non_finite(value):
+    with pytest.raises(ValueError, match="non-finite"):
+        DistPair(np.array([value, 0.5]), np.array([0.5, 0.5]))
+
+
+# ------------------------------------------------- likelihood-ratio sweep
+
+
+def tie_heavy_pairs():
+    """Composed joints of one mechanism repeated 2-6 times, in a mixing and
+    an invertible world; zeros in the kernel leave outcomes with mass on one
+    side only."""
+    kernel = np.array([[0.5, 0.5, 0.0], [0.0, 0.4, 0.6], [0.3, 0.3, 0.4], [0.2, 0.0, 0.8]])
+    mech = MechanismKernel("z", ("0", "1", "2"), kernel)
+    one_hot = np.array([[0.5, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.5]])
+    worlds = [mixing_world(0.3), World(("s0", "s1"), tuple("abcd"), one_hot, default_adjacency(one_hot))]
+    for world in worlds:
+        for copies in range(2, 7):
+            cj = composed_joint(world, [mech] * copies)
+            yield cj.pair(0, 1)
+            yield cj.pair(1, 0)
+
+
+def mann_whitney_auc(pair):
+    """P(score under p > score under q) + P(tie) / 2, score = p/q."""
+    with np.errstate(divide="ignore"):
+        score = np.where(pair.q > 0, pair.p / np.where(pair.q > 0, pair.q, 1.0), np.inf)
+    values, group = np.unique(score, return_inverse=True)
+    p_mass = np.bincount(group, weights=pair.p, minlength=values.size)
+    q_mass = np.bincount(group, weights=pair.q, minlength=values.size)
+    q_below = np.concatenate([[0.0], np.cumsum(q_mass)[:-1]])
+    return float((p_mass * (q_below + 0.5 * q_mass)).sum())
+
+
+def test_sweep_on_tied_and_one_sided_outcomes():
+    pairs = list(tie_heavy_pairs())
+    assert any(np.any(pr.p == 0.0) and np.any(pr.q == 0.0) for pr in pairs)
+    for pair in pairs:
+        curve = tradeoff_curve(pair)
+        assert np.all(np.diff(curve.alphas) > 0)
+        for eps in (0.0, 0.3, 1.0, 2.5):
+            # delta(eps) of the best test: reject the complement of a level set
+            delta = float((1.0 - curve.alphas - math.exp(eps) * curve.betas).max())
+            assert delta == pytest.approx(hockey_stick(pair, eps), abs=1e-12)
+
+        roc = lr_attack_roc(pair)
+        mw = mann_whitney_auc(pair)
+        assert roc.flipped == (mw < 0.5)
+        assert roc.auc == pytest.approx(1.0 - mw if roc.flipped else mw, abs=1e-12)
+        if not roc.flipped:
+            swapped = tradeoff_curve(DistPair(pair.q, pair.p))
+            for fpr in (roc.fpr, swapped.alphas):
+                assert np.allclose(roc.tpr_at(fpr), 1.0 - swapped.beta(fpr), rtol=0, atol=1e-12)
+
+
+def loop_sweep(a, b, b_from):
+    """The per-outcome loop the vectorized sweep replaced, kept as its reference."""
+    with np.errstate(divide="ignore"):
+        ratio = np.where(a > 0.0, b / np.where(a > 0.0, a, 1.0), np.inf)
+    order = np.argsort(-ratio, kind="stable")
+    a, b, ratio = a[order], b[order], ratio[order]
+    a_run, b_run = [0.0], [b_from]
+    acc_a, acc_b, i = 0.0, b_from, 0
+    while i < a.size:
+        j = i
+        while j < a.size and ratio[j] == ratio[i]:
+            j += 1
+        acc_a += float(a[i:j].sum())
+        acc_b += float(b[i:j].sum()) * (1.0 if b_from == 0.0 else -1.0)
+        if acc_a > a_run[-1]:
+            a_run.append(acc_a)
+            b_run.append(max(acc_b, 0.0))
+        else:
+            b_run[-1] = max(acc_b, 0.0)
+        i = j
+    a_run[-1], b_run[-1] = 1.0, 1.0 - b_from
+    return np.array(a_run), np.array(b_run)
+
+
+def test_sweep_matches_reference_loop():
+    rng = np.random.default_rng(15)
+    pairs = list(tie_heavy_pairs())
+    for _ in range(40):
+        p, q = random_dist_pair(rng)
+        dup = rng.integers(0, p.size, size=p.size)  # repeated outcomes tie exactly
+        pairs.append(DistPair(np.concatenate([p, p[dup]]) / (1 + p[dup].sum()),
+                              np.concatenate([q, q[dup]]) / (1 + q[dup].sum())))
+    for pair in pairs:
+        curve = tradeoff_curve(pair)
+        alphas, betas = loop_sweep(pair.p, pair.q, 1.0)
+        np.testing.assert_allclose(curve.alphas, alphas, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(curve.betas, betas, rtol=0, atol=1e-15)
+
+        roc = lr_attack_roc(pair)
+        fpr, tpr = loop_sweep(pair.q, pair.p, 0.0)
+        if roc.flipped:
+            fpr, tpr = 1.0 - tpr[::-1], 1.0 - fpr[::-1]
+        np.testing.assert_allclose(roc.fpr, fpr, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(roc.tpr, tpr, rtol=0, atol=1e-15)
+
+
+# ---------------------------------------------------- monotone bisection
+
+
+def test_bisect_monotone_keeps_the_bracket():
+    calls = []
+
+    def above(x):
+        calls.append(x)
+        return x >= 0.3
+
+    lo, hi = bisect_monotone(above, 0.0, 1.0, geometric=False, tol=0.0, max_iter=3)
+    assert (lo, hi) == (0.25, 0.375)  # tests 0.5, 0.25, 0.375; no stop rule fires
+    assert calls == [0.5, 0.25, 0.375]
+
+    for geometric in (False, True):
+        lo, hi = bisect_monotone(above, 1e-3, 10.0, geometric=geometric, tol=0.0, max_iter=40)
+        assert not above(lo) and above(hi) and lo < hi
+
+
+@pytest.mark.parametrize("geometric", [True, False])
+def test_bisect_monotone_stop_rules(geometric):
+    calls = []
+
+    def above(x):
+        calls.append(x)
+        return x >= 2.0
+
+    def stopped(lo, hi):
+        return hi / lo < 1.0 + 1e-6 if geometric else hi - lo < 1e-6 * max(1.0, hi)
+
+    lo, hi = bisect_monotone(above, 1.0, 1e4, geometric=geometric, tol=1e-6, max_iter=200)
+    n = len(calls)
+    assert n < 200 and lo < 2.0 <= hi and stopped(lo, hi)
+    # one step earlier the rule did not hold: the loop stops the first time it does
+    assert not stopped(*bisect_monotone(above, 1.0, 1e4, geometric=geometric, tol=1e-6,
+                                        max_iter=n - 1))
+
+
+# -------------------------------------------------- worst adjacent pair
+
+
+def test_worst_pair_first_pair_wins_ties():
+    joint = np.full((3, 1), 1.0 / 3.0)
+    world = World(("a", "b", "c"), ("x",), joint, default_adjacency(joint))
+    law = np.array([[0.7, 0.3], [0.2, 0.8], [0.2, 0.8]])  # rows b and c coincide
+    worst = worst_pair(world, law, eps=0.1)
+    assert worst.pair == (0, 1)
+    assert worst.values[(0, 1)] == worst.values[(0, 2)] == worst.value
+    assert list(worst.values) == sorted(world.adjacency)
+    tight = worst_pair(world, law, delta=0.0)
+    assert tight.pair == (0, 1)
+    assert tight.value == pytest.approx(math.log(0.7 / 0.2), abs=1e-12)
+
+
+def test_worst_pair_empty_adjacency_names_it():
+    joint = np.array([[0.5, 0.0], [0.0, 0.5]])
+    world = World(("a", "b"), ("x", "y"), joint, frozenset())
+    with pytest.raises(ValueError, match="empty adjacency") as err:
+        worst_pair(world, np.eye(2), eps=1.0)
+    assert "max()" not in str(err.value)

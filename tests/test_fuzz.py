@@ -1,0 +1,67 @@
+"""Deterministic fuzzing of the model loader through ``dcp check``.
+
+Each example copies one demo model and applies one mutation: drop a key,
+put NaN or +-inf in a number, or push an adjacency or dependence-member
+index out of range.  Whatever the mutation, ``dcp`` must answer with exit
+code 0, 1 or 2 and never let an exception escape.
+"""
+
+import json
+import math
+import pathlib
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dcpkit.cli import main
+
+MODELS = {
+    path.name: json.loads(path.read_text())
+    for path in sorted((pathlib.Path(__file__).parent.parent / "demos" / "models").glob("*.json"))
+}
+
+
+def sites(node, path=()):
+    """(kind, path) of every droppable key, every number and every index."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield "drop", path + (key,)
+            yield from sites(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from sites(value, path + (i,))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield "number", path
+        if "pairs" in path or "members" in path:
+            yield "index", path
+
+
+def apply(model, kind, path, choice):
+    parent = model
+    for step in path[:-1]:
+        parent = parent[step]
+    if kind == "drop":
+        del parent[path[-1]]
+    elif kind == "number":
+        parent[path[-1]] = (math.nan, math.inf, -math.inf)[choice]
+    else:
+        size = len(model["secrets"]) if "pairs" in path else len(model["mechanisms"])
+        parent[path[-1]] = (size, size + 3, -1)[choice]
+
+
+@st.composite
+def mutated_models(draw):
+    name = draw(st.sampled_from(sorted(MODELS)))
+    model = json.loads(json.dumps(MODELS[name]))
+    kind, path = draw(st.sampled_from(list(sites(model))))
+    apply(model, kind, path, draw(st.integers(0, 2)))
+    return model
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(model=mutated_models())
+def test_check_never_raises_on_mutated_models(tmp_path_factory, model):
+    path = tmp_path_factory.mktemp("fuzz") / "model.json"
+    path.write_text(json.dumps(model))
+    code = main(["--model", str(path), "check", "--eps", "1.0", "--delta", "0.05"])
+    assert code in (0, 1, 2)

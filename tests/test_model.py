@@ -182,3 +182,48 @@ def test_load_model_with_dependence(tmp_path):
 def test_world_is_immutable(invertible_world):
     with pytest.raises(ValueError):
         invertible_world.joint[0, 0] = 0.9
+
+
+DEPENDENT = dict(
+    BASE,
+    mechanisms=[
+        {"name": "a", "outputs": ["0", "1"], "kernel": [[0.9, 0.1], [0.2, 0.8]]},
+        {"name": "b", "outputs": ["0", "1"], "kernel": [[0.9, 0.1], [0.2, 0.8]]},
+    ],
+    dependence=[{"members": [0, 1], "joint_kernel": [[0.9, 0, 0, 0.1], [0.2, 0, 0, 0.8]]}],
+)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("where", ["mechanism", "joint", "dependence", "metric"])
+def test_load_rejects_non_finite_entries(tmp_path, where, value):
+    payload = json.loads(json.dumps(DEPENDENT))
+    if where == "mechanism":
+        payload["mechanisms"][0]["kernel"][0][0] = value
+    elif where == "joint":
+        payload["joint"][1][1] = value
+    elif where == "dependence":
+        payload["dependence"][0]["joint_kernel"][1][3] = value
+    else:
+        payload["adjacency"] = {"metric": [[0.0, value], [value, 0.0]], "d": 1.0}
+    with pytest.raises(ModelError, match="finite"):
+        load_model(write_model(tmp_path, payload))
+
+
+@pytest.mark.parametrize("section,key", [
+    ("mechanisms", "outputs"), ("mechanisms", "kernel"),
+    ("dependence", "members"), ("dependence", "joint_kernel"),
+])
+def test_load_rejects_missing_keys(tmp_path, section, key):
+    payload = json.loads(json.dumps(DEPENDENT))
+    del payload[section][0][key]
+    with pytest.raises(ModelError, match=f"missing required key '{key}'"):
+        load_model(write_model(tmp_path, payload))
+
+
+@pytest.mark.parametrize("member", [2, 5, -1, float("inf")])
+def test_load_rejects_member_index_out_of_range(tmp_path, member):
+    payload = json.loads(json.dumps(DEPENDENT))
+    payload["dependence"][0]["members"] = [0, member]
+    with pytest.raises(ModelError, match="member"):
+        load_model(write_model(tmp_path, payload))
