@@ -17,7 +17,7 @@ from . import config
 from .config import PROB_ATOL
 from .divergence import DistPair, hockey_stick, optimal_epsilon, tradeoff_curve, worst_pair
 from .model import DependenceGroup, MechanismKernel, World, effective_kernel
-from .pld import Pld, convolve, decompose_plrv, epsilon_for_delta, pld_from_pair, privacy_profile
+from .pld import LossSum, convolve, decompose_plrv, epsilon_for_delta, pld_from_pair
 
 
 @dataclass(frozen=True)
@@ -133,25 +133,28 @@ def underline_opt(
     return (worst.value, worst.values) if per_pair else worst.value
 
 
-def _overline_pld(
+def _overline_loss(
     world: World,
     mechs: list[MechanismKernel],
     dependence: list[DependenceGroup],
     s0: int,
     s1: int,
-) -> Pld:
-    """Convolution of the marginal PLDs with the pushed-forward copula term.
+) -> LossSum:
+    """The pushed-forward copula term plus the convolved marginal PLDs.
 
     The copula term (world + dependence losses) only pins down the loss
-    variable under s0, so its PLD is taken as that pushforward; the result
-    is the accounting object behind the conservative bound.
+    variable under s0, so its PLD is taken as that pushforward.  The
+    marginals' convolution holds at most one atom per outcome of the
+    product alphabet; the copula term is added as a second independent
+    factor and never convolved in.  The result is the accounting object
+    behind the conservative bound.
     """
-    dec = decompose_plrv(world, mechs, dependence, s0, s1)
-    pld = dec.world_pld()
-    for mech in mechs:
-        eff = effective_kernel(world, mech)
-        pld = convolve(pld, pld_from_pair(DistPair(*eff.pair(s0, s1))))
-    return pld
+    copula = decompose_plrv(world, mechs, dependence, s0, s1).world_pld()
+    plds = [pld_from_pair(DistPair(*effective_kernel(world, mech).pair(s0, s1))) for mech in mechs]
+    marginals = plds[0]
+    for pld in plds[1:]:
+        marginals = convolve(marginals, pld)
+    return LossSum(copula, marginals)
 
 
 def overline_opt(
@@ -164,7 +167,7 @@ def overline_opt(
     """Conservative epsilon: copula loss treated as one extra independent mechanism."""
     vals = {}
     for (s0, s1) in sorted(world.adjacency):
-        vals[(s0, s1)] = epsilon_for_delta(_overline_pld(world, mechs, dependence, s0, s1), delta_g)
+        vals[(s0, s1)] = _overline_loss(world, mechs, dependence, s0, s1).epsilon(delta_g)
     worst = max(vals.values())
     return (worst, vals) if per_pair else worst
 
@@ -202,20 +205,20 @@ def composition_report(
     for (s0, s1) in sorted(world.adjacency):
         joint_pair = cj.pair(s0, s1)
         prod = DistPair(prod_law[s0], prod_law[s1])
-        over_pld = _overline_pld(world, mechs, dependence, s0, s1)
+        over = _overline_loss(world, mechs, dependence, s0, s1)
         for dg in delta_gs:
             opt_rows.append(
                 (s0, s1, dg,
                  optimal_epsilon(prod, dg),
                  optimal_epsilon(joint_pair, dg),
-                 epsilon_for_delta(over_pld, dg))
+                 over.epsilon(dg))
             )
         for eg in eps_gs:
             dt_rows.append(
                 (s0, s1, eg,
                  hockey_stick(prod, eg),
                  hockey_stick(joint_pair, eg),
-                 privacy_profile(over_pld, eg))
+                 over.delta(eg))
             )
     basic = basic_composition_check(world, mechs, dependence)
     return CompositionReport(

@@ -55,7 +55,13 @@ def hockey_stick(pair: DistPair, eps: float) -> float:
     """Sum of (p - e^eps q)+ over outcomes; the delta achieved at this eps."""
     if not math.isfinite(eps):
         raise ValueError(f"eps must be finite, got {eps}")
-    gap = pair.p - math.exp(eps) * pair.q
+    try:
+        gap = pair.p - math.exp(eps) * pair.q
+    except OverflowError:
+        # e^eps is past the float range: scale each q in the log domain, where
+        # q = 0 gives e^-inf = 0 (its whole p-mass) and no inf * 0
+        with np.errstate(divide="ignore", over="ignore"):
+            gap = pair.p - np.exp(eps + np.log(pair.q))
     return float(np.maximum(gap, 0.0).sum())
 
 

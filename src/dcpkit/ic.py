@@ -77,16 +77,25 @@ def joint_with_alpha(
     dataset channel, so the joint given s is the outer product of the
     composed row with alpha's row.
     """
+    return _with_alpha(_composed_law(world, mechs, dependence), alpha)
+
+
+def _composed_law(world: World, mechs: list[MechanismKernel],
+                  dependence: list[DependenceGroup]) -> np.ndarray:
+    """The composed joint's rows, or one sure outcome without mechanisms."""
     if mechs:
-        b = composed_joint(world, mechs, dependence).matrix
-    else:
-        b = np.ones((len(world.secrets), 1))
+        return composed_joint(world, mechs, dependence).matrix
+    return np.ones((len(world.secrets), 1))
+
+
+def _with_alpha(b: np.ndarray, alpha: np.ndarray | None) -> np.ndarray:
+    """``joint_with_alpha`` on an already composed law ``b`` (rows = secrets)."""
     if alpha is None:
         return b
     alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape[0] != len(world.secrets):
+    if alpha.shape[0] != b.shape[0]:
         raise ValueError("alpha must have one row per secret")
-    return np.einsum("sy,sa->sya", b, alpha).reshape(len(world.secrets), -1)
+    return np.einsum("sy,sa->sya", b, alpha).reshape(b.shape[0], -1)
 
 
 def posterior(
@@ -101,7 +110,11 @@ def posterior(
     mask); rows for zero-weight outcomes are marked dead and left as the
     prior.
     """
-    law = joint_with_alpha(world, mechs, dependence, alpha)
+    return _posterior(world, joint_with_alpha(world, mechs, dependence, alpha))
+
+
+def _posterior(world: World, law: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``posterior`` of a per-secret law already joined with alpha."""
     prior = world.marginal_secret
     weights = law * prior[:, None]           # secrets x outcomes
     marginal = weights.sum(axis=0)
@@ -173,7 +186,11 @@ def spsr_loss(
     the expectation; a response putting zero mass on a positive-weight
     cell scores +inf.
     """
-    law = joint_with_alpha(world, mechs, dependence, alpha)
+    return _spsr_loss(pi, world, joint_with_alpha(world, mechs, dependence, alpha), loss)
+
+
+def _spsr_loss(pi: np.ndarray, world: World, law: np.ndarray, loss: str) -> float:
+    """``spsr_loss`` under a per-secret law already joined with alpha."""
     weights = (law * world.marginal_secret[:, None]).T   # outcomes x secrets
     pi = np.asarray(pi, dtype=float)
     if loss == "log":
@@ -345,10 +362,7 @@ def solve_task1(problem: IcProblem) -> IcSolution:
     n_s = len(world.secrets)
     rng = np.random.default_rng(problem.seed)
 
-    if mechs:
-        b = composed_joint(world, mechs, dependence).matrix
-    else:
-        b = np.ones((n_s, 1))
+    b = _composed_law(world, mechs, dependence)
     n_y = b.shape[1]
 
     # prior-feasibility pre-screen: a constant response certifies nonemptiness
@@ -360,14 +374,14 @@ def solve_task1(problem: IcProblem) -> IcSolution:
         alpha = np.ones((n_s, 1))
 
     def weights_of(a):
-        law = np.einsum("sy,sa->sya", b, a).reshape(n_s, -1)
-        return (law * prior[:, None]).T
+        return (_with_alpha(b, a) * prior[:, None]).T
 
     def elicited_objective(a, mu):
         # leader's view: the follower answers with the exact posterior, so
         # both the score and the penalty are evaluated at that response
-        post, _, live_mask = posterior(world, mechs, dependence, a)
-        val = spsr_loss(post, world, mechs, dependence, a, problem.loss)
+        law = _with_alpha(b, a)
+        post, _, live_mask = _posterior(world, law)
+        val = _spsr_loss(post, world, law, problem.loss)
         return val + mu * _penalty_value(post[live_mask], prior, tau_g, delta_g)
 
     pi = _project_rows_simplex(np.maximum(weights_of(alpha), LOG_FLOOR))
@@ -396,7 +410,7 @@ def solve_task1(problem: IcProblem) -> IcSolution:
     uniform = np.full((n_s, m), 1.0 / m)
 
     def residual_of(a):
-        post, _, live_mask = posterior(world, mechs, dependence, a)
+        post, _, live_mask = _posterior(world, _with_alpha(b, a))
         return pi_feasible(post, world, tau_g, delta_g, live_mask).max_residual
 
     if residual_of(alpha) > 0.0 and residual_of(uniform) <= 0.0:
@@ -407,8 +421,9 @@ def solve_task1(problem: IcProblem) -> IcSolution:
         )
         alpha = (1.0 - hi_t) * alpha + hi_t * uniform
 
-    post, _, live = posterior(world, mechs, dependence, alpha)
-    return _certified_solution(problem, alpha, tau_g, post, live,
+    law = _with_alpha(b, alpha)
+    post, _, live = _posterior(world, law)
+    return _certified_solution(problem, alpha, tau_g, law, post, live,
                                {"prescreen_prior_feasible": prescreen.feasible})
 
 
@@ -422,7 +437,8 @@ def solve_task2(problem: IcProblem) -> IcSolution:
     world, mechs, dependence = problem.world, problem.mechs, problem.dependence
     delta_g = problem.delta_g
     alpha = np.ones((len(world.secrets), 1))
-    post, _, live = posterior(world, mechs, dependence, alpha)
+    law = joint_with_alpha(world, mechs, dependence, alpha)
+    post, _, live = _posterior(world, law)
 
     def feasible(tau):
         return pi_feasible(post, world, tau, delta_g, live).max_residual <= 0.0
@@ -435,18 +451,17 @@ def solve_task2(problem: IcProblem) -> IcSolution:
             if hi > TAU_CAP:
                 raise ValueError(f"no feasible tau_g below the cap {TAU_CAP}")
         _, hi = bisect_monotone(feasible, hi / 2.0, hi, geometric=False, tol=1e-12, max_iter=200)
-    return _certified_solution(problem, alpha, hi, post, live, {})
+    return _certified_solution(problem, alpha, hi, law, post, live, {})
 
 
-def _certified_solution(problem: IcProblem, alpha: np.ndarray, tau_g: float, post: np.ndarray,
-                        live: np.ndarray, diagnostics: dict) -> IcSolution:
+def _certified_solution(problem: IcProblem, alpha: np.ndarray, tau_g: float, law: np.ndarray,
+                        post: np.ndarray, live: np.ndarray, diagnostics: dict) -> IcSolution:
     """Certify from scratch at tau_g: constraint residuals of the exact
-    posterior ``post`` of ``alpha``, plus a direct divergence check of the
-    full composition."""
-    world, mechs, dependence = problem.world, problem.mechs, problem.dependence
+    posterior ``post`` under ``law`` (the composition joined with
+    ``alpha``), plus a direct divergence check of that law."""
+    world = problem.world
     report = pi_feasible(post, world, tau_g, problem.delta_g, live)
     eps_g = epsilon_of_tau(tau_g, world)
-    law = joint_with_alpha(world, mechs, dependence, alpha)
     direct = worst_pair(world, law, eps=eps_g).value
     return IcSolution(
         alpha=alpha,
@@ -456,7 +471,7 @@ def _certified_solution(problem: IcProblem, alpha: np.ndarray, tau_g: float, pos
         feasibility=report.max_residual,
         certified=report.max_residual <= 1e-6 and direct <= problem.delta_g + 1e-6,
         direct_check_delta=direct,
-        loss_value=spsr_loss(post, world, mechs, dependence, alpha, problem.loss),
+        loss_value=_spsr_loss(post, world, law, problem.loss),
         diagnostics={**diagnostics, "residuals": report, "live_outcomes": int(live.sum())},
     )
 
@@ -489,7 +504,8 @@ def certify(
     tau_g: float,
     delta_g: float,
 ) -> CertReport:
-    post, _, live = posterior(world, mechs, dependence, alpha)
+    law = joint_with_alpha(world, mechs, dependence, alpha)
+    post, _, live = _posterior(world, law)
     report = pi_feasible(post, world, tau_g, delta_g, live)
     stage1 = report.max_residual <= 1e-6
 
@@ -503,7 +519,7 @@ def certify(
     stage2 = stage2_tail <= delta_g + 1e-9
 
     eps_g = epsilon_of_tau(tau_g, world)
-    direct = worst_pair(world, joint_with_alpha(world, mechs, dependence, alpha), eps=eps_g).value
+    direct = worst_pair(world, law, eps=eps_g).value
     stage3 = direct <= delta_g + 1e-6
 
     return CertReport(

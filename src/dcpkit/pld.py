@@ -1,9 +1,11 @@
 """Privacy-loss random variables and their discrete distributions.
 
 A ``Pld`` holds finite loss atoms plus a mass at +infinity.  Construction
-from a distribution pair, exact convolution, the privacy profile delta(eps),
-and the copula decomposition of a composed loss variable into the
-world-induced, mechanism-dependence, and independent terms all live here.
+from a distribution pair, exact convolution, the privacy profile delta(eps)
+and its inverse (of one PLD, or of the sum of two independent losses
+without convolving them), and the copula decomposition of a composed loss
+variable into the world-induced, mechanism-dependence, and independent
+terms all live here.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import config
 from .config import PROB_ATOL
 from .divergence import DistPair
 from .model import DependenceGroup, MechanismKernel, World, effective_kernel, group_effective_joint
@@ -31,7 +34,8 @@ def _merge_atoms(losses: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np
     # group runs of losses within MERGE_ATOL of their predecessor
     new_group = np.empty(losses.size, dtype=bool)
     new_group[0] = True
-    new_group[1:] = np.diff(losses) > MERGE_ATOL
+    with np.errstate(invalid="ignore"):  # -inf - -inf is NaN: -inf atoms join one group
+        new_group[1:] = np.diff(losses) > MERGE_ATOL
     gid = np.cumsum(new_group) - 1
     n = gid[-1] + 1
     gmass = np.zeros(n)
@@ -83,6 +87,9 @@ class Pld:
         return Pld(losses=np.array([loss]), masses=np.array([1.0]))
 
 
+_ZERO = Pld.point(0.0)  # the loss of a mechanism that reveals nothing
+
+
 def pld_from_pair(pair: DistPair) -> Pld:
     """Loss atoms log(p/q) with mass p; p-mass where q = 0 goes to +inf."""
     p, q = pair.p, pair.q
@@ -94,38 +101,109 @@ def pld_from_pair(pair: DistPair) -> Pld:
 
 
 def convolve(a: Pld, b: Pld) -> Pld:
-    """Distribution of the sum of two independent loss variables."""
+    """Distribution of the sum of two independent loss variables.
+
+    The outer sum holds |a| * |b| atoms before merging; a product above
+    ``config.OUTCOME_CAP`` is refused before anything is allocated.
+    """
+    if a.losses.size * b.losses.size > config.OUTCOME_CAP:
+        raise ValueError(
+            f"convolution of {a.losses.size} x {b.losses.size} loss atoms exceeds cap {config.OUTCOME_CAP}"
+        )
     losses = np.add.outer(a.losses, b.losses).ravel()
     masses = np.multiply.outer(a.masses, b.masses).ravel()
     inf_mass = a.inf_mass + b.inf_mass - a.inf_mass * b.inf_mass
     return Pld(losses=losses, masses=masses, inf_mass=inf_mass)
 
 
+# e^x is a finite float for |x| up to this
+_EXP_MAX = math.log(np.finfo(float).max)
+
+
+class LossSum:
+    """Privacy profile of W + M, the sum of two independent loss variables,
+    read off their two PLDs without forming their convolution.
+
+    An atom w of W meets the atoms of M above eps - w; one ``searchsorted``
+    into M's sorted losses finds them, and suffix sums of M's masses and of
+    its masses times e^-m, built once here, give their contribution.  So a
+    profile value costs O(|W| log |M|) and the object O(|W| + |M|) memory,
+    where the convolution holds |W| * |M| atoms.  A single PLD is the case
+    W = 0 (``privacy_profile``, ``epsilon_for_delta``).
+
+    Those sums hold e^+-loss, so a finite loss beyond +-709.78 (a
+    probability ratio past the float range) is refused with ``ValueError``.
+    """
+
+    def __init__(self, w: Pld, m: Pld):
+        # -inf atoms add nothing at any finite eps, alone or in a sum
+        keep = np.isfinite(w.losses)
+        self._w, self._w_mass = w.losses[keep], w.masses[keep]
+        keep = np.isfinite(m.losses)
+        m_loss, m_mass = m.losses[keep], m.masses[keep]
+        if (self._w.size and self._w[0] < -_EXP_MAX) or (
+                m_loss.size and max(-m_loss[0], m_loss[-1]) > _EXP_MAX):
+            raise ValueError(f"a loss atom lies beyond +-{_EXP_MAX:.2f}, where e^loss leaves the float range")
+        self._w_weight = self._w_mass * np.exp(-self._w)  # scales M's e^-m sums to e^-(w+m)
+        self._m = m_loss
+        self._m_top = float(m_loss[-1]) if m_loss.size else 0.0
+        # entry j sums M's atoms j, j+1, ...; the entry past the last is 0
+        self._mass_above = np.append(np.cumsum(m_mass[::-1])[::-1], 0.0)
+        self._b_above = np.append(np.cumsum((m_mass * np.exp(-m_loss))[::-1])[::-1], 0.0)
+        self.inf_mass = w.inf_mass + m.inf_mass - w.inf_mass * m.inf_mass
+
+    def _active(self, eps: float) -> np.ndarray:
+        """Per atom w: index of the first atom of M with w + m > eps."""
+        return np.searchsorted(self._m, eps - self._w, side="right")
+
+    def delta(self, eps: float) -> float:
+        """delta(eps) = E[(1 - e^(eps - W - M))+] plus the mass at +inf."""
+        t = eps - self._w
+        k = self._active(eps)
+        # e^t only multiplies a nonzero suffix where t < m_top, so capping t
+        # there changes no term and keeps e^t finite at any eps
+        tail = np.exp(np.minimum(t, self._m_top)) * self._b_above[k]
+        return self.inf_mass + float((self._w_mass * np.maximum(self._mass_above[k] - tail, 0.0)).sum())
+
+    def epsilon(self, delta: float) -> float:
+        """Smallest eps >= 0 with delta(eps) <= delta (inf if none).
+
+        On the segment of sum atoms active at eps the profile is a - e^eps b.
+        The profile is convex in e^eps and each segment's line lies below
+        it, so the root of the line at eps is at most the profile's root:
+        starting from 0 the roots climb, and the first one that stays on its
+        own segment is exact.  No tolerance, no bisection.
+        """
+        if delta > 1.0 or delta < 0.0:
+            raise ValueError(f"delta must lie in [0, 1], got {delta}")
+        if self.delta(0.0) <= delta:
+            return 0.0
+        if self.inf_mass > delta:
+            return math.inf
+        eps, k = 0.0, self._active(0.0)
+        while True:
+            a = self.inf_mass + float((self._w_mass * self._mass_above[k]).sum())
+            b = float((self._w_weight * self._b_above[k]).sum())
+            if a <= delta:  # nothing left above eps to bring down: it is the root
+                return eps
+            ratio = (a - delta) / b if b > 0.0 else math.inf
+            if ratio == math.inf:  # b underflowed: e^root is past the float range
+                raise ValueError(f"the root lies beyond {_EXP_MAX:.2f}, where e^eps leaves the float range")
+            root = math.log(ratio)
+            k_root = self._active(root)
+            if root <= eps or np.array_equal(k_root, k):
+                return float(max(root, 0.0))
+            eps, k = root, k_root
+
+
 def privacy_profile(pld: Pld, eps: float) -> float:
     """delta(eps) = E[(1 - e^(eps - L))+] plus the mass at +inf."""
-    with np.errstate(over="ignore"):
-        terms = 1.0 - np.exp(eps - pld.losses)
-    return float((pld.masses * np.maximum(terms, 0.0)).sum()) + pld.inf_mass
+    return LossSum(_ZERO, pld).delta(eps)
 
 
 def epsilon_for_delta(pld: Pld, delta: float) -> float:
     """Smallest eps >= 0 with privacy_profile(pld, eps) <= delta (inf if none)."""
-    if delta > 1.0 or delta < 0.0:
-        raise ValueError(f"delta must lie in [0, 1], got {delta}")
-    pos = pld.losses > 0.0
-    losses, masses = pld.losses[pos], pld.masses[pos]
-    delta0 = pld.inf_mass + float((masses * (1.0 - np.exp(-losses))).sum())
-    if delta0 <= delta:
-        return 0.0
-    if pld.inf_mass > delta:
-        return math.inf
-    strict_mass = np.concatenate([np.cumsum(masses[::-1])[::-1][1:], [0.0]])
-    strict_b = np.concatenate([np.cumsum((masses * np.exp(-losses))[::-1])[::-1][1:], [0.0]])
-    delta_bp = pld.inf_mass + strict_mass - strict_b * np.exp(losses)
-    j = int(np.searchsorted(-delta_bp, -delta))
-    a = pld.inf_mass + float(masses[j:].sum())
-    b = float((masses[j:] * np.exp(-losses[j:])).sum())
-    return float(max(math.log((a - delta) / b), 0.0))
+    return LossSum(_ZERO, pld).epsilon(delta)
 
 
 def write_pld_csv(pld: Pld, path) -> None:

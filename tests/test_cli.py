@@ -64,6 +64,30 @@ def test_compose_invertible_world_coincides(tmp_path):
             assert true <= over + 1e-9
 
 
+def test_check_and_compose_at_large_eps(tmp_path):
+    # e^800 is past the float range: every delta is the p-mass where q = 0
+    model = {
+        "secrets": ["s0", "s1"], "datasets": ["x0", "x1"], "joint": [[0.5, 0.0], [0.0, 0.5]],
+        "adjacency": {"pairs": [[0, 1], [1, 0]]},
+        "mechanisms": [
+            {"name": "cut", "outputs": ["0", "1"], "kernel": [[0.5, 0.5], [0.0, 1.0]]},
+            {"name": "rr", "outputs": ["0", "1"], "kernel": [[0.75, 0.25], [0.25, 0.75]]},
+        ],
+    }
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(model))
+    out = tmp_path / "r.json"
+    assert run(["--model", str(path), "--out", str(out), "check", "--eps", "800", "--delta", "0.5"]) == 0
+    reports = json.loads(read_out(out).split("\n", 1)[1])["reports"]
+    assert reports["cut"]["worst_delta"] == 0.5
+    assert reports["__composition__"]["worst_delta"] == 0.5
+    assert run(["--model", str(path), "--out", str(out), "compose", "--eps-g", "800", "1e300"]) == 0
+    lines = read_out(out).splitlines()
+    dt = lines[lines.index("s0,s1,eps_g,underline_dt,true_dt,overline_dt") + 1:-2]
+    assert dt == ["s0,s1,800.0,0.5,0.5,0.5", "s0,s1,1e+300,0.5,0.5,0.5",
+                  "s1,s0,800.0,0.0,0.0,0.0", "s1,s0,1e+300,0.0,0.0,0.0"]
+
+
 def test_pld_serialization(tmp_path):
     out = tmp_path / "p.csv"
     assert run(["--model", MIXING, "--out", str(out), "pld", "--pair", "s0", "s1",

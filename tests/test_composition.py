@@ -1,14 +1,23 @@
 import json
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dcpkit import composition as comp
+from dcpkit import config
 from dcpkit.divergence import DistPair, hockey_stick, optimal_epsilon
-from dcpkit.model import DependenceGroup, MechanismKernel, World, default_adjacency, load_model
-from dcpkit.pld import convolve, epsilon_for_delta, pld_from_pair, privacy_profile
+from dcpkit.model import (
+    DependenceGroup,
+    MechanismKernel,
+    World,
+    default_adjacency,
+    effective_kernel,
+    load_model,
+)
+from dcpkit.pld import convolve, decompose_plrv, epsilon_for_delta, pld_from_pair, privacy_profile
 from dcpkit.synth import triangulating_instance
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -348,3 +357,55 @@ def test_composition_report_shape(mixing_world_2x2, rr_mechanism):
     )
     assert len(rep.opt_rows) == 2 * 2  # two pairs x two delta values
     assert len(rep.dt_rows) == 2 * 1
+
+
+def _overline_instances():
+    rng = np.random.default_rng(35)
+    kernel = np.array([[0.9, 0.1], [0.2, 0.8]])
+    grouped = [MechanismKernel("a", ("0", "1"), kernel), MechanismKernel("b", ("0", "1"), kernel),
+               MechanismKernel("c", ("0", "1"), np.array([[0.6, 0.4], [0.3, 0.7]]))]
+    group = DependenceGroup(members=(0, 1),
+                            joint_kernel=np.array([[0.9, 0.0, 0.0, 0.1], [0.2, 0.0, 0.0, 0.8]]))
+    yield _world([[0.4, 0.1], [0.1, 0.4]]), grouped, [group]
+    for _ in range(8):
+        ns, nx = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+        world = _world(rng.dirichlet(np.ones(ns * nx)).reshape(ns, nx))
+        mechs = [MechanismKernel(f"m{i}", tuple(map(str, range(n))), rng.dirichlet(np.ones(n), size=nx))
+                 for i, n in enumerate(rng.integers(2, 5, size=int(rng.integers(1, 4))))]
+        yield world, mechs, []
+
+
+def test_overline_columns_match_the_materialized_convolution():
+    # oracle: the copula-term PLD convolved with every marginal PLD, the
+    # alphabet^2 object the conservative bound no longer builds
+    for world, mechs, dependence in _overline_instances():
+        report = comp.composition_report(world, mechs, dependence, [0.0, 0.02, 0.2], [0.0, 0.5, 2.0])
+        plds = {}
+        for (s0, s1) in sorted(world.adjacency):
+            pld = decompose_plrv(world, mechs, dependence, s0, s1).world_pld()
+            for mech in mechs:
+                pld = convolve(pld, pld_from_pair(DistPair(*effective_kernel(world, mech).pair(s0, s1))))
+            plds[(s0, s1)] = pld
+        for (s0, s1, dg, _, _, over) in report.opt_rows:
+            assert over == pytest.approx(epsilon_for_delta(plds[(s0, s1)], dg), abs=1e-12)
+        for (s0, s1, eg, _, _, over) in report.dt_rows:
+            assert over == pytest.approx(privacy_profile(plds[(s0, s1)], eg), abs=1e-12)
+
+
+def test_compose_on_seven_to_the_four_outcomes_stays_small(monkeypatch):
+    # the copula term alone has one atom per outcome; convolved with the
+    # marginals it would hold 2401^2 atoms (about 600 MB)
+    rng = np.random.default_rng(36)
+    world = _world(rng.dirichlet(np.ones(9)).reshape(3, 3))
+    mechs = [MechanismKernel(f"m{i}", tuple(map(str, range(7))), rng.dirichlet(np.ones(7), size=3))
+             for i in range(4)]
+    monkeypatch.setattr(config, "OUTCOME_CAP", 7**4)  # no convolution may outgrow the joint
+    tracemalloc.start()
+    try:
+        report = comp.composition_report(world, mechs, [], [0.0, 0.02], [0.5, 1.0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert len(report.opt_rows) == 2 * len(world.adjacency)
+    assert all(true <= over + 1e-9 for (_, _, dg, _, true, over) in report.opt_rows if dg == 0.0)

@@ -353,3 +353,19 @@ def test_worst_pair_empty_adjacency_names_it():
     with pytest.raises(ValueError, match="empty adjacency") as err:
         worst_pair(world, np.eye(2), eps=1.0)
     assert "max()" not in str(err.value)
+
+
+def test_hockey_stick_past_the_float_range_of_e_eps():
+    # e^eps overflows past eps = 709.78; delta is then the p-mass where q = 0,
+    # plus whatever outcomes with q below e^-eps still contribute
+    pair = DistPair(np.array([0.5, 0.3, 0.2]), np.array([0.6, 0.4, 0.0]))
+    for eps in (709.0, 710.0, 800.0, 1e300):
+        assert hockey_stick(pair, eps) == 0.2
+    tiny = DistPair(np.array([0.5, 0.5]), np.array([1.0, 5e-324]))
+    assert hockey_stick(tiny, 740.0) == pytest.approx(0.5 - math.exp(740.0 + math.log(5e-324)), rel=1e-12)
+    assert hockey_stick(tiny, 800.0) == 0.0
+    world = World(("s0", "s1"), ("x0", "x1"), np.array([[0.5, 0.0], [0.0, 0.5]]),
+                  default_adjacency(np.array([[0.5, 0.0], [0.0, 0.5]])))
+    cut = MechanismKernel("cut", ("0", "1"), np.array([[0.5, 0.5], [0.0, 1.0]]))
+    worst = worst_pair(world, composed_joint(world, [cut]).matrix, eps=800.0)
+    assert (worst.value, worst.pair) == (0.5, (0, 1))

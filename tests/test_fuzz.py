@@ -1,11 +1,15 @@
-"""Deterministic fuzzing of the model loader through ``dcp check``.
+"""Deterministic fuzzing of the model loader through ``dcp check`` and
+``dcp compose``.
 
-Each example copies one demo model and applies one mutation: drop a key,
-put NaN or +-inf in a number, or push an adjacency or dependence-member
-index out of range.  Whatever the mutation, ``dcp`` must answer with exit
-code 0, 1 or 2 and never let an exception escape.
+Each example copies one demo model and, in most examples, applies one
+mutation: drop a key, put NaN or +-inf in a number, or push an adjacency or
+dependence-member index out of range.  Both commands then run at an eps
+drawn up to 1e300 in size.  Whatever the model and the eps, ``dcp`` must
+answer with exit code 0, 1 or 2 and never let an exception escape.
 """
 
+import contextlib
+import io
 import json
 import math
 import pathlib
@@ -53,15 +57,23 @@ def apply(model, kind, path, choice):
 def mutated_models(draw):
     name = draw(st.sampled_from(sorted(MODELS)))
     model = json.loads(json.dumps(MODELS[name]))
-    kind, path = draw(st.sampled_from(list(sites(model))))
-    apply(model, kind, path, draw(st.integers(0, 2)))
+    if draw(st.integers(0, 3)):
+        kind, path = draw(st.sampled_from(list(sites(model))))
+        apply(model, kind, path, draw(st.integers(0, 2)))
     return model
 
 
+EPS = st.floats(-1e300, 1e300).map(repr)
+
+
 @settings(derandomize=True, deadline=None, max_examples=150)
-@given(model=mutated_models())
-def test_check_never_raises_on_mutated_models(tmp_path_factory, model):
+@given(model=mutated_models(), eps=EPS, eps_g=st.lists(EPS, min_size=1, max_size=3))
+def test_dcp_never_raises_on_mutated_models(tmp_path_factory, model, eps, eps_g):
     path = tmp_path_factory.mktemp("fuzz") / "model.json"
     path.write_text(json.dumps(model))
-    code = main(["--model", str(path), "check", "--eps", "1.0", "--delta", "0.05"])
-    assert code in (0, 1, 2)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        codes = [main(["--model", str(path), "check", "--eps", eps, "--delta", "0.05"]),
+                 main(["--model", str(path), "compose", "--eps-g", *eps_g])]
+    assert all(code in (0, 1, 2) for code in codes)
+    assert "Traceback" not in err.getvalue()

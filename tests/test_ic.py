@@ -1,11 +1,12 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
 from dcpkit import ic
 from dcpkit.composition import true_opt
-from dcpkit.model import MechanismKernel, World, default_adjacency
+from dcpkit.model import MechanismKernel, World, default_adjacency, load_model
 from dcpkit.synth import dirichlet_world, random_mechanisms
 
 
@@ -346,3 +347,19 @@ def test_feasible_posterior_tail_mass_chain():
         assert tails.max() <= delta + 1e-12
         assert (ratio >= 1.0 / tau - 1e-12).all()
     assert checked >= 5
+
+
+def test_solvers_build_the_composed_joint_once(monkeypatch):
+    model = load_model(pathlib.Path(__file__).parent.parent / "demos" / "models" / "mixing_pair.json")
+    builds = []
+    build = ic.composed_joint
+    monkeypatch.setattr(ic, "composed_joint", lambda *args: builds.append(1) or build(*args))
+    world, mechs, dependence = model.world, list(model.mechanisms), list(model.dependence)
+    for tau_g, solve in ((3.0, ic.solve_task1), (None, ic.solve_task2)):
+        builds.clear()
+        sol = solve(ic.IcProblem(world=world, mechs=mechs, dependence=dependence, tau_g=tau_g))
+        assert len(builds) == 1
+        # the public helpers, which build their own law, agree with the solver's
+        post, _, _ = ic.posterior(world, mechs, dependence, sol.alpha)
+        assert np.array_equal(post, sol.pi)
+        assert ic.spsr_loss(sol.pi, world, mechs, dependence, sol.alpha) == sol.loss_value

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_dist_pair
+from dcpkit import config
 from dcpkit.divergence import DistPair, hockey_stick, optimal_epsilon
 from dcpkit.model import MechanismKernel, World, default_adjacency
 from dcpkit.pld import (
+    LossSum,
     Pld,
     convolve,
     decompose_plrv,
@@ -108,6 +112,8 @@ def test_epsilon_for_delta_matches_direct_route():
             assert math.isinf(via_pld)
         else:
             assert via_pld == pytest.approx(direct, abs=1e-12)
+    with pytest.raises(ValueError):
+        epsilon_for_delta(pld_from_pair(RR), 1.5)
 
 
 def test_convolution_equals_product_law_on_invertible_world():
@@ -229,3 +235,79 @@ def test_decomposition_requires_adjacent_pair(invertible_world, rr_mechanism):
     )
     with pytest.raises(ValueError, match="adjacent"):
         decompose_plrv(world, [rr_mechanism], [], 0, 0)
+
+
+def test_convolve_refuses_past_the_cap(monkeypatch):
+    a = Pld(losses=np.array([-1.0, 0.0, 1.0]), masses=np.array([0.2, 0.3, 0.5]))
+    b = pld_from_pair(RR)
+    monkeypatch.setattr(config, "OUTCOME_CAP", 5)
+    with pytest.raises(ValueError, match="3 x 2 loss atoms exceeds cap 5"):
+        convolve(a, b)
+    monkeypatch.setattr(config, "OUTCOME_CAP", 6)
+    assert convolve(a, b).losses.size == 6
+
+
+# losses on a quarter grid make many sums tie exactly; -inf atoms stand for
+# outcomes the other secret cannot produce
+GRID_LOSS = st.one_of(st.integers(-12, 12).map(lambda i: i / 4), st.floats(-3.0, 3.0),
+                      st.just(-math.inf))
+
+
+@st.composite
+def plds(draw):
+    losses = draw(st.lists(GRID_LOSS, min_size=1, max_size=6))
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=len(losses),
+                                     max_size=len(losses))))
+    inf_mass = draw(st.sampled_from([0.0, 0.0, 0.05, 0.3]))
+    return Pld(losses=np.array(losses), masses=(1.0 - inf_mass) * weights / weights.sum(),
+               inf_mass=inf_mass)
+
+
+def fsum_profile(w, m, eps):
+    """delta(eps) of W + M summed pair by pair with math.fsum."""
+    inf_mass = w.inf_mass + m.inf_mass - w.inf_mass * m.inf_mass
+    terms = [a * b * max(1.0 - math.exp(eps - x - y), 0.0)
+             for x, a in zip(w.losses, w.masses) for y, b in zip(m.losses, m.masses)
+             if math.isfinite(x) and math.isfinite(y) and eps - x - y < 700.0]
+    return inf_mass + math.fsum(terms)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(w=plds(), m=plds(), eps=st.one_of(st.floats(-4.0, 8.0), st.integers(-8, 24).map(lambda i: i / 4),
+                                         st.sampled_from([-800.0, 800.0, 1e300])),
+       pick=st.sampled_from(["zero", "at_zero", "above_zero", "below_inf", "random"]),
+       u=st.floats(0.0, 1.0))
+def test_loss_sum_matches_the_materialized_convolution(w, m, eps, pick, u):
+    total = LossSum(w, m)
+    conv = convolve(w, m)
+    ref = fsum_profile(w, m, eps)
+    assert abs(total.delta(eps) - ref) <= 1e-12
+    assert abs(LossSum(m, w).delta(eps) - ref) <= 1e-12
+    assert abs(privacy_profile(conv, eps) - ref) <= 1e-12
+
+    at_zero = fsum_profile(w, m, 0.0)
+    delta = {"zero": 0.0, "at_zero": at_zero, "above_zero": min(1.0, at_zero + u * (1 - at_zero)),
+             "below_inf": u * total.inf_mass, "random": u}[pick]
+    eps_star = total.epsilon(delta)
+    assert eps_star == pytest.approx(epsilon_for_delta(conv, delta), abs=1e-12)
+    if total.inf_mass > delta:
+        assert eps_star == math.inf
+    elif at_zero <= delta:
+        assert eps_star == pytest.approx(0.0, abs=1e-12)
+    else:
+        # the profile is continuous, so the smallest eps meeting delta hits it
+        assert eps_star > 0.0 and fsum_profile(w, m, eps_star) == pytest.approx(delta, abs=1e-12)
+
+
+def test_loss_sum_refuses_losses_past_the_float_range():
+    # a probability ratio past e^709.78 cannot enter the e^-loss sums
+    far = Pld(losses=np.array([0.0, 750.0]), masses=np.array([0.5, 0.5]))
+    for w, m in ((Pld.point(0.0), far), (Pld.point(-750.0), Pld.point(0.0))):
+        with pytest.raises(ValueError, match="float range"):
+            LossSum(w, m)
+    # within it, delta holds at any eps; a root whose e^eps leaves the range is refused
+    near = LossSum(Pld.point(700.0), Pld.point(700.0))
+    assert near.delta(1399.0) == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
+    assert near.delta(1e300) == 0.0
+    with pytest.raises(ValueError, match="float range"):
+        near.epsilon(0.0)
