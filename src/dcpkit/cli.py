@@ -10,6 +10,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -25,7 +26,7 @@ from .audit import worst_pair_roc
 from .copula import copula_spec_from_mapping, psedr_samples
 from .divergence import DistPair, check_dcp, worst_pair
 from .experiments import run_copula_experiment, run_independent_experiment
-from .model import Model, ModelError, load_model
+from .model import Model, ModelError, effective_kernel, load_model
 from .pld import pld_from_pair
 
 
@@ -124,8 +125,6 @@ def cmd_pld(args) -> int:
         mechs = [m for m in model.mechanisms if m.name == args.mech]
         if not mechs:
             raise ModelError(f"no mechanism named {args.mech!r}")
-        from .model import effective_kernel
-
         eff = effective_kernel(world, mechs[0])
         pld = pld_from_pair(DistPair(*eff.pair(s0, s1)))
     else:
@@ -192,8 +191,6 @@ def cmd_audit(args) -> int:
     rest = [m for m in model.mechanisms if m.name != args.single]
     if not rest:
         raise ModelError("need at least one mechanism besides the single setup")
-    from .model import effective_kernel
-
     law_single = effective_kernel(world, single[0]).matrix
     members = [i for i, m in enumerate(model.mechanisms) if m.name != args.single]
     single_idx = model.mechanisms.index(single[0])
@@ -266,7 +263,9 @@ def cmd_experiment(args) -> int:
     return 1 if failed else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``dcp`` parser, built once; list defaults are tuples no call can change."""
     parser = argparse.ArgumentParser(prog="dcp", description=__doc__)
     parser.add_argument("--model", help="model JSON file")
     parser.add_argument("--seed", type=int, default=0, help="seed recorded in outputs")
@@ -283,8 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("compose", help="composition bound tables")
-    p.add_argument("--delta-g", type=float, nargs="+", default=[0.0, 0.02])
-    p.add_argument("--eps-g", type=float, nargs="+", default=[0.5, 1.0])
+    p.add_argument("--delta-g", type=float, nargs="+", default=(0.0, 0.02))
+    p.add_argument("--eps-g", type=float, nargs="+", default=(0.5, 1.0))
     p.set_defaults(func=cmd_compose)
 
     p = sub.add_parser("pld", help="loss distribution of a pair")

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import config
 from .config import PROB_ATOL
 from .divergence import DistPair, hockey_stick, optimal_epsilon, tradeoff_curve, worst_pair
-from .model import DependenceGroup, MechanismKernel, World, effective_kernel
-from .pld import LossSum, convolve, decompose_plrv, epsilon_for_delta, pld_from_pair
+from .model import DependenceGroup, MechanismKernel, World, composed_law, effective_kernel, lay_out, mix_kernel
+from .pld import LossSum, _decompose, convolve, epsilon_for_delta, pld_from_pair
 
 
 @dataclass(frozen=True)
@@ -38,75 +38,42 @@ class ComposedJoint:
         return DistPair(self.matrix[s0], self.matrix[s1])
 
 
-def _per_dataset_joint(
-    mechs: list[MechanismKernel], dependence: list[DependenceGroup], dims: tuple[int, ...]
-) -> np.ndarray:
-    """Joint kernel over the product alphabet per dataset (rows datasets)."""
-    n_datasets = mechs[0].kernel.shape[0]
-    grouped = set()
-    for g in dependence:
-        grouped.update(g.members)
-    full = np.ones((n_datasets,) + dims)
-    for i, mech in enumerate(mechs):
-        if i in grouped:
-            continue
-        shape = [n_datasets] + [1] * len(dims)
-        shape[1 + i] = dims[i]
-        full = full * mech.kernel.reshape(shape)
-    for g in dependence:
-        gdims = tuple(dims[i] for i in g.members)
-        cube = g.joint_kernel.reshape((n_datasets,) + gdims)
-        # reorder the group's axes by mechanism index, then broadcast onto
-        # the full tensor with singleton axes for non-members
-        order = sorted(range(len(g.members)), key=lambda pos: g.members[pos])
-        src = np.transpose(cube, axes=[0] + [1 + o for o in order])
-        view_shape = [n_datasets] + [1] * len(dims)
-        for i in sorted(g.members):
-            view_shape[1 + i] = dims[i]
-        full = full * src.reshape(view_shape)
-    return full.reshape(n_datasets, -1)
-
-
 def composed_joint(
     world: World, mechs: list[MechanismKernel], dependence: list[DependenceGroup] = ()
 ) -> ComposedJoint:
     """Mixture over datasets of the per-dataset product (or grouped) kernels."""
-    if not mechs:
-        raise ValueError("need at least one mechanism")
-    dims = tuple(m.n_outputs for m in mechs)
-    size = int(np.prod(dims))
-    if size > config.OUTCOME_CAP:
-        raise ValueError(f"product outcome space {size} exceeds cap {config.OUTCOME_CAP}")
-    for m in mechs:
-        if m.kernel.shape[0] != len(world.datasets):
-            raise ValueError(f"mechanism {m.name!r} dataset dimension mismatch")
-    for g in dependence:
-        g.validate_against(mechs)
-    per_x = _per_dataset_joint(list(mechs), list(dependence), dims)
-    rows = []
-    for s in range(len(world.secrets)):
-        if world.marginal_secret[s] > 0:
-            rows.append(world.conditional_dataset(s) @ per_x)
-        else:
-            rows.append(np.full(size, 1.0 / size))
-    return ComposedJoint(matrix=np.array(rows), dims=dims)
+    return ComposedJoint(matrix=composed_law(world, mechs, dependence),
+                         dims=tuple(m.n_outputs for m in mechs))
 
 
-def _product_law(world: World, mechs: list[MechanismKernel]) -> np.ndarray:
+class _Laws(NamedTuple):
+    """The per-secret laws of one composition, built once per call."""
+
+    joint: np.ndarray                                   # the composed joint
+    effs: list[np.ndarray]                              # each mechanism's effective kernel
+    groups: list[tuple[tuple[int, ...], np.ndarray]]    # each group's members and effective joint
+
+
+def _laws(world: World, mechs: list[MechanismKernel], dependence: list[DependenceGroup]) -> _Laws:
+    return _Laws(
+        composed_joint(world, mechs, dependence).matrix,
+        _effective_kernels(world, mechs),
+        [(g.members, mix_kernel(world, g.joint_kernel)) for g in dependence],
+    )
+
+
+def _effective_kernels(world: World, mechs: list[MechanismKernel]) -> list[np.ndarray]:
+    return [effective_kernel(world, mech).matrix for mech in mechs]
+
+
+def _product_law(effs: list[np.ndarray]) -> np.ndarray:
     """Per-secret product of the effective marginals (rows = secrets)."""
-    effs = [effective_kernel(world, mech).matrix for mech in mechs]
-    rows = []
-    for s in range(len(world.secrets)):
-        row = np.ones(1)
-        for eff in effs:
-            row = np.multiply.outer(row, eff[s]).ravel()
-        rows.append(row)
-    return np.array(rows)
+    return lay_out([((i,), eff) for i, eff in enumerate(effs)], tuple(eff.shape[1] for eff in effs))
 
 
 def product_pair(world: World, mechs: list[MechanismKernel], s0: int, s1: int) -> DistPair:
     """Product of the effective marginals: the dependence-ignoring joint."""
-    law = _product_law(world, mechs)
+    law = _product_law(_effective_kernels(world, mechs))
     return DistPair(law[s0], law[s1])
 
 
@@ -129,17 +96,11 @@ def underline_opt(
     per_pair: bool = False,
 ):
     """Dependence-ignoring epsilon: optimal composition of the marginals alone."""
-    worst = worst_pair(world, _product_law(world, mechs), delta=delta_g)
+    worst = worst_pair(world, _product_law(_effective_kernels(world, mechs)), delta=delta_g)
     return (worst.value, worst.values) if per_pair else worst.value
 
 
-def _overline_loss(
-    world: World,
-    mechs: list[MechanismKernel],
-    dependence: list[DependenceGroup],
-    s0: int,
-    s1: int,
-) -> LossSum:
+def _overline_loss(laws: _Laws, s0: int, s1: int) -> LossSum:
     """The pushed-forward copula term plus the convolved marginal PLDs.
 
     The copula term (world + dependence losses) only pins down the loss
@@ -149,8 +110,8 @@ def _overline_loss(
     factor and never convolved in.  The result is the accounting object
     behind the conservative bound.
     """
-    copula = decompose_plrv(world, mechs, dependence, s0, s1).world_pld()
-    plds = [pld_from_pair(DistPair(*effective_kernel(world, mech).pair(s0, s1))) for mech in mechs]
+    copula = _decompose(laws.joint, laws.effs, laws.groups, s0, s1).world_pld()
+    plds = [pld_from_pair(DistPair(eff[s0], eff[s1])) for eff in laws.effs]
     marginals = plds[0]
     for pld in plds[1:]:
         marginals = convolve(marginals, pld)
@@ -165,9 +126,10 @@ def overline_opt(
     per_pair: bool = False,
 ):
     """Conservative epsilon: copula loss treated as one extra independent mechanism."""
+    laws = _laws(world, mechs, dependence)
     vals = {}
     for (s0, s1) in sorted(world.adjacency):
-        vals[(s0, s1)] = _overline_loss(world, mechs, dependence, s0, s1).epsilon(delta_g)
+        vals[(s0, s1)] = _overline_loss(laws, s0, s1).epsilon(delta_g)
     worst = max(vals.values())
     return (worst, vals) if per_pair else worst
 
@@ -199,13 +161,13 @@ def composition_report(
     delta_gs: list[float],
     eps_gs: list[float],
 ) -> CompositionReport:
-    cj = composed_joint(world, mechs, dependence)
-    prod_law = _product_law(world, mechs)
+    laws = _laws(world, mechs, dependence)
+    prod_law = _product_law(laws.effs)
     opt_rows, dt_rows = [], []
     for (s0, s1) in sorted(world.adjacency):
-        joint_pair = cj.pair(s0, s1)
+        joint_pair = DistPair(laws.joint[s0], laws.joint[s1])
         prod = DistPair(prod_law[s0], prod_law[s1])
-        over = _overline_loss(world, mechs, dependence, s0, s1)
+        over = _overline_loss(laws, s0, s1)
         for dg in delta_gs:
             opt_rows.append(
                 (s0, s1, dg,
@@ -220,7 +182,7 @@ def composition_report(
                  hockey_stick(joint_pair, eg),
                  over.delta(eg))
             )
-    basic = basic_composition_check(world, mechs, dependence)
+    basic = _basic_check(world, laws.effs, lambda: laws.joint, None, 1.0)
     return CompositionReport(
         opt_rows=opt_rows,
         dt_rows=dt_rows,
@@ -244,14 +206,22 @@ def basic_composition_check(
     hockey-stick at the summed epsilon against the summed delta on every
     adjacent pair.
     """
+    effs = _effective_kernels(world, mechs)
+    return _basic_check(world, effs, lambda: composed_joint(world, mechs, dependence).matrix,
+                        delta_is, eps_budget)
+
+
+def _basic_check(world: World, effs: list[np.ndarray], joint: Callable[[], np.ndarray],
+                 delta_is: list[float] | None, eps_budget: float) -> dict:
+    """``basic_composition_check`` on the effective kernels ``effs``; ``joint``
+    gives the composed joint, asked for only when the summed epsilon is finite."""
     eps_list, delta_list = [], []
-    for i, mech in enumerate(mechs):
-        eff = effective_kernel(world, mech).matrix
+    for i, eff in enumerate(effs):
         if delta_is is not None:
             d_i = delta_is[i]
             e_i = worst_pair(world, eff, delta=d_i).value
         else:
-            e_i = eps_budget / len(mechs)
+            e_i = eps_budget / len(effs)
             d_i = worst_pair(world, eff, eps=e_i).value
         eps_list.append(e_i)
         delta_list.append(d_i)
@@ -259,7 +229,7 @@ def basic_composition_check(
     if math.isinf(eps_sum):
         return {"holds": True, "witness": None, "eps_sum": eps_sum, "delta_sum": delta_sum,
                 "per_mechanism": list(zip(eps_list, delta_list))}
-    worst = worst_pair(world, composed_joint(world, mechs, dependence).matrix, eps=eps_sum)
+    worst = worst_pair(world, joint(), eps=eps_sum)
     return {
         "holds": worst.value <= delta_sum + PROB_ATOL,
         "witness": (worst.pair, eps_sum, delta_sum, worst.value),
@@ -307,7 +277,7 @@ def tradeoff_dominance(
     amount it sits below.
     """
     cj = composed_joint(world, mechs, dependence)
-    prod_law = _product_law(world, mechs)
+    prod_law = _product_law(_effective_kernels(world, mechs))
     worst_violation, worst_gap, worst_at = -math.inf, 0.0, None
     for (s0, s1) in sorted(world.adjacency):
         joint_curve = tradeoff_curve(cj.pair(s0, s1))
@@ -334,7 +304,7 @@ def cel_compare(
     cj = composed_joint(world, mechs, dependence)
     prior = world.marginal_secret
     b = cj.matrix                      # secrets x outcomes, true law
-    prod = _product_law(world, mechs)
+    prod = _product_law(_effective_kernels(world, mechs))
     # posteriors: columns normalized over secrets
     w_joint = b * prior[:, None]
     w_prod = prod * prior[:, None]

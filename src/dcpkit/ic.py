@@ -149,15 +149,14 @@ def pi_feasible(
 ) -> FeasibilityReport:
     """Residuals of the ratio/expectation constraint set at (tau_g, delta_g).
 
-    Constraints are evaluated on live outcome rows; with delta_g > 0 the
-    set is {pi >= P/tau, E_pi[pi/P] <= delta_g tau}, with delta_g = 0 the
-    two-sided ratio band P/tau <= pi <= tau P.
+    Constraints are evaluated on live outcome rows and positive-prior
+    secrets; with delta_g > 0 the set is {pi >= P/tau, E_pi[pi/P] <=
+    delta_g tau}, with delta_g = 0 the ratio band P/tau <= pi <= tau P.
     """
     if tau_g < 1.0:
         raise ValueError(f"tau_g must be >= 1, got {tau_g}")
     pi = np.asarray(pi, dtype=float)
-    prior = world.marginal_secret
-    rows = pi if live is None else pi[live]
+    prior, rows = _on_support(world, pi if live is None else pi[live])
     lower = (prior[None, :] / tau_g) - rows
     max_lower = float(lower.max())
     if delta_g > 0.0:
@@ -170,6 +169,13 @@ def pi_feasible(
         max_expect = -math.inf
     max_res = max(max_lower, max_upper, max_expect)
     return FeasibilityReport(max_lower, max_upper, max_expect, max_res)
+
+
+def _on_support(world: World, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The prior and the columns of ``rows`` (one per secret) on its support:
+    a zero-prior secret has no constraint."""
+    support = world.marginal_secret > 0.0
+    return world.marginal_secret[support], rows[:, support]
 
 
 def spsr_loss(
@@ -260,11 +266,17 @@ def _project_rows_simplex(mat: np.ndarray) -> np.ndarray:
 
 def _penalty_terms(pi, prior, tau_g, delta_g):
     lower = np.maximum(prior[None, :] / tau_g - pi, 0.0)
+    prior = _support_prior(prior)
     if delta_g > 0.0:
         expect = np.maximum((pi**2 / prior[None, :]).sum(axis=1) - delta_g * tau_g, 0.0)
         return lower, expect, None
     upper = np.maximum(pi - tau_g * prior[None, :], 0.0)
     return lower, None, upper
+
+
+def _support_prior(prior):
+    """+inf for a zero-prior secret, so its expectation and upper terms vanish."""
+    return np.where(prior > 0.0, prior, np.inf)
 
 
 def _penalty_value(pi, prior, tau_g, delta_g):
@@ -281,7 +293,7 @@ def _penalty_grad(pi, prior, tau_g, delta_g):
     lower, expect, upper = _penalty_terms(pi, prior, tau_g, delta_g)
     grad = -2.0 * lower
     if expect is not None:
-        grad = grad + (2.0 * expect)[:, None] * (2.0 * pi / prior[None, :])
+        grad = grad + (2.0 * expect)[:, None] * (2.0 * pi / _support_prior(prior)[None, :])
     if upper is not None:
         grad = grad + 2.0 * upper
     return grad
@@ -430,28 +442,25 @@ def solve_task1(problem: IcProblem) -> IcSolution:
 def solve_task2(problem: IcProblem) -> IcSolution:
     """Tightest ratio bound certifying the existing composition.
 
-    The added channel is constant (it carries nothing), the response is
-    pinned to the exact posterior, and feasibility is monotone in tau_g,
-    so bisection finds the smallest feasible value.
+    The added channel is constant and the response is the exact posterior
+    pi, so each constraint bounds tau_g alone (live outcomes, positive-prior
+    secrets): tau_g >= P/pi, and pi/P (delta_g = 0) or sum(pi^2/P)/delta_g.
     """
     world, mechs, dependence = problem.world, problem.mechs, problem.dependence
     delta_g = problem.delta_g
     alpha = np.ones((len(world.secrets), 1))
     law = joint_with_alpha(world, mechs, dependence, alpha)
     post, _, live = _posterior(world, law)
-
-    def feasible(tau):
-        return pi_feasible(post, world, tau, delta_g, live).max_residual <= 0.0
-
-    hi = 1.0
-    if not feasible(hi):
-        hi = 2.0
-        while not feasible(hi):
-            hi *= 2.0
-            if hi > TAU_CAP:
-                raise ValueError(f"no feasible tau_g below the cap {TAU_CAP}")
-        _, hi = bisect_monotone(feasible, hi / 2.0, hi, geometric=False, tol=1e-12, max_iter=200)
-    return _certified_solution(problem, alpha, hi, law, post, live, {})
+    prior, rows = _on_support(world, post[live])
+    with np.errstate(divide="ignore"):  # pi = 0 on a positive-prior secret: no finite tau
+        tau = max(1.0, float((prior / rows).max()))
+    if delta_g > 0.0:
+        tau = max(tau, float((rows**2 / prior).sum(axis=1).max()) / delta_g)
+    else:
+        tau = max(tau, float((rows / prior).max()))
+    if tau > TAU_CAP:
+        raise ValueError(f"no feasible tau_g below the cap {TAU_CAP}")
+    return _certified_solution(problem, alpha, tau, law, post, live, {})
 
 
 def _certified_solution(problem: IcProblem, alpha: np.ndarray, tau_g: float, law: np.ndarray,
@@ -510,8 +519,7 @@ def certify(
     stage1 = report.max_residual <= 1e-6
 
     # posterior-ratio tail mass outside [1/tau, tau], worst outcome
-    prior = world.marginal_secret
-    rows = post[live]
+    prior, rows = _on_support(world, post[live])
     ratio = rows / prior[None, :]
     outside = (ratio > tau_g * (1.0 + 1e-12)) | (ratio < (1.0 - 1e-12) / tau_g)
     tails = (rows * outside).sum(axis=1)

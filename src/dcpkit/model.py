@@ -15,6 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import config
 from .config import MARGINAL_ATOL, PROB_ATOL
 
 
@@ -232,6 +233,59 @@ def build_adjacency(
     return frozenset(pairs)
 
 
+def mix_kernel(world: World, kernel: np.ndarray) -> np.ndarray:
+    """Per-secret rows P(x|s) @ K of any kernel K with one row per dataset
+    (a mechanism's, a dependence group's, or their per-dataset product).
+    A zero-prior secret gets a uniform row: no adjacent pair touches it."""
+    marg = world.marginal_secret
+    n = kernel.shape[1]
+    return np.array([
+        world.joint[s] / marg[s] @ kernel if marg[s] > 0 else np.full(n, 1.0 / n)
+        for s in range(len(world.secrets))
+    ])
+
+
+def lay_out(factors: Sequence[tuple[Sequence[int], np.ndarray]], dims: tuple[int, ...],
+            op: np.ufunc = np.multiply) -> np.ndarray:
+    """Fold row-indexed factors onto the product alphabet over ``dims``.
+
+    A factor is ``(members, matrix)``: its columns enumerate the outputs of
+    the mechanisms ``members`` in C order of that list, and its rows (datasets
+    or secrets) are shared by all factors.  ``op`` folds the factors in list
+    order onto its identity; the result's columns are the product alphabet.
+    """
+    n_rows = factors[0][1].shape[0]
+    full = np.full((n_rows,) + dims, float(op.identity))
+    for members, matrix in factors:
+        cube = matrix.reshape((n_rows,) + tuple(dims[i] for i in members))
+        cube = cube.transpose(0, *(1 + np.argsort(members)))
+        shape = (n_rows,) + tuple(dims[i] if i in members else 1 for i in range(len(dims)))
+        op(full, cube.reshape(shape), out=full)
+    return full.reshape(n_rows, -1)
+
+
+def composed_law(world: World, mechs: Sequence[MechanismKernel],
+                 dependence: Sequence[DependenceGroup] = ()) -> np.ndarray:
+    """The composed joint b(y|s): the mixture over datasets of the
+    per-dataset product kernels, a dependence group's joint kernel standing
+    in for its members' kernels (rows secrets, product alphabet columns)."""
+    if not mechs:
+        raise ValueError("need at least one mechanism")
+    dims = tuple(m.n_outputs for m in mechs)
+    size = int(np.prod(dims))
+    if size > config.OUTCOME_CAP:
+        raise ValueError(f"product outcome space {size} exceeds cap {config.OUTCOME_CAP}")
+    for m in mechs:
+        if m.kernel.shape[0] != len(world.datasets):
+            raise ValueError(f"mechanism {m.name!r} dataset dimension mismatch")
+    for g in dependence:
+        g.validate_against(mechs)
+    grouped = {i for g in dependence for i in g.members}
+    factors = [((i,), m.kernel) for i, m in enumerate(mechs) if i not in grouped]
+    factors += [(g.members, g.joint_kernel) for g in dependence]
+    return mix_kernel(world, lay_out(factors, dims))
+
+
 def effective_kernel(world: World, mech: MechanismKernel) -> EffectiveKernel:
     """Average the mechanism kernel over P(x|s) for every secret."""
     if mech.kernel.shape[0] != len(world.datasets):
@@ -239,24 +293,7 @@ def effective_kernel(world: World, mech: MechanismKernel) -> EffectiveKernel:
             f"mechanism {mech.name!r} has {mech.kernel.shape[0]} dataset rows, "
             f"world has {len(world.datasets)} datasets"
         )
-    rows = []
-    for s in range(len(world.secrets)):
-        px = world.conditional_dataset(s) if world.marginal_secret[s] > 0 else np.zeros(len(world.datasets))
-        if world.marginal_secret[s] <= 0:
-            # dead secret: park a uniform row so the matrix stays stochastic
-            rows.append(np.full(mech.n_outputs, 1.0 / mech.n_outputs))
-            continue
-        rows.append(px @ mech.kernel)
-    return EffectiveKernel(matrix=np.array(rows), outputs=mech.outputs)
-
-
-def group_effective_joint(world: World, group: DependenceGroup) -> np.ndarray:
-    """Effective joint kernel of a dependence group: rows secrets, cols product outputs."""
-    rows = []
-    for s in range(len(world.secrets)):
-        px = world.conditional_dataset(s)
-        rows.append(px @ group.joint_kernel)
-    return np.array(rows)
+    return EffectiveKernel(matrix=mix_kernel(world, mech.kernel), outputs=mech.outputs)
 
 
 def is_invertible(world: World, tol: float = PROB_ATOL) -> tuple[bool, dict[int, int] | None]:

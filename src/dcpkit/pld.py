@@ -18,7 +18,7 @@ import numpy as np
 from . import config
 from .config import PROB_ATOL
 from .divergence import DistPair
-from .model import DependenceGroup, MechanismKernel, World, effective_kernel, group_effective_joint
+from .model import DependenceGroup, MechanismKernel, World, composed_law, effective_kernel, lay_out, mix_kernel
 
 # losses closer than this are merged into one atom (mass-weighted mean)
 MERGE_ATOL = 1e-12
@@ -281,19 +281,21 @@ def decompose_plrv(
     dependence + independent is a genuine floating-point check rather than
     a definition.
     """
-    from .composition import composed_joint  # deferred: composition builds on this module
-
     if (s0, s1) not in world.adjacency:
         raise ValueError(f"({s0},{s1}) is not an adjacent pair")
-    cj = composed_joint(world, mechs, dependence)
-    b0, b1 = cj.rows(s0), cj.rows(s1)
-    dims = cj.dims
+    joint = composed_law(world, mechs, dependence)
+    effs = [effective_kernel(world, m).matrix for m in mechs]
+    groups = [(g.members, mix_kernel(world, g.joint_kernel)) for g in dependence]
+    return _decompose(joint, effs, groups, s0, s1)
 
-    effs = [effective_kernel(world, m) for m in mechs]
-    # per-mechanism marginal factors aligned with the product alphabet
-    log_id = np.zeros(b0.size)
-    log_m0 = np.zeros(b0.size)  # log of group-product density under s0
-    log_m1 = np.zeros(b0.size)
+
+def _decompose(joint: np.ndarray, effs: list[np.ndarray], groups: list[tuple[tuple[int, ...], np.ndarray]],
+               s0: int, s1: int) -> PlrvDecomposition:
+    """``decompose_plrv`` from the laws already built: the composed joint, each
+    mechanism's effective kernel, each dependence group's members and law."""
+    b0, b1 = joint[s0], joint[s1]
+    dims = tuple(eff.shape[1] for eff in effs)
+    rows = [s0, s1]
 
     def _log_mass_ratio(log_num, log_den):
         # log(num/den) with the 0/0 case neutral: an outcome the reference
@@ -304,36 +306,18 @@ def decompose_plrv(
         return out
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        for i, eff in enumerate(effs):
-            shape = [1] * len(dims)
-            shape[i] = dims[i]
-            l0 = np.broadcast_to(np.log(eff.matrix[s0]).reshape(shape), dims).ravel()
-            l1 = np.broadcast_to(np.log(eff.matrix[s1]).reshape(shape), dims).ravel()
-            log_id = log_id + (l0 - l1)
-            log_m0 = log_m0 + l0
-            log_m1 = log_m1 + l1
-
+        logs = [np.log(eff[rows]) for eff in effs]  # per mechanism: rows s0, s1
+        log_id = lay_out([((i,), lg[:1] - lg[1:]) for i, lg in enumerate(logs)], dims, np.add)[0]
+        # log of the group-product reference density, rows s0 and s1
+        log_m = lay_out([((i,), lg) for i, lg in enumerate(logs)], dims, np.add)
         dep_term = np.zeros(b0.size)
-        for group in dependence:
-            gj = group_effective_joint(world, group)
-            gdims = tuple(dims[i] for i in group.members)
-            shape = [1] * len(dims)
-            for pos, i in enumerate(group.members):
-                shape[i] = dims[i]
-            g0 = np.broadcast_to(np.log(gj[s0]).reshape(gdims).reshape(shape), dims).ravel()
-            g1 = np.broadcast_to(np.log(gj[s1]).reshape(gdims).reshape(shape), dims).ravel()
+        for members, law in groups:
+            g = lay_out([(members, np.log(law[rows]))], dims, np.add)
             # members' marginal factors inside this group
-            p0 = np.zeros(b0.size)
-            p1 = np.zeros(b0.size)
-            for i in group.members:
-                mshape = [1] * len(dims)
-                mshape[i] = dims[i]
-                p0 = p0 + np.broadcast_to(np.log(effs[i].matrix[s0]).reshape(mshape), dims).ravel()
-                p1 = p1 + np.broadcast_to(np.log(effs[i].matrix[s1]).reshape(mshape), dims).ravel()
-            dep_term = dep_term + _log_mass_ratio(g0, p0) - _log_mass_ratio(g1, p1)
+            p = lay_out([((i,), logs[i]) for i in members], dims, np.add)
+            dep_term = dep_term + _log_mass_ratio(g[0], p[0]) - _log_mass_ratio(g[1], p[1])
             # the group's joint replaces its members' product in the reference density
-            log_m0 = log_m0 + (g0 - p0)
-            log_m1 = log_m1 + (g1 - p1)
+            log_m = log_m + (g - p)
 
         log_b0 = np.where(b0 > 0.0, np.log(np.where(b0 > 0.0, b0, 1.0)), -np.inf)
         log_b1 = np.where(b1 > 0.0, np.log(np.where(b1 > 0.0, b1, 1.0)), -np.inf)
@@ -341,7 +325,7 @@ def decompose_plrv(
     with np.errstate(invalid="ignore"):
         total = log_b0 - log_b1
         # copula mass ratio: joint over the group-product reference, s0 vs s1
-        world_term = _log_mass_ratio(log_b0, log_m0) - _log_mass_ratio(log_b1, log_m1)
+        world_term = _log_mass_ratio(log_b0, log_m[0]) - _log_mass_ratio(log_b1, log_m[1])
         # one-sided impossibilities report as +-inf like the total does
         world_term = np.where(np.isnan(world_term) & (b0 > 0.0) & (b1 == 0.0), np.inf, world_term)
         world_term = np.where(np.isnan(world_term) & (b0 == 0.0) & (b1 > 0.0), -np.inf, world_term)

@@ -192,3 +192,27 @@ def test_cap_applies_to_one_invocation():
     assert run(["--cap", "4", "--model", MIXING, "check", "--eps", "3.0", "--delta", "0.05"]) == 2
     assert config.OUTCOME_CAP == cap
     assert run(["--model", MIXING, "check", "--eps", "3.0", "--delta", "0.05"]) == 0
+
+
+def test_parser_is_built_once_and_each_call_parses_afresh(capsys):
+    from dcpkit import cli
+
+    assert cli.build_parser() is cli.build_parser()
+    sequences = [
+        (["--cap", "100", "--seed", "9", "--model", MIXING, "compose", "--delta-g", "0.1", "--eps-g", "2", "3"],
+         ["--model", MIXING, "compose"]),
+        (["--model", MIXING, "ic", "--task", "1", "--tau", "3", "--alphabet", "3", "--loss", "brier"],
+         ["--model", MIXING, "ic", "--task", "2"]),
+        (["--model", MIXING, "check", "--eps", "0.1", "--delta", "0.0"],
+         ["--model", MIXING, "pld", "--pair", "s0", "s1"]),
+        (["--model", MIXING, "pld", "--pair", "s1", "s0", "--mech", "rr_a"],
+         ["--model", MIXING, "pld", "--pair", "s0", "s1"]),
+    ]
+    for first, second in sequences:
+        cli.build_parser.cache_clear()
+        alone = (run(second), capsys.readouterr())
+        run(first)
+        capsys.readouterr()
+        assert (run(second), capsys.readouterr()) == alone
+    defaults = cli.build_parser().parse_args(["compose"])
+    assert (defaults.delta_g, defaults.eps_g) == ((0.0, 0.02), (0.5, 1.0))

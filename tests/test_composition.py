@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import pathlib
@@ -8,7 +10,11 @@ import pytest
 
 from dcpkit import composition as comp
 from dcpkit import config
+from dcpkit import model as model_layer
+from dcpkit import pld as pld_layer
+from dcpkit.cli import main
 from dcpkit.divergence import DistPair, hockey_stick, optimal_epsilon
+from dcpkit.ic import certify
 from dcpkit.model import (
     DependenceGroup,
     MechanismKernel,
@@ -21,6 +27,7 @@ from dcpkit.pld import convolve, decompose_plrv, epsilon_for_delta, pld_from_pai
 from dcpkit.synth import triangulating_instance
 
 DATA = pathlib.Path(__file__).parent / "data"
+DEMOS = pathlib.Path(__file__).parent.parent / "demos" / "models"
 
 
 def _world(joint):
@@ -409,3 +416,120 @@ def test_compose_on_seven_to_the_four_outcomes_stays_small(monkeypatch):
     assert peak < 64 * 2**20
     assert len(report.opt_rows) == 2 * len(world.adjacency)
     assert all(true <= over + 1e-9 for (_, _, dg, _, true, over) in report.opt_rows if dg == 0.0)
+
+
+# ------------------------------------------------- member order, zero-prior secrets
+
+_K0 = [[0.7, 0.3], [0.4, 0.6], [0.1, 0.9]]
+_K1 = [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.1, 0.2, 0.7]]
+_K2 = [[0.8, 0.2], [0.5, 0.5], [0.25, 0.75]]
+
+
+def _coupled_model(members, coupling, zero_prior):
+    """2 secrets, 3 datasets, mechanisms of 2, 3 and 2 outputs; mechanisms 0
+    and 2 form a group listed as ``members``, comonotone (zeros in the same
+    cell on every dataset) or independent, with ``joint_kernel`` columns in
+    member order; ``zero_prior`` appends a third secret of prior 0."""
+    kernels = {0: np.array(_K0), 2: np.array(_K2)}
+    rows = []
+    for x in range(3):
+        a, b = kernels[0][x], kernels[2][x]
+        if coupling == "comonotone":  # a[0] <= b[0] on every dataset
+            cell = np.array([[a[0], 0.0], [b[0] - a[0], b[1]]])
+        else:
+            cell = np.outer(a, b)
+        rows.append((cell if members == [0, 2] else cell.T).ravel().tolist())
+    joint = [[0.3, 0.15, 0.05], [0.05, 0.15, 0.3]] + ([[0.0, 0.0, 0.0]] if zero_prior else [])
+    return {
+        "secrets": ["s0", "s1", "s2"][:len(joint)],
+        "datasets": ["x0", "x1", "x2"],
+        "joint": joint,
+        "mechanisms": [{"name": f"m{i}", "outputs": [str(o) for o in range(len(k[0]))], "kernel": k}
+                       for i, k in enumerate((_K0, _K1, _K2))],
+        "dependence": [{"members": members, "joint_kernel": rows}],
+    }
+
+
+def _cli_bodies(path, argvs):
+    out = []
+    for argv in argvs:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(["--model", str(path), *argv])
+        text = buf.getvalue()
+        assert text.startswith("# dcp ")
+        body = text.split("\n", 1)[1]  # the header carries the model file's hash
+        if argv[0] == "ic":  # alpha and pi hold one entry per secret
+            body = {k: v for k, v in json.loads(body).items() if k not in ("alpha", "pi")}
+        out.append((code, body))
+    return out
+
+
+@pytest.mark.parametrize("coupling", ["comonotone", "independent"])
+def test_member_order_and_zero_prior_secrets_change_no_output(tmp_path, coupling):
+    # (a) a group listed as [2, 0] with its joint kernel's axes transposed
+    # to match, (b) a secret of prior 0, and both, describe the same
+    # composition as the base model and must print the same numbers
+    argvs = [["check", "--eps", "1.0", "--delta", "0.05"],
+             ["compose", "--delta-g", "0", "0.05", "--eps-g", "0.5", "1"],
+             ["ic", "--task", "2"], ["ic", "--task", "2", "--delta-g", "0.05"]]
+    results = []
+    for members, zero_prior in (([0, 2], False), ([2, 0], False), ([0, 2], True), ([2, 0], True)):
+        path = tmp_path / f"m{members[0]}{zero_prior}.json"
+        path.write_text(json.dumps(_coupled_model(members, coupling, zero_prior)))
+        model = load_model(path)
+        world, mechs, dependence = model.world, list(model.mechanisms), list(model.dependence)
+        report = comp.composition_report(world, mechs, dependence, [0.0, 0.05], [0.5, 1.0])
+        terms = []
+        for (s0, s1) in sorted(world.adjacency):
+            dec = decompose_plrv(world, mechs, dependence, s0, s1)
+            terms.append([t[dec.finite].tolist() for t in (
+                dec.total, dec.world_term, dec.dependence_term, dec.independent_term, dec.ref_masses)])
+        results.append((report.opt_rows, report.dt_rows, report.basic_holds, terms,
+                        _cli_bodies(path, argvs)))
+    for other in results[1:]:
+        assert other == results[0]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_zero_prior_secret_leaves_the_ic_certificate_alone(tmp_path):
+    # pi^2/P on a zero-prior secret is 0/0; the expectation constraint must
+    # still bind on the other secrets
+    raw = json.loads((DEMOS / "dependent_pair.json").read_text())
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(raw))
+    raw["secrets"].append("s2")
+    raw["joint"].append([0.0, 0.0])
+    padded = tmp_path / "padded.json"
+    padded.write_text(json.dumps(raw))
+    argvs = [["ic", "--task", "2", "--delta-g", "0.05"], ["ic", "--task", "2"],
+             ["compose"], ["check", "--eps", "1.0", "--delta", "0.05"]]
+    base, other = _cli_bodies(path, argvs), _cli_bodies(padded, argvs)
+    assert other == base
+    assert base[0][1]["tau_g"] > 20.0  # the constraint set is empty below tau = 20
+    certs = [certify(m.world, list(m.mechanisms), list(m.dependence), None, 30.0, 0.05)
+             for m in (load_model(path), load_model(padded))]
+    assert certs[0] == certs[1]
+
+
+def test_report_and_bounds_build_each_law_once(monkeypatch):
+    model = load_model(DEMOS / "dependent_pair.json")  # two ordered pairs and a group
+    world, mechs, dependence = model.world, list(model.mechanisms), list(model.dependence)
+    joints, effs, mixes = [], [], []
+    build, eff, mix = comp.composed_joint, model_layer.effective_kernel, model_layer.mix_kernel
+    monkeypatch.setattr(comp, "composed_joint", lambda *a: joints.append(1) or build(*a))
+    for mod in (model_layer, pld_layer, comp):
+        monkeypatch.setattr(mod, "effective_kernel", lambda w, m: effs.append(m.name) or eff(w, m))
+        monkeypatch.setattr(mod, "mix_kernel", lambda w, k: mixes.append(id(k)) or mix(w, k))
+    calls = [
+        lambda: comp.composition_report(world, mechs, dependence, [0.0, 0.02], [0.5, 1.0]),
+        lambda: comp.overline_opt(world, mechs, dependence, 0.02),
+        lambda: comp.basic_composition_check(world, mechs, dependence),
+    ]
+    for call in calls:
+        for counted in (joints, effs, mixes):
+            counted.clear()
+        call()
+        assert len(joints) == 1
+        assert sorted(effs) == sorted(m.name for m in mechs)
+        assert mixes.count(id(dependence[0].joint_kernel)) == (0 if call is calls[2] else 1)

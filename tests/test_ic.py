@@ -6,6 +6,7 @@ import pytest
 
 from dcpkit import ic
 from dcpkit.composition import true_opt
+from dcpkit.divergence import bisect_monotone
 from dcpkit.model import MechanismKernel, World, default_adjacency, load_model
 from dcpkit.synth import dirichlet_world, random_mechanisms
 
@@ -288,6 +289,51 @@ def test_task2_soundness_random_instances():
         for delta_g in (0.0, 0.02):
             sol = ic.solve_task2(ic.IcProblem(world=world, mechs=mechs, delta_g=delta_g))
             assert sol.eps_g >= true_opt(world, mechs, [], delta_g) - 1e-9
+
+
+def _tau_by_bisection(world, mechs, delta_g):
+    """Reference: doubling, then bisection on the monotone feasibility test."""
+    post, _, live = ic.posterior(world, mechs, [], np.ones((len(world.secrets), 1)))
+
+    def feasible(tau):
+        return ic.pi_feasible(post, world, tau, delta_g, live).max_residual <= 0.0
+
+    hi = 1.0
+    if not feasible(hi):
+        hi = 2.0
+        while not feasible(hi):
+            hi *= 2.0
+        _, hi = bisect_monotone(feasible, hi / 2.0, hi, geometric=False, tol=1e-12, max_iter=200)
+    return hi
+
+
+def test_task2_closed_form_matches_bisection():
+    rng = np.random.default_rng(45)
+    checked = 0
+    for trial in range(40):
+        world = dirichlet_world(rng, int(rng.integers(2, 5)), int(rng.integers(2, 5)))
+        mechs = random_mechanisms(rng, len(world.datasets), int(rng.integers(1, 4)))
+        for delta_g in (0.0, 0.01, 0.05, 0.5):
+            tau = ic.solve_task2(ic.IcProblem(world=world, mechs=mechs, delta_g=delta_g)).tau_g
+            ref = _tau_by_bisection(world, mechs, delta_g)
+            assert tau == pytest.approx(ref, rel=1e-11)
+            checked += tau > 1.0
+    assert checked >= 40  # most instances need tau above the prior's own 1
+
+
+def test_task2_refuses_an_infinite_or_capped_tau(invertible_world, rr_mechanism):
+    reveal = MechanismKernel("id", ("0", "1"), np.eye(2))  # posterior 0 on a secret
+    for mech, delta_g in ((reveal, 0.0), (reveal, 0.02)):
+        with pytest.raises(ValueError, match="cap"):
+            ic.solve_task2(ic.IcProblem(world=invertible_world, mechs=[mech], delta_g=delta_g))
+    # P/pi = 0.5 / 1e-7 = 5e6 lies past the cap
+    near = MechanismKernel("near", ("0", "1"), np.array([[1 - 1e-7, 1e-7], [1e-7, 1 - 1e-7]]))
+    with pytest.raises(ValueError, match="cap"):
+        ic.solve_task2(ic.IcProblem(world=invertible_world, mechs=[near], delta_g=0.0))
+    # below the cap but above the last doubling step under it, 2^19
+    near = MechanismKernel("near", ("0", "1"), np.array([[1 - 7e-7, 7e-7], [7e-7, 1 - 7e-7]]))
+    sol = ic.solve_task2(ic.IcProblem(world=invertible_world, mechs=[near], delta_g=0.0))
+    assert 2.0**19 < sol.tau_g <= ic.TAU_CAP and sol.certified
 
 
 # ---------------------------------------------------------------- certification
