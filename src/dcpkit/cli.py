@@ -26,7 +26,7 @@ from .audit import worst_pair_roc
 from .copula import copula_spec_from_mapping, psedr_samples
 from .divergence import DistPair, check_dcp, worst_pair
 from .experiments import run_copula_experiment, run_independent_experiment
-from .model import Model, ModelError, effective_kernel, load_model
+from .model import Model, ModelError, adjacency_labels, effective_kernel, load_model
 from .pld import pld_from_pair
 
 
@@ -36,6 +36,25 @@ def _fmt(x) -> str:
             return "unachievable" if x > 0 else "-inf"
         return repr(float(x))
     return str(x)
+
+
+def _number(convert, ok, what: str):
+    """An argparse ``type=`` that reads ``convert(text)`` and accepts it iff
+    ``ok`` holds, so a bad number exits 2 before any command runs."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+    return parse
+
+
+FINITE = _number(float, math.isfinite, "a finite number")
+PROBABILITY = _number(float, lambda v: 0.0 <= v <= 1.0, "a probability in [0, 1]")
+COUNT = _number(int, lambda v: v > 0, "a positive count")
 
 
 def _model_hash(path) -> str:
@@ -142,10 +161,7 @@ def cmd_copula_sample(args) -> int:
     model = _load(args)
     if model.copula is None:
         raise ModelError("model file has no copula section")
-    labels = frozenset(
-        (model.world.secrets[a], model.world.secrets[b]) for (a, b) in model.world.adjacency
-    )
-    spec = copula_spec_from_mapping(model.copula, adjacency_labels=labels)
+    spec = copula_spec_from_mapping(model.copula, adjacency_labels(model.world))
     state = args.state or model.world.secrets[0]
     rng = np.random.default_rng(args.seed)
     out = psedr_samples(spec, state, rng, args.n)
@@ -270,20 +286,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--model", help="model JSON file")
     parser.add_argument("--seed", type=int, default=0, help="seed recorded in outputs")
     parser.add_argument("--out", help="output file (default stdout)")
-    parser.add_argument("--cap", type=int, default=None,
+    parser.add_argument("--cap", type=COUNT, default=None,
                         help="override the outcome-space cap (at most 1e7)")
-    parser.add_argument("--bins", type=int, default=None,
+    parser.add_argument("--bins", type=COUNT, default=None,
                         help="grid resolution for continuous discretization")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="certify mechanisms and their composition")
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--eps", type=FINITE, required=True)
+    p.add_argument("--delta", type=PROBABILITY, required=True)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("compose", help="composition bound tables")
-    p.add_argument("--delta-g", type=float, nargs="+", default=(0.0, 0.02))
-    p.add_argument("--eps-g", type=float, nargs="+", default=(0.5, 1.0))
+    p.add_argument("--delta-g", type=PROBABILITY, nargs="+", default=(0.0, 0.02))
+    p.add_argument("--eps-g", type=FINITE, nargs="+", default=(0.5, 1.0))
     p.set_defaults(func=cmd_compose)
 
     p = sub.add_parser("pld", help="loss distribution of a pair")
@@ -292,22 +308,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pld)
 
     p = sub.add_parser("copula-sample", help="correlated noise samples")
-    p.add_argument("-n", type=int, default=1000)
+    p.add_argument("-n", type=COUNT, default=1000)
     p.add_argument("--state", help="state label driving the latent shift")
     p.set_defaults(func=cmd_copula_sample)
 
     p = sub.add_parser("ic", help="inverse-composition design / certification")
     p.add_argument("--task", type=int, choices=(1, 2), required=True)
-    p.add_argument("--tau", type=float, help="ratio bound (task 1)")
-    p.add_argument("--delta-g", type=float, default=0.0)
-    p.add_argument("--alphabet", type=int, default=2, help="added channel size m")
+    p.add_argument("--tau", type=FINITE, help="ratio bound (task 1)")
+    p.add_argument("--delta-g", type=PROBABILITY, default=0.0)
+    p.add_argument("--alphabet", type=COUNT, default=2, help="added channel size m")
     p.add_argument("--loss", choices=("log", "brier"), default="log")
     p.set_defaults(func=cmd_ic)
 
     p = sub.add_parser("audit", help="attacker AUC of composed vs single")
     p.add_argument("--single", required=True, help="mechanism name used as the single setup")
-    p.add_argument("--eps-g", type=float, nargs="+", required=True)
-    p.add_argument("--delta-g", type=float, nargs="+", required=True)
+    p.add_argument("--eps-g", type=FINITE, nargs="+", required=True)
+    p.add_argument("--delta-g", type=PROBABILITY, nargs="+", required=True)
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("experiment", help="seeded budget-filling experiment")
@@ -323,7 +339,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if args.cap is not None and not 0 < args.cap <= 10**7:
+    if args.cap is not None and args.cap > 10**7:
         sys.stderr.write("dcp: error: --cap must lie in (0, 1e7]\n")
         return 2
     cap = config.OUTCOME_CAP

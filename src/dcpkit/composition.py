@@ -242,7 +242,7 @@ def _basic_check(world: World, effs: list[np.ndarray], joint: Callable[[], np.nd
 
 def dominating_pair(eps: float, delta: float) -> DistPair:
     """Canonical 4-outcome pair achieving (eps, delta) with equality."""
-    if eps < 0 or not 0 <= delta <= 1:
+    if not eps >= 0 or not 0 <= delta <= 1:
         raise ValueError(f"need eps >= 0 and delta in [0, 1], got ({eps}, {delta})")
     e = math.exp(eps)
     p = np.array([delta, (1 - delta) * e / (1 + e), (1 - delta) / (1 + e), 0.0])

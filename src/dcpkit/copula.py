@@ -15,11 +15,12 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from .divergence import DistPair, optimal_epsilon
 from .model import World
 from .pld import Pld, pld_from_pair
+from .synth import _binned_noise
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
@@ -28,14 +29,20 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 # marginal noise distributions
 
 
+def _check_location_scale(scale: float, loc: float) -> None:
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"scale must be positive and finite, got {scale}")
+    if not math.isfinite(loc):
+        raise ValueError(f"loc must be finite, got {loc}")
+
+
 class LaplaceMarginal:
     """Laplace(loc, scale) noise marginal."""
 
     family = "laplace"
 
     def __init__(self, scale: float, loc: float = 0.0):
-        if scale <= 0:
-            raise ValueError(f"scale must be positive, got {scale}")
+        _check_location_scale(scale, loc)
         self.scale = float(scale)
         self.loc = float(loc)
 
@@ -62,8 +69,7 @@ class GaussianMarginal:
     family = "gaussian"
 
     def __init__(self, sigma: float, loc: float = 0.0):
-        if sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {sigma}")
+        _check_location_scale(sigma, loc)
         self.sigma = float(sigma)
         self.loc = float(loc)
 
@@ -94,6 +100,8 @@ class EmpiricalMarginal:
         cs = np.asarray(cdf_values, dtype=float)
         if xs.ndim != 1 or xs.shape != cs.shape or xs.size < 2:
             raise ValueError("need matching 1-d value/cdf arrays with >= 2 points")
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(cs))):
+            raise ValueError("values and cdf must be finite")
         if np.any(np.diff(xs) <= 0) or np.any(np.diff(cs) < 0):
             raise ValueError("values must increase strictly and cdf must be non-decreasing")
         if abs(cs[0]) > 1e-9 or abs(cs[-1] - 1.0) > 1e-9:
@@ -160,8 +168,16 @@ class GaussianCopulaSpec:
             raise ValueError(f"rho must lie in (-1, 1) excluding 0, got {self.rho}")
         if self.rho_prime is not None and not -1.0 < self.rho_prime < 1.0:
             raise ValueError(f"rho_prime must lie in (-1, 1), got {self.rho_prime}")
+        for name in ("eps_c", "w", "c_sen", "var1_floor"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if not all(math.isfinite(v) for v in self.eta.values()):
+            raise ValueError(f"eta values must be finite, got {dict(self.eta)}")
         if self.eps_c < 0:
             raise ValueError(f"eps_c must be >= 0, got {self.eps_c}")
+        if self.var1_floor is not None and not self.var1_floor > 0:
+            raise ValueError(f"var1_floor must be positive, got {self.var1_floor}")
         if not 0.0 < self.delta_c < 1.0:
             raise ValueError(f"delta_c must lie in (0, 1), got {self.delta_c}")
         if self.w < 2.0 * math.log(2.0 / self.delta_c) - 1e-12:
@@ -196,7 +212,10 @@ class GaussianCopulaSpec:
             return self.var1_floor
         if self.eps_c == 0.0:
             return math.inf
-        v = self.w**2 * (self.c_sen / self.eps_c) ** 2
+        try:
+            v = self.w**2 * (self.c_sen / self.eps_c) ** 2
+        except OverflowError:
+            v = math.inf
         # latent states a million sigmas apart are numerically disjoint
         if not math.isfinite(v) or math.sqrt(v) < 1e-6 * self.c_sen:
             raise ValueError(f"degenerate variance var1 = {v}")
@@ -386,20 +405,9 @@ def copula_plrv(
     eta1 = spec.eta_of(world.secrets[s1])
     if eta0 == eta1:
         return Pld.point(0.0)
-    sd = math.sqrt(spec.var1)
-    lo = min(eta0, eta1) - span * sd
-    hi = max(eta0, eta1) + span * sd
-    edges = np.linspace(lo, hi, bins + 1)
-    cdf0 = stats.norm.cdf(edges, loc=eta0, scale=sd)
-    cdf1 = stats.norm.cdf(edges, loc=eta1, scale=sd)
-    if (cdf0[-1] - cdf0[0]) < 1.0 - mass_tol or (cdf1[-1] - cdf1[0]) < 1.0 - mass_tol:
+    (p, q), cdf = _binned_noise((eta0, eta1), math.sqrt(spec.var1), bins, span, special.ndtr)
+    if np.any(cdf[:, -1] - cdf[:, 0] < 1.0 - mass_tol):
         raise ValueError(f"grid too coarse: interior mass below {1.0 - mass_tol}")
-    p = np.diff(cdf0)
-    q = np.diff(cdf1)
-    p[0] += cdf0[0]
-    p[-1] += 1.0 - cdf0[-1]
-    q[0] += cdf1[0]
-    q[-1] += 1.0 - cdf1[-1]
     return pld_from_pair(DistPair(p, q))
 
 
@@ -515,6 +523,42 @@ def perturbed_decomposition(
     )
 
 
+def block_grid(xi1, xi2, world: World, query_maps: tuple, bins: int = 17, span: float = 8.0):
+    """The eps_c-free half of ``coupled_block_law``: grids g1, g2 and, per dataset,
+    (noise log-density less normal-score log-densities, score 1, score 2)."""
+    f1, f2 = (np.asarray(q, dtype=float) for q in query_maps)
+    g1 = np.linspace(f1.min() - span * xi1.spread, f1.max() + span * xi1.spread, bins)
+    g2 = np.linspace(f2.min() - span * xi2.spread, f2.max() + span * xi2.spread, bins)
+    y1, y2 = np.meshgrid(g1, g2, indexing="ij")
+    terms = []
+    for x in range(len(world.datasets)):
+        v1, v2 = y1 - f1[x], y2 - f2[x]
+        lp = xi1.logpdf(v1) + xi2.logpdf(v2)
+        t1 = stats.norm.ppf(np.clip(xi1.cdf(v1), 1e-300, 1 - 1e-16))
+        t2 = stats.norm.ppf(np.clip(xi2.cdf(v2), 1e-300, 1 - 1e-16))
+        terms.append((lp - stats.norm.logpdf(t1) - stats.norm.logpdf(t2), t1, t2))
+    return g1, g2, terms
+
+
+def mix_block_law(spec: GaussianCopulaSpec, world: World, terms, mu_ref: float | None = None) -> np.ndarray:
+    """The eps_c half: each secret's latent shift on the dataset ``terms``,
+    mixed over P(x|s)."""
+    etas = np.array([spec.eta_of(lbl) for lbl in world.secrets])
+    if mu_ref is None:
+        mu_ref = float(etas.mean())
+    laws = []
+    for s in range(len(world.secrets)):
+        m1, m2 = _shift_pair(spec, etas[s], mu_ref)
+        cond = world.conditional_dataset(s)
+        dens = np.zeros_like(terms[0][0])
+        for x, (base, t1, t2) in enumerate(terms):
+            if cond[x] == 0.0:
+                continue
+            dens += cond[x] * np.exp(base + _coupled_log_density(spec, t1, t2, m1, m2))
+        laws.append((dens / dens.sum()).ravel())
+    return np.array(laws)
+
+
 def coupled_block_law(
     spec: GaussianCopulaSpec,
     world: World,
@@ -529,35 +573,8 @@ def coupled_block_law(
     factor times the noise product) is mixed over P(x|s).  Cell masses are
     midpoint-density approximations, renormalized per secret.
     """
-    f1, f2 = (np.asarray(q, dtype=float) for q in query_maps)
-    etas = np.array([spec.eta_of(lbl) for lbl in world.secrets])
-    if mu_ref is None:
-        mu_ref = float(etas.mean())
-    g1 = np.linspace(f1.min() - span * spec.xi1.spread, f1.max() + span * spec.xi1.spread, bins)
-    g2 = np.linspace(f2.min() - span * spec.xi2.spread, f2.max() + span * spec.xi2.spread, bins)
-    y1, y2 = np.meshgrid(g1, g2, indexing="ij")
-
-    per_dataset = []
-    for x in range(len(world.datasets)):
-        v1 = y1 - f1[x]
-        v2 = y2 - f2[x]
-        lp = spec.xi1.logpdf(v1) + spec.xi2.logpdf(v2)
-        t1 = stats.norm.ppf(np.clip(spec.xi1.cdf(v1), 1e-300, 1 - 1e-16))
-        t2 = stats.norm.ppf(np.clip(spec.xi2.cdf(v2), 1e-300, 1 - 1e-16))
-        base = lp - stats.norm.logpdf(t1) - stats.norm.logpdf(t2)
-        per_dataset.append((base, t1, t2))
-
-    laws = []
-    for s in range(len(world.secrets)):
-        m1, m2 = _shift_pair(spec, etas[s], mu_ref)
-        cond = world.conditional_dataset(s)
-        dens = np.zeros_like(y1)
-        for x, (base, t1, t2) in enumerate(per_dataset):
-            if cond[x] == 0.0:
-                continue
-            dens += cond[x] * np.exp(base + _coupled_log_density(spec, t1, t2, m1, m2))
-        laws.append((dens / dens.sum()).ravel())
-    return np.array(laws), g1, g2
+    g1, g2, terms = block_grid(spec.xi1, spec.xi2, world, query_maps, bins, span)
+    return mix_block_law(spec, world, terms, mu_ref), g1, g2
 
 
 def conservative_bound(

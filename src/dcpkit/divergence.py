@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .config import PROB_ATOL
-from .model import MechanismKernel, World, effective_kernel
+from .model import MechanismKernel, World, _check_rows_stochastic, effective_kernel
 
 
 @dataclass(frozen=True)
@@ -36,19 +36,16 @@ class DistPair:
         q = np.asarray(self.q, dtype=float)
         if p.shape != q.shape or p.ndim != 1:
             raise ValueError(f"p and q must be equal-length vectors, got {p.shape} and {q.shape}")
-        for name, v in (("p", p), ("q", q)):
-            if not np.all(np.isfinite(v)):
-                raise ValueError(f"{name} has a non-finite entry: {v[~np.isfinite(v)][0]}")
-            if np.any(v < -PROB_ATOL):
-                raise ValueError(f"{name} has a negative entry: {v.min()}")
-            if abs(v.sum() - 1.0) > PROB_ATOL:
-                raise ValueError(f"{name} sums to {v.sum()}, not 1")
-        p = np.clip(p, 0.0, None)
-        q = np.clip(q, 0.0, None)
-        # outcomes carrying no mass on either side are dropped up front
-        live = (p > 0.0) | (q > 0.0)
-        object.__setattr__(self, "p", p[live])
-        object.__setattr__(self, "q", q[live])
+        _check_rows_stochastic(np.stack([p, q]), "distribution pair (p, q)")
+        _keep_live(self, np.clip(p, 0.0, None), np.clip(q, 0.0, None))
+
+
+def _keep_live(pair: DistPair, p: np.ndarray, q: np.ndarray) -> DistPair:
+    """Set ``pair`` to checked, clipped ``p``, ``q`` less their dead outcomes."""
+    live = (p > 0.0) | (q > 0.0)
+    object.__setattr__(pair, "p", p[live])
+    object.__setattr__(pair, "q", q[live])
+    return pair
 
 
 def hockey_stick(pair: DistPair, eps: float) -> float:
@@ -77,7 +74,7 @@ def optimal_epsilon(pair: DistPair, delta: float) -> float:
     found on the sorted log-ratio breakpoints by solving ``A - B e^eps =
     delta`` on the bracketing segment; no iterative search is involved.
     """
-    if delta > 1.0 or delta < 0.0:
+    if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta must lie in [0, 1], got {delta}")
     p, q = pair.p, pair.q
     inf_mass = float(p[(q == 0.0) & (p > 0.0)].sum())
@@ -137,9 +134,13 @@ def worst_pair(world: World, law: np.ndarray, *, eps: float | None = None,
     pairs = sorted(world.adjacency)
     if not pairs:
         raise ValueError("nothing to certify: world has an empty adjacency relation")
+    law = np.asarray(law, dtype=float)
+    _check_rows_stochastic(law, "per-secret law")
+    law = np.clip(law, 0.0, None)
+    pair = lambda s0, s1: _keep_live(object.__new__(DistPair), law[s0], law[s1])
     values = {
-        (s0, s1): hockey_stick(DistPair(law[s0], law[s1]), eps) if delta is None
-        else optimal_epsilon(DistPair(law[s0], law[s1]), delta)
+        (s0, s1): hockey_stick(pair(s0, s1), eps) if delta is None
+        else optimal_epsilon(pair(s0, s1), delta)
         for (s0, s1) in pairs
     }
     first = max(values, key=values.__getitem__)
@@ -154,14 +155,16 @@ def bisect_monotone(pred: Callable[[float], bool], lo: float, hi: float, *,
     the midpoint (``sqrt(lo * hi)`` when ``geometric``, else the mean) and
     moves the bracket edge on its side.  The loop stops once ``hi / lo < 1 +
     tol`` (geometric) or ``hi - lo < tol * max(1, hi)``, or after
-    ``max_iter`` steps, and returns the bracket it has.
+    ``max_iter`` steps, and returns the bracket it has.  A midpoint equal to
+    the edge it would replace also stops it: every later step would repeat
+    that one, so the bracket is the one ``max_iter`` steps give.
     """
     for _ in range(max_iter):
         mid = math.sqrt(lo * hi) if geometric else 0.5 * (lo + hi)
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid
+        above = pred(mid)
+        if mid == (hi if above else lo):
+            break
+        lo, hi = (lo, mid) if above else (mid, hi)
         if (hi / lo < 1.0 + tol) if geometric else (hi - lo < tol * max(1.0, hi)):
             break
     return lo, hi

@@ -18,9 +18,9 @@ import numpy as np
 from . import ic
 from .audit import roc_bound_check, worst_pair_roc
 from .composition import composed_joint
-from .copula import GaussianCopulaSpec, LaplaceMarginal, coupled_block_law
+from .copula import GaussianCopulaSpec, LaplaceMarginal, block_grid, mix_block_law
 from .divergence import bisect_monotone, worst_pair
-from .model import World, effective_kernel
+from .model import World, adjacency_labels, effective_kernel
 from .synth import (
     binned_laplace_kernel,
     calibrate_alpha_fill,
@@ -141,23 +141,21 @@ def run_copula_experiment(
     rows = []
     for j, (eps_g, eps_i) in enumerate(zip(eps_gs, eps_is)):
         f1, f2 = _QUERY_MAPS[0], _QUERY_MAPS[1]
-        scale1 = _calibrate_laplace_scale(world, f1, eps_i, delta, mech_bins * 3)
-        scale2 = _calibrate_laplace_scale(world, f2, eps_i, delta, mech_bins * 3)
+        xi1 = LaplaceMarginal(_calibrate_laplace_scale(world, f1, eps_i, delta, mech_bins * 3))
+        xi2 = LaplaceMarginal(_calibrate_laplace_scale(world, f2, eps_i, delta, mech_bins * 3))
         others = [
             calibrate_gaussian_mechanism(world, fmap, eps_i, delta, bins=mech_bins, name=f"m{i}")
             for i, fmap in enumerate(_QUERY_MAPS[2:])
         ]
         rest_law = composed_joint(world, others).matrix
+        _, _, terms = block_grid(xi1, xi2, world, (f1, f2), bins=block_bins)
 
         def law_at(eps_c):
             spec = GaussianCopulaSpec(
-                rho=rho, eta=eta, eps_c=eps_c, delta_c=delta, w=w,
-                xi1=LaplaceMarginal(scale1), xi2=LaplaceMarginal(scale2),
-                adjacency_labels=frozenset(
-                    (world.secrets[a], world.secrets[b]) for (a, b) in world.adjacency
-                ),
+                rho=rho, eta=eta, eps_c=eps_c, delta_c=delta, w=w, xi1=xi1, xi2=xi2,
+                adjacency_labels=adjacency_labels(world),
             )
-            block, _, _ = coupled_block_law(spec, world, (f1, f2), bins=block_bins)
+            block = mix_block_law(spec, world, terms)
             return np.einsum("sb,sy->sby", block, rest_law).reshape(len(world.secrets), -1)
 
         def overshoots(eps_c):

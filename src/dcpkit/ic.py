@@ -39,14 +39,14 @@ def p_star(world: World) -> float:
 
 def epsilon_of_tau(tau_g: float, world: World) -> float:
     """Privacy parameter log(1 + (tau_g - 1)/P*) implied by a ratio bound."""
-    if tau_g < 1.0:
+    if not tau_g >= 1.0:
         raise ValueError(f"tau_g must be >= 1, got {tau_g}")
     return math.log1p((tau_g - 1.0) / p_star(world))
 
 
 def tau_of_epsilon(eps_g: float, world: World) -> float:
     """Inverse of epsilon_of_tau: the ratio bound matching a target epsilon."""
-    if eps_g < 0:
+    if not eps_g >= 0:
         raise ValueError(f"eps_g must be >= 0, got {eps_g}")
     return 1.0 + p_star(world) * math.expm1(eps_g)
 
@@ -58,7 +58,7 @@ def pi_set_nonempty(tau_g: float, delta_g: float) -> bool:
     where it equals 1, so the set is nonempty iff delta_g * tau_g >= 1;
     with delta_g = 0 the prior itself always belongs.
     """
-    if tau_g < 1.0:
+    if not tau_g >= 1.0:
         raise ValueError(f"tau_g must be >= 1, got {tau_g}")
     if delta_g == 0.0:
         return True
@@ -153,7 +153,7 @@ def pi_feasible(
     secrets; with delta_g > 0 the set is {pi >= P/tau, E_pi[pi/P] <=
     delta_g tau}, with delta_g = 0 the ratio band P/tau <= pi <= tau P.
     """
-    if tau_g < 1.0:
+    if not tau_g >= 1.0:
         raise ValueError(f"tau_g must be >= 1, got {tau_g}")
     pi = np.asarray(pi, dtype=float)
     prior, rows = _on_support(world, pi if live is None else pi[live])
@@ -229,7 +229,7 @@ class IcProblem:
     def __post_init__(self):
         if not 0.0 <= self.delta_g <= 1.0:
             raise ValueError(f"delta_g must lie in [0, 1], got {self.delta_g}")
-        if self.tau_g is not None and self.tau_g < 1.0:
+        if self.tau_g is not None and not self.tau_g >= 1.0:
             raise ValueError(f"tau_g must be >= 1, got {self.tau_g}")
         if self.alpha_size < 1:
             raise ValueError("alpha alphabet must have at least one symbol")
@@ -253,14 +253,16 @@ class IcSolution:
 
 
 def _project_rows_simplex(mat: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each row onto the probability simplex."""
+    """Euclidean projection of each row onto the probability simplex, rows
+    sorted by an odd-even transposition network of column compare-exchanges."""
     n = mat.shape[1]
-    srt = -np.sort(-mat, axis=1)
-    css = np.cumsum(srt, axis=1) - 1.0
-    idx = np.arange(1, n + 1)
-    cond = srt - css / idx > 0
-    rho = cond.sum(axis=1)
-    theta = css[np.arange(mat.shape[0]), rho - 1] / rho
+    srt = mat.T.copy()                       # columns x rows, sorted in place
+    for r in range(n):
+        for j in range(r % 2, n - 1, 2):
+            srt[j], srt[j + 1] = np.maximum(srt[j], srt[j + 1]), np.minimum(srt[j], srt[j + 1])
+    css = np.cumsum(srt, axis=0) - 1.0
+    rho = (srt - css / np.arange(1, n + 1)[:, None] > 0).sum(axis=0)
+    theta = css[rho - 1, np.arange(mat.shape[0])] / rho
     return np.maximum(mat - theta[:, None], 0.0)
 
 
@@ -364,17 +366,18 @@ def solve_task1(problem: IcProblem) -> IcSolution:
     Penalty loop with alternating projected-gradient updates; on exit the
     response is reset to the exact posterior of the final alpha and the
     certificate is recomputed from scratch (constraint residuals plus a
-    direct divergence check of the full composition).
+    direct divergence check of the full composition).  The design runs on
+    the positive-prior secrets only; a zero-prior secret gets a uniform row.
     """
     if problem.tau_g is None:
         raise ValueError("task 1 needs a fixed tau_g")
-    world, mechs, dependence = problem.world, problem.mechs, problem.dependence
     tau_g, delta_g, m = problem.tau_g, problem.delta_g, problem.alpha_size
+    rng = np.random.default_rng(problem.seed)
+    b_all = _composed_law(problem.world, problem.mechs, problem.dependence)
+    world, keep = _positive_prior(problem.world)
     prior = world.marginal_secret
     n_s = len(world.secrets)
-    rng = np.random.default_rng(problem.seed)
-
-    b = _composed_law(world, mechs, dependence)
+    b = b_all[keep]
     n_y = b.shape[1]
 
     # prior-feasibility pre-screen: a constant response certifies nonemptiness
@@ -433,10 +436,22 @@ def solve_task1(problem: IcProblem) -> IcSolution:
         )
         alpha = (1.0 - hi_t) * alpha + hi_t * uniform
 
-    law = _with_alpha(b, alpha)
-    post, _, live = _posterior(world, law)
-    return _certified_solution(problem, alpha, tau_g, law, post, live,
+    alpha_all = np.full((b_all.shape[0], m), 1.0 / m)
+    alpha_all[keep] = alpha
+    law = _with_alpha(b_all, alpha_all)
+    post, _, live = _posterior(problem.world, law)
+    return _certified_solution(problem, alpha_all, tau_g, law, post, live,
                                {"prescreen_prior_feasible": prescreen.feasible})
+
+
+def _positive_prior(world: World) -> tuple[World, np.ndarray]:
+    """``world`` on its positive-prior secrets, and their indices in it.  No
+    adjacent pair touches a zero-prior secret, so every pair carries over."""
+    keep = np.flatnonzero(world.marginal_secret > 0.0)
+    new = {int(s): i for i, s in enumerate(keep)}
+    sub = World(tuple(world.secrets[s] for s in keep), world.datasets, world.joint[keep],
+                frozenset((new[a], new[b]) for a, b in world.adjacency))
+    return sub, keep
 
 
 def solve_task2(problem: IcProblem) -> IcSolution:

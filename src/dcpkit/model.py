@@ -10,6 +10,7 @@ that all privacy computations run on.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -382,7 +383,21 @@ def load_model(path) -> Model:
             raise ModelError(f"mechanism index {sorted(overlap)[0]} appears in two dependence groups")
         seen.update(g.members)
         g.validate_against(mechanisms)
-    return Model(world=world, mechanisms=mechanisms, dependence=dependence, copula=raw.get("copula"))
+    copula = raw.get("copula")
+    if copula is not None:
+        from .copula import copula_spec_from_mapping  # copula builds on this module
+
+        try:  # the section must make a spec with a finite latent variance
+            if not math.isfinite(copula_spec_from_mapping(copula, adjacency_labels(world)).var1):
+                raise ValueError("eps_c = 0 makes the latent variance infinite")
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+            raise ModelError(f"copula section: {exc!r}") from None
+    return Model(world=world, mechanisms=mechanisms, dependence=dependence, copula=copula)
+
+
+def adjacency_labels(world: World) -> frozenset[tuple[str, str]]:
+    """The world's adjacent pairs by secret label."""
+    return frozenset((world.secrets[a], world.secrets[b]) for (a, b) in world.adjacency)
 
 
 def load_world(path) -> World:

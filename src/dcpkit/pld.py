@@ -158,6 +158,8 @@ class LossSum:
 
     def delta(self, eps: float) -> float:
         """delta(eps) = E[(1 - e^(eps - W - M))+] plus the mass at +inf."""
+        if math.isnan(eps):
+            raise ValueError(f"eps must be a number, got {eps}")
         t = eps - self._w
         k = self._active(eps)
         # e^t only multiplies a nonzero suffix where t < m_top, so capping t
@@ -174,7 +176,7 @@ class LossSum:
         starting from 0 the roots climb, and the first one that stays on its
         own segment is exact.  No tolerance, no bisection.
         """
-        if delta > 1.0 or delta < 0.0:
+        if not 0.0 <= delta <= 1.0:
             raise ValueError(f"delta must lie in [0, 1], got {delta}")
         if self.delta(0.0) <= delta:
             return 0.0

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .divergence import bisect_monotone, worst_pair
 from .model import MechanismKernel, World, default_adjacency, effective_kernel, is_invertible
@@ -101,40 +101,36 @@ def triangulating_instance(noise: float = 0.15) -> tuple[World, list[MechanismKe
     return world, [m1, m2]
 
 
+def _binned_noise(values, scale: float, bins: int, span: float, cdf) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of additive noise (standard CDF ``cdf``) on ``values``, binned on
+    ``bins`` cells to ``span`` scales past them, and the CDF at the edges.
+    Edge cells absorb the tails so every row is exactly stochastic."""
+    values = np.asarray(values, dtype=float)
+    edges = np.linspace(values.min() - span * scale, values.max() + span * scale, bins + 1)
+    cdf = cdf((edges[None, :] - values[:, None]) / scale)
+    rows = np.diff(cdf, axis=1)
+    rows[:, 0] += cdf[:, 0]
+    rows[:, -1] += 1.0 - cdf[:, -1]
+    return rows, cdf
+
+
+def _laplace_cdf(x):
+    """scipy's standard Laplace CDF, with an exp that cannot overflow."""
+    e = 0.5 * np.exp(-np.abs(x))
+    return np.where(x > 0, 1.0 - e, e)
+
+
 def binned_gaussian_kernel(values, sigma: float, bins: int = 33, span: float = 6.0,
                            name: str = "gauss") -> MechanismKernel:
-    """Additive Gaussian noise on per-dataset query values, binned.
-
-    Edge bins absorb the tails so every row is exactly stochastic.
-    """
-    values = np.asarray(values, dtype=float)
-    lo = values.min() - span * sigma
-    hi = values.max() + span * sigma
-    edges = np.linspace(lo, hi, bins + 1)
-    rows = []
-    for v in values:
-        cdf = stats.norm.cdf(edges, loc=v, scale=sigma)
-        row = np.diff(cdf)
-        row[0] += cdf[0]
-        row[-1] += 1.0 - cdf[-1]
-        rows.append(row)
-    return MechanismKernel(name, tuple(f"b{i}" for i in range(bins)), np.array(rows))
+    """Additive Gaussian noise on per-dataset query values, binned."""
+    rows, _ = _binned_noise(values, sigma, bins, span, special.ndtr)
+    return MechanismKernel(name, tuple(f"b{i}" for i in range(bins)), rows)
 
 
 def binned_laplace_kernel(values, scale: float, bins: int = 33, span: float = 8.0,
                           name: str = "laplace") -> MechanismKernel:
-    values = np.asarray(values, dtype=float)
-    lo = values.min() - span * scale
-    hi = values.max() + span * scale
-    edges = np.linspace(lo, hi, bins + 1)
-    rows = []
-    for v in values:
-        cdf = stats.laplace.cdf(edges, loc=v, scale=scale)
-        row = np.diff(cdf)
-        row[0] += cdf[0]
-        row[-1] += 1.0 - cdf[-1]
-        rows.append(row)
-    return MechanismKernel(name, tuple(f"b{i}" for i in range(bins)), np.array(rows))
+    rows, _ = _binned_noise(values, scale, bins, span, _laplace_cdf)
+    return MechanismKernel(name, tuple(f"b{i}" for i in range(bins)), rows)
 
 
 def calibrate_gaussian_mechanism(

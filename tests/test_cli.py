@@ -216,3 +216,29 @@ def test_parser_is_built_once_and_each_call_parses_afresh(capsys):
         assert (run(second), capsys.readouterr()) == alone
     defaults = cli.build_parser().parse_args(["compose"])
     assert (defaults.delta_g, defaults.eps_g) == ((0.0, 0.02), (0.5, 1.0))
+
+
+BAD_NUMBERS = [
+    ["check", "--eps", "1", "--delta", "nan"],
+    ["check", "--eps", "inf", "--delta", "0.1"],
+    ["check", "--eps", "1", "--delta", "1.5"],
+    ["compose", "--delta-g", "nan"],
+    ["compose", "--eps-g=-inf"],
+    ["audit", "--single", "rr_a", "--eps-g", "1", "--delta-g", "nan"],
+    ["audit", "--single", "rr_a", "--eps-g", "1", "--delta-g", "inf"],
+    ["audit", "--single", "rr_a", "--eps-g", "nan", "--delta-g", "0.1"],
+    ["ic", "--task", "1", "--tau", "nan", "--delta-g", "0.1"],
+    ["ic", "--task", "2", "--delta-g", "-0.1"],
+    ["ic", "--task", "1", "--tau", "3", "--alphabet", "0"],
+    ["copula-sample", "-n", "0"],
+    ["--bins", "0", "experiment", "--name", "copula"],
+    ["--cap", "-5", "check", "--eps", "1", "--delta", "0.1"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_NUMBERS, ids=" ".join)
+def test_bad_cli_numbers_exit_2_before_any_output(capsys, argv):
+    assert run(["--model", MIXING, *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: argument" in captured.err and "Traceback" not in captured.err

@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -23,7 +25,8 @@ from dcpkit.copula import (
     psedr_samples,
 )
 from dcpkit.divergence import optimal_epsilon
-from dcpkit.model import World, default_adjacency
+from dcpkit.cli import main
+from dcpkit.model import ModelError, World, default_adjacency, load_model
 from dcpkit.pld import privacy_profile
 
 DELTA_C = 0.02
@@ -374,3 +377,45 @@ def test_coupled_block_law_matches_decomposition_on_invertible_world():
     assert optimal_epsilon(pair_block, 0.02) == pytest.approx(
         optimal_epsilon(dec.pair, 0.02), abs=1e-9
     )
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+def test_marginals_refuse_a_bad_scale_or_loc(bad):
+    for family in (LaplaceMarginal, GaussianMarginal):
+        with pytest.raises(ValueError):
+            family(bad)
+        if not math.isfinite(bad):
+            with pytest.raises(ValueError):
+                family(1.0, loc=bad)
+
+
+def test_spec_refuses_non_finite_numbers_and_an_overflowing_variance():
+    for kw in ({"eps_c": math.nan}, {"w": math.nan}, {"w": math.inf},
+               {"eta": {"s0": 0.0, "s1": math.nan}}, {"c_sen": math.nan}):
+        with pytest.raises(ValueError):
+            make_spec(**kw)
+    with pytest.raises(ValueError, match="degenerate variance"):
+        _ = make_spec(w=1e308).var1
+
+
+@pytest.mark.parametrize("path,value", [
+    (("xi1", "scale"), math.nan),
+    (("xi2", "sigma"), math.nan),
+    (("w",), 1e308),
+    (("eps_c",), 0.0),
+    (("eta", "s1"), math.nan),
+])
+def test_model_with_a_bad_copula_section_is_refused_at_load(tmp_path, capsys, path, value):
+    demo = pathlib.Path(__file__).parent.parent / "demos" / "models" / "mixing_pair.json"
+    model = json.loads(demo.read_text())
+    node = model["copula"]
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(model))
+    with pytest.raises(ModelError, match="copula section"):
+        load_model(bad)
+    assert main(["--model", str(bad), "copula-sample", "-n", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("dcp: error: copula section")

@@ -1,3 +1,7 @@
+import dataclasses
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -49,3 +53,27 @@ def test_experiment_deterministic_replay():
 def test_mismatched_grids_rejected():
     with pytest.raises(ValueError):
         run_independent_experiment(eps_gs=(0.5,), eps_is=(0.1, 0.2))
+
+
+# One budget point of each experiment, at seeds 0 and 1: the independent one
+# lies in the IC band (the task-1 solver runs), the copula one is filled by
+# bisection.  tests/data/experiment_rows.json holds these rows as the code
+# before the vectorized inner loops computed them; rows must match exactly.
+GOLDEN_POINTS = {
+    "independent": (run_independent_experiment, 5.0, 1.0),
+    "copula": (run_copula_experiment, 1.0, 0.18),
+}
+GOLDEN_FILE = pathlib.Path(__file__).parent / "data" / "experiment_rows.json"
+
+
+def golden_rows() -> dict:
+    rows = {}
+    for name, (run, eps_g, eps_i) in GOLDEN_POINTS.items():
+        for seed in (0, 1):
+            (row,) = run(seed=seed, eps_gs=(eps_g,), eps_is=(eps_i,)).rows
+            rows[f"{name}-{seed}"] = dataclasses.asdict(row)
+    return rows
+
+
+def test_rows_match_golden_file_exactly():
+    assert golden_rows() == json.loads(GOLDEN_FILE.read_text())

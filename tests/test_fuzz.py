@@ -1,11 +1,14 @@
-"""Deterministic fuzzing of the model loader through ``dcp check`` and
-``dcp compose``.
+"""Deterministic fuzzing of the model loader and of the command-line
+numbers.
 
-Each example copies one demo model and, in most examples, applies one
-mutation: drop a key, put NaN or +-inf in a number, or push an adjacency or
-dependence-member index out of range.  Both commands then run at an eps
-drawn up to 1e300 in size.  Whatever the model and the eps, ``dcp`` must
-answer with exit code 0, 1 or 2 and never let an exception escape.
+Each model example copies one demo model and, in most examples, applies one
+mutation: drop a key, put NaN or +-inf in a number (the copula section's
+included), or push an adjacency or dependence-member index out of range.
+``check``, ``compose`` and ``copula-sample`` then run at an eps drawn up to
+1e300 in size.  Each number example runs ``check``, ``compose``, ``audit``,
+``pld`` and ``ic`` on an intact demo model with numbers drawn finite or
+not, in range or not.  Whatever the input, ``dcp`` must answer with exit
+code 0, 1 or 2, never let an exception escape and never print a NaN.
 """
 
 import contextlib
@@ -13,6 +16,7 @@ import io
 import json
 import math
 import pathlib
+import re
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -74,6 +78,36 @@ def test_dcp_never_raises_on_mutated_models(tmp_path_factory, model, eps, eps_g)
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         codes = [main(["--model", str(path), "check", "--eps", eps, "--delta", "0.05"]),
-                 main(["--model", str(path), "compose", "--eps-g", *eps_g])]
+                 main(["--model", str(path), "compose", "--eps-g", *eps_g]),
+                 main(["--model", str(path), "copula-sample", "-n", "3"])]
     assert all(code in (0, 1, 2) for code in codes)
     assert "Traceback" not in err.getvalue()
+
+
+NUMBER = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["nan", "NaN", "inf", "-inf", "1e400", "-0.0", "0", "1", "0.02", "2", "x"]),
+)
+COUNT = st.one_of(st.integers(-3, 4).map(str), st.sampled_from(["nan", "inf", "1.5", "x"]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(name=st.sampled_from(sorted(MODELS)), eps=NUMBER, delta=NUMBER, tau=NUMBER, count=COUNT)
+def test_dcp_never_raises_or_prints_nan_on_drawn_numbers(name, eps, delta, tau, count):
+    model = str(pathlib.Path(__file__).parent.parent / "demos" / "models" / name)
+    single = MODELS[name]["mechanisms"][0]["name"]
+    argvs = [
+        ["check", f"--eps={eps}", f"--delta={delta}"],
+        ["compose", f"--eps-g={eps}", f"--delta-g={delta}"],
+        ["audit", "--single", single, f"--eps-g={eps}", f"--delta-g={delta}"],
+        [f"--cap={count}", "pld", "--pair", "s0", "s1"],
+        ["ic", "--task", "1", f"--tau={tau}", f"--delta-g={delta}", f"--alphabet={count}"],
+        ["ic", "--task", "2", f"--delta-g={delta}"],
+    ]
+    for argv in argvs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["--model", model, *argv])
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err.getvalue()
+        assert not re.search(r"\bnan\b", out.getvalue(), re.IGNORECASE), argv

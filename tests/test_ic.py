@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import math
 import pathlib
 
@@ -5,6 +8,7 @@ import numpy as np
 import pytest
 
 from dcpkit import ic
+from dcpkit.cli import main
 from dcpkit.composition import true_opt
 from dcpkit.divergence import bisect_monotone
 from dcpkit.model import MechanismKernel, World, default_adjacency, load_model
@@ -409,3 +413,24 @@ def test_solvers_build_the_composed_joint_once(monkeypatch):
         post, _, _ = ic.posterior(world, mechs, dependence, sol.alpha)
         assert np.array_equal(post, sol.pi)
         assert ic.spsr_loss(sol.pi, world, mechs, dependence, sol.alpha) == sol.loss_value
+
+
+def test_task1_ignores_an_appended_zero_prior_secret(tmp_path):
+    demo = pathlib.Path(__file__).parent.parent / "demos" / "models" / "dependent_pair.json"
+    model = json.loads(demo.read_text())
+    model["secrets"].append("ghost")
+    model["joint"].append([0.0, 0.0])
+    ghost = tmp_path / "ghost.json"
+    ghost.write_text(json.dumps(model))
+    payloads = []
+    for path in (demo, ghost):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["--model", str(path), "ic", "--task", "1", "--tau", "20", "--delta-g", "0.1"]) == 0
+        payloads.append(json.loads(out.getvalue().split("\n", 1)[1]))
+    plain, with_ghost = payloads
+    for key in ("feasibility", "direct_check_delta", "eps_g", "certified"):
+        assert with_ghost[key] == plain[key]
+    assert with_ghost["alpha"] == plain["alpha"] + [[0.5, 0.5]]
+    assert [row[:2] for row in with_ghost["pi"]] == plain["pi"]
+    assert all(row[2] == 0.0 for row in with_ghost["pi"])

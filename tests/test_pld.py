@@ -311,3 +311,11 @@ def test_loss_sum_refuses_losses_past_the_float_range():
     assert near.delta(1e300) == 0.0
     with pytest.raises(ValueError, match="float range"):
         near.epsilon(0.0)
+
+
+def test_nan_delta_and_eps_are_refused():
+    loss_sum = LossSum(pld_from_pair(RR), pld_from_pair(RR))
+    for call in (lambda: optimal_epsilon(RR, math.nan), lambda: loss_sum.epsilon(math.nan),
+                 lambda: loss_sum.delta(math.nan), lambda: epsilon_for_delta(pld_from_pair(RR), math.nan)):
+        with pytest.raises(ValueError):
+            call()
