@@ -101,7 +101,7 @@ def cmd_check(args) -> int:
         ok = ok and rep.holds
     if len(model.mechanisms) >= 1:
         cj = comp.composed_joint(world, list(model.mechanisms), list(model.dependence))
-        worst = worst_pair(world, cj.matrix, eps=args.eps)
+        worst = cj.worst(world, eps=args.eps)  # the composition's law is checked once, when built
         comp_holds = worst.value <= args.delta + 1e-12
         reports["__composition__"] = {
             "holds": comp_holds,
@@ -165,11 +165,21 @@ def cmd_copula_sample(args) -> int:
     state = args.state or model.world.secrets[0]
     rng = np.random.default_rng(args.seed)
     out = psedr_samples(spec, state, rng, args.n)
-    lines = [_header(args, "copula-sample"), "z1,z2,u1,u2,v1,v2\n"]
-    for i in range(args.n):
-        lines.append(",".join(_fmt(float(out[k][i])) for k in ("z1", "z2", "u1", "u2", "v1", "v2")) + "\n")
+    lines = [_header(args, "copula-sample"), "z1,z2,u1,u2,v1,v2\n", *_sample_lines(out)]
     _emit(args, "".join(lines))
     return 0
+
+
+def _sample_lines(out) -> list[str]:
+    """One CSV line per sample, each number as ``_fmt`` writes it."""
+    cols = []
+    for k in ("z1", "z2", "u1", "u2", "v1", "v2"):
+        col = np.asarray(out[k], dtype=float)
+        text = list(map(repr, col.tolist()))
+        for i in np.flatnonzero(np.isinf(col)):  # the cells _fmt words instead
+            text[i] = _fmt(col.item(i))
+        cols.append(text)
+    return [",".join(row) + "\n" for row in zip(*cols)]
 
 
 def cmd_ic(args) -> int:

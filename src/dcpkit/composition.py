@@ -10,71 +10,88 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from functools import cached_property, reduce
 
 import numpy as np
 
+from . import config
 from .config import PROB_ATOL
-from .divergence import DistPair, hockey_stick, optimal_epsilon, tradeoff_curve, worst_pair
-from .model import DependenceGroup, MechanismKernel, World, composed_law, effective_kernel, lay_out, mix_kernel
+from .divergence import DistPair, Law, hockey_stick, tradeoff_curve, worst_pair
+from .model import (DependenceGroup, MechanismKernel, World, _freeze, composed_law, effective_kernel, lay_out,
+                    mix_kernel)
 from .pld import LossSum, _decompose, convolve, epsilon_for_delta, pld_from_pair
 
 
-@dataclass(frozen=True)
-class ComposedJoint:
+@dataclass(frozen=True, eq=False)
+class ComposedJoint(Law):
     """Joint output distribution b(.|s) over the product alphabet.
 
     ``matrix`` rows are secrets; columns enumerate the product alphabet in C
     order over the per-mechanism output indices given by ``dims``.
     """
 
-    matrix: np.ndarray
     dims: tuple[int, ...]
 
     def rows(self, s: int) -> np.ndarray:
         return self.matrix[s]
 
-    def pair(self, s0: int, s1: int) -> DistPair:
-        return DistPair(self.matrix[s0], self.matrix[s1])
+
+@dataclass(frozen=True, eq=False)
+class Composition:
+    """The laws of one composition, each built, checked and made read-only
+    on first use: the composed ``joint``, the effective kernels ``effs``,
+    each group's members and effective joint, and the ``product`` of the
+    ``effs`` (the dependence-ignoring joint).  ``joint`` and ``product``
+    keep each adjacent pair's loss profile once a bound asks for it."""
+
+    world: World
+    mechs: tuple[MechanismKernel, ...]
+    dependence: tuple[DependenceGroup, ...] = ()
+
+    @staticmethod
+    def of(world: World, mechs, dependence=()) -> "Composition":
+        """The value of these very objects under the current outcome cap: one
+        slot keeps the last, keyed on the ids of the objects (which it holds,
+        so no id can be reused) and on ``config.OUTCOME_CAP``."""
+        mechs, dependence = tuple(mechs), tuple(dependence)
+        key = (id(world), tuple(map(id, mechs)), tuple(map(id, dependence)), config.OUTCOME_CAP)
+        kept = _SLOT[0]  # read once: a caller on another thread may replace it
+        if kept is None or kept[0] != key:
+            kept = _SLOT[0] = (key, Composition(world, mechs, dependence))
+        return kept[1]
+
+    @cached_property
+    def joint(self) -> ComposedJoint:
+        return ComposedJoint(_freeze(composed_law(self.world, self.mechs, self.dependence)),
+                             tuple(m.n_outputs for m in self.mechs))
+
+    @cached_property
+    def effs(self) -> list[np.ndarray]:
+        return [effective_kernel(self.world, mech).matrix for mech in self.mechs]
+
+    @cached_property
+    def groups(self) -> list[tuple[tuple[int, ...], np.ndarray]]:
+        return [(g.members, _freeze(mix_kernel(self.world, g.joint_kernel))) for g in self.dependence]
+
+    @cached_property
+    def product(self) -> Law:
+        law = lay_out([((i,), eff) for i, eff in enumerate(self.effs)], tuple(eff.shape[1] for eff in self.effs))
+        return Law(_freeze(law))
+
+
+_SLOT: list[tuple[tuple, Composition] | None] = [None]  # the last (key, value) asked for
 
 
 def composed_joint(
     world: World, mechs: list[MechanismKernel], dependence: list[DependenceGroup] = ()
 ) -> ComposedJoint:
     """Mixture over datasets of the per-dataset product (or grouped) kernels."""
-    return ComposedJoint(matrix=composed_law(world, mechs, dependence),
-                         dims=tuple(m.n_outputs for m in mechs))
-
-
-class _Laws(NamedTuple):
-    """The per-secret laws of one composition, built once per call."""
-
-    joint: np.ndarray                                   # the composed joint
-    effs: list[np.ndarray]                              # each mechanism's effective kernel
-    groups: list[tuple[tuple[int, ...], np.ndarray]]    # each group's members and effective joint
-
-
-def _laws(world: World, mechs: list[MechanismKernel], dependence: list[DependenceGroup]) -> _Laws:
-    return _Laws(
-        composed_joint(world, mechs, dependence).matrix,
-        _effective_kernels(world, mechs),
-        [(g.members, mix_kernel(world, g.joint_kernel)) for g in dependence],
-    )
-
-
-def _effective_kernels(world: World, mechs: list[MechanismKernel]) -> list[np.ndarray]:
-    return [effective_kernel(world, mech).matrix for mech in mechs]
-
-
-def _product_law(effs: list[np.ndarray]) -> np.ndarray:
-    """Per-secret product of the effective marginals (rows = secrets)."""
-    return lay_out([((i,), eff) for i, eff in enumerate(effs)], tuple(eff.shape[1] for eff in effs))
+    return Composition.of(world, mechs, dependence).joint
 
 
 def product_pair(world: World, mechs: list[MechanismKernel], s0: int, s1: int) -> DistPair:
     """Product of the effective marginals: the dependence-ignoring joint."""
-    law = _product_law(_effective_kernels(world, mechs))
-    return DistPair(law[s0], law[s1])
+    return Composition.of(world, mechs).product.pair(s0, s1)
 
 
 def true_opt(
@@ -85,7 +102,7 @@ def true_opt(
     per_pair: bool = False,
 ):
     """Tightest epsilon of the actual composition at delta_g (max over adjacency)."""
-    worst = worst_pair(world, composed_joint(world, mechs, dependence).matrix, delta=delta_g)
+    worst = Composition.of(world, mechs, dependence).joint.worst(world, delta=delta_g)
     return (worst.value, worst.values) if per_pair else worst.value
 
 
@@ -96,11 +113,11 @@ def underline_opt(
     per_pair: bool = False,
 ):
     """Dependence-ignoring epsilon: optimal composition of the marginals alone."""
-    worst = worst_pair(world, _product_law(_effective_kernels(world, mechs)), delta=delta_g)
+    worst = Composition.of(world, mechs).product.worst(world, delta=delta_g)
     return (worst.value, worst.values) if per_pair else worst.value
 
 
-def _overline_loss(laws: _Laws, s0: int, s1: int) -> LossSum:
+def _overline_loss(value: Composition, s0: int, s1: int) -> LossSum:
     """The pushed-forward copula term plus the convolved marginal PLDs.
 
     The copula term (world + dependence losses) only pins down the loss
@@ -110,11 +127,8 @@ def _overline_loss(laws: _Laws, s0: int, s1: int) -> LossSum:
     factor and never convolved in.  The result is the accounting object
     behind the conservative bound.
     """
-    copula = _decompose(laws.joint, laws.effs, laws.groups, s0, s1).world_pld()
-    plds = [pld_from_pair(DistPair(eff[s0], eff[s1])) for eff in laws.effs]
-    marginals = plds[0]
-    for pld in plds[1:]:
-        marginals = convolve(marginals, pld)
+    copula = _decompose(value, s0, s1).world_pld()
+    marginals = reduce(convolve, [pld_from_pair(DistPair(eff[s0], eff[s1])) for eff in value.effs])
     return LossSum(copula, marginals)
 
 
@@ -126,10 +140,8 @@ def overline_opt(
     per_pair: bool = False,
 ):
     """Conservative epsilon: copula loss treated as one extra independent mechanism."""
-    laws = _laws(world, mechs, dependence)
-    vals = {}
-    for (s0, s1) in sorted(world.adjacency):
-        vals[(s0, s1)] = _overline_loss(laws, s0, s1).epsilon(delta_g)
+    value = Composition.of(world, mechs, dependence)
+    vals = {pair: _overline_loss(value, *pair).epsilon(delta_g) for pair in sorted(world.adjacency)}
     worst = max(vals.values())
     return (worst, vals) if per_pair else worst
 
@@ -161,28 +173,27 @@ def composition_report(
     delta_gs: list[float],
     eps_gs: list[float],
 ) -> CompositionReport:
-    laws = _laws(world, mechs, dependence)
-    prod_law = _product_law(laws.effs)
+    value = Composition.of(world, mechs, dependence)
+    joint, prod = value.joint, value.product
     opt_rows, dt_rows = [], []
     for (s0, s1) in sorted(world.adjacency):
-        joint_pair = DistPair(laws.joint[s0], laws.joint[s1])
-        prod = DistPair(prod_law[s0], prod_law[s1])
-        over = _overline_loss(laws, s0, s1)
+        joint_pair, prod_pair = joint.pair(s0, s1), prod.pair(s0, s1)
+        over = _overline_loss(value, s0, s1)
         for dg in delta_gs:
             opt_rows.append(
                 (s0, s1, dg,
-                 optimal_epsilon(prod, dg),
-                 optimal_epsilon(joint_pair, dg),
+                 prod.profile(s0, s1).epsilon(dg),
+                 joint.profile(s0, s1).epsilon(dg),
                  over.epsilon(dg))
             )
         for eg in eps_gs:
             dt_rows.append(
                 (s0, s1, eg,
-                 hockey_stick(prod, eg),
+                 hockey_stick(prod_pair, eg),
                  hockey_stick(joint_pair, eg),
                  over.delta(eg))
             )
-    basic = _basic_check(world, laws.effs, lambda: laws.joint, None, 1.0)
+    basic = basic_composition_check(world, mechs, dependence)
     return CompositionReport(
         opt_rows=opt_rows,
         dt_rows=dt_rows,
@@ -204,18 +215,11 @@ def basic_composition_check(
     grid; when no grid is given, each mechanism gets the tight delta at an
     equal split of ``eps_budget``.  The verdict evaluates the composed
     hockey-stick at the summed epsilon against the summed delta on every
-    adjacent pair.
+    adjacent pair; the composed joint is built only when that sum is finite.
     """
-    effs = _effective_kernels(world, mechs)
-    return _basic_check(world, effs, lambda: composed_joint(world, mechs, dependence).matrix,
-                        delta_is, eps_budget)
-
-
-def _basic_check(world: World, effs: list[np.ndarray], joint: Callable[[], np.ndarray],
-                 delta_is: list[float] | None, eps_budget: float) -> dict:
-    """``basic_composition_check`` on the effective kernels ``effs``; ``joint``
-    gives the composed joint, asked for only when the summed epsilon is finite."""
+    value = Composition.of(world, mechs, dependence)
     eps_list, delta_list = [], []
+    effs = value.effs
     for i, eff in enumerate(effs):
         if delta_is is not None:
             d_i = delta_is[i]
@@ -229,7 +233,7 @@ def _basic_check(world: World, effs: list[np.ndarray], joint: Callable[[], np.nd
     if math.isinf(eps_sum):
         return {"holds": True, "witness": None, "eps_sum": eps_sum, "delta_sum": delta_sum,
                 "per_mechanism": list(zip(eps_list, delta_list))}
-    worst = worst_pair(world, joint(), eps=eps_sum)
+    worst = value.joint.worst(world, eps=eps_sum)
     return {
         "holds": worst.value <= delta_sum + PROB_ATOL,
         "witness": (worst.pair, eps_sum, delta_sum, worst.value),
@@ -276,12 +280,11 @@ def tradeoff_dominance(
     there, which redundant mechanisms do produce), ``max_gap`` the largest
     amount it sits below.
     """
-    cj = composed_joint(world, mechs, dependence)
-    prod_law = _product_law(_effective_kernels(world, mechs))
+    value = Composition.of(world, mechs, dependence)
     worst_violation, worst_gap, worst_at = -math.inf, 0.0, None
     for (s0, s1) in sorted(world.adjacency):
-        joint_curve = tradeoff_curve(cj.pair(s0, s1))
-        prod_curve = tradeoff_curve(DistPair(prod_law[s0], prod_law[s1]))
+        joint_curve = tradeoff_curve(value.joint.pair(s0, s1))
+        prod_curve = tradeoff_curve(value.product.pair(s0, s1))
         grid = np.union1d(joint_curve.alphas, prod_curve.alphas)
         diff = joint_curve.beta(grid) - prod_curve.beta(grid)
         violation = float(diff.max())
@@ -301,10 +304,10 @@ def cel_compare(
     inference can never do worse, and the gap is the KL divergence between
     the two posterior families.
     """
-    cj = composed_joint(world, mechs, dependence)
+    value = Composition.of(world, mechs, dependence)
     prior = world.marginal_secret
-    b = cj.matrix                      # secrets x outcomes, true law
-    prod = _product_law(_effective_kernels(world, mechs))
+    b = value.joint.matrix             # secrets x outcomes, true law
+    prod = value.product.matrix
     # posteriors: columns normalized over secrets
     w_joint = b * prior[:, None]
     w_prod = prod * prior[:, None]

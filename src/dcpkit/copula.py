@@ -551,11 +551,20 @@ def mix_block_law(spec: GaussianCopulaSpec, world: World, terms, mu_ref: float |
         m1, m2 = _shift_pair(spec, etas[s], mu_ref)
         cond = world.conditional_dataset(s)
         dens = np.zeros_like(terms[0][0])
+        logs = []  # per dataset with mass: P(x|s) and the log-density on the grid
         for x, (base, t1, t2) in enumerate(terms):
             if cond[x] == 0.0:
                 continue
-            dens += cond[x] * np.exp(base + _coupled_log_density(spec, t1, t2, m1, m2))
-        laws.append((dens / dens.sum()).ravel())
+            logs.append((cond[x], base + _coupled_log_density(spec, t1, t2, m1, m2)))
+            dens += cond[x] * np.exp(logs[-1][1])
+        total = dens.sum()
+        if total == 0.0:
+            # every cell underflowed (a correlation within ~1e-9 of +-1): shift
+            # each log-density by the row's largest, which then reads e^0 = 1
+            top = max(float(log_d.max()) for _, log_d in logs)
+            dens = sum(c * np.exp(log_d - top) for c, log_d in logs)
+            total = dens.sum()
+        laws.append((dens / total).ravel())
     return np.array(laws)
 
 

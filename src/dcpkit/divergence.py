@@ -66,6 +66,51 @@ def total_variation(pair: DistPair) -> float:
     return hockey_stick(pair, 0.0)
 
 
+class LossProfile:
+    """The privacy profile of one pair, built once to be asked at many delta:
+    its p-mass at +inf, delta(0), and its positive losses merged and sorted,
+    with their masses and the profile at each (the breakpoints)."""
+
+    def __init__(self, pair: DistPair):
+        p, q = pair.p, pair.q
+        self.inf_mass = float(p[(q == 0.0) & (p > 0.0)].sum())
+        both = (p > 0.0) & (q > 0.0)
+        losses = np.log(p[both]) - np.log(q[both])
+        masses = p[both]
+        # only atoms with positive loss contribute for eps >= 0
+        pos = losses > 0.0
+        losses, masses = losses[pos], masses[pos]
+        self.delta0 = self.inf_mass + float((masses * (1.0 - np.exp(-losses))).sum())
+        # merge duplicate losses, sort ascending
+        order = np.argsort(losses)
+        losses, masses = losses[order], masses[order]
+        first = np.ones(losses.size, dtype=bool)
+        first[1:] = losses[1:] != losses[:-1]
+        uniq = losses[first]
+        umass = np.zeros_like(uniq)
+        np.add.at(umass, np.cumsum(first) - 1, masses)
+        # profile at each breakpoint: atoms strictly above it still contribute
+        strict_mass = np.concatenate([np.cumsum(umass[::-1])[::-1][1:], [0.0]])
+        strict_b = np.concatenate([np.cumsum((umass * np.exp(-uniq))[::-1])[::-1][1:], [0.0]])
+        self.losses, self.masses = uniq, umass
+        self.deltas = self.inf_mass + strict_mass - strict_b * np.exp(uniq)
+
+    def epsilon(self, delta: float) -> float:
+        """``optimal_epsilon`` of the pair at ``delta``."""
+        if not 0.0 <= delta <= 1.0:
+            raise ValueError(f"delta must lie in [0, 1], got {delta}")
+        if self.delta0 <= delta:
+            return 0.0
+        if self.inf_mass > delta:
+            return math.inf
+        j = int(np.searchsorted(-self.deltas, -delta))  # first breakpoint with profile <= delta
+        # segment (l_{j-1}, l_j]: active atoms are those with loss >= l_j
+        a = self.inf_mass + float(self.masses[j:].sum())
+        b = float((self.masses[j:] * np.exp(-self.losses[j:])).sum())
+        eps = math.log((a - delta) / b)
+        return float(max(eps, 0.0))
+
+
 def optimal_epsilon(pair: DistPair, delta: float) -> float:
     """Smallest eps >= 0 with hockey_stick(pair, eps) <= delta.
 
@@ -74,42 +119,7 @@ def optimal_epsilon(pair: DistPair, delta: float) -> float:
     found on the sorted log-ratio breakpoints by solving ``A - B e^eps =
     delta`` on the bracketing segment; no iterative search is involved.
     """
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError(f"delta must lie in [0, 1], got {delta}")
-    p, q = pair.p, pair.q
-    inf_mass = float(p[(q == 0.0) & (p > 0.0)].sum())
-
-    both = (p > 0.0) & (q > 0.0)
-    losses = np.log(p[both]) - np.log(q[both])
-    masses = p[both]
-    # only atoms with positive loss contribute for eps >= 0
-    pos = losses > 0.0
-    losses, masses = losses[pos], masses[pos]
-
-    delta0 = inf_mass + float((masses * (1.0 - np.exp(-losses))).sum())
-    if delta0 <= delta:
-        return 0.0
-    if inf_mass > delta:
-        return math.inf
-
-    # merge duplicate losses, sort ascending
-    order = np.argsort(losses)
-    losses, masses = losses[order], masses[order]
-    uniq, inverse = np.unique(losses, return_inverse=True)
-    umass = np.zeros_like(uniq)
-    np.add.at(umass, inverse, masses)
-
-    # profile at each breakpoint: atoms strictly above it still contribute
-    strict_mass = np.concatenate([np.cumsum(umass[::-1])[::-1][1:], [0.0]])
-    strict_b = np.concatenate([np.cumsum((umass * np.exp(-uniq))[::-1])[::-1][1:], [0.0]])
-    delta_bp = inf_mass + strict_mass - strict_b * np.exp(uniq)
-
-    j = int(np.searchsorted(-delta_bp, -delta))  # first breakpoint with profile <= delta
-    # segment (l_{j-1}, l_j]: active atoms are those with loss >= l_j
-    a = inf_mass + float(umass[j:].sum())
-    b = float((umass[j:] * np.exp(-uniq[j:])).sum())
-    eps = math.log((a - delta) / b)
-    return float(max(eps, 0.0))
+    return LossProfile(pair).epsilon(delta)
 
 
 class WorstPair(NamedTuple):
@@ -121,6 +131,46 @@ class WorstPair(NamedTuple):
     values: dict[tuple[int, int], float]
 
 
+@dataclass(frozen=True, eq=False)
+class Law:
+    """A per-secret law (rows = secrets), checked once, and the loss profile
+    of each pair once asked for.  Pairs are its rows clipped at 0 and cut to
+    their live outcomes, as ``DistPair`` makes them."""
+
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        _check_rows_stochastic(self.matrix, "per-secret law")
+        # clipping leaves rows without a sign bit as they are: share them
+        rows = np.clip(self.matrix, 0.0, None) if np.signbit(self.matrix).any() else self.matrix
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_profiles", {})
+
+    def pair(self, s0: int, s1: int) -> DistPair:
+        return _keep_live(object.__new__(DistPair), self._rows[s0], self._rows[s1])
+
+    def profile(self, s0: int, s1: int) -> LossProfile:
+        if (s0, s1) not in self._profiles:
+            self._profiles[(s0, s1)] = LossProfile(self.pair(s0, s1))
+        return self._profiles[(s0, s1)]
+
+    def worst(self, world: World, *, eps: float | None = None,
+              delta: float | None = None) -> WorstPair:
+        """``worst_pair`` of this law."""
+        if (eps is None) == (delta is None):
+            raise ValueError("give exactly one of eps and delta")
+        pairs = sorted(world.adjacency)
+        if not pairs:
+            raise ValueError("nothing to certify: world has an empty adjacency relation")
+        values = {
+            (s0, s1): hockey_stick(self.pair(s0, s1), eps) if delta is None
+            else self.profile(s0, s1).epsilon(delta)
+            for (s0, s1) in pairs
+        }
+        first = max(values, key=values.__getitem__)
+        return WorstPair(values[first], first, values)
+
+
 def worst_pair(world: World, law: np.ndarray, *, eps: float | None = None,
                delta: float | None = None) -> WorstPair:
     """Worst adjacent pair of a per-secret outcome law (rows = secrets).
@@ -129,22 +179,7 @@ def worst_pair(world: World, law: np.ndarray, *, eps: float | None = None,
     ``delta`` its tight epsilon at delta.  Pairs are taken in sorted order
     and the first one reaching the maximum wins ties.
     """
-    if (eps is None) == (delta is None):
-        raise ValueError("give exactly one of eps and delta")
-    pairs = sorted(world.adjacency)
-    if not pairs:
-        raise ValueError("nothing to certify: world has an empty adjacency relation")
-    law = np.asarray(law, dtype=float)
-    _check_rows_stochastic(law, "per-secret law")
-    law = np.clip(law, 0.0, None)
-    pair = lambda s0, s1: _keep_live(object.__new__(DistPair), law[s0], law[s1])
-    values = {
-        (s0, s1): hockey_stick(pair(s0, s1), eps) if delta is None
-        else optimal_epsilon(pair(s0, s1), delta)
-        for (s0, s1) in pairs
-    }
-    first = max(values, key=values.__getitem__)
-    return WorstPair(values[first], first, values)
+    return Law(np.asarray(law, dtype=float)).worst(world, eps=eps, delta=delta)
 
 
 def bisect_monotone(pred: Callable[[float], bool], lo: float, hi: float, *,
@@ -223,10 +258,17 @@ def _np_sweep(a: np.ndarray, b: np.ndarray, b_from: float) -> tuple[np.ndarray, 
     """
     with np.errstate(divide="ignore"):
         ratio = np.where(a > 0.0, b / np.where(a > 0.0, a, 1.0), np.inf)
-    order = np.argsort(-ratio, kind="stable")
+    order = np.argsort(-ratio)
     ratio = ratio[order]
-    starts = np.flatnonzero(np.concatenate(([True], ratio[1:] != ratio[:-1])))
+    first = np.concatenate(([True], ratio[1:] != ratio[:-1]))
     del ratio
+    # that sort leaves each tie group in any order; sorting the keys (group,
+    # outcome) puts every group in outcome order, as a stable sort would
+    group = (np.cumsum(first) - 1) * first.size
+    key = group + order
+    key.sort()
+    order = key - group
+    starts = np.flatnonzero(first)
     # reduceat adds a group's first entry to the pairwise sum of the rest; a
     # zero put ahead of each group makes it sum the group as ``.sum()`` does
     padded = starts + np.arange(starts.size)

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .composition import composed_joint
-from .divergence import bisect_monotone, worst_pair
+from .composition import Composition
+from .divergence import Law, bisect_monotone, worst_pair
 from .model import DependenceGroup, MechanismKernel, World
 
 LOG_FLOOR = 1e-12
@@ -77,15 +77,15 @@ def joint_with_alpha(
     dataset channel, so the joint given s is the outer product of the
     composed row with alpha's row.
     """
-    return _with_alpha(_composed_law(world, mechs, dependence), alpha)
+    return _with_alpha(_composed_law(world, mechs, dependence).matrix, alpha)
 
 
 def _composed_law(world: World, mechs: list[MechanismKernel],
-                  dependence: list[DependenceGroup]) -> np.ndarray:
-    """The composed joint's rows, or one sure outcome without mechanisms."""
+                  dependence: list[DependenceGroup]) -> Law:
+    """The composed joint, or one sure outcome without mechanisms."""
     if mechs:
-        return composed_joint(world, mechs, dependence).matrix
-    return np.ones((len(world.secrets), 1))
+        return Composition.of(world, mechs, dependence).joint
+    return Law(np.ones((len(world.secrets), 1)))
 
 
 def _with_alpha(b: np.ndarray, alpha: np.ndarray | None) -> np.ndarray:
@@ -373,7 +373,7 @@ def solve_task1(problem: IcProblem) -> IcSolution:
         raise ValueError("task 1 needs a fixed tau_g")
     tau_g, delta_g, m = problem.tau_g, problem.delta_g, problem.alpha_size
     rng = np.random.default_rng(problem.seed)
-    b_all = _composed_law(problem.world, problem.mechs, problem.dependence)
+    b_all = _composed_law(problem.world, problem.mechs, problem.dependence).matrix
     world, keep = _positive_prior(problem.world)
     prior = world.marginal_secret
     n_s = len(world.secrets)
@@ -440,7 +440,7 @@ def solve_task1(problem: IcProblem) -> IcSolution:
     alpha_all[keep] = alpha
     law = _with_alpha(b_all, alpha_all)
     post, _, live = _posterior(problem.world, law)
-    return _certified_solution(problem, alpha_all, tau_g, law, post, live,
+    return _certified_solution(problem, alpha_all, tau_g, Law(law), post, live,
                                {"prescreen_prior_feasible": prescreen.feasible})
 
 
@@ -464,8 +464,8 @@ def solve_task2(problem: IcProblem) -> IcSolution:
     world, mechs, dependence = problem.world, problem.mechs, problem.dependence
     delta_g = problem.delta_g
     alpha = np.ones((len(world.secrets), 1))
-    law = joint_with_alpha(world, mechs, dependence, alpha)
-    post, _, live = _posterior(world, law)
+    law = _composed_law(world, mechs, dependence)  # joined with a constant alpha it is itself
+    post, _, live = _posterior(world, law.matrix)
     prior, rows = _on_support(world, post[live])
     with np.errstate(divide="ignore"):  # pi = 0 on a positive-prior secret: no finite tau
         tau = max(1.0, float((prior / rows).max()))
@@ -478,7 +478,7 @@ def solve_task2(problem: IcProblem) -> IcSolution:
     return _certified_solution(problem, alpha, tau, law, post, live, {})
 
 
-def _certified_solution(problem: IcProblem, alpha: np.ndarray, tau_g: float, law: np.ndarray,
+def _certified_solution(problem: IcProblem, alpha: np.ndarray, tau_g: float, law: Law,
                         post: np.ndarray, live: np.ndarray, diagnostics: dict) -> IcSolution:
     """Certify from scratch at tau_g: constraint residuals of the exact
     posterior ``post`` under ``law`` (the composition joined with
@@ -486,7 +486,7 @@ def _certified_solution(problem: IcProblem, alpha: np.ndarray, tau_g: float, law
     world = problem.world
     report = pi_feasible(post, world, tau_g, problem.delta_g, live)
     eps_g = epsilon_of_tau(tau_g, world)
-    direct = worst_pair(world, law, eps=eps_g).value
+    direct = law.worst(world, eps=eps_g).value
     return IcSolution(
         alpha=alpha,
         pi=post,
@@ -495,7 +495,7 @@ def _certified_solution(problem: IcProblem, alpha: np.ndarray, tau_g: float, law
         feasibility=report.max_residual,
         certified=report.max_residual <= 1e-6 and direct <= problem.delta_g + 1e-6,
         direct_check_delta=direct,
-        loss_value=_spsr_loss(post, world, law, problem.loss),
+        loss_value=_spsr_loss(post, world, law.matrix, problem.loss),
         diagnostics={**diagnostics, "residuals": report, "live_outcomes": int(live.sum())},
     )
 

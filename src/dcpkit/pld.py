@@ -18,7 +18,7 @@ import numpy as np
 from . import config
 from .config import PROB_ATOL
 from .divergence import DistPair
-from .model import DependenceGroup, MechanismKernel, World, composed_law, effective_kernel, lay_out, mix_kernel
+from .model import DependenceGroup, MechanismKernel, World, lay_out
 
 # losses closer than this are merged into one atom (mass-weighted mean)
 MERGE_ATOL = 1e-12
@@ -283,19 +283,17 @@ def decompose_plrv(
     dependence + independent is a genuine floating-point check rather than
     a definition.
     """
+    from .composition import Composition  # composition builds on this module
+
     if (s0, s1) not in world.adjacency:
         raise ValueError(f"({s0},{s1}) is not an adjacent pair")
-    joint = composed_law(world, mechs, dependence)
-    effs = [effective_kernel(world, m).matrix for m in mechs]
-    groups = [(g.members, mix_kernel(world, g.joint_kernel)) for g in dependence]
-    return _decompose(joint, effs, groups, s0, s1)
+    return _decompose(Composition.of(world, mechs, dependence), s0, s1)
 
 
-def _decompose(joint: np.ndarray, effs: list[np.ndarray], groups: list[tuple[tuple[int, ...], np.ndarray]],
-               s0: int, s1: int) -> PlrvDecomposition:
-    """``decompose_plrv`` from the laws already built: the composed joint, each
-    mechanism's effective kernel, each dependence group's members and law."""
-    b0, b1 = joint[s0], joint[s1]
+def _decompose(value, s0: int, s1: int) -> PlrvDecomposition:
+    """``decompose_plrv`` of a ``composition.Composition``."""
+    effs, groups = value.effs, value.groups
+    b0, b1 = value.joint.matrix[s0], value.joint.matrix[s1]
     dims = tuple(eff.shape[1] for eff in effs)
     rows = [s0, s1]
 

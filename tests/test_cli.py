@@ -242,3 +242,40 @@ def test_bad_cli_numbers_exit_2_before_any_output(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: argument" in captured.err and "Traceback" not in captured.err
+
+
+# --------------------------------------------------- copula-sample formatting
+
+SAMPLE_COLUMNS = ("z1", "z2", "u1", "u2", "v1", "v2")
+
+
+def per_cell_lines(out, n):
+    """The per-cell loop ``copula-sample`` wrote its rows with, kept as the
+    reference for the column-wise formatting."""
+    from dcpkit.cli import _fmt
+
+    return [",".join(_fmt(float(out[k][i])) for k in SAMPLE_COLUMNS) + "\n" for i in range(n)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 9, 2024])
+def test_copula_sample_bytes_match_the_per_cell_loop(seed, capsys):
+    import numpy as np
+
+    from dcpkit.cli import _sample_lines
+    from dcpkit.copula import copula_spec_from_mapping, psedr_samples
+    from dcpkit.model import adjacency_labels, load_model
+
+    model = load_model(MIXING)
+    spec = copula_spec_from_mapping(model.copula, adjacency_labels(model.world))
+    for state in model.world.secrets:
+        assert run(["--model", MIXING, "--seed", str(seed), "copula-sample", "-n", "400", "--state", state]) == 0
+        body = capsys.readouterr().out.split("\n", 2)[2]
+        out = psedr_samples(spec, state, np.random.default_rng(seed), 400)
+        assert body == "".join(per_cell_lines(out, 400))
+    # a column forced to hold the cells _fmt words, next to NaN and -0.0
+    rng = np.random.default_rng(seed)
+    forced = {k: rng.standard_normal(64) for k in SAMPLE_COLUMNS}
+    cells = rng.choice(64, size=12, replace=False)
+    forced["v2"][cells] = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e308] * 2
+    forced["z1"] = forced["z1"].astype(np.float32)  # narrower samples write as floats too
+    assert _sample_lines(forced) == per_cell_lines(forced, 64)

@@ -1,9 +1,13 @@
 import contextlib
+import gc
 import io
 import json
 import math
 import pathlib
+import sys
+import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -515,21 +519,157 @@ def test_zero_prior_secret_leaves_the_ic_certificate_alone(tmp_path):
 def test_report_and_bounds_build_each_law_once(monkeypatch):
     model = load_model(DEMOS / "dependent_pair.json")  # two ordered pairs and a group
     world, mechs, dependence = model.world, list(model.mechanisms), list(model.dependence)
-    joints, effs, mixes = [], [], []
-    build, eff, mix = comp.composed_joint, model_layer.effective_kernel, model_layer.mix_kernel
-    monkeypatch.setattr(comp, "composed_joint", lambda *a: joints.append(1) or build(*a))
-    for mod in (model_layer, pld_layer, comp):
-        monkeypatch.setattr(mod, "effective_kernel", lambda w, m: effs.append(m.name) or eff(w, m))
-        monkeypatch.setattr(mod, "mix_kernel", lambda w, k: mixes.append(id(k)) or mix(w, k))
-    calls = [
-        lambda: comp.composition_report(world, mechs, dependence, [0.0, 0.02], [0.5, 1.0]),
-        lambda: comp.overline_opt(world, mechs, dependence, 0.02),
-        lambda: comp.basic_composition_check(world, mechs, dependence),
-    ]
-    for call in calls:
-        for counted in (joints, effs, mixes):
-            counted.clear()
-        call()
-        assert len(joints) == 1
-        assert sorted(effs) == sorted(m.name for m in mechs)
-        assert mixes.count(id(dependence[0].joint_kernel)) == (0 if call is calls[2] else 1)
+    joints, effs, mixes, _ = _count_builds(monkeypatch)
+    # the basic check asks for the joint only, the group law not at all
+    comp.basic_composition_check(world, mechs, dependence)
+    assert (len(joints), sorted(effs), mixes) == (1, sorted(m.name for m in mechs), [])
+    comp.composition_report(world, mechs, dependence, [0.0, 0.02], [0.5, 1.0])
+    comp.overline_opt(world, mechs, dependence, 0.02)
+    comp.true_opt(world, mechs, dependence, 0.02)
+    decompose_plrv(world, mechs, dependence, 0, 1)
+    assert (len(joints), sorted(effs)) == (1, sorted(m.name for m in mechs))
+    assert mixes == [id(dependence[0].joint_kernel)]
+
+
+# ------------------------------------------------- one Composition value per composition
+
+
+def _count_builds(monkeypatch):
+    """Empty the composition slot and count, in the composition layer, the
+    joint builds, the product-law layouts, the effective kernels by mechanism
+    name and the group laws by kernel id."""
+    monkeypatch.setattr(comp, "_SLOT", [None])
+    joints, layouts, effs, mixes = [], [], [], []
+    build, lay, eff, mix = comp.composed_law, comp.lay_out, comp.effective_kernel, comp.mix_kernel
+    monkeypatch.setattr(comp, "composed_law", lambda *a: joints.append(1) or build(*a))
+    monkeypatch.setattr(comp, "lay_out", lambda *a: layouts.append(1) or lay(*a))
+    monkeypatch.setattr(comp, "effective_kernel", lambda w, m: effs.append(m.name) or eff(w, m))
+    monkeypatch.setattr(comp, "mix_kernel", lambda w, k: mixes.append(id(k)) or mix(w, k))
+    return joints, effs, mixes, layouts
+
+
+def _random_instance(rng, n_secrets=2, n_datasets=3, dims=(4, 4, 4, 3)):
+    world = _world(rng.dirichlet(np.ones(n_secrets * n_datasets)).reshape(n_secrets, n_datasets))
+    repeated = MechanismKernel("r", tuple(map(str, range(dims[0]))),
+                               rng.dirichlet(np.ones(dims[0]), size=n_datasets))
+    mechs = [repeated if n == dims[0] else
+             MechanismKernel(f"m{i}", tuple(map(str, range(n))), rng.dirichlet(np.ones(n), size=n_datasets))
+             for i, n in enumerate(dims)]
+    return world, mechs
+
+
+def test_one_instance_asked_many_bounds_builds_each_law_once(monkeypatch):
+    # the large-alphabet benchmark operation: the joint, the true and the
+    # dependence-ignoring epsilon at three deltas, the worst-pair ROC, a
+    # trade-off curve, trade-off dominance and the IC task-2 bound
+    from dcpkit import divergence, ic
+    from dcpkit.audit import worst_pair_roc
+    from dcpkit.divergence import tradeoff_curve, worst_pair
+
+    world, mechs = _random_instance(np.random.default_rng(41), n_secrets=3)
+    joints, effs, mixes, layouts = _count_builds(monkeypatch)
+    profiles = []
+
+    class CountedProfile(divergence.LossProfile):
+        def __init__(self, pair):
+            profiles.append(1)
+            super().__init__(pair)
+
+    monkeypatch.setattr(divergence, "LossProfile", CountedProfile)
+    deltas = (0.0, 0.01, 0.05)
+    cj = comp.composed_joint(world, mechs, [])
+    true = [comp.true_opt(world, mechs, [], d, per_pair=True) for d in deltas]
+    under = [comp.underline_opt(world, mechs, d, per_pair=True) for d in deltas]
+    roc, pair = worst_pair_roc(world, cj.matrix)
+    tradeoff_curve(cj.pair(*pair))
+    comp.tradeoff_dominance(world, mechs, [])
+    ic.solve_task2(ic.IcProblem(world=world, mechs=mechs, delta_g=0.05))
+    assert (len(joints), len(layouts), mixes) == (1, 1, [])  # the product law is the one layout here
+    assert sorted(effs) == sorted(m.name for m in mechs)
+    assert len(profiles) == 2 * len(world.adjacency)  # one per pair of the joint and of the product
+    # the same answers as the laws built afresh
+    joint = model_layer.composed_law(world, mechs)
+    product = model_layer.lay_out([((i,), effective_kernel(world, m).matrix) for i, m in enumerate(mechs)],
+                                  tuple(m.n_outputs for m in mechs))
+    assert np.array_equal(cj.matrix, joint)
+    for d, t, u in zip(deltas, true, under):
+        assert t == worst_pair(world, joint, delta=d)[::2]
+        assert u == worst_pair(world, product, delta=d)[::2]
+
+
+def test_new_objects_are_never_served_the_previous_law(monkeypatch):
+    monkeypatch.setattr(comp, "_SLOT", [None])
+    rng = np.random.default_rng(42)
+    kept = []
+    for _ in range(6):
+        world, mechs = _random_instance(rng, dims=(3, 3, 2))
+        expect = model_layer.composed_law(world, mechs)
+        assert np.array_equal(comp.composed_joint(world, mechs).matrix, expect)
+        # the previous round's objects were dropped by their caller; the slot
+        # kept them alive, so no id in its key could be reused, until now
+        gc.collect()
+        assert all(ref() is None for ref in kept)
+        # the same objects in another order compose another law
+        swapped = [mechs[2], mechs[0], mechs[1]]
+        assert np.array_equal(comp.composed_joint(world, swapped).matrix,
+                              model_layer.composed_law(world, swapped))
+        # equal numbers in new objects are a new composition, built anew
+        twin = World(world.secrets, world.datasets, world.joint.copy(), world.adjacency)
+        assert comp.Composition.of(twin, mechs) is not comp.Composition.of(world, mechs)
+        assert np.array_equal(comp.composed_joint(twin, mechs).matrix, expect)
+        assert np.array_equal(comp.composed_joint(world, mechs).matrix, expect)
+        kept = [weakref.ref(obj) for obj in (world, *mechs)]
+        del world, mechs, swapped, twin
+        gc.collect()
+        assert all(ref() is not None for ref in kept)
+
+
+def test_threads_asking_about_their_own_compositions_get_their_own_laws(monkeypatch):
+    monkeypatch.setattr(comp, "_SLOT", [None])
+    rng = np.random.default_rng(44)
+    instances = [_random_instance(rng, dims=(2, 3)) for _ in range(4)]  # more threads than cores
+    wrong = []
+    start = threading.Barrier(len(instances))
+
+    def ask(world, mechs, expect):
+        start.wait(timeout=60)
+        for _ in range(2000):
+            if not np.array_equal(comp.composed_joint(world, mechs).matrix, expect):
+                wrong.append(id(world))
+
+    threads = [threading.Thread(target=ask, args=(w, m, model_layer.composed_law(w, m))) for w, m in instances]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+def test_a_law_cached_under_a_large_cap_is_refused_under_a_lower_one(monkeypatch):
+    monkeypatch.setattr(comp, "_SLOT", [None])
+    world, mechs = _random_instance(np.random.default_rng(43), dims=(4, 4, 4))
+    comp.composed_joint(world, mechs)
+    comp.true_opt(world, mechs, [], 0.0)
+    monkeypatch.setattr(config, "OUTCOME_CAP", 63)
+    for call in (lambda: comp.composed_joint(world, mechs), lambda: comp.true_opt(world, mechs, [], 0.0),
+                 lambda: comp.tradeoff_dominance(world, mechs)):
+        with pytest.raises(ValueError, match="cap"):
+            call()
+
+
+def test_cached_arrays_are_read_only():
+    model = load_model(DEMOS / "dependent_pair.json")
+    world, mechs, dependence = model.world, list(model.mechanisms), list(model.dependence)
+    value = comp.Composition.of(world, mechs, dependence)
+    arrays = [comp.composed_joint(world, mechs, dependence).matrix, value.joint.matrix,
+              value.product.matrix, *value.effs, *(law for _, law in value.groups)]
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 0.5

@@ -8,6 +8,8 @@ from dcpkit.audit import lr_attack_roc
 from dcpkit.composition import composed_joint
 from dcpkit.divergence import (
     DistPair,
+    LossProfile,
+    _np_sweep,
     bisect_monotone,
     check_dcp,
     hockey_stick,
@@ -291,6 +293,102 @@ def test_sweep_matches_reference_loop():
             fpr, tpr = 1.0 - tpr[::-1], 1.0 - fpr[::-1]
         np.testing.assert_allclose(roc.fpr, fpr, rtol=0, atol=1e-15)
         np.testing.assert_allclose(roc.tpr, tpr, rtol=0, atol=1e-15)
+
+
+def stable_sweep(a, b, b_from):
+    """The sweep as it was with one stable sort, kept as the reference for
+    the unstable sort plus the (group, outcome) key sort."""
+    with np.errstate(divide="ignore"):
+        ratio = np.where(a > 0.0, b / np.where(a > 0.0, a, 1.0), np.inf)
+    order = np.argsort(-ratio, kind="stable")
+    ratio = ratio[order]
+    starts = np.flatnonzero(np.concatenate(([True], ratio[1:] != ratio[:-1])))
+    padded = starts + np.arange(starts.size)
+    a_steps, b_steps = (np.add.reduceat(np.insert(v[order], starts, 0.0), padded) for v in (a, b))
+    a_run = np.concatenate(([0.0], np.cumsum(a_steps)))
+    b_run = np.subtract.accumulate(np.concatenate(([b_from], b_steps if b_from else -b_steps)))
+    vertex = np.concatenate(([True], a_run[1:] > a_run[:-1]))
+    ends = np.append(np.flatnonzero(vertex)[1:] - 1, a_run.size - 1)
+    a_run, b_run = a_run[vertex], np.maximum(b_run[ends], 0.0)
+    a_run[-1], b_run[-1] = 1.0, 1.0 - b_from
+    return a_run, b_run
+
+
+def reference_optimal_epsilon(pair, delta):
+    """``optimal_epsilon`` as it was in one piece, with ``np.unique``'s second
+    sort; kept as the reference for the split build and query."""
+    if not 0.0 <= delta <= 1.0:
+        raise ValueError(f"delta must lie in [0, 1], got {delta}")
+    p, q = pair.p, pair.q
+    inf_mass = float(p[(q == 0.0) & (p > 0.0)].sum())
+    both = (p > 0.0) & (q > 0.0)
+    losses = np.log(p[both]) - np.log(q[both])
+    masses = p[both]
+    pos = losses > 0.0
+    losses, masses = losses[pos], masses[pos]
+    delta0 = inf_mass + float((masses * (1.0 - np.exp(-losses))).sum())
+    if delta0 <= delta:
+        return 0.0
+    if inf_mass > delta:
+        return math.inf
+    order = np.argsort(losses)
+    losses, masses = losses[order], masses[order]
+    uniq, inverse = np.unique(losses, return_inverse=True)
+    umass = np.zeros_like(uniq)
+    np.add.at(umass, inverse, masses)
+    strict_mass = np.concatenate([np.cumsum(umass[::-1])[::-1][1:], [0.0]])
+    strict_b = np.concatenate([np.cumsum((umass * np.exp(-uniq))[::-1])[::-1][1:], [0.0]])
+    delta_bp = inf_mass + strict_mass - strict_b * np.exp(uniq)
+    j = int(np.searchsorted(-delta_bp, -delta))
+    a = inf_mass + float(umass[j:].sum())
+    b = float((umass[j:] * np.exp(-uniq[j:])).sum())
+    eps = math.log((a - delta) / b)
+    return float(max(eps, 0.0))
+
+
+def oracle_pairs(rng):
+    """Tie-heavy pairs: one kernel repeated 2-6 times, random pairs with
+    duplicated outcomes, dead outcomes and one-sided (infinite-ratio) ones."""
+    pairs = list(tie_heavy_pairs())
+    for _ in range(40):
+        p, q = random_dist_pair(rng)
+        p[rng.random(p.size) < 0.2] = 0.0  # q-only outcomes, and dead ones where q is cut too
+        q[rng.random(q.size) < 0.2] = 0.0  # p-only outcomes: infinite ratios
+        if p.sum() == 0.0 or q.sum() == 0.0:
+            continue
+        p, q = p / p.sum(), q / q.sum()
+        dup = rng.integers(0, p.size, size=2 * p.size)  # repeated outcomes tie exactly
+        pairs.append(DistPair(np.concatenate([p, p[dup]]) / (1 + p[dup].sum()),
+                              np.concatenate([q, q[dup]]) / (1 + q[dup].sum())))
+    return pairs
+
+
+def test_sweep_order_equals_the_stable_sort_bit_for_bit():
+    rng = np.random.default_rng(16)
+    vectors = [(pr.p, pr.q) for pr in oracle_pairs(rng)]
+    # raw vectors as no DistPair leaves them: signed zeros and dead outcomes
+    a = np.array([0.2, -0.0, 0.0, 0.3, 0.0, 0.2, 0.3, 0.0])
+    b = np.array([0.1, 0.25, -0.0, 0.15, 0.0, 0.1, 0.15, 0.25])
+    vectors += [(a, b), (b, a), (np.abs(a), b)]
+    vectors.append((np.full(4, 0.25), np.array([-0.0, 0.5, 0.0, 0.5])))  # ratios -0.0 and 0.0 tie
+    for a, b in vectors:
+        for x, y, b_from in ((a, b, 1.0), (b, a, 0.0)):
+            got, want = _np_sweep(x, y, b_from), stable_sweep(x, y, b_from)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_loss_profile_equals_one_piece_optimal_epsilon():
+    rng = np.random.default_rng(17)
+    for pair in oracle_pairs(rng):
+        profile = LossProfile(pair)
+        deltas = [0.0, 1.0, profile.delta0, profile.inf_mass, *np.linspace(0.0, 1.0, 23),
+                  *profile.deltas, *np.nextafter(profile.deltas, 1.0)]
+        deltas = [float(min(max(d, 0.0), 1.0)) for d in deltas]
+        rng.shuffle(deltas)  # the one profile answers in any order
+        for delta in deltas:
+            want = reference_optimal_epsilon(pair, delta)
+            assert profile.epsilon(delta) == want
+            assert optimal_epsilon(pair, delta) == want
 
 
 # ---------------------------------------------------- monotone bisection

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from dcpkit.copula import (
     GaussianCopulaSpec,
@@ -135,6 +135,32 @@ def test_block_law_steps_equal_one_shot_law():
         law, h1, h2 = coupled_block_law(spec, world, maps, bins=13)
         assert np.array_equal(law, want)
         assert all(np.array_equal(a, b) for a, b in ((g1, w1), (g2, w2), (h1, w1), (h2, w2)))
+
+
+def test_block_law_rows_stay_finite_when_every_cell_underflows():
+    # at eps_c <= 1e-4 the effective correlation is within 1e-9 of -1 and
+    # every cell's coupled density underflows to 0; the rows are then
+    # normalized in the log domain
+    world = mixing_world(0.3)
+    maps = ((0.0, 1.0, 0.0, 1.0), (0.0, 1.0, 1.0, 0.0))
+    xi1, xi2 = LaplaceMarginal(0.7), GaussianMarginal(1.3)
+    _, _, terms = block_grid(xi1, xi2, world, maps, bins=13)
+    for eps_c in (1e-4, 1e-5, 1e-6):
+        spec = GaussianCopulaSpec(rho=-0.4, eta={"s0": 0.0, "s1": 1.0}, eps_c=eps_c,
+                                  delta_c=0.02, w=2.0 * math.log(100.0), xi1=xi1, xi2=xi2)
+        with np.errstate(divide="raise", invalid="raise"):  # no 0/0, no NaN
+            law = mix_block_law(spec, world, terms)
+        assert np.all(np.isfinite(law))
+        assert np.allclose(law.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        # oracle: log-sum-exp over the datasets, then over the cells
+        etas = np.array([0.0, 1.0])
+        for s in range(2):
+            m1, m2 = _shift_pair(spec, etas[s], float(etas.mean()))
+            cond = world.conditional_dataset(s)
+            logs = [math.log(cond[x]) + base + _coupled_log_density(spec, t1, t2, m1, m2)
+                    for x, (base, t1, t2) in enumerate(terms) if cond[x] > 0.0]
+            log_dens = special.logsumexp(logs, axis=0).ravel()
+            assert np.allclose(law[s], np.exp(log_dens - special.logsumexp(log_dens)), rtol=1e-9, atol=0)
 
 
 def full_bisection(pred, lo, hi, geometric, max_iter):
