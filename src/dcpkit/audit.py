@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import DistPair, _np_sweep, worst_pair
+from .divergence import DistPair, Law, _np_sweep, worst_pair
 from .model import World
 
 
@@ -60,13 +60,14 @@ def roc_bound_check(roc: RocCurve, eps: float, delta: float) -> float:
 
 
 def worst_pair_roc(world: World, law: np.ndarray, pairs=None) -> tuple[RocCurve, tuple[int, int]]:
-    """Highest-AUC adjacent pair for a per-secret outcome law."""
+    """Highest-AUC adjacent pair for a per-secret outcome law (checked once)."""
     candidates = sorted(world.adjacency) if pairs is None else list(pairs)
     if not candidates:
         raise ValueError("no adjacent pairs to audit")
+    law = Law(np.asarray(law, dtype=float))
     best, best_pair = None, None
     for (s0, s1) in candidates:
-        roc = lr_attack_roc(DistPair(law[s0], law[s1]))
+        roc = lr_attack_roc(law.pair(s0, s1))
         if best is None or roc.auc > best.auc:
             best, best_pair = roc, (s0, s1)
     return best, best_pair

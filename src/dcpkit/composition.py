@@ -17,8 +17,8 @@ import numpy as np
 from . import config
 from .config import PROB_ATOL
 from .divergence import DistPair, Law, hockey_stick, tradeoff_curve, worst_pair
-from .model import (DependenceGroup, MechanismKernel, World, _freeze, composed_law, effective_kernel, lay_out,
-                    mix_kernel)
+from .model import (DependenceGroup, MechanismKernel, TypeClass, World, _freeze, atom_counts, atom_index,
+                    composed_law, effective_kernel, lay_out, lumped_law, mix_kernel, type_classes)
 from .pld import LossSum, _decompose, convolve, epsilon_for_delta, pld_from_pair
 
 
@@ -42,7 +42,15 @@ class Composition:
     on first use: the composed ``joint``, the effective kernels ``effs``,
     each group's members and effective joint, and the ``product`` of the
     ``effs`` (the dependence-ignoring joint).  ``joint`` and ``product``
-    keep each adjacent pair's loss profile once a bound asks for it."""
+    keep each adjacent pair's loss profile once a bound asks for it.
+
+    ``lumped`` and ``lumped_product`` are the same two laws on the type
+    ``classes`` (``model.type_classes``): ungrouped mechanisms with
+    bitwise-equal kernels share one atom per multiset of their outputs,
+    ``counts`` outcomes in all.  When no class has two members they are
+    ``joint`` and ``product`` themselves.  The bounds read them; the dense
+    laws serve the callers that need one column per outcome.
+    """
 
     world: World
     mechs: tuple[MechanismKernel, ...]
@@ -78,6 +86,45 @@ class Composition:
         law = lay_out([((i,), eff) for i, eff in enumerate(self.effs)], tuple(eff.shape[1] for eff in self.effs))
         return Law(_freeze(law))
 
+    @cached_property
+    def classes(self) -> tuple[TypeClass, ...]:
+        return type_classes(self.mechs, self.dependence)
+
+    @property
+    def repeats(self) -> bool:
+        return len(self.classes) < len(self.mechs)
+
+    @cached_property
+    def lumped(self) -> Law:
+        if not self.repeats:
+            return self.joint
+        return Law(_freeze(lumped_law(self.world, self.mechs, self.dependence, self.classes)))
+
+    @cached_property
+    def lumped_product(self) -> Law:
+        if not self.repeats:
+            return self.product
+        law = lay_out([((a,), c.factor(self.effs[c.members[0]])) for a, c in enumerate(self.classes)],
+                      tuple(len(c.types) for c in self.classes))
+        return Law(_freeze(law))
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """Outcomes per atom of ``lumped``."""
+        return _freeze(atom_counts(self.classes))
+
+    def per_outcome(self, rows: np.ndarray) -> np.ndarray:
+        """Rows given per atom of ``lumped`` repeated for each outcome of ``joint``."""
+        return np.take(rows, atom_index(self.classes), axis=0) if self.repeats else rows
+
+    @property
+    def sizes(self) -> dict:
+        """The dense outcome count, the atom count of ``lumped`` and each
+        class's members and number of types."""
+        return {"outcomes": math.prod(m.n_outputs for m in self.mechs),
+                "atoms": math.prod(len(c.types) for c in self.classes),
+                "classes": [(c.members, len(c.types)) for c in self.classes]}
+
 
 _SLOT: list[tuple[tuple, Composition] | None] = [None]  # the last (key, value) asked for
 
@@ -102,7 +149,7 @@ def true_opt(
     per_pair: bool = False,
 ):
     """Tightest epsilon of the actual composition at delta_g (max over adjacency)."""
-    worst = Composition.of(world, mechs, dependence).joint.worst(world, delta=delta_g)
+    worst = Composition.of(world, mechs, dependence).lumped.worst(world, delta=delta_g)
     return (worst.value, worst.values) if per_pair else worst.value
 
 
@@ -113,7 +160,7 @@ def underline_opt(
     per_pair: bool = False,
 ):
     """Dependence-ignoring epsilon: optimal composition of the marginals alone."""
-    worst = Composition.of(world, mechs).product.worst(world, delta=delta_g)
+    worst = Composition.of(world, mechs).lumped_product.worst(world, delta=delta_g)
     return (worst.value, worst.values) if per_pair else worst.value
 
 
@@ -174,7 +221,7 @@ def composition_report(
     eps_gs: list[float],
 ) -> CompositionReport:
     value = Composition.of(world, mechs, dependence)
-    joint, prod = value.joint, value.product
+    joint, prod = value.lumped, value.lumped_product
     opt_rows, dt_rows = [], []
     for (s0, s1) in sorted(world.adjacency):
         joint_pair, prod_pair = joint.pair(s0, s1), prod.pair(s0, s1)
@@ -233,7 +280,7 @@ def basic_composition_check(
     if math.isinf(eps_sum):
         return {"holds": True, "witness": None, "eps_sum": eps_sum, "delta_sum": delta_sum,
                 "per_mechanism": list(zip(eps_list, delta_list))}
-    worst = value.joint.worst(world, eps=eps_sum)
+    worst = value.lumped.worst(world, eps=eps_sum)
     return {
         "holds": worst.value <= delta_sum + PROB_ATOL,
         "witness": (worst.pair, eps_sum, delta_sum, worst.value),
@@ -283,8 +330,8 @@ def tradeoff_dominance(
     value = Composition.of(world, mechs, dependence)
     worst_violation, worst_gap, worst_at = -math.inf, 0.0, None
     for (s0, s1) in sorted(world.adjacency):
-        joint_curve = tradeoff_curve(value.joint.pair(s0, s1))
-        prod_curve = tradeoff_curve(value.product.pair(s0, s1))
+        joint_curve = tradeoff_curve(value.lumped.pair(s0, s1))
+        prod_curve = tradeoff_curve(value.lumped_product.pair(s0, s1))
         grid = np.union1d(joint_curve.alphas, prod_curve.alphas)
         diff = joint_curve.beta(grid) - prod_curve.beta(grid)
         violation = float(diff.max())
@@ -306,8 +353,8 @@ def cel_compare(
     """
     value = Composition.of(world, mechs, dependence)
     prior = world.marginal_secret
-    b = value.joint.matrix             # secrets x outcomes, true law
-    prod = value.product.matrix
+    b = value.lumped.matrix             # secrets x atoms, true law
+    prod = value.lumped_product.matrix
     # posteriors: columns normalized over secrets
     w_joint = b * prior[:, None]
     w_prod = prod * prior[:, None]

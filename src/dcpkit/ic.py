@@ -121,8 +121,10 @@ def _posterior(world: World, law: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     live = marginal > 0.0
     if not live.any():
         raise ValueError("all joint outcomes carry zero mass")
-    post = np.tile(prior, (law.shape[1], 1))
-    post[live] = (weights[:, live] / marginal[live]).T
+    post = np.empty((law.shape[1], prior.size))  # outcomes x secrets
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 on the dead rows, reset below
+        np.divide(weights.T, marginal[:, None], out=post)
+    post[~live] = prior
     return post, marginal, live
 
 
@@ -156,16 +158,16 @@ def pi_feasible(
     if not tau_g >= 1.0:
         raise ValueError(f"tau_g must be >= 1, got {tau_g}")
     pi = np.asarray(pi, dtype=float)
-    prior, rows = _on_support(world, pi if live is None else pi[live])
-    lower = (prior[None, :] / tau_g) - rows
-    max_lower = float(lower.max())
+    prior, rows = _on_support(world, pi if live is None or live.all() else pi[live])
+    # rounding is monotone, so a column's extreme residual is the residual
+    # of its extreme entry: one reduction per column, no full-size temporary
+    max_lower = float((prior / tau_g - rows.min(axis=0)).max())
     if delta_g > 0.0:
         expect = (rows**2 / prior[None, :]).sum(axis=1) - delta_g * tau_g
         max_expect = float(expect.max())
         max_upper = -math.inf
     else:
-        upper = rows - tau_g * prior[None, :]
-        max_upper = float(upper.max())
+        max_upper = float((rows.max(axis=0) - tau_g * prior).max())
         max_expect = -math.inf
     max_res = max(max_lower, max_upper, max_expect)
     return FeasibilityReport(max_lower, max_upper, max_expect, max_res)
@@ -174,8 +176,9 @@ def pi_feasible(
 def _on_support(world: World, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The prior and the columns of ``rows`` (one per secret) on its support:
     a zero-prior secret has no constraint."""
-    support = world.marginal_secret > 0.0
-    return world.marginal_secret[support], rows[:, support]
+    prior = world.marginal_secret
+    support = prior > 0.0
+    return (prior, rows) if support.all() else (prior[support], rows[:, support])
 
 
 def spsr_loss(
@@ -197,13 +200,14 @@ def spsr_loss(
 
 def _spsr_loss(pi: np.ndarray, world: World, law: np.ndarray, loss: str) -> float:
     """``spsr_loss`` under a per-secret law already joined with alpha."""
-    weights = (law * world.marginal_secret[:, None]).T   # outcomes x secrets
+    weights = (law * world.marginal_secret[:, None]).T   # outcomes x secrets, a view
     pi = np.asarray(pi, dtype=float)
     if loss == "log":
         hot = weights > 0.0
-        if np.any(pi[hot] <= 0.0):
+        pi_hot = pi[hot]
+        if np.any(pi_hot <= 0.0):
             return math.inf
-        return float(-(weights[hot] * np.log(pi[hot])).sum())
+        return float(-(weights[hot] * np.log(pi_hot)).sum())
     if loss == "brier":
         sq = (pi**2).sum(axis=1, keepdims=True)
         return float((weights * (sq - 2.0 * pi + 1.0)).sum())
@@ -460,13 +464,18 @@ def solve_task2(problem: IcProblem) -> IcSolution:
     The added channel is constant and the response is the exact posterior
     pi, so each constraint bounds tau_g alone (live outcomes, positive-prior
     secrets): tau_g >= P/pi, and pi/P (delta_g = 0) or sum(pi^2/P)/delta_g.
+    Every outcome of a type class has its type's posterior, so the bound,
+    the certificate and the loss are read on the composition's ``lumped``
+    law, one atom per type; ``pi`` repeats each atom's row for its outcomes.
     """
     world, mechs, dependence = problem.world, problem.mechs, problem.dependence
     delta_g = problem.delta_g
     alpha = np.ones((len(world.secrets), 1))
-    law = _composed_law(world, mechs, dependence)  # joined with a constant alpha it is itself
+    # joined with a constant alpha the composition's law is itself
+    value = Composition.of(world, mechs, dependence) if mechs else None
+    law = value.lumped if mechs else _composed_law(world, mechs, dependence)
     post, _, live = _posterior(world, law.matrix)
-    prior, rows = _on_support(world, post[live])
+    prior, rows = _on_support(world, post if live.all() else post[live])
     with np.errstate(divide="ignore"):  # pi = 0 on a positive-prior secret: no finite tau
         tau = max(1.0, float((prior / rows).max()))
     if delta_g > 0.0:
@@ -475,28 +484,32 @@ def solve_task2(problem: IcProblem) -> IcSolution:
         tau = max(tau, float((rows / prior).max()))
     if tau > TAU_CAP:
         raise ValueError(f"no feasible tau_g below the cap {TAU_CAP}")
-    return _certified_solution(problem, alpha, tau, law, post, live, {})
+    return _certified_solution(problem, alpha, tau, law, post, live, {}, value)
 
 
 def _certified_solution(problem: IcProblem, alpha: np.ndarray, tau_g: float, law: Law,
-                        post: np.ndarray, live: np.ndarray, diagnostics: dict) -> IcSolution:
+                        post: np.ndarray, live: np.ndarray, diagnostics: dict,
+                        value: Composition | None = None) -> IcSolution:
     """Certify from scratch at tau_g: constraint residuals of the exact
     posterior ``post`` under ``law`` (the composition joined with
-    ``alpha``), plus a direct divergence check of that law."""
+    ``alpha``), plus a direct divergence check of that law.  With ``value``
+    the law is its ``lumped`` law: ``post`` has one row per atom, and the
+    solution's ``pi`` and live count are per outcome."""
     world = problem.world
     report = pi_feasible(post, world, tau_g, problem.delta_g, live)
     eps_g = epsilon_of_tau(tau_g, world)
     direct = law.worst(world, eps=eps_g).value
     return IcSolution(
         alpha=alpha,
-        pi=post,
+        pi=post if value is None else value.per_outcome(post),
         tau_g=tau_g,
         eps_g=eps_g,
         feasibility=report.max_residual,
         certified=report.max_residual <= 1e-6 and direct <= problem.delta_g + 1e-6,
         direct_check_delta=direct,
         loss_value=_spsr_loss(post, world, law.matrix, problem.loss),
-        diagnostics={**diagnostics, "residuals": report, "live_outcomes": int(live.sum())},
+        diagnostics={**diagnostics, "residuals": report,
+                     "live_outcomes": int(live.sum() if value is None else value.counts[live].sum())},
     )
 
 

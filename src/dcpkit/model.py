@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from itertools import combinations_with_replacement
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -265,26 +266,135 @@ def lay_out(factors: Sequence[tuple[Sequence[int], np.ndarray]], dims: tuple[int
     return full.reshape(n_rows, -1)
 
 
+class TypeClass(NamedTuple):
+    """Ungrouped mechanisms with bitwise-equal kernels, or one mechanism.
+
+    Under every dataset, k copies of one kernel give each ordering of an
+    output tuple the same probability, so the class needs one atom per
+    multiset of outputs (a type).  ``types`` lists them as rows of sorted
+    output indices in lexicographic order and ``counts`` the number of
+    output tuples each holds (its multinomial coefficient).
+    """
+
+    members: tuple[int, ...]
+    n_outputs: int
+    types: np.ndarray
+    counts: np.ndarray
+
+    def factor(self, matrix: np.ndarray) -> np.ndarray:
+        """The law of the types under one member's ``matrix`` (a kernel or an
+        effective kernel): its columns multiplied in sorted output order,
+        times each type's count.  A class of one gives ``matrix`` itself."""
+        if len(self.members) == 1:
+            return matrix
+        out = matrix[:, self.types[:, 0]]
+        for col in self.types.T[1:]:
+            out *= matrix[:, col]
+        out *= self.counts
+        return out
+
+    def ranks(self) -> np.ndarray:
+        """The type of each output tuple of the members, in C order: the types
+        of one more copy are the sorted types of one fewer plus an output."""
+        n = self.n_outputs
+        rank, types = np.arange(n), np.arange(n)[:, None]
+        for _ in self.members[1:]:
+            grown = np.column_stack([np.repeat(types, n, axis=0), np.tile(np.arange(n), len(types))])
+            grown.sort(axis=1)
+            _, first, step = np.unique(_codes(grown, n), return_index=True, return_inverse=True)
+            rank, types = np.take(step.reshape(len(types), n), rank, axis=0).ravel(), grown[first]
+        return rank
+
+
+def _codes(types: np.ndarray, n: int) -> np.ndarray:
+    """Each row's index in C order over ``n`` outputs per column, which
+    increases along lexicographically sorted rows."""
+    return np.ravel_multi_index(types.T, (n,) * types.shape[1])
+
+
+def _type_class(members: tuple[int, ...], n: int) -> TypeClass:
+    if len(members) == 1:  # a class of one: its types are its outputs, one tuple each
+        return TypeClass(members, n, np.arange(n)[:, None], np.ones(n))
+    types = np.array(list(combinations_with_replacement(range(n), len(members))), dtype=np.intp)
+    types = types.reshape(-1, len(members))
+    # k!/prod(run lengths!) one position at a time: each prefix's count is an
+    # integer, the previous one times the prefix length over the run length
+    counts = np.ones(len(types), dtype=np.int64)
+    run = np.ones(len(types), dtype=np.int64)
+    for j in range(1, len(members)):
+        run = np.where(types[:, j] == types[:, j - 1], run + 1, 1)
+        counts = counts * (j + 1) // run
+    return TypeClass(members, n, types, counts.astype(float))
+
+
+def _check_size(mechs: Sequence[MechanismKernel]) -> None:
+    """Refuse no mechanisms, and a product alphabet above ``config.OUTCOME_CAP``."""
+    if not mechs:
+        raise ValueError("need at least one mechanism")
+    size = math.prod(m.n_outputs for m in mechs)
+    if size > config.OUTCOME_CAP:
+        raise ValueError(f"product outcome space {size} exceeds cap {config.OUTCOME_CAP}")
+
+
+def type_classes(mechs: Sequence[MechanismKernel],
+                 dependence: Sequence[DependenceGroup] = ()) -> tuple[TypeClass, ...]:
+    """The ungrouped mechanisms grouped by the bytes of their kernels, in the
+    order their first members appear; a grouped mechanism is a class of one."""
+    _check_size(mechs)
+    grouped = {i for g in dependence for i in g.members}
+    members: dict = {}
+    for i, m in enumerate(mechs):
+        members.setdefault(i if i in grouped else (m.kernel.shape, m.kernel.tobytes()), []).append(i)
+    return tuple(_type_class(tuple(ms), mechs[ms[0]].n_outputs) for ms in members.values())
+
+
 def composed_law(world: World, mechs: Sequence[MechanismKernel],
                  dependence: Sequence[DependenceGroup] = ()) -> np.ndarray:
     """The composed joint b(y|s): the mixture over datasets of the
     per-dataset product kernels, a dependence group's joint kernel standing
     in for its members' kernels (rows secrets, product alphabet columns)."""
-    if not mechs:
-        raise ValueError("need at least one mechanism")
-    dims = tuple(m.n_outputs for m in mechs)
-    size = int(np.prod(dims))
-    if size > config.OUTCOME_CAP:
-        raise ValueError(f"product outcome space {size} exceeds cap {config.OUTCOME_CAP}")
+    singles = tuple(_type_class((i,), m.n_outputs) for i, m in enumerate(mechs))
+    return lumped_law(world, mechs, dependence, singles)
+
+
+def lumped_law(world: World, mechs: Sequence[MechanismKernel], dependence: Sequence[DependenceGroup],
+               classes: Sequence[TypeClass]) -> np.ndarray:
+    """``composed_law`` on type classes: one column per atom, a type of each
+    class in C order over the classes, holding the mass of all its outcomes.
+    Classes of one mechanism each give the composed law itself."""
+    _check_size(mechs)
     for m in mechs:
         if m.kernel.shape[0] != len(world.datasets):
             raise ValueError(f"mechanism {m.name!r} dataset dimension mismatch")
     for g in dependence:
         g.validate_against(mechs)
     grouped = {i for g in dependence for i in g.members}
-    factors = [((i,), m.kernel) for i, m in enumerate(mechs) if i not in grouped]
-    factors += [(g.members, g.joint_kernel) for g in dependence]
-    return mix_kernel(world, lay_out(factors, dims))
+    axis = {i: a for a, c in enumerate(classes) for i in c.members}
+    factors = [((a,), c.factor(mechs[c.members[0]].kernel))
+               for a, c in enumerate(classes) if c.members[0] not in grouped]
+    factors += [(tuple(axis[i] for i in g.members), g.joint_kernel) for g in dependence]
+    return mix_kernel(world, lay_out(factors, tuple(len(c.types) for c in classes)))
+
+
+def atom_counts(classes: Sequence[TypeClass]) -> np.ndarray:
+    """Outcomes per atom of a law on ``classes``."""
+    return lay_out([((a,), c.counts[None, :]) for a, c in enumerate(classes)],
+                   tuple(len(c.types) for c in classes))[0]
+
+
+def atom_index(classes: Sequence[TypeClass]) -> np.ndarray:
+    """The atom of a law on ``classes`` each outcome of the product alphabet
+    lies in (outcomes in C order over the mechanisms)."""
+    sizes = [len(c.types) for c in classes]
+    n_mechs = sum(len(c.members) for c in classes)
+    index = np.zeros((1,) * n_mechs, dtype=np.intp)
+    for a, c in enumerate(classes):
+        # members are increasing, so the class's C order lies on their axes as is
+        shape = [1] * n_mechs
+        for i in c.members:
+            shape[i] = c.n_outputs
+        index = index + (c.ranks() * math.prod(sizes[a + 1:])).reshape(shape)
+    return index.ravel()
 
 
 def effective_kernel(world: World, mech: MechanismKernel) -> EffectiveKernel:

@@ -279,3 +279,67 @@ def test_copula_sample_bytes_match_the_per_cell_loop(seed, capsys):
     forced["v2"][cells] = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e308] * 2
     forced["z1"] = forced["z1"].astype(np.float32)  # narrower samples write as floats too
     assert _sample_lines(forced) == per_cell_lines(forced, 64)
+
+
+# --------------------------------------------------- repeated mechanisms
+
+REPEATED = pathlib.Path(__file__).parent / "data" / "repeated_kernel.json"
+
+
+def _dcp_twice(capsys, *argv):
+    """Exit code and body of one command, which a rerun repeats byte for byte."""
+    runs = []
+    for _ in range(2):
+        code = run(["--model", str(REPEATED), *argv])
+        runs.append((code, capsys.readouterr()))
+    assert runs[0] == runs[1]
+    code, captured = runs[0]
+    assert captured.err == ""
+    return code, captured.out.split("\n", 1)[1]
+
+
+def test_repeated_kernels_print_the_dense_route_numbers(capsys):
+    # four bitwise-equal kernels and one other: 3^4 * 2 outcomes, 15 * 2 atoms
+    from dense_route import close, dense_laws, dense_task2
+
+    from dcpkit.composition import Composition
+    from dcpkit.divergence import check_dcp, worst_pair
+    from dcpkit.model import load_model
+
+    model = load_model(REPEATED)
+    world, mechs = model.world, list(model.mechanisms)
+    assert Composition(world, tuple(mechs)).sizes["atoms"] == 15 * 2 < 3**4 * 2
+    joint, product = dense_laws(world, mechs)
+
+    code, body = _dcp_twice(capsys, "check", "--eps", "1.0", "--delta", "0.05")
+    composed = json.loads(body)["reports"]["__composition__"]
+    want = worst_pair(world, joint, eps=1.0).value
+    assert close(composed["worst_delta"], want)
+    holds = all(check_dcp(world, m, 1.0, 0.05).holds for m in mechs) and want <= 0.05 + 1e-12
+    assert code == (0 if holds else 1)
+
+    code, body = _dcp_twice(capsys, "compose", "--delta-g", "0", "0.05", "--eps-g", "0.5", "1")
+    opt, dt = (table.splitlines()[1:] for table in body.split("\n\n")[:2])
+    ordered = True
+    for rows, dense in ((opt, lambda law, s0, s1, v: worst_pair(world, law, delta=v).values[(s0, s1)]),
+                        (dt, lambda law, s0, s1, v: worst_pair(world, law, eps=v).values[(s0, s1)])):
+        for row in rows:
+            s0, s1, v, under, true, over = row.split(",")
+            s0, s1 = world.secret_index(s0), world.secret_index(s1)
+            want_under, want_true = (dense(law, s0, s1, float(v)) for law in (product, joint))
+            assert close(float(under), want_under) and close(float(true), want_true)
+            ordered = ordered and want_under <= want_true + 1e-9 and want_true <= float(over) + 1e-9
+    assert len(opt) == len(dt) == 4
+    assert code == (0 if ordered else 1)
+
+    for delta_g in (0.0, 0.05):
+        code, body = _dcp_twice(capsys, "ic", "--task", "2", "--delta-g", str(delta_g))
+        payload, want = json.loads(body), dense_task2(world, joint, delta_g)
+        for key in ("tau_g", "eps_g", "direct_check_delta"):
+            assert close(payload[key], want[key]), key
+        assert abs(payload["feasibility"] - want["feasibility"]) <= 1e-12
+        assert len(payload["pi"]) == 3**4 * 2
+        assert max(abs(a - b) for row, ref in zip(payload["pi"], want["pi"]) for a, b in zip(row, ref)) <= 1e-12
+        certified = want["feasibility"] <= 1e-6 and want["direct_check_delta"] <= delta_g + 1e-6
+        assert payload["certified"] == certified
+        assert code == (0 if certified else 1)

@@ -568,6 +568,8 @@ def test_one_instance_asked_many_bounds_builds_each_law_once(monkeypatch):
 
     world, mechs = _random_instance(np.random.default_rng(41), n_secrets=3)
     joints, effs, mixes, layouts = _count_builds(monkeypatch)
+    lumps, lump = [], comp.lumped_law
+    monkeypatch.setattr(comp, "lumped_law", lambda *a: lumps.append(1) or lump(*a))
     profiles = []
 
     class CountedProfile(divergence.LossProfile):
@@ -585,16 +587,26 @@ def test_one_instance_asked_many_bounds_builds_each_law_once(monkeypatch):
     comp.tradeoff_dominance(world, mechs, [])
     ic.solve_task2(ic.IcProblem(world=world, mechs=mechs, delta_g=0.05))
     assert (len(joints), len(layouts), mixes) == (1, 1, [])  # the product law is the one layout here
+    assert len(lumps) == 1  # the joint on type classes, which the bounds read
     assert sorted(effs) == sorted(m.name for m in mechs)
     assert len(profiles) == 2 * len(world.adjacency)  # one per pair of the joint and of the product
-    # the same answers as the laws built afresh
+    # the same answers as the laws built afresh: the bounds read the laws on
+    # type classes (three copies of one kernel here), within the last bits
+    # of the dense laws
     joint = model_layer.composed_law(world, mechs)
     product = model_layer.lay_out([((i,), effective_kernel(world, m).matrix) for i, m in enumerate(mechs)],
                                   tuple(m.n_outputs for m in mechs))
     assert np.array_equal(cj.matrix, joint)
+    fresh = comp.Composition(world, tuple(mechs))
+    assert fresh.sizes["atoms"] == 20 * 3 < fresh.sizes["outcomes"] == 4 * 4 * 4 * 3
     for d, t, u in zip(deltas, true, under):
-        assert t == worst_pair(world, joint, delta=d)[::2]
-        assert u == worst_pair(world, product, delta=d)[::2]
+        assert t == worst_pair(world, fresh.lumped.matrix, delta=d)[::2]
+        assert u == worst_pair(world, fresh.lumped_product.matrix, delta=d)[::2]
+        for got, law in ((t, joint), (u, product)):
+            dense = worst_pair(world, law, delta=d)
+            assert got[1].keys() == dense.values.keys()
+            for pair, eps in dense.values.items():
+                assert abs(got[1][pair] - eps) <= 1e-12 * max(1.0, abs(eps))
 
 
 def test_new_objects_are_never_served_the_previous_law(monkeypatch):
