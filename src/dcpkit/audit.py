@@ -59,9 +59,9 @@ def roc_bound_check(roc: RocCurve, eps: float, delta: float) -> float:
     return float(max(direct.max(), complement.max()))
 
 
-def worst_pair_roc(world: World, law: np.ndarray, pairs=None) -> tuple[RocCurve, tuple[int, int]]:
+def worst_pair_roc(world: World, law: np.ndarray) -> tuple[RocCurve, tuple[int, int]]:
     """Highest-AUC adjacent pair for a per-secret outcome law (checked once)."""
-    candidates = sorted(world.adjacency) if pairs is None else list(pairs)
+    candidates = sorted(world.adjacency)
     if not candidates:
         raise ValueError("no adjacent pairs to audit")
     law = Law(np.asarray(law, dtype=float))

@@ -27,10 +27,8 @@ class ComposedJoint(Law):
     """Joint output distribution b(.|s) over the product alphabet.
 
     ``matrix`` rows are secrets; columns enumerate the product alphabet in C
-    order over the per-mechanism output indices given by ``dims``.
+    order over the per-mechanism output indices.
     """
-
-    dims: tuple[int, ...]
 
     def rows(self, s: int) -> np.ndarray:
         return self.matrix[s]
@@ -70,8 +68,7 @@ class Composition:
 
     @cached_property
     def joint(self) -> ComposedJoint:
-        return ComposedJoint(_freeze(composed_law(self.world, self.mechs, self.dependence)),
-                             tuple(m.n_outputs for m in self.mechs))
+        return ComposedJoint(_freeze(composed_law(self.world, self.mechs, self.dependence)))
 
     @cached_property
     def effs(self) -> list[np.ndarray]:
@@ -264,6 +261,8 @@ def basic_composition_check(
     hockey-stick at the summed epsilon against the summed delta on every
     adjacent pair; the composed joint is built only when that sum is finite.
     """
+    if delta_is is not None and len(delta_is) != len(mechs):
+        raise ValueError(f"delta_is has {len(delta_is)} entries for {len(mechs)} mechanisms")
     value = Composition.of(world, mechs, dependence)
     eps_list, delta_list = [], []
     effs = value.effs

@@ -29,65 +29,53 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 # marginal noise distributions
 
 
-def _check_location_scale(scale: float, loc: float) -> None:
-    if not 0.0 < scale < math.inf:
-        raise ValueError(f"scale must be positive and finite, got {scale}")
-    if not math.isfinite(loc):
-        raise ValueError(f"loc must be finite, got {loc}")
-
-
-class LaplaceMarginal:
-    """Laplace(loc, scale) noise marginal."""
-
-    family = "laplace"
+class _LocationScaleMarginal:
+    """A noise marginal of the scipy family ``_dist`` at (loc, scale)."""
 
     def __init__(self, scale: float, loc: float = 0.0):
-        _check_location_scale(scale, loc)
+        if not 0.0 < scale < math.inf:
+            raise ValueError(f"scale must be positive and finite, got {scale}")
+        if not math.isfinite(loc):
+            raise ValueError(f"loc must be finite, got {loc}")
         self.scale = float(scale)
         self.loc = float(loc)
 
     def cdf(self, v):
-        return stats.laplace.cdf(v, loc=self.loc, scale=self.scale)
+        return self._dist.cdf(v, loc=self.loc, scale=self.scale)
 
     def ppf(self, u):
-        return stats.laplace.ppf(u, loc=self.loc, scale=self.scale)
+        return self._dist.ppf(u, loc=self.loc, scale=self.scale)
 
     def pdf(self, v):
-        return stats.laplace.pdf(v, loc=self.loc, scale=self.scale)
+        return self._dist.pdf(v, loc=self.loc, scale=self.scale)
 
     def logpdf(self, v):
-        return stats.laplace.logpdf(v, loc=self.loc, scale=self.scale)
+        return self._dist.logpdf(v, loc=self.loc, scale=self.scale)
 
     @property
     def spread(self) -> float:
         return self.scale
 
 
-class GaussianMarginal:
+class LaplaceMarginal(_LocationScaleMarginal):
+    """Laplace(loc, scale) noise marginal."""
+
+    family = "laplace"
+    _dist = stats.laplace
+
+
+class GaussianMarginal(_LocationScaleMarginal):
     """Normal(loc, sigma^2) noise marginal."""
 
     family = "gaussian"
+    _dist = stats.norm
 
     def __init__(self, sigma: float, loc: float = 0.0):
-        _check_location_scale(sigma, loc)
-        self.sigma = float(sigma)
-        self.loc = float(loc)
-
-    def cdf(self, v):
-        return stats.norm.cdf(v, loc=self.loc, scale=self.sigma)
-
-    def ppf(self, u):
-        return stats.norm.ppf(u, loc=self.loc, scale=self.sigma)
-
-    def pdf(self, v):
-        return stats.norm.pdf(v, loc=self.loc, scale=self.sigma)
-
-    def logpdf(self, v):
-        return stats.norm.logpdf(v, loc=self.loc, scale=self.sigma)
+        super().__init__(sigma, loc)
 
     @property
-    def spread(self) -> float:
-        return self.sigma
+    def sigma(self) -> float:
+        return self.scale
 
 
 class EmpiricalMarginal:
@@ -446,7 +434,6 @@ def perturbed_decomposition(
     s1: int,
     bins: int = 64,
     span: float = 8.0,
-    mu_ref: float | None = None,
 ) -> PerturbedDecomposition:
     """Discretized accounting model of the coupled pair between two secrets.
 
@@ -466,22 +453,20 @@ def perturbed_decomposition(
         shifts_f[s] = (f1[x], f2[x])
     eta0 = spec.eta_of(world.secrets[s0])
     eta1 = spec.eta_of(world.secrets[s1])
-    if mu_ref is None:
-        mu_ref = 0.5 * (eta0 + eta1)
+    mu_ref = 0.5 * (eta0 + eta1)
     m0 = _shift_pair(spec, eta0, mu_ref)
     m1v = _shift_pair(spec, eta1, mu_ref)
 
-    spread1, spread2 = spec.xi1.spread, spec.xi2.spread
-    g1 = np.linspace(min(f1) - span * spread1, max(f1) + span * spread1, bins)
-    g2 = np.linspace(min(f2) - span * spread2, max(f2) + span * spread2, bins)
+    g1 = _output_grid(spec.xi1, f1, bins, span)
+    g2 = _output_grid(spec.xi2, f2, bins, span)
     y1, y2 = np.meshgrid(g1, g2, indexing="ij")
 
     def state_logs(s, shifts):
         v1 = y1 - shifts_f[s][0]
         v2 = y2 - shifts_f[s][1]
         lp = spec.xi1.logpdf(v1) + spec.xi2.logpdf(v2)
-        t1 = stats.norm.ppf(np.clip(spec.xi1.cdf(v1), 1e-300, 1 - 1e-16))
-        t2 = stats.norm.ppf(np.clip(spec.xi2.cdf(v2), 1e-300, 1 - 1e-16))
+        t1 = _normal_score(spec.xi1, v1)
+        t2 = _normal_score(spec.xi2, v2)
         log_cop = _coupled_log_density(spec, t1, t2, *shifts) - (
             stats.norm.logpdf(t1) + stats.norm.logpdf(t2)
         )
@@ -507,7 +492,7 @@ def perturbed_decomposition(
         rows = []
         for s, latent in ((s0, m0), (s1, m1v)):
             v = grid - shifts_f[s][axis]
-            t = stats.norm.ppf(np.clip(xi.cdf(v), 1e-300, 1 - 1e-16))
+            t = _normal_score(xi, v)
             dens = xi.pdf(v) * np.exp(stats.norm.logpdf(t - latent[axis]) - stats.norm.logpdf(t))
             rows.append(dens / dens.sum())
         marginal_pairs.append(DistPair(*rows))
@@ -523,29 +508,38 @@ def perturbed_decomposition(
     )
 
 
+def _output_grid(xi, values: np.ndarray, bins: int, span: float) -> np.ndarray:
+    """``bins`` points spanning the query ``values`` and ``span`` spreads of ``xi`` past them."""
+    return np.linspace(values.min() - span * xi.spread, values.max() + span * xi.spread, bins)
+
+
+def _normal_score(xi, v):
+    """Standard normal quantile of the marginal CDF at ``v``, kept off 0 and 1."""
+    return stats.norm.ppf(np.clip(xi.cdf(v), 1e-300, 1 - 1e-16))
+
+
 def block_grid(xi1, xi2, world: World, query_maps: tuple, bins: int = 17, span: float = 8.0):
     """The eps_c-free half of ``coupled_block_law``: grids g1, g2 and, per dataset,
     (noise log-density less normal-score log-densities, score 1, score 2)."""
     f1, f2 = (np.asarray(q, dtype=float) for q in query_maps)
-    g1 = np.linspace(f1.min() - span * xi1.spread, f1.max() + span * xi1.spread, bins)
-    g2 = np.linspace(f2.min() - span * xi2.spread, f2.max() + span * xi2.spread, bins)
+    g1 = _output_grid(xi1, f1, bins, span)
+    g2 = _output_grid(xi2, f2, bins, span)
     y1, y2 = np.meshgrid(g1, g2, indexing="ij")
     terms = []
     for x in range(len(world.datasets)):
         v1, v2 = y1 - f1[x], y2 - f2[x]
         lp = xi1.logpdf(v1) + xi2.logpdf(v2)
-        t1 = stats.norm.ppf(np.clip(xi1.cdf(v1), 1e-300, 1 - 1e-16))
-        t2 = stats.norm.ppf(np.clip(xi2.cdf(v2), 1e-300, 1 - 1e-16))
+        t1 = _normal_score(xi1, v1)
+        t2 = _normal_score(xi2, v2)
         terms.append((lp - stats.norm.logpdf(t1) - stats.norm.logpdf(t2), t1, t2))
     return g1, g2, terms
 
 
-def mix_block_law(spec: GaussianCopulaSpec, world: World, terms, mu_ref: float | None = None) -> np.ndarray:
+def mix_block_law(spec: GaussianCopulaSpec, world: World, terms) -> np.ndarray:
     """The eps_c half: each secret's latent shift on the dataset ``terms``,
     mixed over P(x|s)."""
     etas = np.array([spec.eta_of(lbl) for lbl in world.secrets])
-    if mu_ref is None:
-        mu_ref = float(etas.mean())
+    mu_ref = float(etas.mean())
     laws = []
     for s in range(len(world.secrets)):
         m1, m2 = _shift_pair(spec, etas[s], mu_ref)
@@ -574,7 +568,6 @@ def coupled_block_law(
     query_maps: tuple,
     bins: int = 17,
     span: float = 8.0,
-    mu_ref: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-secret cell-mass law of the coupled pair on a shared 2-D grid.
 
@@ -583,7 +576,7 @@ def coupled_block_law(
     midpoint-density approximations, renormalized per secret.
     """
     g1, g2, terms = block_grid(spec.xi1, spec.xi2, world, query_maps, bins, span)
-    return mix_block_law(spec, world, terms, mu_ref), g1, g2
+    return mix_block_law(spec, world, terms), g1, g2
 
 
 def conservative_bound(

@@ -13,15 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import ic
-from .audit import roc_bound_check, worst_pair_roc
+from .audit import compare_protocol, roc_bound_check
 from .composition import composed_joint
 from .copula import GaussianCopulaSpec, LaplaceMarginal, block_grid, mix_block_law
 from .divergence import bisect_monotone, worst_pair
-from .model import World, adjacency_labels, effective_kernel
+from .model import adjacency_labels, effective_kernel, join_per_secret
 from .synth import (
+    _calibrate_noise_scale,
     binned_laplace_kernel,
     calibrate_alpha_fill,
     calibrate_gaussian_mechanism,
@@ -68,12 +67,6 @@ class ExperimentResult:
     rows: list = field(default_factory=list)
 
 
-def _single_setup(world: World, eps_g: float, delta_g: float, bins: int = 33) -> np.ndarray:
-    """One Gaussian query mechanism calibrated tight at the full budget."""
-    mech = calibrate_gaussian_mechanism(world, _QUERY_MAPS[3], eps_g, delta_g, bins=bins, name="single")
-    return effective_kernel(world, mech).matrix
-
-
 def _ic_attempt(world, mechs, eps_g, delta_g, seed) -> str:
     """Run the design solver when the constraint set can be nonempty."""
     tau_g = ic.tau_of_epsilon(eps_g, world)
@@ -116,7 +109,7 @@ def run_independent_experiment(
             law = base_law
             flag = flag + "+fill-infeasible"
         else:
-            law = np.einsum("sy,sa->sya", base_law, alpha).reshape(base_law.shape[0], -1)
+            law = join_per_secret(base_law, alpha)
         rows.append(_audit_row(world, law, eps_g, eps_i, delta, flag, sigma))
     return ExperimentResult(name="independent", seed=seed, rows=rows)
 
@@ -141,8 +134,10 @@ def run_copula_experiment(
     rows = []
     for j, (eps_g, eps_i) in enumerate(zip(eps_gs, eps_is)):
         f1, f2 = _QUERY_MAPS[0], _QUERY_MAPS[1]
-        xi1 = LaplaceMarginal(_calibrate_laplace_scale(world, f1, eps_i, delta, mech_bins * 3))
-        xi2 = LaplaceMarginal(_calibrate_laplace_scale(world, f2, eps_i, delta, mech_bins * 3))
+        xi1 = LaplaceMarginal(_calibrate_noise_scale(world, binned_laplace_kernel, f1, eps_i, delta,
+                                                     mech_bins * 3))
+        xi2 = LaplaceMarginal(_calibrate_noise_scale(world, binned_laplace_kernel, f2, eps_i, delta,
+                                                     mech_bins * 3))
         others = [
             calibrate_gaussian_mechanism(world, fmap, eps_i, delta, bins=mech_bins, name=f"m{i}")
             for i, fmap in enumerate(_QUERY_MAPS[2:])
@@ -156,7 +151,7 @@ def run_copula_experiment(
                 adjacency_labels=adjacency_labels(world),
             )
             block = mix_block_law(spec, world, terms)
-            return np.einsum("sb,sy->sby", block, rest_law).reshape(len(world.secrets), -1)
+            return join_per_secret(block, rest_law)
 
         def overshoots(eps_c):
             return worst_pair(world, law_at(eps_c), eps=eps_g).value > delta
@@ -174,33 +169,22 @@ def run_copula_experiment(
     return ExperimentResult(name="copula", seed=seed, rows=rows)
 
 
-def _calibrate_laplace_scale(world, values, eps_target, delta, bins) -> float:
-    def tight(scale):
-        mech = binned_laplace_kernel(values, scale, bins)
-        return worst_pair(world, effective_kernel(world, mech).matrix, delta=delta).value
-
-    _, hi = bisect_monotone(lambda scale: tight(scale) <= eps_target, 1e-3, 1e4,
-                            geometric=True, tol=1e-12, max_iter=80)
-    return hi
-
-
 def _audit_row(world, law, eps_g, eps_i, delta, flag, fill_param) -> ExperimentRow:
-    single = _single_setup(world, eps_g, delta)
-    d_comp = worst_pair(world, law, eps=eps_g).value
-    d_single = worst_pair(world, single, eps=eps_g).value
-    roc_c, _ = worst_pair_roc(world, law)
-    roc_s, _ = worst_pair_roc(world, single)
+    """``law`` against one Gaussian query mechanism calibrated tight at the full budget."""
+    single = calibrate_gaussian_mechanism(world, _QUERY_MAPS[3], eps_g, delta, name="single")
+    (row,) = compare_protocol(world, law, effective_kernel(world, single).matrix, [(eps_g, delta)],
+                              require_certified=False)
     return ExperimentRow(
         eps_g=eps_g,
         eps_i=eps_i,
         delta_g=delta,
-        auc_composed=roc_c.auc,
-        auc_single=roc_s.auc,
-        gap=roc_c.auc - roc_s.auc,
+        auc_composed=row["auc_composed"],
+        auc_single=row["auc_single"],
+        gap=row["gap"],
         ic_flag=flag,
         fill_parameter=fill_param,
-        composed_delta=d_comp,
-        single_delta=d_single,
-        roc_violation_composed=roc_bound_check(roc_c, eps_g, delta),
-        roc_violation_single=roc_bound_check(roc_s, eps_g, delta),
+        composed_delta=row["delta_composed"],
+        single_delta=row["delta_single"],
+        roc_violation_composed=roc_bound_check(row["roc_composed"], eps_g, delta),
+        roc_violation_single=roc_bound_check(row["roc_single"], eps_g, delta),
     )

@@ -18,10 +18,14 @@ import numpy as np
 
 from .composition import Composition
 from .divergence import Law, bisect_monotone, worst_pair
-from .model import DependenceGroup, MechanismKernel, World
+from .model import DependenceGroup, MechanismKernel, World, join_per_secret
 
 LOG_FLOOR = 1e-12
 TAU_CAP = 1e6
+# task 1's penalty loop: first weight, growth per outer round, inner-step stop
+PENALTY_INIT = 10.0
+PENALTY_GROWTH = 10.0
+INNER_TOL = 1e-8
 
 
 def p_star(world: World) -> float:
@@ -77,7 +81,13 @@ def joint_with_alpha(
     dataset channel, so the joint given s is the outer product of the
     composed row with alpha's row.
     """
-    return _with_alpha(_composed_law(world, mechs, dependence).matrix, alpha)
+    b = _composed_law(world, mechs, dependence).matrix
+    if alpha is None:
+        return b
+    alpha = np.asarray(alpha, dtype=float)
+    if alpha.shape[0] != b.shape[0]:
+        raise ValueError("alpha must have one row per secret")
+    return join_per_secret(b, alpha)
 
 
 def _composed_law(world: World, mechs: list[MechanismKernel],
@@ -86,16 +96,6 @@ def _composed_law(world: World, mechs: list[MechanismKernel],
     if mechs:
         return Composition.of(world, mechs, dependence).joint
     return Law(np.ones((len(world.secrets), 1)))
-
-
-def _with_alpha(b: np.ndarray, alpha: np.ndarray | None) -> np.ndarray:
-    """``joint_with_alpha`` on an already composed law ``b`` (rows = secrets)."""
-    if alpha is None:
-        return b
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape[0] != b.shape[0]:
-        raise ValueError("alpha must have one row per secret")
-    return np.einsum("sy,sa->sya", b, alpha).reshape(b.shape[0], -1)
 
 
 def posterior(
@@ -223,10 +223,7 @@ class IcProblem:
     tau_g: float | None = None        # None means task 2 (tau free)
     alpha_size: int = 2
     loss: str = "log"
-    penalty_init: float = 10.0
-    penalty_growth: float = 10.0
     outer_rounds: int = 8
-    inner_tol: float = 1e-8
     max_inner: int = 400
     seed: int = 0
 
@@ -239,8 +236,7 @@ class IcProblem:
             raise ValueError("alpha alphabet must have at least one symbol")
         if self.loss not in ("log", "brier"):
             raise ValueError(f"loss must be 'log' or 'brier', got {self.loss!r}")
-        if p_star(self.world) <= 0:
-            raise ValueError("prior must be positive on adjacency-active secrets")
+        p_star(self.world)  # refuses a zero-prior secret in an adjacent pair
 
 
 @dataclass(frozen=True)
@@ -382,33 +378,28 @@ def solve_task1(problem: IcProblem) -> IcSolution:
     prior = world.marginal_secret
     n_s = len(world.secrets)
     b = b_all[keep]
-    n_y = b.shape[1]
-
-    # prior-feasibility pre-screen: a constant response certifies nonemptiness
-    prior_rows = np.tile(prior, (n_y * m, 1))
-    prescreen = pi_feasible(prior_rows, world, tau_g, delta_g)
 
     alpha = _project_rows_simplex(np.full((n_s, m), 1.0 / m) + 0.02 * rng.standard_normal((n_s, m)))
     if m == 1:
         alpha = np.ones((n_s, 1))
 
     def weights_of(a):
-        return (_with_alpha(b, a) * prior[:, None]).T
+        return (join_per_secret(b, a) * prior[:, None]).T
 
     def elicited_objective(a, mu):
         # leader's view: the follower answers with the exact posterior, so
         # both the score and the penalty are evaluated at that response
-        law = _with_alpha(b, a)
+        law = join_per_secret(b, a)
         post, _, live_mask = _posterior(world, law)
         val = _spsr_loss(post, world, law, problem.loss)
         return val + mu * _penalty_value(post[live_mask], prior, tau_g, delta_g)
 
     pi = _project_rows_simplex(np.maximum(weights_of(alpha), LOG_FLOOR))
-    mu = problem.penalty_init
+    mu = PENALTY_INIT
     for _round in range(problem.outer_rounds):
         weights = weights_of(alpha)
         pi, _ = _pi_step(pi, weights, prior, tau_g, delta_g, mu, problem.loss,
-                         problem.inner_tol, problem.max_inner)
+                         INNER_TOL, problem.max_inner)
         if m > 1:
             # the score gradient gives the direction; acceptance is judged on
             # the elicited objective so alpha cannot outrun the constraints
@@ -422,14 +413,14 @@ def solve_task1(problem: IcProblem) -> IcSolution:
                     alpha = cand
                     break
                 step *= 0.5
-        mu *= problem.penalty_growth
+        mu *= PENALTY_GROWTH
 
     # retraction: if the exact posterior overshoots the constraint set, pull
     # alpha toward the uninformative channel until it re-enters
     uniform = np.full((n_s, m), 1.0 / m)
 
     def residual_of(a):
-        post, _, live_mask = _posterior(world, _with_alpha(b, a))
+        post, _, live_mask = _posterior(world, join_per_secret(b, a))
         return pi_feasible(post, world, tau_g, delta_g, live_mask).max_residual
 
     if residual_of(alpha) > 0.0 and residual_of(uniform) <= 0.0:
@@ -442,10 +433,10 @@ def solve_task1(problem: IcProblem) -> IcSolution:
 
     alpha_all = np.full((b_all.shape[0], m), 1.0 / m)
     alpha_all[keep] = alpha
-    law = _with_alpha(b_all, alpha_all)
+    law = join_per_secret(b_all, alpha_all)
     post, _, live = _posterior(problem.world, law)
     return _certified_solution(problem, alpha_all, tau_g, Law(law), post, live,
-                               {"prescreen_prior_feasible": prescreen.feasible})
+                               {"prescreen_prior_feasible": pi_set_nonempty(tau_g, delta_g)})
 
 
 def _positive_prior(world: World) -> tuple[World, np.ndarray]:

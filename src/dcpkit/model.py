@@ -181,7 +181,6 @@ class EffectiveKernel:
     """Secret-conditional output distribution psi(y|s) of one mechanism."""
 
     matrix: np.ndarray  # rows = secrets, cols = outputs
-    outputs: tuple[str, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _freeze(self.matrix))
@@ -264,6 +263,11 @@ def lay_out(factors: Sequence[tuple[Sequence[int], np.ndarray]], dims: tuple[int
         shape = (n_rows,) + tuple(dims[i] if i in members else 1 for i in range(len(dims)))
         op(full, cube.reshape(shape), out=full)
     return full.reshape(n_rows, -1)
+
+
+def join_per_secret(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-secret law of two outputs independent given the secret (``a``'s output major)."""
+    return np.einsum("sy,sa->sya", a, b).reshape(a.shape[0], -1)
 
 
 class TypeClass(NamedTuple):
@@ -404,7 +408,7 @@ def effective_kernel(world: World, mech: MechanismKernel) -> EffectiveKernel:
             f"mechanism {mech.name!r} has {mech.kernel.shape[0]} dataset rows, "
             f"world has {len(world.datasets)} datasets"
         )
-    return EffectiveKernel(matrix=mix_kernel(world, mech.kernel), outputs=mech.outputs)
+    return EffectiveKernel(matrix=mix_kernel(world, mech.kernel))
 
 
 def is_invertible(world: World, tol: float = PROB_ATOL) -> tuple[bool, dict[int, int] | None]:

@@ -9,7 +9,20 @@ import numpy as np
 from scipy import special
 
 from .divergence import bisect_monotone, worst_pair
-from .model import MechanismKernel, World, default_adjacency, effective_kernel, is_invertible
+from .model import MechanismKernel, World, default_adjacency, effective_kernel, is_invertible, join_per_secret
+
+# the bracket of every noise-scale calibration and of the secret-channel fill
+SCALE_BOUNDS = (1e-3, 1e4)
+
+
+def _world(joint: np.ndarray) -> World:
+    """Secrets s0.. and datasets x0.. on the rows and columns of ``joint``, default adjacency."""
+    return World(
+        secrets=tuple(f"s{i}" for i in range(joint.shape[0])),
+        datasets=tuple(f"x{j}" for j in range(joint.shape[1])),
+        joint=joint,
+        adjacency=default_adjacency(joint),
+    )
 
 
 def mixing_world(lam: float, n_secrets: int = 2, n_datasets: int = 4,
@@ -28,25 +41,14 @@ def mixing_world(lam: float, n_secrets: int = 2, n_datasets: int = 4,
     for s in range(n_secrets):
         cond[s, s] += 1.0 - lam
     joint = prior[:, None] * cond
-    return World(
-        secrets=tuple(f"s{i}" for i in range(n_secrets)),
-        datasets=tuple(f"x{j}" for j in range(n_datasets)),
-        joint=joint,
-        adjacency=default_adjacency(joint),
-    )
+    return _world(joint)
 
 
-def dirichlet_world(rng: np.random.Generator, n_secrets: int, n_datasets: int,
-                    require_noninvertible: bool = True, max_tries: int = 200) -> World:
-    for _ in range(max_tries):
+def dirichlet_world(rng: np.random.Generator, n_secrets: int, n_datasets: int) -> World:
+    for _ in range(200):
         joint = rng.dirichlet(np.ones(n_secrets * n_datasets)).reshape(n_secrets, n_datasets)
-        world = World(
-            secrets=tuple(f"s{i}" for i in range(n_secrets)),
-            datasets=tuple(f"x{j}" for j in range(n_datasets)),
-            joint=joint,
-            adjacency=default_adjacency(joint),
-        )
-        if world.adjacency and (not require_noninvertible or not is_invertible(world)[0]):
+        world = _world(joint)
+        if world.adjacency and not is_invertible(world)[0]:
             return world
     raise RuntimeError("could not draw a usable world")
 
@@ -59,12 +61,7 @@ def invertible_world(rng: np.random.Generator, n_secrets: int, n_datasets: int |
     joint = np.zeros((n_secrets, n_datasets))
     for s in range(n_secrets):
         joint[s, perm[s]] = prior[s]
-    return World(
-        secrets=tuple(f"s{i}" for i in range(n_secrets)),
-        datasets=tuple(f"x{j}" for j in range(n_datasets)),
-        joint=joint,
-        adjacency=default_adjacency(joint),
-    )
+    return _world(joint)
 
 
 def rr_style_mechanism(rng: np.random.Generator, n_datasets: int, name: str = "rr") -> MechanismKernel:
@@ -75,11 +72,10 @@ def rr_style_mechanism(rng: np.random.Generator, n_datasets: int, name: str = "r
     return MechanismKernel(name, ("0", "1"), rows)
 
 
-def random_mechanisms(rng: np.random.Generator, n_datasets: int, k: int,
-                      n_outputs: tuple[int, int] = (2, 3)) -> list[MechanismKernel]:
+def random_mechanisms(rng: np.random.Generator, n_datasets: int, k: int) -> list[MechanismKernel]:
     mechs = []
     for i in range(k):
-        ny = int(rng.integers(n_outputs[0], n_outputs[1] + 1))
+        ny = int(rng.integers(2, 4))  # 2 or 3 outputs
         kern = rng.dirichlet(np.ones(ny), size=n_datasets)
         mechs.append(MechanismKernel(f"m{i}", tuple(map(str, range(ny))), kern))
     return mechs
@@ -92,7 +88,7 @@ def triangulating_instance(noise: float = 0.15) -> tuple[World, list[MechanismKe
     coupling strictly underestimates the loss.
     """
     joint = 0.5 * np.array([[0.2, 0.3, 0.3, 0.2], [0.05, 0.3, 0.3, 0.35]])
-    world = World(("s0", "s1"), ("x0", "x1", "x2", "x3"), joint, default_adjacency(joint))
+    world = _world(joint)
     hard1 = np.array([[0, 1], [0, 1], [1, 0], [1, 0]], dtype=float)
     hard2 = np.array([[0, 1], [1, 0], [0, 1], [1, 0]], dtype=float)
     soft = lambda k: k * (1 - 2 * noise) + noise
@@ -133,29 +129,34 @@ def binned_laplace_kernel(values, scale: float, bins: int = 33, span: float = 8.
     return MechanismKernel(name, tuple(f"b{i}" for i in range(bins)), rows)
 
 
+def _calibrate_noise_scale(world: World, kernel, values, eps_target: float, delta: float,
+                           bins: int) -> float:
+    """Scale the noise of ``kernel(values, scale, bins)`` so the worst-pair
+    tight epsilon at ``delta`` hits ``eps_target`` (bisection; epsilon
+    decreases in the scale); a target the bounds do not reach is refused."""
+    def tight(scale):
+        mech = kernel(values, scale, bins)
+        return worst_pair(world, effective_kernel(world, mech).matrix, delta=delta).value
+
+    lo, hi = SCALE_BOUNDS
+    if tight(lo) < eps_target or tight(hi) > eps_target:
+        raise ValueError("eps_target outside the reachable range for these bounds")
+    _, hi = bisect_monotone(lambda scale: tight(scale) <= eps_target, lo, hi,
+                            geometric=True, tol=1e-12, max_iter=80)
+    return hi
+
+
 def calibrate_gaussian_mechanism(
     world: World, values, eps_target: float, delta: float,
     bins: int = 33, name: str = "gauss",
-    sigma_bounds: tuple[float, float] = (1e-3, 1e4),
 ) -> MechanismKernel:
-    """Scale the noise so the worst-pair tight epsilon at ``delta`` hits
-    ``eps_target`` (bisection; epsilon decreases in sigma)."""
-    lo, hi = sigma_bounds
-
-    def tight(sigma):
-        mech = binned_gaussian_kernel(values, sigma, bins, name=name)
-        return worst_pair(world, effective_kernel(world, mech).matrix, delta=delta).value
-
-    if tight(lo) < eps_target or tight(hi) > eps_target:
-        raise ValueError("eps_target outside the reachable range for these bounds")
-    _, hi = bisect_monotone(lambda sigma: tight(sigma) <= eps_target, lo, hi,
-                            geometric=True, tol=1e-12, max_iter=80)
-    return binned_gaussian_kernel(values, hi, bins, name=name)
+    """The binned Gaussian mechanism whose worst-pair tight epsilon at ``delta`` is ``eps_target``."""
+    sigma = _calibrate_noise_scale(world, binned_gaussian_kernel, values, eps_target, delta, bins)
+    return binned_gaussian_kernel(values, sigma, bins, name=name)
 
 
-def secret_gaussian_channel(world: World, eta, sigma: float, bins: int = 33) -> np.ndarray:
+def secret_gaussian_channel(eta, sigma: float, bins: int = 33) -> np.ndarray:
     """Row-stochastic secret-to-output kernel: binned Gaussian around eta(s)."""
-    eta = np.asarray(eta, dtype=float)
     kern = binned_gaussian_kernel(eta, sigma, bins, name="alpha")
     return np.asarray(kern.kernel)
 
@@ -167,7 +168,6 @@ def calibrate_alpha_fill(
     eps_g: float,
     delta_g: float,
     bins: int = 33,
-    sigma_bounds: tuple[float, float] = (1e-3, 1e4),
 ) -> tuple[np.ndarray, float]:
     """Most informative secret-channel fill that keeps the full composition
     inside (eps_g, delta_g) by the direct divergence check.
@@ -177,15 +177,15 @@ def calibrate_alpha_fill(
     bounds cannot be certified.
     """
     def achieved(sigma):
-        alpha = secret_gaussian_channel(world, eta, sigma, bins)
-        law = np.einsum("sy,sa->sya", base_law, alpha).reshape(base_law.shape[0], -1)
+        alpha = secret_gaussian_channel(eta, sigma, bins)
+        law = join_per_secret(base_law, alpha)
         return worst_pair(world, law, eps=eps_g).value
 
-    lo, hi = sigma_bounds
+    lo, hi = SCALE_BOUNDS
     if achieved(hi) > delta_g:
-        return secret_gaussian_channel(world, eta, hi, bins), math.inf
+        return secret_gaussian_channel(eta, hi, bins), math.inf
     if achieved(lo) <= delta_g:
-        return secret_gaussian_channel(world, eta, lo, bins), lo
+        return secret_gaussian_channel(eta, lo, bins), lo
     _, hi = bisect_monotone(lambda sigma: achieved(sigma) <= delta_g, lo, hi,
                             geometric=True, tol=1e-12, max_iter=80)
-    return secret_gaussian_channel(world, eta, hi, bins), hi
+    return secret_gaussian_channel(eta, hi, bins), hi

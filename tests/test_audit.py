@@ -6,7 +6,7 @@ import pytest
 from conftest import random_dist_pair
 from dcpkit.audit import compare_protocol, lr_attack_roc, roc_bound_check, worst_pair_roc
 from dcpkit.composition import composed_joint
-from dcpkit.divergence import DistPair, check_dcp, optimal_epsilon
+from dcpkit.divergence import DistPair, check_dcp, optimal_epsilon, worst_pair
 from dcpkit.model import MechanismKernel, World, default_adjacency, effective_kernel
 
 RR = DistPair(np.array([0.75, 0.25]), np.array([0.25, 0.75]))
@@ -119,6 +119,11 @@ def test_compare_protocol_requires_certificates(invertible_world, rr_mechanism):
     law = effective_kernel(invertible_world, rr_mechanism).matrix
     with pytest.raises(ValueError, match="not certified"):
         compare_protocol(invertible_world, law, law, [(0.2, 0.0)])
+    # without the requirement the uncertified row comes back with its delta
+    (row,) = compare_protocol(invertible_world, law, law, [(0.2, 0.0)], require_certified=False)
+    delta = worst_pair(invertible_world, law, eps=0.2).value
+    assert delta > 0.0
+    assert row["delta_composed"] == row["delta_single"] == delta
 
 
 def test_compare_protocol_large_budget_approaches_bayes(mixing_world_2x2):

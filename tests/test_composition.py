@@ -241,6 +241,15 @@ def test_basic_composition_single_mechanism(mixing_world_2x2, rr_mechanism):
     assert out["holds"]
 
 
+@pytest.mark.parametrize("delta_is", [[0.01], [0.01, 0.02, 0.5]])
+def test_basic_composition_refuses_a_delta_grid_of_the_wrong_length(delta_is):
+    # one delta per mechanism: a short grid must not index past its end, a
+    # long one must not drop its extra entries from the summed delta
+    world, mechs = triangulating_instance()
+    with pytest.raises(ValueError, match=f"delta_is has {len(delta_is)} entries for 2 mechanisms"):
+        comp.basic_composition_check(world, mechs, [], delta_is=delta_is)
+
+
 def test_basic_composition_fails_on_shipped_instance():
     model = load_model(DATA / "basic_composition_violation.json")
     out = comp.basic_composition_check(

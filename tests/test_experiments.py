@@ -13,6 +13,12 @@ from dcpkit.experiments import (
     run_copula_experiment,
     run_independent_experiment,
 )
+from dcpkit.synth import (
+    _calibrate_noise_scale,
+    binned_gaussian_kernel,
+    binned_laplace_kernel,
+    mixing_world,
+)
 
 
 def test_default_grids():
@@ -50,17 +56,29 @@ def test_experiment_deterministic_replay():
     assert a.rows == b.rows
 
 
+@pytest.mark.parametrize("kernel", [binned_gaussian_kernel, binned_laplace_kernel])
+def test_noise_calibration_refuses_an_unreachable_target(kernel):
+    # the copula experiment's first Laplace marginal at eps_i = 50: even the
+    # least noise in the bracket stays below the target, so no scale hits it
+    world = mixing_world(0.005)
+    with pytest.raises(ValueError, match="outside the reachable range"):
+        _calibrate_noise_scale(world, kernel, (0.0, 1.0, 0.0, 1.0), 50.0, 0.02, 21)
+
+
 def test_mismatched_grids_rejected():
     with pytest.raises(ValueError):
         run_independent_experiment(eps_gs=(0.5,), eps_is=(0.1, 0.2))
 
 
-# One budget point of each experiment, at seeds 0 and 1: the independent one
-# lies in the IC band (the task-1 solver runs), the copula one is filled by
-# bisection.  tests/data/experiment_rows.json holds these rows as the code
-# before the vectorized inner loops computed them; rows must match exactly.
+# Budget points at seeds 0 and 1: "independent" lies in the IC band (the
+# task-1 solver runs), "independent-pi-empty" below it (the constraint set is
+# empty, so only the fill runs), and the copula one is filled by bisection.
+# tests/data/experiment_rows.json holds these rows as the code before the
+# vectorized inner loops computed them (the pi-empty rows as the code before
+# the calibrations were merged); rows must match exactly.
 GOLDEN_POINTS = {
     "independent": (run_independent_experiment, 5.0, 1.0),
+    "independent-pi-empty": (run_independent_experiment, 0.5, 0.1),
     "copula": (run_copula_experiment, 1.0, 0.18),
 }
 GOLDEN_FILE = pathlib.Path(__file__).parent / "data" / "experiment_rows.json"
