@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import DistPair, Law, _np_sweep, worst_pair
+from .divergence import DistPair, Law, _np_sweep
 from .model import World
 
 
@@ -61,10 +61,14 @@ def roc_bound_check(roc: RocCurve, eps: float, delta: float) -> float:
 
 def worst_pair_roc(world: World, law: np.ndarray) -> tuple[RocCurve, tuple[int, int]]:
     """Highest-AUC adjacent pair for a per-secret outcome law (checked once)."""
+    return _worst_roc(world, Law(np.asarray(law, dtype=float)))
+
+
+def _worst_roc(world: World, law: Law) -> tuple[RocCurve, tuple[int, int]]:
+    """``worst_pair_roc`` of a checked law."""
     candidates = sorted(world.adjacency)
     if not candidates:
         raise ValueError("no adjacent pairs to audit")
-    law = Law(np.asarray(law, dtype=float))
     best, best_pair = None, None
     for (s0, s1) in candidates:
         roc = lr_attack_roc(law.pair(s0, s1))
@@ -75,34 +79,29 @@ def worst_pair_roc(world: World, law: np.ndarray) -> tuple[RocCurve, tuple[int, 
 
 def compare_protocol(
     world: World,
-    setup_composed,
-    setup_single,
+    law_composed: np.ndarray,
+    law_single: np.ndarray,
     grid: list[tuple[float, float]],
     require_certified: bool = True,
 ) -> list[dict]:
     """Worst-pair attacker AUC of a composed setup vs a single mechanism.
 
-    Each setup is a callable (eps_g, delta_g) -> per-secret outcome law
-    (rows = secrets), letting callers recalibrate per grid point; fixed
-    laws may be passed directly.  Both setups must actually satisfy their
+    Each setup is a fixed per-secret outcome law (rows = secrets), checked
+    once and swept for its worst-pair ROC once; each grid point reads both
+    laws' worst delta at its eps.  Both setups must actually satisfy their
     certificate at each grid point unless ``require_certified`` is off.
     """
+    laws = [Law(np.asarray(law, dtype=float)) for law in (law_composed, law_single)]
+    (roc_a, pair_a), (roc_b, pair_b) = (_worst_roc(world, law) for law in laws)
     rows = []
     for eps_g, delta_g in grid:
-        out = []
-        for name, setup in (("composed", setup_composed), ("single", setup_single)):
-            law = setup(eps_g, delta_g) if callable(setup) else setup
-            law = np.asarray(law, dtype=float)
-            worst_delta = worst_pair(world, law, eps=eps_g).value
+        d_a, d_b = (law.worst(world, eps=eps_g).value for law in laws)
+        for name, worst_delta in (("composed", d_a), ("single", d_b)):
             if require_certified and worst_delta > delta_g + 1e-9:
                 raise ValueError(
                     f"{name} setup is not certified at (eps={eps_g}, delta={delta_g}): "
                     f"achieved delta {worst_delta}"
                 )
-            roc, pair = worst_pair_roc(world, law)
-            out.append((roc, pair, worst_delta))
-        roc_a, pair_a, d_a = out[0]
-        roc_b, pair_b, d_b = out[1]
         rows.append(
             {
                 "eps_g": eps_g,

@@ -22,12 +22,12 @@ from . import __version__
 from . import composition as comp
 from . import config
 from . import ic
-from .audit import worst_pair_roc
+from .audit import compare_protocol
 from .copula import copula_spec_from_mapping, psedr_samples
-from .divergence import DistPair, check_dcp, worst_pair
+from .divergence import DistPair, Law
 from .experiments import run_copula_experiment, run_independent_experiment
 from .model import Model, ModelError, adjacency_labels, effective_kernel, load_model
-from .pld import pld_from_pair
+from .pld import pld_csv, pld_from_pair
 
 
 def _fmt(x) -> str:
@@ -55,6 +55,7 @@ def _number(convert, ok, what: str):
 FINITE = _number(float, math.isfinite, "a finite number")
 PROBABILITY = _number(float, lambda v: 0.0 <= v <= 1.0, "a probability in [0, 1]")
 COUNT = _number(int, lambda v: v > 0, "a positive count")
+CAP = _number(int, lambda v: 0 < v <= 10**7, "a count in (0, 1e7]")
 
 
 def _model_hash(path) -> str:
@@ -86,29 +87,28 @@ def _load(args) -> Model:
     return load_model(args.model)
 
 
+def _check_rows(model: Model):
+    """``dcp check``'s (name, law) rows, each built when the loop reaches it."""
+    for mech in model.mechanisms:
+        yield mech.name, Law(effective_kernel(model.world, mech).matrix)
+    if model.mechanisms:
+        yield "__composition__", comp.composed_joint(model.world, list(model.mechanisms),
+                                                     list(model.dependence))
+
+
 def cmd_check(args) -> int:
     model = _load(args)
     world = model.world
     reports = {}
     ok = True
-    for mech in model.mechanisms:
-        rep = check_dcp(world, mech, args.eps, args.delta)
-        reports[mech.name] = {
+    for name, law in _check_rows(model):
+        rep = law.check(world, args.eps, args.delta)
+        reports[name] = {
             "holds": rep.holds,
             "worst_pair": [world.secrets[rep.worst_pair[0]], world.secrets[rep.worst_pair[1]]],
             "worst_delta": rep.worst_delta,
         }
         ok = ok and rep.holds
-    if len(model.mechanisms) >= 1:
-        cj = comp.composed_joint(world, list(model.mechanisms), list(model.dependence))
-        worst = cj.worst(world, eps=args.eps)  # the composition's law is checked once, when built
-        comp_holds = worst.value <= args.delta + 1e-12
-        reports["__composition__"] = {
-            "holds": comp_holds,
-            "worst_pair": [world.secrets[worst.pair[0]], world.secrets[worst.pair[1]]],
-            "worst_delta": worst.value,
-        }
-        ok = ok and comp_holds
     payload = {"eps": args.eps, "delta": args.delta, "holds": ok, "reports": reports}
     _emit(args, _header(args, "check") + json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0 if ok else 1
@@ -149,11 +149,7 @@ def cmd_pld(args) -> int:
     else:
         cj = comp.composed_joint(world, list(model.mechanisms), list(model.dependence))
         pld = pld_from_pair(cj.pair(s0, s1))
-    lines = [_header(args, "pld"), "loss,mass\n"]
-    for loss, mass in zip(pld.losses, pld.masses):
-        lines.append(f"{_fmt(float(loss))},{_fmt(float(mass))}\n")
-    lines.append(f"inf,{_fmt(pld.inf_mass)}\n")
-    _emit(args, "".join(lines))
+    _emit(args, _header(args, "pld") + pld_csv(pld))
     return 0
 
 
@@ -230,20 +226,15 @@ def cmd_audit(args) -> int:
     dep = [type(g)(members=tuple(remap[i] for i in g.members), joint_kernel=g.joint_kernel,
                    joint_outputs=g.joint_outputs) for g in model.dependence]
     law_comp = comp.composed_joint(world, rest, dep).matrix
+    grid = [(eg, dg) for eg in args.eps_g for dg in args.delta_g]
+    rows = compare_protocol(world, law_comp, law_single, grid, require_certified=False)
     lines = [_header(args, "audit"), "eps_g,delta_g,auc_composed,auc_single,gap\n"]
-    ok = True
-    roc_c, _ = worst_pair_roc(world, law_comp)
-    roc_s, _ = worst_pair_roc(world, law_single)
-    for eg in args.eps_g:
-        worst = max(worst_pair(world, law, eps=eg).value for law in (law_comp, law_single))
-        for dg in args.delta_g:
-            if worst > dg + 1e-9:
-                ok = False
-            lines.append(
-                f"{_fmt(eg)},{_fmt(dg)},{_fmt(roc_c.auc)},{_fmt(roc_s.auc)},{_fmt(roc_c.auc - roc_s.auc)}\n"
-            )
+    for r in rows:
+        lines.append(f"{_fmt(r['eps_g'])},{_fmt(r['delta_g'])},{_fmt(r['auc_composed'])},"
+                     f"{_fmt(r['auc_single'])},{_fmt(r['gap'])}\n")
     _emit(args, "".join(lines))
-    return 0 if ok else 1
+    failed = any(max(r["delta_composed"], r["delta_single"]) > r["delta_g"] + 1e-9 for r in rows)
+    return 1 if failed else 0
 
 
 def _svg_chart(rows, path) -> None:
@@ -296,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--model", help="model JSON file")
     parser.add_argument("--seed", type=int, default=0, help="seed recorded in outputs")
     parser.add_argument("--out", help="output file (default stdout)")
-    parser.add_argument("--cap", type=COUNT, default=None,
+    parser.add_argument("--cap", type=CAP, default=None,
                         help="override the outcome-space cap (at most 1e7)")
     parser.add_argument("--bins", type=COUNT, default=None,
                         help="grid resolution for continuous discretization")
@@ -349,9 +340,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if args.cap is not None and args.cap > 10**7:
-        sys.stderr.write("dcp: error: --cap must lie in (0, 1e7]\n")
-        return 2
     cap = config.OUTCOME_CAP
     if args.cap is not None:
         config.OUTCOME_CAP = args.cap

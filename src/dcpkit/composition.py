@@ -15,7 +15,6 @@ from functools import cached_property, reduce
 import numpy as np
 
 from . import config
-from .config import PROB_ATOL
 from .divergence import DistPair, Law, hockey_stick, tradeoff_curve, worst_pair
 from .model import (DependenceGroup, MechanismKernel, TypeClass, World, _freeze, atom_counts, atom_index,
                     composed_law, effective_kernel, lay_out, lumped_law, mix_kernel, type_classes)
@@ -200,7 +199,8 @@ class CompositionReport:
     basic_holds: bool = True
     basic_witness: tuple | None = None
 
-    def ordering_ok(self, slack: float = 1e-9) -> bool:
+    def ordering_ok(self) -> bool:
+        slack = 1e-9
         for (_, _, _, under, true, over) in self.opt_rows:
             if under > true + slack or true > over + slack:
                 return False
@@ -251,15 +251,14 @@ def basic_composition_check(
     mechs: list[MechanismKernel],
     dependence: list[DependenceGroup] = (),
     delta_is: list[float] | None = None,
-    eps_budget: float = 1.0,
 ) -> dict:
     """Does the composition satisfy (sum eps_i, sum delta_i)?
 
     Per-mechanism budgets are the tight epsilons at the caller's delta_i
     grid; when no grid is given, each mechanism gets the tight delta at an
-    equal split of ``eps_budget``.  The verdict evaluates the composed
-    hockey-stick at the summed epsilon against the summed delta on every
-    adjacent pair; the composed joint is built only when that sum is finite.
+    equal split of eps = 1.  The verdict is ``Law.check`` of the composed
+    law at the summed epsilon and the summed delta; the composed joint is
+    built only when that sum is finite.
     """
     if delta_is is not None and len(delta_is) != len(mechs):
         raise ValueError(f"delta_is has {len(delta_is)} entries for {len(mechs)} mechanisms")
@@ -271,7 +270,7 @@ def basic_composition_check(
             d_i = delta_is[i]
             e_i = worst_pair(world, eff, delta=d_i).value
         else:
-            e_i = eps_budget / len(effs)
+            e_i = 1.0 / len(effs)
             d_i = worst_pair(world, eff, eps=e_i).value
         eps_list.append(e_i)
         delta_list.append(d_i)
@@ -279,13 +278,13 @@ def basic_composition_check(
     if math.isinf(eps_sum):
         return {"holds": True, "witness": None, "eps_sum": eps_sum, "delta_sum": delta_sum,
                 "per_mechanism": list(zip(eps_list, delta_list))}
-    worst = value.lumped.worst(world, eps=eps_sum)
+    report = value.lumped.check(world, eps_sum, delta_sum)
     return {
-        "holds": worst.value <= delta_sum + PROB_ATOL,
-        "witness": (worst.pair, eps_sum, delta_sum, worst.value),
+        "holds": report.holds,
+        "witness": (report.worst_pair, eps_sum, delta_sum, report.worst_delta),
         "eps_sum": eps_sum,
         "delta_sum": delta_sum,
-        "composed_delta": worst.value,
+        "composed_delta": report.worst_delta,
         "per_mechanism": list(zip(eps_list, delta_list)),
     }
 

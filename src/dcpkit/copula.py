@@ -18,7 +18,7 @@ import numpy as np
 from scipy import integrate, special, stats
 
 from .divergence import DistPair, optimal_epsilon
-from .model import World
+from .model import World, check_cap
 from .pld import Pld, pld_from_pair
 from .synth import _binned_noise
 
@@ -376,7 +376,6 @@ def copula_plrv(
     s1: int,
     bins: int = 512,
     span: float = 8.0,
-    mass_tol: float = 1e-3,
 ) -> Pld:
     """Loss distribution contributed by the state-dependent coupling.
 
@@ -385,7 +384,7 @@ def copula_plrv(
     coordinate's contribution cancels identically), discretized on a
     ``bins``-cell grid spanning ``span`` standard deviations around the two
     state means.  Tail mass is folded into the edge cells after the
-    coverage check.
+    coverage check (each state's interior mass at least 0.999).
     """
     if (s0, s1) not in world.adjacency:
         raise ValueError(f"({s0},{s1}) is not an adjacent pair")
@@ -394,8 +393,8 @@ def copula_plrv(
     if eta0 == eta1:
         return Pld.point(0.0)
     (p, q), cdf = _binned_noise((eta0, eta1), math.sqrt(spec.var1), bins, span, special.ndtr)
-    if np.any(cdf[:, -1] - cdf[:, 0] < 1.0 - mass_tol):
-        raise ValueError(f"grid too coarse: interior mass below {1.0 - mass_tol}")
+    if np.any(cdf[:, -1] - cdf[:, 0] < 0.999):
+        raise ValueError("grid too coarse: interior mass below 0.999")
     return pld_from_pair(DistPair(p, q))
 
 
@@ -433,7 +432,6 @@ def perturbed_decomposition(
     s0: int,
     s1: int,
     bins: int = 64,
-    span: float = 8.0,
 ) -> PerturbedDecomposition:
     """Discretized accounting model of the coupled pair between two secrets.
 
@@ -457,8 +455,8 @@ def perturbed_decomposition(
     m0 = _shift_pair(spec, eta0, mu_ref)
     m1v = _shift_pair(spec, eta1, mu_ref)
 
-    g1 = _output_grid(spec.xi1, f1, bins, span)
-    g2 = _output_grid(spec.xi2, f2, bins, span)
+    g1 = _output_grid(spec.xi1, f1, bins)
+    g2 = _output_grid(spec.xi2, f2, bins)
     y1, y2 = np.meshgrid(g1, g2, indexing="ij")
 
     def state_logs(s, shifts):
@@ -508,9 +506,9 @@ def perturbed_decomposition(
     )
 
 
-def _output_grid(xi, values: np.ndarray, bins: int, span: float) -> np.ndarray:
-    """``bins`` points spanning the query ``values`` and ``span`` spreads of ``xi`` past them."""
-    return np.linspace(values.min() - span * xi.spread, values.max() + span * xi.spread, bins)
+def _output_grid(xi, values: np.ndarray, bins: int) -> np.ndarray:
+    """``bins`` points spanning the query ``values`` and 8 spreads of ``xi`` past them."""
+    return np.linspace(values.min() - 8.0 * xi.spread, values.max() + 8.0 * xi.spread, bins)
 
 
 def _normal_score(xi, v):
@@ -518,12 +516,13 @@ def _normal_score(xi, v):
     return stats.norm.ppf(np.clip(xi.cdf(v), 1e-300, 1 - 1e-16))
 
 
-def block_grid(xi1, xi2, world: World, query_maps: tuple, bins: int = 17, span: float = 8.0):
+def block_grid(xi1, xi2, world: World, query_maps: tuple, bins: int = 17):
     """The eps_c-free half of ``coupled_block_law``: grids g1, g2 and, per dataset,
     (noise log-density less normal-score log-densities, score 1, score 2)."""
+    check_cap(bins * bins, f"block grid of {bins} x {bins} cells")
     f1, f2 = (np.asarray(q, dtype=float) for q in query_maps)
-    g1 = _output_grid(xi1, f1, bins, span)
-    g2 = _output_grid(xi2, f2, bins, span)
+    g1 = _output_grid(xi1, f1, bins)
+    g2 = _output_grid(xi2, f2, bins)
     y1, y2 = np.meshgrid(g1, g2, indexing="ij")
     terms = []
     for x in range(len(world.datasets)):
@@ -567,7 +566,6 @@ def coupled_block_law(
     world: World,
     query_maps: tuple,
     bins: int = 17,
-    span: float = 8.0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-secret cell-mass law of the coupled pair on a shared 2-D grid.
 
@@ -575,7 +573,7 @@ def coupled_block_law(
     factor times the noise product) is mixed over P(x|s).  Cell masses are
     midpoint-density approximations, renormalized per secret.
     """
-    g1, g2, terms = block_grid(spec.xi1, spec.xi2, world, query_maps, bins, span)
+    g1, g2, terms = block_grid(spec.xi1, spec.xi2, world, query_maps, bins)
     return mix_block_law(spec, world, terms), g1, g2
 
 

@@ -122,6 +122,15 @@ def optimal_epsilon(pair: DistPair, delta: float) -> float:
     return LossProfile(pair).epsilon(delta)
 
 
+@dataclass(frozen=True)
+class DcpReport:
+    holds: bool
+    worst_pair: tuple[int, int]
+    worst_delta: float
+    eps: float
+    delta: float
+
+
 class WorstPair(NamedTuple):
     """Largest per-pair value over an adjacency, the first pair reaching it,
     and every pair's value in pair order."""
@@ -170,6 +179,13 @@ class Law:
         first = max(values, key=values.__getitem__)
         return WorstPair(values[first], first, values)
 
+    def check(self, world: World, eps: float, delta: float) -> DcpReport:
+        """Certify this law at (eps, delta) over every adjacent secret pair:
+        it holds when the worst pair's delta at eps is within ``PROB_ATOL``."""
+        worst = self.worst(world, eps=eps)
+        return DcpReport(holds=worst.value <= delta + PROB_ATOL, worst_pair=worst.pair,
+                         worst_delta=worst.value, eps=eps, delta=delta)
+
 
 def worst_pair(world: World, law: np.ndarray, *, eps: float | None = None,
                delta: float | None = None) -> WorstPair:
@@ -205,25 +221,9 @@ def bisect_monotone(pred: Callable[[float], bool], lo: float, hi: float, *,
     return lo, hi
 
 
-@dataclass(frozen=True)
-class DcpReport:
-    holds: bool
-    worst_pair: tuple[int, int]
-    worst_delta: float
-    eps: float
-    delta: float
-
-
 def check_dcp(world: World, mech: MechanismKernel, eps: float, delta: float) -> DcpReport:
     """Certify one mechanism at (eps, delta) over every adjacent secret pair."""
-    worst = worst_pair(world, effective_kernel(world, mech).matrix, eps=eps)
-    return DcpReport(
-        holds=worst.value <= delta + PROB_ATOL,
-        worst_pair=worst.pair,
-        worst_delta=worst.value,
-        eps=eps,
-        delta=delta,
-    )
+    return Law(effective_kernel(world, mech).matrix).check(world, eps, delta)
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,8 @@ COPULA_EPS_G = (0.4, 0.6, 1.0, 2.0, 4.0, 6.0)
 COPULA_EPS_I = (0.05, 0.1, 0.18, 0.3, 0.6, 1.0)
 DEFAULT_DELTA = 0.02
 DEFAULT_RHO = 0.5
+LAM = 0.005     # the mixing of the experiments' world (``synth.mixing_world``)
+MECH_BINS = 7   # output bins of each calibrated noise mechanism
 
 # query patterns over the four synthetic datasets; every pattern separates
 # the first two datasets, which dominate the two secrets at small mixing
@@ -85,25 +87,22 @@ def run_independent_experiment(
     eps_gs=INDEPENDENT_EPS_G,
     eps_is=INDEPENDENT_EPS_I,
     delta: float = DEFAULT_DELTA,
-    lam: float = 0.005,
-    mech_bins: int = 7,
-    alpha_bins: int = 9,
 ) -> ExperimentResult:
     """Four calibrated noise mechanisms plus an added secret channel that
     fills the remaining budget under the direct check."""
     if len(eps_gs) != len(eps_is):
         raise ValueError("eps_g and eps_i grids must have equal length")
-    world = mixing_world(lam)
+    world = mixing_world(LAM)
     rows = []
     for j, (eps_g, eps_i) in enumerate(zip(eps_gs, eps_is)):
         mechs = [
-            calibrate_gaussian_mechanism(world, fmap, eps_i, delta, bins=mech_bins, name=f"m{i}")
+            calibrate_gaussian_mechanism(world, fmap, eps_i, delta, bins=MECH_BINS, name=f"m{i}")
             for i, fmap in enumerate(_QUERY_MAPS)
         ]
         base_law = composed_joint(world, mechs).matrix
         flag = _ic_attempt(world, mechs, eps_g, delta, seed + j)
         alpha, sigma = calibrate_alpha_fill(
-            world, base_law, eta=(0.0, 1.0), eps_g=eps_g, delta_g=delta, bins=alpha_bins
+            world, base_law, eta=(0.0, 1.0), eps_g=eps_g, delta_g=delta, bins=9
         )
         if math.isinf(sigma):
             law = base_law
@@ -120,26 +119,24 @@ def run_copula_experiment(
     eps_is=COPULA_EPS_I,
     delta: float = DEFAULT_DELTA,
     rho: float = DEFAULT_RHO,
-    lam: float = 0.005,
     block_bins: int = 17,
-    mech_bins: int = 7,
 ) -> ExperimentResult:
     """Two Laplace queries coupled by a calibrated Gaussian copula, three
     further calibrated noise mechanisms, audited against a single one."""
     if len(eps_gs) != len(eps_is):
         raise ValueError("eps_g and eps_i grids must have equal length")
-    world = mixing_world(lam)
+    world = mixing_world(LAM)
     w = 2.0 * math.log(2.0 / delta)
     eta = {world.secrets[0]: 0.0, world.secrets[1]: 1.0}
     rows = []
     for j, (eps_g, eps_i) in enumerate(zip(eps_gs, eps_is)):
         f1, f2 = _QUERY_MAPS[0], _QUERY_MAPS[1]
         xi1 = LaplaceMarginal(_calibrate_noise_scale(world, binned_laplace_kernel, f1, eps_i, delta,
-                                                     mech_bins * 3))
+                                                     MECH_BINS * 3))
         xi2 = LaplaceMarginal(_calibrate_noise_scale(world, binned_laplace_kernel, f2, eps_i, delta,
-                                                     mech_bins * 3))
+                                                     MECH_BINS * 3))
         others = [
-            calibrate_gaussian_mechanism(world, fmap, eps_i, delta, bins=mech_bins, name=f"m{i}")
+            calibrate_gaussian_mechanism(world, fmap, eps_i, delta, bins=MECH_BINS, name=f"m{i}")
             for i, fmap in enumerate(_QUERY_MAPS[2:])
         ]
         rest_law = composed_joint(world, others).matrix

@@ -18,7 +18,7 @@ import numpy as np
 
 from .composition import Composition
 from .divergence import Law, bisect_monotone, worst_pair
-from .model import DependenceGroup, MechanismKernel, World, join_per_secret
+from .model import DependenceGroup, MechanismKernel, World, check_cap, join_per_secret
 
 LOG_FLOOR = 1e-12
 TAU_CAP = 1e6
@@ -268,17 +268,11 @@ def _project_rows_simplex(mat: np.ndarray) -> np.ndarray:
 
 def _penalty_terms(pi, prior, tau_g, delta_g):
     lower = np.maximum(prior[None, :] / tau_g - pi, 0.0)
-    prior = _support_prior(prior)
     if delta_g > 0.0:
         expect = np.maximum((pi**2 / prior[None, :]).sum(axis=1) - delta_g * tau_g, 0.0)
         return lower, expect, None
     upper = np.maximum(pi - tau_g * prior[None, :], 0.0)
     return lower, None, upper
-
-
-def _support_prior(prior):
-    """+inf for a zero-prior secret, so its expectation and upper terms vanish."""
-    return np.where(prior > 0.0, prior, np.inf)
 
 
 def _penalty_value(pi, prior, tau_g, delta_g):
@@ -295,7 +289,7 @@ def _penalty_grad(pi, prior, tau_g, delta_g):
     lower, expect, upper = _penalty_terms(pi, prior, tau_g, delta_g)
     grad = -2.0 * lower
     if expect is not None:
-        grad = grad + (2.0 * expect)[:, None] * (2.0 * pi / _support_prior(prior)[None, :])
+        grad = grad + (2.0 * expect)[:, None] * (2.0 * pi / prior[None, :])
     if upper is not None:
         grad = grad + 2.0 * upper
     return grad
@@ -374,6 +368,7 @@ def solve_task1(problem: IcProblem) -> IcSolution:
     tau_g, delta_g, m = problem.tau_g, problem.delta_g, problem.alpha_size
     rng = np.random.default_rng(problem.seed)
     b_all = _composed_law(problem.world, problem.mechs, problem.dependence).matrix
+    check_cap(b_all.shape[1] * m, f"{b_all.shape[1]} outcomes x {m} channel symbols")
     world, keep = _positive_prior(problem.world)
     prior = world.marginal_secret
     n_s = len(world.secrets)

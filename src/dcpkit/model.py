@@ -331,13 +331,18 @@ def _type_class(members: tuple[int, ...], n: int) -> TypeClass:
     return TypeClass(members, n, types, counts.astype(float))
 
 
+def check_cap(size: int, what: str) -> None:
+    """Refuse ``size`` cells of ``what`` above ``config.OUTCOME_CAP``, before allocating them."""
+    if size > config.OUTCOME_CAP:
+        raise ValueError(f"{what} exceeds cap {config.OUTCOME_CAP}")
+
+
 def _check_size(mechs: Sequence[MechanismKernel]) -> None:
     """Refuse no mechanisms, and a product alphabet above ``config.OUTCOME_CAP``."""
     if not mechs:
         raise ValueError("need at least one mechanism")
     size = math.prod(m.n_outputs for m in mechs)
-    if size > config.OUTCOME_CAP:
-        raise ValueError(f"product outcome space {size} exceeds cap {config.OUTCOME_CAP}")
+    check_cap(size, f"product outcome space {size}")
 
 
 def type_classes(mechs: Sequence[MechanismKernel],
@@ -411,7 +416,7 @@ def effective_kernel(world: World, mech: MechanismKernel) -> EffectiveKernel:
     return EffectiveKernel(matrix=mix_kernel(world, mech.kernel))
 
 
-def is_invertible(world: World, tol: float = PROB_ATOL) -> tuple[bool, dict[int, int] | None]:
+def is_invertible(world: World) -> tuple[bool, dict[int, int] | None]:
     """Whether every secret pins down a dataset with conditional probability 1.
 
     Returns the witness map secret index -> dataset index when true.
@@ -422,7 +427,7 @@ def is_invertible(world: World, tol: float = PROB_ATOL) -> tuple[bool, dict[int,
             continue
         cond = world.conditional_dataset(s)
         x = int(np.argmax(cond))
-        if cond[x] >= 1.0 - tol:
+        if cond[x] >= 1.0 - PROB_ATOL:
             witness[s] = x
         else:
             return False, None

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import config
 from .config import PROB_ATOL
 from .divergence import DistPair
-from .model import DependenceGroup, MechanismKernel, World, lay_out
+from .model import DependenceGroup, MechanismKernel, World, check_cap, lay_out
 
 # losses closer than this are merged into one atom (mass-weighted mean)
 MERGE_ATOL = 1e-12
@@ -106,10 +105,7 @@ def convolve(a: Pld, b: Pld) -> Pld:
     The outer sum holds |a| * |b| atoms before merging; a product above
     ``config.OUTCOME_CAP`` is refused before anything is allocated.
     """
-    if a.losses.size * b.losses.size > config.OUTCOME_CAP:
-        raise ValueError(
-            f"convolution of {a.losses.size} x {b.losses.size} loss atoms exceeds cap {config.OUTCOME_CAP}"
-        )
+    check_cap(a.losses.size * b.losses.size, f"convolution of {a.losses.size} x {b.losses.size} loss atoms")
     losses = np.add.outer(a.losses, b.losses).ravel()
     masses = np.multiply.outer(a.masses, b.masses).ravel()
     inf_mass = a.inf_mass + b.inf_mass - a.inf_mass * b.inf_mass
@@ -208,13 +204,16 @@ def epsilon_for_delta(pld: Pld, delta: float) -> float:
     return LossSum(_ZERO, pld).epsilon(delta)
 
 
+def pld_csv(pld: Pld) -> str:
+    """``loss,mass`` rows, each float as its ``repr``, and a final ``inf,<mass>`` row."""
+    rows = "".join(f"{loss!r},{mass!r}\n" for loss, mass in zip(pld.losses.tolist(), pld.masses.tolist()))
+    return f"loss,mass\n{rows}inf,{pld.inf_mass!r}\n"
+
+
 def write_pld_csv(pld: Pld, path) -> None:
-    """Serialize as ``loss,mass`` rows with a final ``inf,<mass>`` row."""
+    """Serialize as ``pld_csv`` does."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("loss,mass\n")
-        for loss, mass in zip(pld.losses, pld.masses):
-            fh.write(f"{float(loss)!r},{float(mass)!r}\n")
-        fh.write(f"inf,{float(pld.inf_mass)!r}\n")
+        fh.write(pld_csv(pld))
 
 
 def read_pld_csv(path) -> Pld:

@@ -116,16 +116,16 @@ def _laplace_cdf(x):
     return np.where(x > 0, 1.0 - e, e)
 
 
-def binned_gaussian_kernel(values, sigma: float, bins: int = 33, span: float = 6.0,
+def binned_gaussian_kernel(values, sigma: float, bins: int = 33,
                            name: str = "gauss") -> MechanismKernel:
-    """Additive Gaussian noise on per-dataset query values, binned."""
-    rows, _ = _binned_noise(values, sigma, bins, span, special.ndtr)
+    """Additive Gaussian noise on per-dataset query values, binned to 6 sigmas past them."""
+    rows, _ = _binned_noise(values, sigma, bins, 6.0, special.ndtr)
     return MechanismKernel(name, tuple(f"b{i}" for i in range(bins)), rows)
 
 
-def binned_laplace_kernel(values, scale: float, bins: int = 33, span: float = 8.0,
+def binned_laplace_kernel(values, scale: float, bins: int = 33,
                           name: str = "laplace") -> MechanismKernel:
-    rows, _ = _binned_noise(values, scale, bins, span, _laplace_cdf)
+    rows, _ = _binned_noise(values, scale, bins, 8.0, _laplace_cdf)
     return MechanismKernel(name, tuple(f"b{i}" for i in range(bins)), rows)
 
 

@@ -139,13 +139,31 @@ def test_compare_protocol_large_budget_approaches_bayes(mixing_world_2x2):
     assert abs(rows[0]["gap"]) <= 1e-12
 
 
-def test_compare_protocol_with_callable_setups(uniform_world, noise_mechanism):
-    law = effective_kernel(uniform_world, noise_mechanism).matrix
+def test_compare_protocol_sweeps_each_law_once(monkeypatch, mixing_world_2x2, rr_mechanism):
+    from dcpkit import audit
+
     calls = []
 
-    def setup(eps_g, delta_g):
-        calls.append(eps_g)
-        return law
+    def counted(pair):
+        calls.append(pair)
+        return lr_attack_roc(pair)
 
-    rows = compare_protocol(uniform_world, setup, setup, [(0.5, 0.1), (1.0, 0.1)])
-    assert len(rows) == 2 and calls == [0.5, 0.5, 1.0, 1.0]
+    monkeypatch.setattr(audit, "lr_attack_roc", counted)
+    law_single = effective_kernel(mixing_world_2x2, rr_mechanism).matrix
+    law_comp = composed_joint(mixing_world_2x2, [rr_mechanism, rr_mechanism], []).matrix
+    rows = compare_protocol(mixing_world_2x2, law_comp, law_single, [(0.5, 0.1), (1.0, 0.2)],
+                            require_certified=False)
+    assert len(calls) == 2 * len(mixing_world_2x2.adjacency)
+    assert [(r["eps_g"], r["delta_g"]) for r in rows] == [(0.5, 0.1), (1.0, 0.2)]
+    for r in rows:
+        assert r["delta_composed"] == worst_pair(mixing_world_2x2, law_comp, eps=r["eps_g"]).value
+        assert r["delta_single"] == worst_pair(mixing_world_2x2, law_single, eps=r["eps_g"]).value
+        assert r["auc_composed"] == worst_pair_roc(mixing_world_2x2, law_comp)[0].auc
+
+
+def test_compare_protocol_on_an_empty_adjacency(rr_mechanism):
+    joint = np.array([[0.5, 0.0], [0.0, 0.5]])
+    world = World(("s0", "s1"), ("x0", "x1"), joint, frozenset())
+    law = effective_kernel(world, rr_mechanism).matrix
+    with pytest.raises(ValueError, match="no adjacent pairs to audit"):
+        compare_protocol(world, law, law, [(1.0, 0.1)])

@@ -194,6 +194,19 @@ def test_cap_applies_to_one_invocation():
     assert run(["--model", MIXING, "check", "--eps", "3.0", "--delta", "0.05"]) == 0
 
 
+@pytest.mark.parametrize("argv", [
+    # the mixing model's 12 outcomes times a 100-symbol added channel
+    ["--model", MIXING, "ic", "--task", "1", "--tau", "2.0", "--alphabet", "100"],
+    # an 11 x 11 copula block grid
+    ["--bins", "11", "experiment", "--name", "copula"],
+], ids=["ic-alphabet", "copula-bins"])
+def test_user_counts_past_the_cap_exit_2_before_allocating(capsys, argv):
+    assert run(["--cap", "100", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("dcp: error: ") and captured.err.endswith("exceeds cap 100\n")
+
+
 def test_parser_is_built_once_and_each_call_parses_afresh(capsys):
     from dcpkit import cli
 
@@ -233,6 +246,7 @@ BAD_NUMBERS = [
     ["copula-sample", "-n", "0"],
     ["--bins", "0", "experiment", "--name", "copula"],
     ["--cap", "-5", "check", "--eps", "1", "--delta", "0.1"],
+    ["--cap", "20000000", "check", "--eps", "1", "--delta", "0.1"],
 ]
 
 

@@ -4,9 +4,10 @@ demo models and the repeated-kernel model, compared byte for byte with
 
 The arguments are the fixed ones the benchmark's cli round gives the demo
 models (``bench/gen.py``), with a small sample count and two task-1 runs,
-one at delta_g = 0 and one inside the band delta_g * tau >= 1.  A command a
-model cannot serve (no copula section, a single setup inside a dependence
-group) is recorded too: its exit code is 2 and its stdout empty.
+one at delta_g = 0 and one inside the band delta_g * tau >= 1, plus a
+second audit at budgets both setups meet.  A command a model cannot serve
+(no copula section, a single setup inside a dependence group) is recorded
+too: its exit code is 2 and its stdout empty.
 
 To rewrite the golden file from the code on the path (only when a change
 to the printed bytes is intended)::
@@ -46,6 +47,7 @@ def _commands(first_mech: str, single: str) -> dict:
         "ic1_band": ["--seed", "7", "ic", "--task", "1", "--tau", "60.0", "--delta-g", "0.02"],
         "ic2": ["ic", "--task", "2", "--delta-g", "0.02"],
         "audit": ["audit", "--single", single, "--eps-g", "0.5", "1.0", "--delta-g", "0.0", "0.02"],
+        "audit_pass": ["audit", "--single", single, "--eps-g", "3.0", "6.0", "--delta-g", "0.3", "0.5"],
         "copula_sample": ["--seed", "7", "copula-sample", "-n", "20"],
     }
 

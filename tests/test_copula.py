@@ -366,8 +366,8 @@ def test_coupled_block_law_matches_decomposition_on_invertible_world():
     spec = make_spec()
     world = _pair_world()
     fmaps = ((0.0, 1.0), (0.0, 0.5))
-    law, g1, g2 = coupled_block_law(spec, world, fmaps, bins=41, span=8.0)
-    dec = perturbed_decomposition(spec, world, fmaps, 0, 1, bins=41, span=8.0)
+    law, g1, g2 = coupled_block_law(spec, world, fmaps, bins=41)
+    dec = perturbed_decomposition(spec, world, fmaps, 0, 1, bins=41)
     assert np.allclose(g1, dec.grid1) and np.allclose(g2, dec.grid2)
     pair_block = DistPair(law[0], law[1])
     for eps in (0.0, 0.3, 0.8, 1.5):
