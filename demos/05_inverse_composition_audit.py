@@ -32,7 +32,7 @@ flat = MechanismKernel("flat", ("0", "1"), np.full((2, 2), 0.5))
 
 # Task 1: add a channel hitting the ratio budget tau=2 (eps = ln 3 here).
 sol = solve_task1(IcProblem(world=world, mechs=[flat], delta_g=0.0,
-                            tau_g=2.0, alpha_size=2, seed=1))
+                            tau_g=2.0, alpha_size=2))
 print("designed channel:\n", np.round(sol.alpha, 4))
 print("certified:", sol.certified, " eps_g:", round(sol.eps_g, 4),
       " (= ln 3:", round(math.log(3), 4), ")")

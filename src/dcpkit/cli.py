@@ -188,7 +188,6 @@ def cmd_ic(args) -> int:
         tau_g=args.tau if args.task == 1 else None,
         alpha_size=args.alphabet,
         loss=args.loss,
-        seed=args.seed,
     )
     sol = ic.solve_task1(problem) if args.task == 1 else ic.solve_task2(problem)
     payload = {
@@ -344,6 +343,8 @@ def main(argv=None) -> int:
     if args.cap is not None:
         config.OUTCOME_CAP = args.cap
     try:
+        if args.bins is not None and not (args.command == "experiment" and args.name == "copula"):
+            raise ModelError("--bins applies only to experiment --name copula")
         if args.command == "ic" and args.task == 1 and args.tau is None:
             raise ModelError("task 1 needs --tau")
         return args.func(args)

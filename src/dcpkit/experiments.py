@@ -69,17 +69,13 @@ class ExperimentResult:
     rows: list = field(default_factory=list)
 
 
-def _ic_attempt(world, mechs, eps_g, delta_g, seed) -> str:
+def _ic_attempt(world, mechs, eps_g, delta_g) -> str:
     """Run the design solver when the constraint set can be nonempty."""
     tau_g = ic.tau_of_epsilon(eps_g, world)
     if not ic.pi_set_nonempty(tau_g, delta_g):
         return "pi-empty"
-    problem = ic.IcProblem(
-        world=world, mechs=mechs, delta_g=delta_g, tau_g=tau_g,
-        alpha_size=3, outer_rounds=4, max_inner=80, seed=seed,
-    )
-    sol = ic.solve_task1(problem)
-    return "certified" if sol.certified else "uncertified"
+    problem = ic.IcProblem(world=world, mechs=mechs, delta_g=delta_g, tau_g=tau_g, alpha_size=3)
+    return "certified" if ic.solve_task1(problem).certified else "uncertified"
 
 
 def run_independent_experiment(
@@ -94,13 +90,13 @@ def run_independent_experiment(
         raise ValueError("eps_g and eps_i grids must have equal length")
     world = mixing_world(LAM)
     rows = []
-    for j, (eps_g, eps_i) in enumerate(zip(eps_gs, eps_is)):
+    for eps_g, eps_i in zip(eps_gs, eps_is):
         mechs = [
             calibrate_gaussian_mechanism(world, fmap, eps_i, delta, bins=MECH_BINS, name=f"m{i}")
             for i, fmap in enumerate(_QUERY_MAPS)
         ]
         base_law = composed_joint(world, mechs).matrix
-        flag = _ic_attempt(world, mechs, eps_g, delta, seed + j)
+        flag = _ic_attempt(world, mechs, eps_g, delta)
         alpha, sigma = calibrate_alpha_fill(
             world, base_law, eta=(0.0, 1.0), eps_g=eps_g, delta_g=delta, bins=9
         )

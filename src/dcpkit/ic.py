@@ -4,28 +4,29 @@ existing composition, through posterior constraints.
 The design problem couples a leader's secret-channel kernel alpha with a
 follower's response pi under a strictly proper scoring rule; feasibility of
 the induced posterior inside the ratio/expectation constraint set is what
-certifies the composition.  The solver runs a penalty loop with alternating
-projected-gradient steps and then re-certifies from the exact posterior, so
-its guarantees never rest on optimizer convergence.
+certifies the composition.  Task 1 designs alpha exactly: a prescreen of
+the constant channel decides certifiability, and the channel is then built
+on extreme rays of the cone of feasible columns, in closed form for two
+secrets and by a linear program over those rays for more.  Task 2 reads
+the tightest ratio bound in closed form.  Every answer is re-certified from
+the exact posterior and a direct divergence check, so no guarantee rests
+on a solver's tolerance.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import linalg, optimize, spatial
 
 from .composition import Composition
-from .divergence import Law, bisect_monotone, worst_pair
+from .divergence import Law, worst_pair
 from .model import DependenceGroup, MechanismKernel, World, check_cap, join_per_secret
 
-LOG_FLOOR = 1e-12
 TAU_CAP = 1e6
-# task 1's penalty loop: first weight, growth per outer round, inner-step stop
-PENALTY_INIT = 10.0
-PENALTY_GROWTH = 10.0
-INNER_TOL = 1e-8
 
 
 def p_star(world: World) -> float:
@@ -223,9 +224,6 @@ class IcProblem:
     tau_g: float | None = None        # None means task 2 (tau free)
     alpha_size: int = 2
     loss: str = "log"
-    outer_rounds: int = 8
-    max_inner: int = 400
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.delta_g <= 1.0:
@@ -252,186 +250,177 @@ class IcSolution:
     diagnostics: dict
 
 
-def _project_rows_simplex(mat: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each row onto the probability simplex, rows
-    sorted by an odd-even transposition network of column compare-exchanges."""
-    n = mat.shape[1]
-    srt = mat.T.copy()                       # columns x rows, sorted in place
-    for r in range(n):
-        for j in range(r % 2, n - 1, 2):
-            srt[j], srt[j + 1] = np.maximum(srt[j], srt[j + 1]), np.minimum(srt[j], srt[j + 1])
-    css = np.cumsum(srt, axis=0) - 1.0
-    rho = (srt - css / np.arange(1, n + 1)[:, None] > 0).sum(axis=0)
-    theta = css[rho - 1, np.arange(mat.shape[0])] / rho
-    return np.maximum(mat - theta[:, None], 0.0)
-
-
-def _penalty_terms(pi, prior, tau_g, delta_g):
-    lower = np.maximum(prior[None, :] / tau_g - pi, 0.0)
-    if delta_g > 0.0:
-        expect = np.maximum((pi**2 / prior[None, :]).sum(axis=1) - delta_g * tau_g, 0.0)
-        return lower, expect, None
-    upper = np.maximum(pi - tau_g * prior[None, :], 0.0)
-    return lower, None, upper
-
-
-def _penalty_value(pi, prior, tau_g, delta_g):
-    lower, expect, upper = _penalty_terms(pi, prior, tau_g, delta_g)
-    val = float((lower**2).sum())
-    if expect is not None:
-        val += float((expect**2).sum())
-    if upper is not None:
-        val += float((upper**2).sum())
-    return val
-
-
-def _penalty_grad(pi, prior, tau_g, delta_g):
-    lower, expect, upper = _penalty_terms(pi, prior, tau_g, delta_g)
-    grad = -2.0 * lower
-    if expect is not None:
-        grad = grad + (2.0 * expect)[:, None] * (2.0 * pi / prior[None, :])
-    if upper is not None:
-        grad = grad + 2.0 * upper
-    return grad
-
-
-def _loss_and_grad_pi(pi, weights, loss):
-    pic = np.maximum(pi, LOG_FLOOR)
-    if loss == "log":
-        val = float(-(weights * np.log(pic)).sum())
-        grad = -weights / pic
-    else:
-        sq = (pi**2).sum(axis=1, keepdims=True)
-        val = float((weights * (sq - 2.0 * pi + 1.0)).sum())
-        wrow = weights.sum(axis=1, keepdims=True)
-        grad = wrow * 2.0 * pi - 2.0 * weights
-    return val, grad
-
-
-def _pi_step(pi, weights, prior, tau_g, delta_g, mu, loss, inner_tol, max_inner):
-    """Projected gradient with backtracking on loss + mu * penalty."""
-
-    def value(p):
-        v, _ = _loss_and_grad_pi(p, weights, loss)
-        return v + mu * _penalty_value(p, prior, tau_g, delta_g)
-
-    cur = value(pi)
-    step = 1.0
-    for _ in range(max_inner):
-        _, lg = _loss_and_grad_pi(pi, weights, loss)
-        grad = lg + mu * _penalty_grad(pi, prior, tau_g, delta_g)
-        moved = False
-        delta_move = math.inf
-        for _bt in range(40):
-            cand = _project_rows_simplex(pi - step * grad)
-            cval = value(cand)
-            if cval <= cur - 1e-4 / max(step, 1e-12) * float(((cand - pi) ** 2).sum()):
-                delta_move = float(np.abs(cand - pi).max())
-                pi, cur = cand, cval
-                moved = True
-                step = min(step * 2.0, 1e3)
-                break
-            step *= 0.5
-        if not moved or delta_move < inner_tol:
-            break
-    return pi, cur
-
-
-def _alpha_grad(alpha, pi, world, b, loss):
-    """Gradient of the expected loss in alpha (constraints are alpha-free)."""
-    prior = world.marginal_secret
-    n_y = b.shape[1]
-    m = alpha.shape[1]
-    pi_cube = pi.reshape(n_y, m, -1)          # y, a, s
-    pic = np.maximum(pi_cube, LOG_FLOOR)
-    if loss == "log":
-        # d/d alpha[s,a] of -sum_y P(s) b(y|s) alpha(a|s) log pi(s|y,a)
-        core = -np.log(pic)                    # y, a, s
-    else:
-        sq = (pi_cube**2).sum(axis=2, keepdims=True)
-        core = sq - 2.0 * pi_cube + 1.0
-    sel = np.einsum("ys,yas->sa", b.T * prior[None, :], core)
-    return sel
-
-
 def solve_task1(problem: IcProblem) -> IcSolution:
     """Design an added secret-channel kernel hitting (tau_g, delta_g).
 
-    Penalty loop with alternating projected-gradient updates; on exit the
-    response is reset to the exact posterior of the final alpha and the
-    certificate is recomputed from scratch (constraint residuals plus a
-    direct divergence check of the full composition).  The design runs on
-    the positive-prior secrets only; a zero-prior secret gets a uniform row.
+    Exact and deterministic, each answer certified from scratch.  The
+    constant channel is judged first: no alpha certifies when it fails (the
+    posterior at y mixes those at (y, a), each residual is convex in it, and
+    joining alpha can only raise the direct delta), so the uniform alpha is
+    returned then.  Otherwise the columns are extreme rays of the cone of
+    feasible columns (``_feasible_rays``): the loss is a sum of concave,
+    positively homogeneous column terms L(v), so a channel on the rays
+    Blackwell-dominates every feasible one.  Two secrets take the cone's two
+    ends, weighted to the row sums; more solve the linear program
+    min sum_k w_k L(r_k) s.t. sum_k w_k r_k = 1, w >= 0.  A designed alpha
+    failing the certificate (rounding at tau_g = tau*) gives way to the
+    constant channel, so task 1 certifies exactly when that one does.
+    With fewer ``alpha_size`` symbols than rays used, the pair of columns
+    whose sum costs the least loss merges until they fit (a sum of feasible
+    columns is feasible); spare symbols get zero columns.  A zero-prior
+    secret gets a uniform row.
     """
     if problem.tau_g is None:
         raise ValueError("task 1 needs a fixed tau_g")
-    tau_g, delta_g, m = problem.tau_g, problem.delta_g, problem.alpha_size
-    rng = np.random.default_rng(problem.seed)
+    tau_g, m = problem.tau_g, problem.alpha_size
     b_all = _composed_law(problem.world, problem.mechs, problem.dependence).matrix
     check_cap(b_all.shape[1] * m, f"{b_all.shape[1]} outcomes x {m} channel symbols")
     world, keep = _positive_prior(problem.world)
-    prior = world.marginal_secret
-    n_s = len(world.secrets)
     b = b_all[keep]
 
-    alpha = _project_rows_simplex(np.full((n_s, m), 1.0 / m) + 0.02 * rng.standard_normal((n_s, m)))
-    if m == 1:
-        alpha = np.ones((n_s, 1))
+    def judged(alpha: np.ndarray, diagnostics: dict) -> IcSolution:
+        alpha_all = np.full((b_all.shape[0], m), 1.0 / m)
+        alpha_all[keep] = alpha / alpha.sum(axis=1, keepdims=True)
+        law = join_per_secret(b_all, alpha_all)
+        post, _, live = _posterior(problem.world, law)
+        return _certified_solution(problem, alpha_all, tau_g, Law(law), post, live, diagnostics)
 
-    def weights_of(a):
-        return (join_per_secret(b, a) * prior[:, None]).T
+    constant = judged(np.ones((len(keep), m)), {"design": "constant"})
+    design = None
+    if constant.certified and m > 1 and len(keep) > 1:
+        design = _design_on_rays(world, b, tau_g, problem.delta_g, problem.loss)
+    if design is None:
+        return constant
+    designed = judged(_fit_columns(world, b, design[0], m, problem.loss), design[1])
+    return designed if designed.certified else constant
 
-    def elicited_objective(a, mu):
-        # leader's view: the follower answers with the exact posterior, so
-        # both the score and the penalty are evaluated at that response
-        law = join_per_secret(b, a)
-        post, _, live_mask = _posterior(world, law)
-        val = _spsr_loss(post, world, law, problem.loss)
-        return val + mu * _penalty_value(post[live_mask], prior, tau_g, delta_g)
 
-    pi = _project_rows_simplex(np.maximum(weights_of(alpha), LOG_FLOOR))
-    mu = PENALTY_INIT
-    for _round in range(problem.outer_rounds):
-        weights = weights_of(alpha)
-        pi, _ = _pi_step(pi, weights, prior, tau_g, delta_g, mu, problem.loss,
-                         INNER_TOL, problem.max_inner)
-        if m > 1:
-            # the score gradient gives the direction; acceptance is judged on
-            # the elicited objective so alpha cannot outrun the constraints
-            grad_a = _alpha_grad(alpha, pi, world, b, problem.loss)
-            cur = elicited_objective(alpha, mu)
-            step = 1.0
-            for _bt in range(30):
-                cand = _project_rows_simplex(alpha - step * grad_a)
-                cval = elicited_objective(cand, mu)
-                if cval < cur - 1e-15:
-                    alpha = cand
-                    break
-                step *= 0.5
-        mu *= PENALTY_GROWTH
+def _design_on_rays(world: World, b: np.ndarray, tau_g: float, delta_g: float,
+                    loss: str) -> tuple[np.ndarray, dict] | None:
+    """Columns (secrets x rays) of the best channel on the feasible rays, or
+    None when only the constant column is feasible."""
+    n_s = b.shape[0]
+    rays = _feasible_rays(world, b, tau_g, delta_g)
+    if rays is None:
+        return None
+    used, diagnostics = np.arange(2), {"design": "extreme-rays", "rays": len(rays)}
+    if n_s > 2:
+        losses = [_column_loss(world, b, r, loss) for r in rays]
+        res = optimize.linprog(losses, A_eq=rays.T, b_eq=np.ones(n_s), method="highs")
+        if res.status != 0:
+            return None
+        used = np.flatnonzero(res.x > 0.0)
+        diagnostics.update(lp_status=res.status, lp_gap=float(res.fun - res.eqlin.marginals.sum()))
+    # the weights of the rays used, at full precision so the rows sum to one
+    weights, *_ = np.linalg.lstsq(rays[used].T, np.ones(n_s), rcond=None)
+    return rays[used[weights > 0.0]].T * weights[weights > 0.0], diagnostics
 
-    # retraction: if the exact posterior overshoots the constraint set, pull
-    # alpha toward the uninformative channel until it re-enters
-    uniform = np.full((n_s, m), 1.0 / m)
 
-    def residual_of(a):
-        post, _, live_mask = _posterior(world, join_per_secret(b, a))
-        return pi_feasible(post, world, tau_g, delta_g, live_mask).max_residual
+def _feasible_rays(world: World, b: np.ndarray, tau_g: float, delta_g: float) -> np.ndarray | None:
+    """Feasible columns, one per row and each summing to one, spanning the
+    cone of feasible columns; None when it holds the constant one c alone.
 
-    if residual_of(alpha) > 0.0 and residual_of(uniform) <= 0.0:
-        # mixing weight toward uniform
-        _, hi_t = bisect_monotone(
-            lambda t: residual_of((1.0 - t) * alpha + t * uniform) <= 0.0, 0.0, 1.0,
-            geometric=False, tol=0.0, max_iter=80,
-        )
-        alpha = (1.0 - hi_t) * alpha + hi_t * uniform
+    With g = (P b)^T, column v meets the cuts g_y.v <= tau b_sy v_s
+    (pi >= P/tau) and, at delta_g = 0, b_sy v_s <= tau g_y.v (pi <= tau P),
+    all linear; at delta_g > 0, sum_s P_s b_sy^2 v_s^2 <= delta_g tau
+    (g_y.v)^2.  With three or more secrets at delta_g = 0 the rays are the
+    vertices of the cross-section sum v = 1; else they are the boundary
+    points on the lines from c through the simplex grid of step 1/n (for
+    two secrets the cone's two ends), an inner approximation.  Each is
+    pulled towards c by a relative 1e-12, inside the cuts' rounding.
+    """
+    prior = world.marginal_secret
+    n_s, n_y = b.shape
+    n_cuts = n_y * n_s * (1 if delta_g > 0.0 else 2) + n_s
+    check_cap(n_cuts * n_s, f"{n_cuts} cuts on {n_s} secrets")
+    g, ident = (prior[:, None] * b).T, np.eye(n_s)
+    cuts = [(g[:, None, :] - tau_g * b.T[:, :, None] * ident).reshape(-1, n_s), -ident]
+    if delta_g == 0.0:
+        cuts.append((b.T[:, :, None] * ident - tau_g * g[:, None, :]).reshape(-1, n_s))
+    cuts = np.concatenate(cuts)
+    cuts = cuts[np.abs(cuts).max(axis=1) > 0.0]          # the dead outcomes cut nothing
+    c = np.full(n_s, 1.0 / n_s)
+    if delta_g == 0.0 and n_s > 2:
+        ends = _cross_section_vertices(cuts, c)
+    else:
+        count = math.comb(2 * n_s - 1, n_s - 1)
+        check_cap(len(cuts) * count, f"{len(cuts)} cuts x {count} directions")
+        grid = _simplex_grid(n_s)
+        directions = grid[np.abs(grid - c).max(axis=1) > 0.0] - c
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = cuts @ directions.T     # c passed the certificate: its slack clamps to 0
+            step = np.where(slope > 0.0, np.maximum(-(cuts @ c), 0.0)[:, None] / slope,
+                            np.inf).min(axis=0)
+            if delta_g > 0.0:
+                step = np.minimum(step, _quadratic_steps(prior * b.T**2, g, delta_g * tau_g,
+                                                         c, directions))
+        ends = c + step[:, None] * directions
+        if not (step > 0.0).any() or (n_s == 2 and not (step > 0.0).all()):
+            ends = None
+    if ends is None:
+        return None
+    rays = np.maximum(c + (1.0 - 1e-12) * (ends - c), 0.0)
+    return rays / rays.sum(axis=1, keepdims=True)
 
-    alpha_all = np.full((b_all.shape[0], m), 1.0 / m)
-    alpha_all[keep] = alpha
-    law = join_per_secret(b_all, alpha_all)
-    post, _, live = _posterior(problem.world, law)
-    return _certified_solution(problem, alpha_all, tau_g, Law(law), post, live,
-                               {"prescreen_prior_feasible": pi_set_nonempty(tau_g, delta_g)})
+
+def _quadratic_steps(h: np.ndarray, g: np.ndarray, bound: float, c: np.ndarray,
+                     directions: np.ndarray) -> np.ndarray:
+    """Per direction d, the largest t >= 0 keeping h_y.v^2 <= bound (g_y.v)^2
+    at v = c + t d for every y: as A t^2 + B t + C <= 0 with C clamped to
+    <= 0, the root -2C/(B + sqrt(D)) for B > 0, (sqrt(D) - B)/(2A) for
+    B <= 0 < A (the forms that do not cancel), else none."""
+    gc, gd = g @ c, g @ directions.T
+    a = h @ directions.T**2 - bound * gd**2
+    bb = 2.0 * (h @ (c[:, None] * directions.T) - bound * gc[:, None] * gd)
+    cc = np.minimum(h @ c**2 - bound * gc**2, 0.0)[:, None]
+    root = np.sqrt(bb**2 - 4.0 * a * cc)                   # NaN where D < 0: no crossing
+    t = np.where(bb > 0.0, -2.0 * cc / (bb + root), np.where(a > 0.0, (root - bb) / (2.0 * a), np.inf))
+    return np.where(np.isnan(t), np.inf, t).min(axis=0)
+
+
+def _simplex_grid(n: int) -> np.ndarray:
+    """The points of the unit simplex in R^n with coordinates in multiples of
+    1/n: each a placement of n - 1 bars among 2n - 1 slots."""
+    bars = np.array(list(itertools.combinations(range(2 * n - 1), n - 1))).reshape(-1, n - 1)
+    ends = np.c_[np.full(len(bars), -1), bars, np.full(len(bars), 2 * n - 1)]
+    return (np.diff(ends, axis=1) - 1.0) / n
+
+
+def _cross_section_vertices(cuts: np.ndarray, c: np.ndarray) -> np.ndarray | None:
+    """Vertices of {v : cuts v <= 0, sum v = 1}, as v = c + u z over an
+    orthonormal basis u of sum = 0; None when it has no interior."""
+    u = linalg.null_space(np.ones((1, c.size)))
+    a, off = cuts @ u, cuts @ c
+    # Chebyshev centre: the interior point qhull needs
+    res = optimize.linprog(np.r_[np.zeros(u.shape[1]), -1.0], b_ub=-off,
+                           A_ub=np.c_[a, np.linalg.norm(a, axis=1)],
+                           bounds=[(None, None)] * u.shape[1] + [(0.0, None)], method="highs")
+    if res.status != 0 or res.x[-1] <= 1e-12:
+        return None
+    try:
+        hull = spatial.HalfspaceIntersection(np.c_[a, off], res.x[:-1])
+    except spatial.QhullError:      # too thin for qhull's precision: keep the constant column
+        return None
+    return c + hull.intersections @ u.T
+
+
+def _column_loss(world: World, b: np.ndarray, column: np.ndarray, loss: str) -> float:
+    """L(v): the expected loss of the outcomes (y, a) of channel column v = alpha(., a)."""
+    law = b * column[:, None]
+    return _spsr_loss(_posterior(world, law)[0], world, law, loss)
+
+
+def _fit_columns(world: World, b: np.ndarray, columns: np.ndarray, m: int, loss: str) -> np.ndarray:
+    """``columns`` on ``m`` symbols: merge the pair whose sum raises the loss
+    least until they fit, or pad with zero columns."""
+    cols = list(columns.T)
+    while len(cols) > m:
+        cost = {(i, j): _column_loss(world, b, cols[i] + cols[j], loss)
+                - _column_loss(world, b, cols[i], loss) - _column_loss(world, b, cols[j], loss)
+                for i, j in itertools.combinations(range(len(cols)), 2)}
+        i, j = min(cost, key=cost.get)
+        cols[i] = cols[i] + cols.pop(j)
+    return np.column_stack(cols + [np.zeros(b.shape[0])] * (m - len(cols)))
 
 
 def _positive_prior(world: World) -> tuple[World, np.ndarray]:

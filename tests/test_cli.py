@@ -122,6 +122,42 @@ def test_ic_task1_needs_tau():
     assert run(["--model", MIXING, "ic", "--task", "1", "--delta-g", "0.0"]) == 2
 
 
+def test_ic_task1_prints_the_same_body_under_any_seed(capsys):
+    args = ["--model", str(DEMOS / "dependent_pair.json"), "ic", "--task", "1", "--tau", "2.0"]
+    outs = []
+    for seed in ("0", "7", "7"):
+        assert run(["--seed", seed, *args]) == 0
+        outs.append(capsys.readouterr().out.split("\n", 1))
+    (head0, body0), (head7, body7), again = outs
+    assert body0 == body7 and again == [head7, body7]
+    assert head0.replace("seed=0", "seed=7") == head7 != head0
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--eps", "1", "--delta", "0.1"],
+    ["compose"],
+    ["pld", "--pair", "s0", "s1"],
+    ["copula-sample", "-n", "5"],
+    ["ic", "--task", "2"],
+    ["audit", "--single", "coarse", "--eps-g", "3", "--delta-g", "0.05"],
+    ["experiment", "--name", "independent"],
+], ids=" ".join)
+def test_bins_outside_the_copula_experiment_exits_2_before_any_output(capsys, argv):
+    assert run(["--bins", "3", "--model", MIXING, *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "dcp: error: --bins applies only to experiment --name copula\n"
+
+
+def test_bins_reaches_the_copula_experiment(capsys):
+    # 17 is the experiment's own block grid, so the bytes are the default run's
+    outs = []
+    for argv in (["--bins", "17", "experiment", "--name", "copula"], ["experiment", "--name", "copula"]):
+        code = run(argv)
+        outs.append((code, capsys.readouterr().out))
+    assert outs[0] == outs[1] and outs[0][1].count("\n") == 8
+
+
 def test_audit_csv(tmp_path):
     out = tmp_path / "a.csv"
     assert run(["--model", MIXING, "--out", str(out), "audit", "--single", "coarse",

@@ -13,6 +13,7 @@ from dcpkit.composition import true_opt
 from dcpkit.divergence import bisect_monotone
 from dcpkit.model import MechanismKernel, World, default_adjacency, load_model
 from dcpkit.synth import dirichlet_world, random_mechanisms
+from response_step import response_step
 
 
 def _world(joint):
@@ -166,7 +167,7 @@ def test_spsr_loss_zero_cell_sentinel(uniform_world, noise_mechanism):
 
 def test_task1_hand_instance(uniform_world, noise_mechanism):
     problem = ic.IcProblem(world=uniform_world, mechs=[noise_mechanism],
-                           delta_g=0.0, tau_g=2.0, alpha_size=2, seed=1)
+                           delta_g=0.0, tau_g=2.0, alpha_size=2)
     sol = ic.solve_task1(problem)
     assert sol.certified
     assert sol.eps_g == pytest.approx(math.log(3), abs=1e-12)
@@ -180,7 +181,7 @@ def test_task1_hand_instance(uniform_world, noise_mechanism):
 def test_task1_infeasible_budget(invertible_world):
     reveal = MechanismKernel("id", ("0", "1"), np.array([[0.99, 0.01], [0.01, 0.99]]))
     problem = ic.IcProblem(world=invertible_world, mechs=[reveal],
-                           delta_g=0.0, tau_g=1.01, alpha_size=2, seed=2)
+                           delta_g=0.0, tau_g=1.01, alpha_size=2)
     sol = ic.solve_task1(problem)
     assert not sol.certified
     assert sol.feasibility > 1e-6
@@ -218,7 +219,7 @@ def test_task1_brier_random_instances():
         mechs = random_mechanisms(rng, len(world.datasets), 1)
         sol = ic.solve_task1(ic.IcProblem(world=world, mechs=mechs, delta_g=0.0,
                                           tau_g=float(rng.uniform(1.5, 4.0)),
-                                          alpha_size=2, loss="brier", seed=trial))
+                                          alpha_size=2, loss="brier"))
         if sol.certified:
             certified += 1
             assert sol.feasibility <= 1e-6
@@ -234,8 +235,7 @@ def test_brier_pi_step_converges_to_posterior(mixing_world_2x2, rr_mechanism):
     law = ic.joint_with_alpha(mixing_world_2x2, [rr_mechanism], [], alpha)
     weights = (law * mixing_world_2x2.marginal_secret[:, None]).T
     start = np.full_like(post, 0.5)
-    pi_free, _ = ic._pi_step(start, weights, mixing_world_2x2.marginal_secret,
-                             1.0, 0.0, 0.0, "brier", 1e-13, 5000)
+    pi_free, _ = response_step(start, weights, "brier", 1e-13, 5000)
     tv = 0.5 * np.abs(pi_free[live] - post[live]).sum(axis=1).max()
     assert tv <= 1e-6
 
@@ -248,7 +248,7 @@ def test_task1_certified_solutions_verify_from_scratch():
         mechs = random_mechanisms(rng, len(world.datasets), int(rng.integers(1, 3)))
         tau = float(rng.uniform(1.2, 4.0))
         problem = ic.IcProblem(world=world, mechs=mechs, delta_g=0.0, tau_g=tau,
-                               alpha_size=2, seed=trial)
+                               alpha_size=2)
         sol = ic.solve_task1(problem)
         if not sol.certified:
             continue
@@ -345,7 +345,7 @@ def test_task2_refuses_an_infinite_or_capped_tau(invertible_world, rr_mechanism)
 
 def test_certify_stages_on_certified_solution(uniform_world, noise_mechanism):
     sol = ic.solve_task1(ic.IcProblem(world=uniform_world, mechs=[noise_mechanism],
-                                      delta_g=0.0, tau_g=2.0, alpha_size=2, seed=1))
+                                      delta_g=0.0, tau_g=2.0, alpha_size=2))
     rep = ic.certify(uniform_world, [noise_mechanism], [], sol.alpha, 2.0, 0.0)
     assert rep.certified and rep.stage1_pass and rep.stage2_pass and rep.stage3_pass
     assert not rep.internal_error

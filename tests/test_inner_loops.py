@@ -3,8 +3,11 @@
 Each test keeps the earlier, slower formulation as its oracle and asserts
 bit-equal results (``np.array_equal``), since the experiments' printed rows
 depend on every last digit: per-row ``scipy.stats`` CDFs for the binned
-kernels, a row sort for the simplex projection, the one-shot copula block
-law, and a bisection that always runs ``max_iter`` steps.
+kernels, the one-shot copula block law, and a bisection that always runs
+``max_iter`` steps.  The simplex projection runs the other way round: the
+test helper's row sort is held to the sorting network that task 1's former
+penalty loop used, so the response step moved into ``response_step`` takes
+that loop's iterates.
 """
 
 import math
@@ -25,10 +28,10 @@ from dcpkit.copula import (
     mix_block_law,
 )
 from dcpkit.divergence import DistPair, bisect_monotone, hockey_stick, optimal_epsilon, worst_pair
-from dcpkit.ic import _project_rows_simplex
 from dcpkit.model import World, default_adjacency
 from dcpkit.pld import pld_from_pair
 from dcpkit.synth import binned_gaussian_kernel, binned_laplace_kernel, mixing_world
+from response_step import project_rows_simplex
 
 
 def per_row_kernel(dist, values, scale, bins, span):
@@ -71,12 +74,17 @@ def test_copula_plrv_equals_per_state_scipy_cdfs():
         assert np.array_equal(got.masses, want.masses) and got.inf_mass == want.inf_mass
 
 
-def sort_projection(mat):
+def network_projection(mat):
+    """The projection with rows sorted by an odd-even transposition network
+    of column compare-exchanges."""
     n = mat.shape[1]
-    srt = -np.sort(-mat, axis=1)
-    css = np.cumsum(srt, axis=1) - 1.0
-    rho = (srt - css / np.arange(1, n + 1) > 0).sum(axis=1)
-    theta = css[np.arange(mat.shape[0]), rho - 1] / rho
+    srt = mat.T.copy()                       # columns x rows, sorted in place
+    for r in range(n):
+        for j in range(r % 2, n - 1, 2):
+            srt[j], srt[j + 1] = np.maximum(srt[j], srt[j + 1]), np.minimum(srt[j], srt[j + 1])
+    css = np.cumsum(srt, axis=0) - 1.0
+    rho = (srt - css / np.arange(1, n + 1)[:, None] > 0).sum(axis=0)
+    theta = css[rho - 1, np.arange(mat.shape[0])] / rho
     return np.maximum(mat - theta[:, None], 0.0)
 
 
@@ -91,8 +99,8 @@ def test_projection_equals_sort_based(n):
             mat = np.round(mat, 1)                       # ties
         if k % 5 == 2:
             mat[:, -1] = mat[:, 0]
-        got = _project_rows_simplex(mat)
-        assert np.array_equal(got, sort_projection(mat))
+        got = project_rows_simplex(mat)
+        assert np.array_equal(got, network_projection(mat))
         assert np.allclose(got.sum(axis=1), 1.0)
 
 
