@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import DistPair, Law, _np_sweep
+from .divergence import DistPair, Law, _np_run
 from .model import World
 
 
@@ -35,8 +35,9 @@ class RocCurve:
 
 def lr_attack_roc(pair: DistPair) -> RocCurve:
     """ROC of the likelihood-ratio attacker distinguishing p from q: the
-    Neyman-Pearson sweep with the two sides swapped."""
-    fpr, tpr = _np_sweep(pair.q, pair.p, 0.0)
+    Neyman-Pearson sweep with the two sides swapped, read off the sort of
+    ``pair.swapped()``, which its trade-off curve shares."""
+    fpr, tpr = _np_run(*pair.swapped().steps, 0.0)
     auc = float(np.trapezoid(tpr, fpr))
     flipped = False
     if auc < 0.5:
@@ -60,12 +61,16 @@ def roc_bound_check(roc: RocCurve, eps: float, delta: float) -> float:
 
 
 def worst_pair_roc(world: World, law: np.ndarray) -> tuple[RocCurve, tuple[int, int]]:
-    """Highest-AUC adjacent pair for a per-secret outcome law (checked once)."""
-    return _worst_roc(world, Law(np.asarray(law, dtype=float)))
+    """Highest-AUC adjacent pair for a per-secret outcome law: the live
+    ``Law`` on that very read-only array when there is one, else one checked
+    here."""
+    return _worst_roc(world, Law.of(law))
 
 
 def _worst_roc(world: World, law: Law) -> tuple[RocCurve, tuple[int, int]]:
-    """``worst_pair_roc`` of a checked law."""
+    """``worst_pair_roc`` of a checked law.  The ROC of pair (s0, s1) reads
+    the law's sort of pair (s1, s0), so this sweep, the trade-off curves of
+    the same law and ``tradeoff_dominance`` sort each ordered pair once."""
     candidates = sorted(world.adjacency)
     if not candidates:
         raise ValueError("no adjacent pairs to audit")
@@ -86,12 +91,13 @@ def compare_protocol(
 ) -> list[dict]:
     """Worst-pair attacker AUC of a composed setup vs a single mechanism.
 
-    Each setup is a fixed per-secret outcome law (rows = secrets), checked
-    once and swept for its worst-pair ROC once; each grid point reads both
-    laws' worst delta at its eps.  Both setups must actually satisfy their
-    certificate at each grid point unless ``require_certified`` is off.
+    Each setup is a fixed per-secret outcome law (rows = secrets), taken as
+    ``worst_pair_roc`` takes it and swept for its worst-pair ROC once; each
+    grid point reads both laws' worst delta at its eps.  Both setups must
+    actually satisfy their certificate at each grid point unless
+    ``require_certified`` is off.
     """
-    laws = [Law(np.asarray(law, dtype=float)) for law in (law_composed, law_single)]
+    laws = [Law.of(law) for law in (law_composed, law_single)]
     (roc_a, pair_a), (roc_b, pair_b) = (_worst_roc(world, law) for law in laws)
     rows = []
     for eps_g, delta_g in grid:

@@ -15,7 +15,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from . import config
-from .divergence import DistPair, Law, hockey_stick, tradeoff_curve, worst_pair
+from .divergence import DistPair, Law, _adjacent_pairs, hockey_stick, tradeoff_curve, worst_pair
 from .model import (DependenceGroup, MechanismKernel, TypeClass, World, _freeze, atom_counts, atom_index,
                     composed_law, effective_kernel, lay_out, lumped_law, mix_kernel, type_classes)
 from .pld import LossSum, _decompose, convolve, epsilon_for_delta, pld_from_pair
@@ -184,7 +184,7 @@ def overline_opt(
 ):
     """Conservative epsilon: copula loss treated as one extra independent mechanism."""
     value = Composition.of(world, mechs, dependence)
-    vals = {pair: _overline_loss(value, *pair).epsilon(delta_g) for pair in sorted(world.adjacency)}
+    vals = {pair: _overline_loss(value, *pair).epsilon(delta_g) for pair in _adjacent_pairs(world)}
     worst = max(vals.values())
     return (worst, vals) if per_pair else worst
 
@@ -325,9 +325,10 @@ def tradeoff_dominance(
     there, which redundant mechanisms do produce), ``max_gap`` the largest
     amount it sits below.
     """
+    pairs = _adjacent_pairs(world)
     value = Composition.of(world, mechs, dependence)
     worst_violation, worst_gap, worst_at = -math.inf, 0.0, None
-    for (s0, s1) in sorted(world.adjacency):
+    for (s0, s1) in pairs:
         joint_curve = tradeoff_curve(value.lumped.pair(s0, s1))
         prod_curve = tradeoff_curve(value.lumped_product.pair(s0, s1))
         grid = np.union1d(joint_curve.alphas, prod_curve.alphas)

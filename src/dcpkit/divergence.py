@@ -15,7 +15,9 @@ serve as the other's oracle.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -38,6 +40,25 @@ class DistPair:
             raise ValueError(f"p and q must be equal-length vectors, got {p.shape} and {q.shape}")
         _check_rows_stochastic(np.stack([p, q]), "distribution pair (p, q)")
         _keep_live(self, np.clip(p, 0.0, None), np.clip(q, 0.0, None))
+
+    def swapped(self) -> DistPair:
+        """The pair (q, p) on these very arrays, made once.  This pair holds
+        it and it points back weakly, so no reference cycle outlives them."""
+        twin = self.__dict__.get("_twin")
+        if isinstance(twin, weakref.ref):
+            twin = twin()
+        if twin is None:
+            twin = object.__new__(DistPair)
+            object.__setattr__(twin, "p", self.q)
+            object.__setattr__(twin, "q", self.p)
+            object.__setattr__(twin, "_twin", weakref.ref(self))
+            object.__setattr__(self, "_twin", twin)
+        return twin
+
+    @cached_property
+    def steps(self) -> tuple[np.ndarray, np.ndarray]:
+        """``_np_steps(p, q)``, sorted once and kept."""
+        return _np_steps(self.p, self.q)
 
 
 def _keep_live(pair: DistPair, p: np.ndarray, q: np.ndarray) -> DistPair:
@@ -142,9 +163,13 @@ class WorstPair(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class Law:
-    """A per-secret law (rows = secrets), checked once, and the loss profile
-    of each pair once asked for.  Pairs are its rows clipped at 0 and cut to
-    their live outcomes, as ``DistPair`` makes them."""
+    """A per-secret law (rows = secrets), checked once, with each pair and
+    its loss profile made once asked for.  Pairs are its rows clipped at 0
+    and cut to their live outcomes, as ``DistPair`` makes them, on read-only
+    arrays; pair (s1, s0) is pair (s0, s1) swapped, so the Neyman-Pearson
+    sort that a trade-off curve of one and the ROC of the other read is done
+    once per ordered pair.  A law on a read-only matrix is found again from
+    that array by ``Law.of`` while it lives."""
 
     matrix: np.ndarray
 
@@ -153,10 +178,27 @@ class Law:
         # clipping leaves rows without a sign bit as they are: share them
         rows = np.clip(self.matrix, 0.0, None) if np.signbit(self.matrix).any() else self.matrix
         object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_pairs", {})
         object.__setattr__(self, "_profiles", {})
+        if not self.matrix.flags.writeable:
+            _LAWS[id(self.matrix)] = self
+
+    @staticmethod
+    def of(law) -> Law:
+        """The live law already built on this very read-only array, else a
+        new law on ``law`` as floats."""
+        matrix = np.asarray(law, dtype=float)
+        found = _LAWS.get(id(matrix))  # a live law holds its matrix, so its id is not reused
+        return Law(matrix) if found is None else found
 
     def pair(self, s0: int, s1: int) -> DistPair:
-        return _keep_live(object.__new__(DistPair), self._rows[s0], self._rows[s1])
+        pair = self._pairs.get((s0, s1))
+        if pair is None:
+            pair = _keep_live(object.__new__(DistPair), self._rows[s0], self._rows[s1])
+            pair.p.flags.writeable = pair.q.flags.writeable = False  # every caller shares them
+            self._pairs[(s1, s0)] = pair.swapped()
+            self._pairs[(s0, s1)] = pair
+        return pair
 
     def profile(self, s0: int, s1: int) -> LossProfile:
         if (s0, s1) not in self._profiles:
@@ -168,9 +210,7 @@ class Law:
         """``worst_pair`` of this law."""
         if (eps is None) == (delta is None):
             raise ValueError("give exactly one of eps and delta")
-        pairs = sorted(world.adjacency)
-        if not pairs:
-            raise ValueError("nothing to certify: world has an empty adjacency relation")
+        pairs = _adjacent_pairs(world)
         values = {
             (s0, s1): hockey_stick(self.pair(s0, s1), eps) if delta is None
             else self.profile(s0, s1).epsilon(delta)
@@ -185,6 +225,18 @@ class Law:
         worst = self.worst(world, eps=eps)
         return DcpReport(holds=worst.value <= delta + PROB_ATOL, worst_pair=worst.pair,
                          worst_delta=worst.value, eps=eps, delta=delta)
+
+
+# id of a read-only matrix -> a live law on it; a law leaves when it dies
+_LAWS: weakref.WeakValueDictionary[int, Law] = weakref.WeakValueDictionary()
+
+
+def _adjacent_pairs(world: World) -> list[tuple[int, int]]:
+    """The world's adjacent secret pairs in sorted order; none is an error."""
+    pairs = sorted(world.adjacency)
+    if not pairs:
+        raise ValueError("nothing to certify: world has an empty adjacency relation")
+    return pairs
 
 
 def worst_pair(world: World, law: np.ndarray, *, eps: float | None = None,
@@ -247,14 +299,13 @@ class TradeoffCurve:
         return np.interp(alpha, self.alphas, self.betas)
 
 
-def _np_sweep(a: np.ndarray, b: np.ndarray, b_from: float) -> tuple[np.ndarray, np.ndarray]:
-    """Neyman-Pearson sweep over outcomes in decreasing order of b/a.
+def _np_steps(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The a- and b-mass of each likelihood-ratio group, in decreasing order
+    of b/a: the sort behind a Neyman-Pearson sweep.
 
-    Outcomes with exactly equal ratios form one group.  Returns the vertices
-    (a_run, b_run): a_run is the a-mass taken so far, rising strictly from 0
-    to 1; b_run starts at ``b_from`` and moves by each group's b-mass in
-    sequence, down from 1 (type-II error) or up from 0 (true-positive rate).
-    A group without a-mass moves the vertex before it instead of adding one.
+    Outcomes with exactly equal ratios form one group, summed in outcome
+    order as ``.sum()`` sums them.  ``a`` and ``b`` carry no negative zero
+    (pairs are clipped at 0).
     """
     with np.errstate(divide="ignore"):
         ratio = np.where(a > 0.0, b / np.where(a > 0.0, a, 1.0), np.inf)
@@ -262,17 +313,38 @@ def _np_sweep(a: np.ndarray, b: np.ndarray, b_from: float) -> tuple[np.ndarray, 
     ratio = ratio[order]
     first = np.concatenate(([True], ratio[1:] != ratio[:-1]))
     del ratio
+    if first.all():
+        # every group is one outcome, whose sum 0.0 + x is x
+        return a[order], b[order]
     # that sort leaves each tie group in any order; sorting the keys (group,
     # outcome) puts every group in outcome order, as a stable sort would
-    group = (np.cumsum(first) - 1) * first.size
-    key = group + order
+    group = np.cumsum(first)
+    offset = (group - 1) * first.size
+    key = offset + order
     key.sort()
-    order = key - group
-    starts = np.flatnonzero(first)
+    order = key - offset
     # reduceat adds a group's first entry to the pairwise sum of the rest; a
     # zero put ahead of each group makes it sum the group as ``.sum()`` does
+    starts = np.flatnonzero(first)
     padded = starts + np.arange(starts.size)
-    a_steps, b_steps = (np.add.reduceat(np.insert(v[order], starts, 0.0), padded) for v in (a, b))
+    at = np.arange(first.size) + group  # each outcome's place after its group's zero
+    buf = np.zeros(first.size + starts.size)
+    steps = []
+    for v in (a, b):
+        buf[at] = v[order]
+        steps.append(np.add.reduceat(buf, padded))
+    return steps[0], steps[1]
+
+
+def _np_run(a_steps: np.ndarray, b_steps: np.ndarray, b_from: float) -> tuple[np.ndarray, np.ndarray]:
+    """Neyman-Pearson vertices from the groups of ``_np_steps``.
+
+    Returns (a_run, b_run): a_run is the a-mass taken so far, rising
+    strictly from 0 to 1; b_run starts at ``b_from`` and moves by each
+    group's b-mass in sequence, down from 1 (type-II error) or up from 0
+    (true-positive rate).  A group without a-mass moves the vertex before it
+    instead of adding one.
+    """
     a_run = np.concatenate(([0.0], np.cumsum(a_steps)))
     # step from b_from one group at a time (subtracting -b_steps adds them):
     # 1 - cumsum would drift by up to 1e-14 on 1e5-outcome alphabets
@@ -289,7 +361,9 @@ def tradeoff_curve(pair: DistPair) -> TradeoffCurve:
 
     Likelihood-ratio ties are merged into a single vertex, which makes the
     vertex list canonical; outcomes with p = 0 collapse into the alpha = 0
-    vertex and outcomes with q = 0 into the final beta = 0 segment.
+    vertex and outcomes with q = 0 into the final beta = 0 segment.  The
+    sort is ``pair.steps``: a pair sorts once, whichever of this curve and
+    the ROC of its swapped twin asks first.
     """
-    alphas, betas = _np_sweep(pair.p, pair.q, 1.0)
+    alphas, betas = _np_run(*pair.steps, 1.0)
     return TradeoffCurve(alphas=alphas, betas=betas)

@@ -6,7 +6,7 @@ import pytest
 from conftest import random_dist_pair
 from dcpkit.audit import compare_protocol, lr_attack_roc, roc_bound_check, worst_pair_roc
 from dcpkit.composition import composed_joint
-from dcpkit.divergence import DistPair, check_dcp, optimal_epsilon, worst_pair
+from dcpkit.divergence import DistPair, Law, check_dcp, optimal_epsilon, worst_pair
 from dcpkit.model import MechanismKernel, World, default_adjacency, effective_kernel
 
 RR = DistPair(np.array([0.75, 0.25]), np.array([0.25, 0.75]))
@@ -167,3 +167,14 @@ def test_compare_protocol_on_an_empty_adjacency(rr_mechanism):
     law = effective_kernel(world, rr_mechanism).matrix
     with pytest.raises(ValueError, match="no adjacent pairs to audit"):
         compare_protocol(world, law, law, [(1.0, 0.1)])
+
+
+def test_a_read_only_law_is_found_again_and_a_writeable_one_never(mixing_world_2x2, rr_mechanism):
+    cj = composed_joint(mixing_world_2x2, [rr_mechanism, rr_mechanism], [])
+    assert Law.of(cj.matrix) is cj
+    copy = cj.matrix.copy()
+    first = Law.of(copy)
+    assert Law.of(copy) is not first and Law.of(copy) is not cj
+    (roc_a, pair_a), (roc_b, pair_b) = (worst_pair_roc(mixing_world_2x2, m) for m in (cj.matrix, copy))
+    assert pair_a == pair_b and roc_a.auc == roc_b.auc and roc_a.flipped == roc_b.flipped
+    assert roc_a.fpr.tobytes() == roc_b.fpr.tobytes() and roc_a.tpr.tobytes() == roc_b.tpr.tobytes()

@@ -645,6 +645,56 @@ def test_new_objects_are_never_served_the_previous_law(monkeypatch):
         assert all(ref() is not None for ref in kept)
 
 
+def _large_alphabet_op(world, mechs):
+    """The large-alphabet benchmark operation's library calls, in its order."""
+    from dcpkit import ic
+    from dcpkit.audit import worst_pair_roc
+    from dcpkit.divergence import tradeoff_curve
+
+    cj = comp.composed_joint(world, mechs, [])
+    for d in (0.0, 0.01, 0.05):
+        comp.true_opt(world, mechs, [], d, per_pair=True)
+        comp.underline_opt(world, mechs, d, per_pair=True)
+    roc, pair = worst_pair_roc(world, cj.matrix)
+    tradeoff_curve(cj.pair(*pair))
+    comp.tradeoff_dominance(world, mechs, [])
+    ic.solve_task2(ic.IcProblem(world=world, mechs=mechs, delta_g=0.05))
+
+
+@pytest.mark.parametrize("n_secrets, dims, sorts", [
+    (2, (3, 4, 5), 4),      # joint and product, 2 ordered pairs each
+    (3, (3, 4, 5), 12),     # joint and product, 6 ordered pairs each
+    (2, (4, 4, 4, 3), 6),   # the dense joint (ROC), its type-class law and their product
+])
+def test_each_law_sorts_each_ordered_adjacent_pair_once(monkeypatch, n_secrets, dims, sorts):
+    from dcpkit import divergence
+
+    world, mechs = _random_instance(np.random.default_rng(46), n_secrets=n_secrets, dims=dims)
+    assert len(world.adjacency) == n_secrets * (n_secrets - 1)
+    monkeypatch.setattr(comp, "_SLOT", [None])
+    calls, steps = [], divergence._np_steps
+    monkeypatch.setattr(divergence, "_np_steps", lambda a, b: calls.append(a.size) or steps(a, b))
+    _large_alphabet_op(world, mechs)
+    assert len(calls) == sorts
+    _large_alphabet_op(world, mechs)  # the same objects again: the slot's laws keep their sorts
+    assert len(calls) == sorts
+
+
+def test_empty_adjacency_is_refused_by_the_composition_bounds(rr_mechanism):
+    joint = np.array([[0.5, 0.0], [0.0, 0.5]])
+    world = World(("s0", "s1"), ("x0", "x1"), joint, frozenset())
+    mechs = [rr_mechanism, rr_mechanism]
+    with pytest.raises(ValueError, match="nothing to certify: world has an empty adjacency relation"):
+        comp.tradeoff_dominance(world, mechs)
+
+
+def test_empty_adjacency_is_refused_by_the_conservative_bound(rr_mechanism):
+    joint = np.array([[0.5, 0.0], [0.0, 0.5]])
+    world = World(("s0", "s1"), ("x0", "x1"), joint, frozenset())
+    with pytest.raises(ValueError, match="nothing to certify: world has an empty adjacency relation"):
+        comp.overline_opt(world, [rr_mechanism, rr_mechanism], [], 0.1)
+
+
 def test_threads_asking_about_their_own_compositions_get_their_own_laws(monkeypatch):
     monkeypatch.setattr(comp, "_SLOT", [None])
     rng = np.random.default_rng(44)

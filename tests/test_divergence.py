@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -8,8 +10,8 @@ from dcpkit.audit import lr_attack_roc
 from dcpkit.composition import composed_joint
 from dcpkit.divergence import (
     DistPair,
+    Law,
     LossProfile,
-    _np_sweep,
     bisect_monotone,
     check_dcp,
     hockey_stick,
@@ -363,18 +365,61 @@ def oracle_pairs(rng):
     return pairs
 
 
+def stable_roc(pair):
+    """``lr_attack_roc``'s vertices on the stable-sort sweep."""
+    fpr, tpr = stable_sweep(pair.q, pair.p, 0.0)
+    if np.trapezoid(tpr, fpr) < 0.5:
+        fpr, tpr = 1.0 - tpr[::-1], 1.0 - fpr[::-1]
+    return fpr, tpr
+
+
 def test_sweep_order_equals_the_stable_sort_bit_for_bit():
     rng = np.random.default_rng(16)
-    vectors = [(pr.p, pr.q) for pr in oracle_pairs(rng)]
-    # raw vectors as no DistPair leaves them: signed zeros and dead outcomes
+    rows = [(pr.p, pr.q) for pr in oracle_pairs(rng)]
+    # signed zeros and dead outcomes, which a law clips and cuts
     a = np.array([0.2, -0.0, 0.0, 0.3, 0.0, 0.2, 0.3, 0.0])
     b = np.array([0.1, 0.25, -0.0, 0.15, 0.0, 0.1, 0.15, 0.25])
-    vectors += [(a, b), (b, a), (np.abs(a), b)]
-    vectors.append((np.full(4, 0.25), np.array([-0.0, 0.5, 0.0, 0.5])))  # ratios -0.0 and 0.0 tie
-    for a, b in vectors:
-        for x, y, b_from in ((a, b, 1.0), (b, a, 0.0)):
-            got, want = _np_sweep(x, y, b_from), stable_sweep(x, y, b_from)
-            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    rows += [(a, b), (np.abs(a), b)]
+    rows.append((np.full(4, 0.25), np.array([-0.0, 0.5, 0.0, 0.5])))  # ratios -0.0 and 0.0 tie
+    # tie-free rows, where every likelihood-ratio group is one outcome
+    tie_free = [random_dist_pair(rng, max_outcomes=40) for _ in range(20)]
+    tie_free += [(np.array([0.4, -0.0, 0.6]), np.array([0.3, 0.5, 0.2])),
+                 (np.array([0.2, 0.5, 0.3]), np.array([0.5, -0.0, 0.5]))]
+    for k, (x, y) in enumerate(rows + tie_free):
+        law = Law(np.stack([x, y]))
+        for s0, s1 in ((0, 1), (1, 0)):
+            pair = law.pair(s0, s1)
+            assert law.pair(s0, s1) is pair and pair.swapped() is law.pair(s1, s0)
+            want_curve, want_roc = stable_sweep(pair.p, pair.q, 1.0), stable_roc(pair)
+            for _ in range(2):  # the second call reads the pair's kept sort
+                curve, roc = tradeoff_curve(law.pair(s0, s1)), lr_attack_roc(law.pair(s0, s1))
+                for got, want in zip((curve.alphas, curve.betas, roc.fpr, roc.tpr), (*want_curve, *want_roc)):
+                    assert got.tobytes() == want.tobytes()
+            if k >= len(rows):
+                assert pair.steps[0].size == pair.p.size
+
+
+def test_a_law_and_its_pairs_die_together():
+    law = Law(np.array([[0.5, 0.3, 0.2, 0.0], [0.2, 0.3, 0.4, 0.1]]))
+    pair = law.pair(0, 1)
+    tradeoff_curve(pair)
+    lr_attack_roc(pair)
+    assert pair.swapped() is law.pair(1, 0) and pair.swapped().swapped() is pair
+    kept = [weakref.ref(obj) for obj in (law, pair, pair.swapped(), *pair.steps, *pair.swapped().steps)]
+    del pair
+    gc.disable()  # reference counting alone must free them: no cycle
+    try:
+        del law
+        assert [ref() for ref in kept] == [None] * len(kept)
+    finally:
+        gc.enable()
+
+
+def test_a_pair_of_its_own_keeps_its_sort_and_its_twin():
+    pair = DistPair(np.array([0.5, 0.3, 0.2]), np.array([0.2, 0.3, 0.5]))
+    assert pair.swapped() is pair.swapped() and pair.swapped().swapped() is pair
+    assert pair.steps is pair.steps
+    assert pair.swapped().p is pair.q and pair.swapped().q is pair.p
 
 
 def test_loss_profile_equals_one_piece_optimal_epsilon():
