@@ -11,7 +11,6 @@ import math
 import numpy as np
 
 from dcpkit import (
-    DistPair,
     MechanismKernel,
     World,
     check_dcp,
@@ -42,7 +41,7 @@ for s, label in enumerate(world.secrets):
     print(f"  {label}: {eff.matrix[s]}")
 
 # Exact certificates between the adjacent secrets.
-pair = DistPair(*eff.pair(0, 1))
+pair = eff.pair(0, 1)
 print("\ndelta at eps=0 (total variation):", hockey_stick(pair, 0.0))
 print("tight eps at delta=0:", optimal_epsilon(pair, 0.0),
       "(the largest log-likelihood ratio)")
@@ -61,4 +60,4 @@ ident_world = World(("healthy", "flagged"), ("record_a", "record_b"),
                     ident_joint, default_adjacency(ident_joint))
 print("\ninvertible world:", is_invertible(ident_world))
 print("tight eps there:",
-      optimal_epsilon(DistPair(*effective_kernel(ident_world, rr).pair(0, 1)), 0.0))
+      optimal_epsilon(effective_kernel(ident_world, rr).pair(0, 1), 0.0))

@@ -26,7 +26,6 @@ from dcpkit import (
     privacy_profile,
     psedr_samples,
 )
-from dcpkit.copula import marginal_tight_budget
 
 delta_c = 0.02
 spec = GaussianCopulaSpec(
@@ -84,9 +83,9 @@ spec_acct = GaussianCopulaSpec(
 dec = perturbed_decomposition(spec_acct, world, ((0.0, 1.0), (0.0, 0.5)), 0, 1, bins=128)
 resid = np.abs(dec.total - (dec.unperturbed + dec.copula_term)).max()
 true = optimal_epsilon(dec.pair, 0.02)
-e1, d1 = marginal_tight_budget(dec.marginal_pairs[0], tag_delta)
-e2, d2 = marginal_tight_budget(dec.marginal_pairs[1], tag_delta)
-bound = conservative_bound(spec_acct, e1, d1, e2, d2, 0.02)
+# each mechanism's tight budget: its discretized pair's epsilon at the tag delta
+e1, e2 = (optimal_epsilon(pair, tag_delta) for pair in dec.marginal_pairs)
+bound = conservative_bound(spec_acct, e1, tag_delta, e2, tag_delta, 0.02)
 print(f"\nadditivity residual on the output grid: {resid:.2e}")
 print(f"true eps of the coupled pair at delta=0.02: {true:.4f}"
       f"  budget bound: {bound:.4f}")

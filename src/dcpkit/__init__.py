@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .audit import RocCurve, compare_protocol, lr_attack_roc, roc_bound_check
 from .composition import (
-    ComposedJoint,
     CompositionReport,
     basic_composition_check,
     cel_compare,
@@ -21,7 +20,6 @@ from .composition import (
     dominating_pair,
     dp_optcomp,
     overline_opt,
-    product_pair,
     tradeoff_dominance,
     true_opt,
     underline_opt,
@@ -35,9 +33,7 @@ from .copula import (
     conservative_bound,
     copula_cdf,
     copula_plrv,
-    perturb_pair,
     perturbed_decomposition,
-    psedr_sample,
     psedr_samples,
 )
 from .divergence import (
@@ -46,7 +42,6 @@ from .divergence import (
     check_dcp,
     hockey_stick,
     optimal_epsilon,
-    total_variation,
     tradeoff_curve,
 )
 from .ic import (
@@ -63,7 +58,6 @@ from .ic import (
 )
 from .model import (
     DependenceGroup,
-    EffectiveKernel,
     MechanismKernel,
     Model,
     ModelError,
@@ -73,7 +67,6 @@ from .model import (
     effective_kernel,
     is_invertible,
     load_model,
-    load_world,
 )
 from .pld import (
     Pld,

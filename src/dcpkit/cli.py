@@ -24,7 +24,6 @@ from . import config
 from . import ic
 from .audit import compare_protocol
 from .copula import copula_spec_from_mapping, psedr_samples
-from .divergence import DistPair, Law
 from .experiments import run_copula_experiment, run_independent_experiment
 from .model import Model, ModelError, adjacency_labels, effective_kernel, load_model
 from .pld import pld_csv, pld_from_pair
@@ -90,7 +89,7 @@ def _load(args) -> Model:
 def _check_rows(model: Model):
     """``dcp check``'s (name, law) rows, each built when the loop reaches it."""
     for mech in model.mechanisms:
-        yield mech.name, Law(effective_kernel(model.world, mech).matrix)
+        yield mech.name, effective_kernel(model.world, mech)
     if model.mechanisms:
         yield "__composition__", comp.composed_joint(model.world, list(model.mechanisms),
                                                      list(model.dependence))
@@ -144,12 +143,10 @@ def cmd_pld(args) -> int:
         mechs = [m for m in model.mechanisms if m.name == args.mech]
         if not mechs:
             raise ModelError(f"no mechanism named {args.mech!r}")
-        eff = effective_kernel(world, mechs[0])
-        pld = pld_from_pair(DistPair(*eff.pair(s0, s1)))
+        law = effective_kernel(world, mechs[0])
     else:
-        cj = comp.composed_joint(world, list(model.mechanisms), list(model.dependence))
-        pld = pld_from_pair(cj.pair(s0, s1))
-    _emit(args, _header(args, "pld") + pld_csv(pld))
+        law = comp.composed_joint(world, list(model.mechanisms), list(model.dependence))
+    _emit(args, _header(args, "pld") + pld_csv(pld_from_pair(law.pair(s0, s1))))
     return 0
 
 
@@ -206,27 +203,23 @@ def cmd_ic(args) -> int:
 def cmd_audit(args) -> int:
     model = _load(args)
     world = model.world
-    single = [m for m in model.mechanisms if m.name == args.single]
-    if not single:
+    names = [m.name for m in model.mechanisms]  # unique: load_model refuses a repeat
+    if args.single not in names:
         raise ModelError(f"no mechanism named {args.single!r} for the single setup")
-    rest = [m for m in model.mechanisms if m.name != args.single]
-    if not rest:
+    single_idx = names.index(args.single)
+    members = [i for i in range(len(names)) if i != single_idx]
+    if not members:
         raise ModelError("need at least one mechanism besides the single setup")
-    law_single = effective_kernel(world, single[0]).matrix
-    members = [i for i, m in enumerate(model.mechanisms) if m.name != args.single]
-    single_idx = model.mechanisms.index(single[0])
-    for g in model.dependence:
-        if single_idx in g.members:
-            raise ModelError(
-                f"single mechanism {args.single!r} belongs to a dependence group; "
-                "pick an independent one"
-            )
+    law_single = effective_kernel(world, model.mechanisms[single_idx])
+    if any(single_idx in g.members for g in model.dependence):
+        raise ModelError(f"single mechanism {args.single!r} belongs to a dependence group; "
+                         "pick an independent one")
     remap = {old: new for new, old in enumerate(members)}
     dep = [type(g)(members=tuple(remap[i] for i in g.members), joint_kernel=g.joint_kernel,
                    joint_outputs=g.joint_outputs) for g in model.dependence]
-    law_comp = comp.composed_joint(world, rest, dep).matrix
+    law_comp = comp.composed_joint(world, [model.mechanisms[i] for i in members], dep).matrix
     grid = [(eg, dg) for eg in args.eps_g for dg in args.delta_g]
-    rows = compare_protocol(world, law_comp, law_single, grid, require_certified=False)
+    rows = compare_protocol(world, law_comp, law_single.matrix, grid, require_certified=False)
     lines = [_header(args, "audit"), "eps_g,delta_g,auc_composed,auc_single,gap\n"]
     for r in rows:
         lines.append(f"{_fmt(r['eps_g'])},{_fmt(r['delta_g'])},{_fmt(r['auc_composed'])},"

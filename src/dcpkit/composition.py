@@ -15,38 +15,27 @@ from functools import cached_property, reduce
 import numpy as np
 
 from . import config
-from .divergence import DistPair, Law, _adjacent_pairs, hockey_stick, tradeoff_curve, worst_pair
+from .divergence import DistPair, Law, _adjacent_pairs, hockey_stick, tradeoff_curve
 from .model import (DependenceGroup, MechanismKernel, TypeClass, World, _freeze, atom_counts, atom_index,
                     composed_law, effective_kernel, lay_out, lumped_law, mix_kernel, type_classes)
 from .pld import LossSum, _decompose, convolve, epsilon_for_delta, pld_from_pair
 
 
 @dataclass(frozen=True, eq=False)
-class ComposedJoint(Law):
-    """Joint output distribution b(.|s) over the product alphabet.
-
-    ``matrix`` rows are secrets; columns enumerate the product alphabet in C
-    order over the per-mechanism output indices.
-    """
-
-    def rows(self, s: int) -> np.ndarray:
-        return self.matrix[s]
-
-
-@dataclass(frozen=True, eq=False)
 class Composition:
     """The laws of one composition, each built, checked and made read-only
-    on first use: the composed ``joint``, the effective kernels ``effs``,
-    each group's members and effective joint, and the ``product`` of the
-    ``effs`` (the dependence-ignoring joint).  ``joint`` and ``product``
-    keep each adjacent pair's loss profile once a bound asks for it.
+    on first use: the composed ``joint`` (rows secrets, columns the product
+    alphabet in C order over the mechanisms' outputs), the effective
+    kernels ``effs`` and each group's members and effective joint.  Each
+    law keeps an adjacent pair's loss profile once a bound asks for it.
 
-    ``lumped`` and ``lumped_product`` are the same two laws on the type
-    ``classes`` (``model.type_classes``): ungrouped mechanisms with
-    bitwise-equal kernels share one atom per multiset of their outputs,
-    ``counts`` outcomes in all.  When no class has two members they are
-    ``joint`` and ``product`` themselves.  The bounds read them; the dense
-    laws serve the callers that need one column per outcome.
+    ``lumped`` is the joint on the type ``classes`` (``model.type_classes``):
+    ungrouped mechanisms with bitwise-equal kernels share one atom per
+    multiset of their outputs, ``counts`` outcomes in all; when no class has
+    two members it is ``joint`` itself.  ``lumped_product`` is the product
+    of the ``effs`` (the dependence-ignoring joint) on the same atoms.  The
+    bounds read these two; ``joint`` serves the callers that need one
+    column per outcome.
     """
 
     world: World
@@ -66,21 +55,16 @@ class Composition:
         return kept[1]
 
     @cached_property
-    def joint(self) -> ComposedJoint:
-        return ComposedJoint(_freeze(composed_law(self.world, self.mechs, self.dependence)))
+    def joint(self) -> Law:
+        return Law(_freeze(composed_law(self.world, self.mechs, self.dependence)))
 
     @cached_property
-    def effs(self) -> list[np.ndarray]:
-        return [effective_kernel(self.world, mech).matrix for mech in self.mechs]
+    def effs(self) -> list[Law]:
+        return [effective_kernel(self.world, mech) for mech in self.mechs]
 
     @cached_property
     def groups(self) -> list[tuple[tuple[int, ...], np.ndarray]]:
         return [(g.members, _freeze(mix_kernel(self.world, g.joint_kernel))) for g in self.dependence]
-
-    @cached_property
-    def product(self) -> Law:
-        law = lay_out([((i,), eff) for i, eff in enumerate(self.effs)], tuple(eff.shape[1] for eff in self.effs))
-        return Law(_freeze(law))
 
     @cached_property
     def classes(self) -> tuple[TypeClass, ...]:
@@ -98,9 +82,7 @@ class Composition:
 
     @cached_property
     def lumped_product(self) -> Law:
-        if not self.repeats:
-            return self.product
-        law = lay_out([((a,), c.factor(self.effs[c.members[0]])) for a, c in enumerate(self.classes)],
+        law = lay_out([((a,), c.factor(self.effs[c.members[0]].matrix)) for a, c in enumerate(self.classes)],
                       tuple(len(c.types) for c in self.classes))
         return Law(_freeze(law))
 
@@ -127,14 +109,9 @@ _SLOT: list[tuple[tuple, Composition] | None] = [None]  # the last (key, value) 
 
 def composed_joint(
     world: World, mechs: list[MechanismKernel], dependence: list[DependenceGroup] = ()
-) -> ComposedJoint:
+) -> Law:
     """Mixture over datasets of the per-dataset product (or grouped) kernels."""
     return Composition.of(world, mechs, dependence).joint
-
-
-def product_pair(world: World, mechs: list[MechanismKernel], s0: int, s1: int) -> DistPair:
-    """Product of the effective marginals: the dependence-ignoring joint."""
-    return Composition.of(world, mechs).product.pair(s0, s1)
 
 
 def true_opt(
@@ -171,7 +148,7 @@ def _overline_loss(value: Composition, s0: int, s1: int) -> LossSum:
     behind the conservative bound.
     """
     copula = _decompose(value, s0, s1).world_pld()
-    marginals = reduce(convolve, [pld_from_pair(DistPair(eff[s0], eff[s1])) for eff in value.effs])
+    marginals = reduce(convolve, [pld_from_pair(eff.pair(s0, s1)) for eff in value.effs])
     return LossSum(copula, marginals)
 
 
@@ -201,13 +178,8 @@ class CompositionReport:
 
     def ordering_ok(self) -> bool:
         slack = 1e-9
-        for (_, _, _, under, true, over) in self.opt_rows:
-            if under > true + slack or true > over + slack:
-                return False
-        for (_, _, _, under, true, over) in self.dt_rows:
-            if under > true + slack or true > over + slack:
-                return False
-        return True
+        return not any(under > true + slack or true > over + slack
+                       for (*_, under, true, over) in self.opt_rows + self.dt_rows)
 
 
 def composition_report(
@@ -268,10 +240,10 @@ def basic_composition_check(
     for i, eff in enumerate(effs):
         if delta_is is not None:
             d_i = delta_is[i]
-            e_i = worst_pair(world, eff, delta=d_i).value
+            e_i = eff.worst(world, delta=d_i).value
         else:
             e_i = 1.0 / len(effs)
-            d_i = worst_pair(world, eff, eps=e_i).value
+            d_i = eff.worst(world, eps=e_i).value
         eps_list.append(e_i)
         delta_list.append(d_i)
     eps_sum, delta_sum = sum(eps_list), sum(delta_list)

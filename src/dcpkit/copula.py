@@ -17,7 +17,7 @@ from typing import Mapping
 import numpy as np
 from scipy import integrate, special, stats
 
-from .divergence import DistPair, optimal_epsilon
+from .divergence import DistPair
 from .model import World, check_cap
 from .pld import Pld, pld_from_pair
 from .synth import _binned_noise
@@ -73,10 +73,6 @@ class GaussianMarginal(_LocationScaleMarginal):
     def __init__(self, sigma: float, loc: float = 0.0):
         super().__init__(sigma, loc)
 
-    @property
-    def sigma(self) -> float:
-        return self.scale
-
 
 class EmpiricalMarginal:
     """Piecewise-linear CDF through the given (value, cdf) points."""
@@ -100,12 +96,9 @@ class EmpiricalMarginal:
         return np.interp(v, self.xs, self.cs)
 
     def ppf(self, u):
-        u = np.asarray(u, dtype=float)
-        if np.any(np.diff(self.cs) == 0):
-            # flat segments invert to their left endpoint
-            keep = np.concatenate([[True], np.diff(self.cs) > 0])
-            return np.interp(u, self.cs[keep], self.xs[keep])
-        return np.interp(u, self.cs, self.xs)
+        # flat segments invert to their left endpoint
+        keep = np.concatenate([[True], np.diff(self.cs) > 0])
+        return np.interp(np.asarray(u, dtype=float), self.cs[keep], self.xs[keep])
 
     @property
     def spread(self) -> float:
@@ -272,14 +265,6 @@ def bivariate_gaussian_cdf(a: float, b: float, rho: float) -> float:
 # pseudo-random correlated sample generation
 
 
-@dataclass(frozen=True)
-class NoiseSamplePair:
-    v1: float
-    v2: float
-    z1: float
-    z2: float
-
-
 def psedr_map(spec: GaussianCopulaSpec, state: str, z1, z2):
     """Deterministic (z1, z2) -> (u1, u2, v1, v2) transform for one state.
 
@@ -309,14 +294,6 @@ def psedr_samples(spec: GaussianCopulaSpec, state: str, rng: np.random.Generator
     return {"z1": z1, "z2": z2, "u1": u1, "u2": u2, "v1": v1, "v2": v2}
 
 
-def psedr_sample(spec: GaussianCopulaSpec, state: str, rng: np.random.Generator) -> NoiseSamplePair:
-    out = psedr_samples(spec, state, rng, 1)
-    return NoiseSamplePair(
-        v1=float(out["v1"][0]), v2=float(out["v2"][0]),
-        z1=float(out["z1"][0]), z2=float(out["z2"][0]),
-    )
-
-
 def copula_cdf(spec: GaussianCopulaSpec, v1: float, v2: float) -> float:
     """Joint CDF of the delivered noise pair at (v1, v2).
 
@@ -336,33 +313,6 @@ def copula_cdf(spec: GaussianCopulaSpec, v1: float, v2: float) -> float:
     t1 = float(stats.norm.ppf(u1))
     t2 = float(stats.norm.ppf(u2))
     return bivariate_gaussian_cdf(t1, t2, spec.effective_correlation)
-
-
-def perturb_pair(
-    world: World,
-    query_maps: tuple,
-    spec: GaussianCopulaSpec,
-    rng: np.random.Generator,
-    n: int,
-    state: str | None = None,
-):
-    """Coupled output samples (y1, y2) per dataset for two additive queries.
-
-    ``query_maps`` are two arrays of per-dataset query values.  The noise
-    pair's joint law is state-free under the exact-marginal pipeline, so a
-    single reference state (default: the first secret) drives the draw.
-    """
-    if n <= 0:
-        raise ValueError(f"sample count must be positive, got {n}")
-    f1, f2 = (np.asarray(q, dtype=float) for q in query_maps)
-    if f1.size != len(world.datasets) or f2.size != len(world.datasets):
-        raise ValueError("query maps must have one value per dataset")
-    state = state if state is not None else world.secrets[0]
-    out = psedr_samples(spec, state, rng, n)
-    clouds = {}
-    for x, label in enumerate(world.datasets):
-        clouds[label] = (f1[x] + out["v1"], f2[x] + out["v2"])
-    return clouds
 
 
 # ----------------------------------------------------------------------
@@ -517,8 +467,9 @@ def _normal_score(xi, v):
 
 
 def block_grid(xi1, xi2, world: World, query_maps: tuple, bins: int = 17):
-    """The eps_c-free half of ``coupled_block_law``: grids g1, g2 and, per dataset,
-    (noise log-density less normal-score log-densities, score 1, score 2)."""
+    """The eps_c-free half of the coupled block law: grids g1, g2 and, per
+    dataset, (noise log-density less normal-score log-densities, score 1,
+    score 2).  ``mix_block_law`` completes it."""
     check_cap(bins * bins, f"block grid of {bins} x {bins} cells")
     f1, f2 = (np.asarray(q, dtype=float) for q in query_maps)
     g1 = _output_grid(xi1, f1, bins)
@@ -535,8 +486,14 @@ def block_grid(xi1, xi2, world: World, query_maps: tuple, bins: int = 17):
 
 
 def mix_block_law(spec: GaussianCopulaSpec, world: World, terms) -> np.ndarray:
-    """The eps_c half: each secret's latent shift on the dataset ``terms``,
-    mixed over P(x|s)."""
+    """The eps_c half of the coupled block law: the per-secret cell-mass law
+    of the coupled pair on ``block_grid``'s shared 2-D grid.
+
+    Each secret's per-dataset coupled density (state-shifted copula factor
+    times the noise product, from the dataset ``terms``) is mixed over
+    P(x|s).  Cell masses are midpoint-density approximations, renormalized
+    per secret.
+    """
     etas = np.array([spec.eta_of(lbl) for lbl in world.secrets])
     mu_ref = float(etas.mean())
     laws = []
@@ -561,22 +518,6 @@ def mix_block_law(spec: GaussianCopulaSpec, world: World, terms) -> np.ndarray:
     return np.array(laws)
 
 
-def coupled_block_law(
-    spec: GaussianCopulaSpec,
-    world: World,
-    query_maps: tuple,
-    bins: int = 17,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-secret cell-mass law of the coupled pair on a shared 2-D grid.
-
-    General worlds: the per-dataset coupled density (state-shifted copula
-    factor times the noise product) is mixed over P(x|s).  Cell masses are
-    midpoint-density approximations, renormalized per secret.
-    """
-    g1, g2, terms = block_grid(spec.xi1, spec.xi2, world, query_maps, bins)
-    return mix_block_law(spec, world, terms), g1, g2
-
-
 def conservative_bound(
     spec: GaussianCopulaSpec,
     eps1: float, delta1: float,
@@ -588,8 +529,3 @@ def conservative_bound(
     from .composition import dp_optcomp
 
     return dp_optcomp([(spec.eps_c, spec.delta_c), (eps1, delta1), (eps2, delta2)], delta_g)
-
-
-def marginal_tight_budget(pair: DistPair, delta: float) -> tuple[float, float]:
-    """Tight (eps, delta) tag of a discretized mechanism pair."""
-    return optimal_epsilon(pair, delta), delta

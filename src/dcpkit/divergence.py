@@ -83,10 +83,6 @@ def hockey_stick(pair: DistPair, eps: float) -> float:
     return float(np.maximum(gap, 0.0).sum())
 
 
-def total_variation(pair: DistPair) -> float:
-    return hockey_stick(pair, 0.0)
-
-
 class LossProfile:
     """The privacy profile of one pair, built once to be asked at many delta:
     its p-mass at +inf, delta(0), and its positive losses merged and sorted,
@@ -163,13 +159,13 @@ class WorstPair(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class Law:
-    """A per-secret law (rows = secrets), checked once, with each pair and
-    its loss profile made once asked for.  Pairs are its rows clipped at 0
-    and cut to their live outcomes, as ``DistPair`` makes them, on read-only
-    arrays; pair (s1, s0) is pair (s0, s1) swapped, so the Neyman-Pearson
-    sort that a trade-off curve of one and the ROC of the other read is done
-    once per ordered pair.  A law on a read-only matrix is found again from
-    that array by ``Law.of`` while it lives."""
+    """A per-secret law (rows = secrets: an effective kernel, a composed
+    joint), checked once, each pair and loss profile made once asked for.
+    Pairs are its rows clipped at 0 and cut to their live outcomes, as
+    ``DistPair`` makes them, on read-only arrays; pair (s1, s0) is pair (s0,
+    s1) swapped, so the Neyman-Pearson sort that a trade-off curve of one and
+    the ROC of the other read is done once per ordered pair.  A law on a
+    read-only matrix is found again from that array by ``Law.of`` while it lives."""
 
     matrix: np.ndarray
 
@@ -275,7 +271,7 @@ def bisect_monotone(pred: Callable[[float], bool], lo: float, hi: float, *,
 
 def check_dcp(world: World, mech: MechanismKernel, eps: float, delta: float) -> DcpReport:
     """Certify one mechanism at (eps, delta) over every adjacent secret pair."""
-    return Law(effective_kernel(world, mech).matrix).check(world, eps, delta)
+    return effective_kernel(world, mech).check(world, eps, delta)
 
 
 @dataclass(frozen=True)

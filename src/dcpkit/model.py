@@ -9,6 +9,7 @@ that all privacy computations run on.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -64,6 +65,8 @@ class World:
 
     def __post_init__(self):
         object.__setattr__(self, "joint", _freeze(self.joint))
+        if len(set(self.secrets)) != len(self.secrets):
+            raise ModelError(f"secret labels {self.secrets} repeat a label")
         if self.joint.shape != (len(self.secrets), len(self.datasets)):
             raise ModelError(
                 f"joint shape {self.joint.shape} does not match "
@@ -147,8 +150,8 @@ class DependenceGroup:
 
     def __post_init__(self):
         object.__setattr__(self, "joint_kernel", _freeze(self.joint_kernel))
-        if len(set(self.members)) != len(self.members):
-            raise ModelError(f"dependence group members {self.members} repeat an index")
+        if not self.members or len(set(self.members)) != len(self.members):
+            raise ModelError(f"dependence group members {self.members} are none or repeat an index")
         _check_rows_stochastic(self.joint_kernel, f"dependence group {self.members} joint kernel")
 
     def validate_against(self, mechanisms: Sequence[MechanismKernel]) -> None:
@@ -174,20 +177,6 @@ class DependenceGroup:
                     f"dependence group {self.members}: joint kernel marginal for "
                     f"mechanism {mechanisms[mech_idx].name!r} deviates by {err:.3e}"
                 )
-
-
-@dataclass(frozen=True)
-class EffectiveKernel:
-    """Secret-conditional output distribution psi(y|s) of one mechanism."""
-
-    matrix: np.ndarray  # rows = secrets, cols = outputs
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _freeze(self.matrix))
-        _check_rows_stochastic(self.matrix, "effective kernel")
-
-    def pair(self, s0: int, s1: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.matrix[s0], self.matrix[s1]
 
 
 @dataclass(frozen=True)
@@ -406,14 +395,18 @@ def atom_index(classes: Sequence[TypeClass]) -> np.ndarray:
     return index.ravel()
 
 
-def effective_kernel(world: World, mech: MechanismKernel) -> EffectiveKernel:
-    """Average the mechanism kernel over P(x|s) for every secret."""
+def effective_kernel(world: World, mech: MechanismKernel) -> Law:
+    """The secret-conditional output law psi(y|s) of one mechanism: its
+    kernel averaged over P(x|s) for every secret, as a read-only
+    ``divergence.Law``."""
+    from .divergence import Law  # divergence builds on this module
+
     if mech.kernel.shape[0] != len(world.datasets):
         raise ModelError(
             f"mechanism {mech.name!r} has {mech.kernel.shape[0]} dataset rows, "
             f"world has {len(world.datasets)} datasets"
         )
-    return EffectiveKernel(matrix=mix_kernel(world, mech.kernel))
+    return Law(_freeze(mix_kernel(world, mech.kernel)))
 
 
 def is_invertible(world: World) -> tuple[bool, dict[int, int] | None]:
@@ -440,26 +433,50 @@ def _key(raw: Mapping, key: str, what: str):
     return raw[key]
 
 
+def _typed(value, kind: type, what: str):
+    """``value`` when it is a ``kind``: a list or dict, as JSON arrays and objects load."""
+    if not isinstance(value, kind):
+        raise ModelError(f"{what} must be a {kind.__name__}, not {type(value).__name__}")
+    return value
+
+
+def _entries(raw: Mapping, key: str) -> list:
+    """The objects listed under ``key``, none when it is absent."""
+    return [_typed(entry, dict, f"{key} entry {i}") for i, entry in enumerate(_typed(raw.get(key, []), list, key))]
+
+
+def _labels(value, what: str) -> tuple[str, ...]:
+    return tuple(str(label) for label in _typed(value, list, what))
+
+
+def _array(value, what: str, ndim: int) -> np.ndarray:
+    """``value`` as floats in ``ndim`` dimensions (a matrix at 2, a number at 0)."""
+    with contextlib.suppress(TypeError, ValueError):
+        if (arr := np.asarray(value, dtype=float)).ndim == ndim:
+            return arr
+    raise ModelError(f"{what} is not {'a matrix of numbers' if ndim else 'a number'}")
+
+
 def _index(value, what: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ModelError(f"{what}: {value!r} is not an index") from None
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ModelError(f"{what}: {value!r} is not an index")
+    return value
 
 
 def _parse_adjacency(spec, joint: np.ndarray) -> frozenset:
     if spec is None:
         return default_adjacency(joint)
-    if "pairs" in spec:
+    if "pairs" in _typed(spec, dict, "adjacency"):
         pairs = set()
-        for a, b in spec["pairs"]:
-            a, b = _index(a, "adjacency pair"), _index(b, "adjacency pair")
-            pairs.add((a, b))
-            pairs.add((b, a))
+        for pair in _typed(spec["pairs"], list, "adjacency pairs"):
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ModelError(f"adjacency pair {pair!r} is not two indices")
+            a, b = (_index(s, "adjacency pair") for s in pair)
+            pairs.update({(a, b), (b, a)})
         return frozenset(pairs)
     if "metric" in spec:
-        d = float(_key(spec, "d", "metric adjacency"))
-        return build_adjacency(np.asarray(spec["metric"], dtype=float), d, joint)
+        d = float(_array(_key(spec, "d", "metric adjacency"), "metric threshold d", 0))
+        return build_adjacency(_array(spec["metric"], "metric table", 2), d, joint)
     raise ModelError("adjacency must provide either 'pairs' or 'metric'+'d'")
 
 
@@ -471,10 +488,11 @@ def load_model(path) -> Model:
     except json.JSONDecodeError as exc:
         raise ModelError(f"cannot parse {path}: {exc}") from exc
 
-    joint = np.asarray(_key(raw, "joint", "model file"), dtype=float)
+    raw = _typed(raw, dict, "model file")
+    joint = _array(_key(raw, "joint", "model file"), "joint", 2)
     world = World(
-        secrets=tuple(str(s) for s in _key(raw, "secrets", "model file")),
-        datasets=tuple(str(x) for x in _key(raw, "datasets", "model file")),
+        secrets=_labels(_key(raw, "secrets", "model file"), "secrets"),
+        datasets=_labels(_key(raw, "datasets", "model file"), "datasets"),
         joint=joint,
         adjacency=_parse_adjacency(raw.get("adjacency"), joint),
     )
@@ -482,18 +500,22 @@ def load_model(path) -> Model:
     mechanisms = tuple(
         MechanismKernel(
             name=str(m.get("name", f"mech{i}")),
-            outputs=tuple(str(o) for o in _key(m, "outputs", f"mechanism {i}")),
-            kernel=np.asarray(_key(m, "kernel", f"mechanism {i}"), dtype=float),
+            outputs=_labels(_key(m, "outputs", f"mechanism {i}"), f"mechanism {i} outputs"),
+            kernel=_array(_key(m, "kernel", f"mechanism {i}"), f"mechanism {i} kernel", 2),
         )
-        for i, m in enumerate(raw.get("mechanisms", []))
+        for i, m in enumerate(_entries(raw, "mechanisms"))
     )
+    names = [m.name for m in mechanisms]
+    if len(set(names)) != len(names):
+        raise ModelError(f"mechanism names {names} repeat a name")
     dependence = tuple(
         DependenceGroup(
-            members=tuple(_index(i, "dependence member") for i in _key(g, "members", "dependence group")),
-            joint_kernel=np.asarray(_key(g, "joint_kernel", "dependence group"), dtype=float),
-            joint_outputs=tuple(str(o) for o in g.get("joint_outputs", [])),
+            members=tuple(_index(i, "dependence member")
+                          for i in _typed(_key(g, "members", "dependence group"), list, "dependence members")),
+            joint_kernel=_array(_key(g, "joint_kernel", "dependence group"), "dependence joint kernel", 2),
+            joint_outputs=_labels(g.get("joint_outputs", []), "dependence joint outputs"),
         )
-        for g in raw.get("dependence", [])
+        for g in _entries(raw, "dependence")
     )
     seen: set[int] = set()
     for g in dependence:
@@ -517,8 +539,3 @@ def load_model(path) -> Model:
 def adjacency_labels(world: World) -> frozenset[tuple[str, str]]:
     """The world's adjacent pairs by secret label."""
     return frozenset((world.secrets[a], world.secrets[b]) for (a, b) in world.adjacency)
-
-
-def load_world(path) -> World:
-    """Load only the world part of a model file."""
-    return load_model(path).world

@@ -40,7 +40,7 @@ def _merge_atoms(losses: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np
     gmass = np.zeros(n)
     gloss = np.zeros(n)
     np.add.at(gmass, gid, masses)
-    finite = np.isfinite(losses)
+    finite = np.isfinite(losses)  # the rest are -inf (``Pld`` books +inf apart)
     # -inf atoms merge to -inf; finite atoms to their mass-weighted mean
     np.add.at(gloss, gid[finite], (losses * masses)[finite])
     with np.errstate(invalid="ignore"):
@@ -57,7 +57,8 @@ class Pld:
 
     Losses of -inf (outcomes impossible under the reference measure's
     opposite side) are kept as a single sentinel atom; they contribute
-    nothing to any privacy profile.
+    nothing to any privacy profile.  Atoms at +inf join ``inf_mass``.  NaN
+    losses and non-finite masses are refused.
     """
 
     losses: np.ndarray
@@ -67,19 +68,26 @@ class Pld:
     def __post_init__(self):
         losses = np.asarray(self.losses, dtype=float)
         masses = np.asarray(self.masses, dtype=float)
+        inf_mass = float(self.inf_mass)
         if losses.shape != masses.shape or losses.ndim != 1:
             raise ValueError("losses and masses must be equal-length vectors")
-        if np.any(masses < -PROB_ATOL) or self.inf_mass < -PROB_ATOL:
+        if np.isnan(losses).any() or not (np.isfinite(masses).all() and math.isfinite(inf_mass)):
+            raise ValueError("a Pld loss is NaN or a mass is not finite")
+        if np.any(masses < -PROB_ATOL) or inf_mass < -PROB_ATOL:
             raise ValueError("negative probability mass in Pld")
+        at_inf = (losses == np.inf) & (masses > 0.0)
+        if at_inf.any():
+            inf_mass += float(masses[at_inf].sum())
+            losses, masses = losses[~at_inf], masses[~at_inf]
         losses, masses = _merge_atoms(losses, masses)
-        total = float(masses.sum()) + self.inf_mass
+        total = float(masses.sum()) + inf_mass
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"Pld total mass is {total}, not 1")
         losses.flags.writeable = False
         masses.flags.writeable = False
         object.__setattr__(self, "losses", losses)
         object.__setattr__(self, "masses", masses)
-        object.__setattr__(self, "inf_mass", float(self.inf_mass))
+        object.__setattr__(self, "inf_mass", inf_mass)
 
     @staticmethod
     def point(loss: float) -> "Pld":
@@ -217,19 +225,18 @@ def write_pld_csv(pld: Pld, path) -> None:
 
 
 def read_pld_csv(path) -> Pld:
-    losses, masses, inf_mass = [], [], 0.0
+    """The ``Pld`` of a ``dcp pld`` output or ``write_pld_csv`` file, ``#``
+    lines skipped: each row an atom, the ``inf`` row's mass at +inf."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if header.strip() != "loss,mass":
-            raise ValueError(f"unexpected header {header!r}")
-        for line in fh:
-            loss_s, mass_s = line.strip().split(",")
-            if loss_s == "inf":
-                inf_mass = float(mass_s)
-            else:
-                losses.append(float(loss_s))
-                masses.append(float(mass_s))
-    return Pld(losses=np.array(losses), masses=np.array(masses), inf_mass=inf_mass)
+        lines = [line.strip() for line in fh if not line.startswith("#")]
+    if lines[:1] != ["loss,mass"]:
+        raise ValueError(f"unexpected header {lines[:1]}")
+    losses, masses = [], []
+    for line in lines[1:]:
+        loss, mass = line.split(",")
+        losses.append(float(loss))
+        masses.append(float(mass))
+    return Pld(losses=np.array(losses), masses=np.array(masses))
 
 
 @dataclass(frozen=True)
@@ -291,7 +298,7 @@ def decompose_plrv(
 
 def _decompose(value, s0: int, s1: int) -> PlrvDecomposition:
     """``decompose_plrv`` of a ``composition.Composition``."""
-    effs, groups = value.effs, value.groups
+    effs, groups = [eff.matrix for eff in value.effs], value.groups
     b0, b1 = value.joint.matrix[s0], value.joint.matrix[s1]
     dims = tuple(eff.shape[1] for eff in effs)
     rows = [s0, s1]

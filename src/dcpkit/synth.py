@@ -136,7 +136,7 @@ def _calibrate_noise_scale(world: World, kernel, values, eps_target: float, delt
     decreases in the scale); a target the bounds do not reach is refused."""
     def tight(scale):
         mech = kernel(values, scale, bins)
-        return worst_pair(world, effective_kernel(world, mech).matrix, delta=delta).value
+        return effective_kernel(world, mech).worst(world, delta=delta).value
 
     lo, hi = SCALE_BOUNDS
     if tight(lo) < eps_target or tight(hi) > eps_target:

@@ -21,7 +21,6 @@ from dcpkit.copula import (
     GaussianMarginal,
     LaplaceMarginal,
     conservative_bound,
-    marginal_tight_budget,
     perturbed_decomposition,
     psedr_samples,
 )
@@ -167,9 +166,8 @@ def test_criterion_6_coupling_additivity_and_bound():
     dec = perturbed_decomposition(spec, world, ((0.0, 1.0), (0.0, 0.5)), 0, 1, bins=512)
     resid = float(np.abs(dec.total - (dec.unperturbed + dec.copula_term)).max())
     true = optimal_epsilon(dec.pair, 0.02)
-    eps1, d1 = marginal_tight_budget(dec.marginal_pairs[0], tag_delta)
-    eps2, d2 = marginal_tight_budget(dec.marginal_pairs[1], tag_delta)
-    bound = conservative_bound(spec, eps1, d1, eps2, d2, 0.02)
+    eps1, eps2 = (optimal_epsilon(pair, tag_delta) for pair in dec.marginal_pairs)
+    bound = conservative_bound(spec, eps1, tag_delta, eps2, tag_delta, 0.02)
     ok = resid <= 1e-6 and true <= bound + 1e-9
     assert verdict(
         6, ok,

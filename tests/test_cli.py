@@ -97,6 +97,15 @@ def test_pld_serialization(tmp_path):
     assert lines[-1].startswith("inf,")
     losses = [float(l.split(",")[0]) for l in lines[2:-1]]
     assert losses == sorted(losses)
+    # read_pld_csv reads the output back, header line and all
+    from dcpkit.model import effective_kernel, load_model
+    from dcpkit.pld import pld_from_pair, read_pld_csv
+
+    model = load_model(MIXING)
+    assert model.mechanisms[0].name == "rr_a"
+    want, back = pld_from_pair(effective_kernel(model.world, model.mechanisms[0]).pair(0, 1)), read_pld_csv(out)
+    assert back.losses.tobytes() == want.losses.tobytes() and back.masses.tobytes() == want.masses.tobytes()
+    assert back.inf_mass == want.inf_mass
 
 
 def test_copula_sample_deterministic(tmp_path):
@@ -210,14 +219,64 @@ def _nan_kernel(m):
     m["mechanisms"][0]["kernel"][0][0] = float("nan")
 
 
-@pytest.mark.parametrize("mutate", [_no_outputs, _member_out_of_range, _nan_kernel])
-def test_check_rejects_malformed_model_with_exit_2(tmp_path, capsys, mutate):
+def _mechanisms_mapping(m):
+    m["mechanisms"] = {"a": 1}
+
+
+def _mechanisms_string(m):
+    m["mechanisms"] = "abc"
+
+
+def _no_members(m):
+    m["dependence"] = [{"members": [], "joint_kernel": [[1.0], [1.0]]}]
+
+
+def _repeated_name(m):
+    m["mechanisms"][1]["name"] = "a"
+
+
+def _repeated_secret(m):
+    m["secrets"] = ["s0", "s0"]
+
+
+def _fractional_index(m):
+    m["adjacency"] = {"pairs": [[0.7, 1]]}
+
+
+def _bool_member(m):
+    # b's and a's kernels multiplied per dataset: a valid group of members (1, 0)
+    m["dependence"] = [{"members": [True, 0], "joint_kernel": [[0.42, 0.18, 0.28, 0.12],
+                                                               [0.06, 0.14, 0.24, 0.56]]}]
+
+
+# structure that used to escape as a traceback, or load and be misread
+STRUCTURE_FAULTS = [_mechanisms_mapping, _mechanisms_string, _no_members, _repeated_name,
+                    _repeated_secret, _fractional_index, _bool_member]
+
+
+def _write_malformed(tmp_path, mutate):
     model = json.loads(json.dumps(MALFORMED_BASE))
     mutate(model)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(model))
-    assert run(["--model", str(path), "check", "--eps", "1.0", "--delta", "0.05"]) == 2
+    return str(path)
+
+
+@pytest.mark.parametrize("mutate", [_no_outputs, _member_out_of_range, _nan_kernel, *STRUCTURE_FAULTS])
+def test_check_rejects_malformed_model_with_exit_2(tmp_path, capsys, mutate):
+    path = _write_malformed(tmp_path, mutate)
+    assert run(["--model", path, "check", "--eps", "1.0", "--delta", "0.05"]) == 2
     assert capsys.readouterr().err.startswith("dcp: error: ")
+
+
+@pytest.mark.parametrize("mutate", STRUCTURE_FAULTS)
+def test_commands_reading_mechanisms_reject_malformed_structure_with_exit_2(tmp_path, capsys, mutate):
+    path = _write_malformed(tmp_path, mutate)
+    for argv in (["compose"], ["pld", "--pair", "s0", "s1", "--mech", "a"],
+                 ["audit", "--single", "a", "--eps-g", "1.0", "--delta-g", "0.05"]):
+        assert run(["--model", path, *argv]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("dcp: error: "), argv
 
 
 def test_cap_applies_to_one_invocation():

@@ -70,7 +70,7 @@ def test_composed_joint_single_mechanism(mixing_world_2x2, rr_mechanism):
 def test_composed_joint_invertible_is_product(invertible_world, rr_mechanism):
     cj = comp.composed_joint(invertible_world, [rr_mechanism, rr_mechanism], [])
     row0 = np.outer(rr_mechanism.kernel[0], rr_mechanism.kernel[0]).ravel()
-    assert np.allclose(cj.rows(0), row0, atol=1e-15)
+    assert np.allclose(cj.matrix[0], row0, atol=1e-15)
 
 
 def test_composed_joint_matches_brute_force(mixing_world_2x2):
@@ -81,7 +81,7 @@ def test_composed_joint_matches_brute_force(mixing_world_2x2):
     ]
     cj = comp.composed_joint(mixing_world_2x2, mechs, [])
     for s in (0, 1):
-        assert np.allclose(cj.rows(s), brute_force_joint(mixing_world_2x2, mechs, s), atol=1e-14)
+        assert np.allclose(cj.matrix[s], brute_force_joint(mixing_world_2x2, mechs, s), atol=1e-14)
 
 
 def test_composed_joint_with_group_matches_brute_force():
@@ -105,7 +105,7 @@ def test_composed_joint_with_group_matches_brute_force():
             blk = group.joint_kernel[x].reshape(2, 2)
             full = np.einsum("ab,c->abc", blk, mechs[2].kernel[x]).ravel()
             expect += cond[x] * full
-        assert np.allclose(cj.rows(s), expect, atol=1e-14)
+        assert np.allclose(cj.matrix[s], expect, atol=1e-14)
     assert np.abs(cj.matrix.sum(axis=1) - 1.0).max() <= 1e-10
 
 
@@ -156,7 +156,7 @@ def test_true_opt_single_equals_individual(mixing_world_2x2, rr_mechanism):
 
     eff = effective_kernel(mixing_world_2x2, rr_mechanism)
     expect = max(
-        optimal_epsilon(DistPair(*eff.pair(a, b)), 0.01)
+        optimal_epsilon(eff.pair(a, b), 0.01)
         for (a, b) in sorted(mixing_world_2x2.adjacency)
     )
     assert comp.true_opt(mixing_world_2x2, [rr_mechanism], [], 0.01) == pytest.approx(expect, abs=1e-12)
@@ -183,9 +183,9 @@ def test_underline_convolution_route_agrees(mixing_world_2x2):
         effs = [effective_kernel(mixing_world_2x2, m) for m in mechs]
         worst = -math.inf
         for (a, b) in sorted(mixing_world_2x2.adjacency):
-            pld = pld_from_pair(DistPair(*effs[0].pair(a, b)))
+            pld = pld_from_pair(effs[0].pair(a, b))
             for eff in effs[1:]:
-                pld = convolve(pld, pld_from_pair(DistPair(*eff.pair(a, b))))
+                pld = convolve(pld, pld_from_pair(eff.pair(a, b)))
             worst = max(worst, epsilon_for_delta(pld, dg))
         assert direct == pytest.approx(worst, abs=1e-12)
 
@@ -199,7 +199,7 @@ def test_triangulating_instance_orders_strictly():
     # strict dt gap at a tested eps
     cj = comp.composed_joint(world, mechs, [])
     pair_t = cj.pair(0, 1)
-    pair_u = comp.product_pair(world, mechs, 0, 1)
+    pair_u = comp.Composition.of(world, mechs).lumped_product.pair(0, 1)
     gaps = [hockey_stick(pair_t, e) - hockey_stick(pair_u, e) for e in (0.1, 0.3, 0.5)]
     assert max(gaps) > 1e-9
 
@@ -404,7 +404,7 @@ def test_overline_columns_match_the_materialized_convolution():
         for (s0, s1) in sorted(world.adjacency):
             pld = decompose_plrv(world, mechs, dependence, s0, s1).world_pld()
             for mech in mechs:
-                pld = convolve(pld, pld_from_pair(DistPair(*effective_kernel(world, mech).pair(s0, s1))))
+                pld = convolve(pld, pld_from_pair(effective_kernel(world, mech).pair(s0, s1)))
             plds[(s0, s1)] = pld
         for (s0, s1, dg, _, _, over) in report.opt_rows:
             assert over == pytest.approx(epsilon_for_delta(plds[(s0, s1)], dg), abs=1e-12)
@@ -739,7 +739,8 @@ def test_cached_arrays_are_read_only():
     world, mechs, dependence = model.world, list(model.mechanisms), list(model.dependence)
     value = comp.Composition.of(world, mechs, dependence)
     arrays = [comp.composed_joint(world, mechs, dependence).matrix, value.joint.matrix,
-              value.product.matrix, *value.effs, *(law for _, law in value.groups)]
+              value.lumped_product.matrix, *(eff.matrix for eff in value.effs),
+              *(law for _, law in value.groups)]
     for arr in arrays:
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):

@@ -12,16 +12,14 @@ from dcpkit.copula import (
     GaussianMarginal,
     LaplaceMarginal,
     bivariate_gaussian_cdf,
+    block_grid,
     conservative_bound,
     copula_cdf,
     copula_plrv,
-    coupled_block_law,
     marginal_from_spec,
-    marginal_tight_budget,
-    perturb_pair,
+    mix_block_law,
     perturbed_decomposition,
     psedr_map,
-    psedr_sample,
     psedr_samples,
 )
 from dcpkit.divergence import optimal_epsilon
@@ -154,9 +152,9 @@ def test_psedr_bit_exact_replay():
 
 def test_psedr_single_sample_provenance():
     spec = make_spec()
-    s = psedr_sample(spec, "s0", np.random.default_rng(3))
-    u1, u2, v1, v2 = psedr_map(spec, "s0", s.z1, s.z2)
-    assert float(v1) == s.v1 and float(v2) == s.v2
+    s = psedr_samples(spec, "s0", np.random.default_rng(3), 1)
+    u1, u2, v1, v2 = psedr_map(spec, "s0", s["z1"], s["z2"])
+    assert np.array_equal(v1, s["v1"]) and np.array_equal(v2, s["v2"])
 
 
 def test_psedr_marginals_ks():
@@ -267,39 +265,17 @@ def test_copula_plrv_grid_too_coarse():
         copula_plrv(spec, _pair_world(), 0, 1, bins=8, span=0.01)
 
 
-def test_perturb_pair_marginals_and_correlation():
-    world = _pair_world()
+def test_psedr_samples_marginals_and_correlation():
     spec = make_spec(rho=1e-6)
     rng = np.random.default_rng(13)
-    clouds = perturb_pair(world, ((0.0, 1.0), (0.0, 0.5)), spec, rng, 40_000)
-    y1, y2 = clouds["x0"]
-    corr = np.corrcoef(y1, y2)[0, 1]
+    out = psedr_samples(spec, "s0", rng, 40_000)
+    corr = np.corrcoef(out["v1"], out["v2"])[0, 1]
     assert abs(corr) <= 0.02  # near-zero coupling stays near zero
     # symmetric case: identical marginals in distribution
     spec_sym = make_spec(xi1=GaussianMarginal(1.0), xi2=GaussianMarginal(1.0))
-    clouds = perturb_pair(world, ((0.0, 0.0), (0.0, 0.0)), spec_sym, rng, 50_000)
-    y1, y2 = clouds["x1"]
-    ks = stats.ks_2samp(y1, y2)
+    out = psedr_samples(spec_sym, "s0", rng, 50_000)
+    ks = stats.ks_2samp(out["v1"], out["v2"])
     assert ks.pvalue > 0.01
-
-
-def test_perturb_pair_marginal_mechanism_unchanged():
-    # the delivered noise marginal is exactly xi, so each perturbed
-    # mechanism's discretized kernel equals the unperturbed one
-    world = _pair_world()
-    spec = make_spec()
-    rng = np.random.default_rng(17)
-    f1 = (0.0, 1.0)
-    clouds = perturb_pair(world, (f1, (0.0, 0.5)), spec, rng, 100_000)
-    for x, label in enumerate(world.datasets):
-        y1, _ = clouds[label]
-        ks = ks_distance(y1, lambda v: spec.xi1.cdf(v - f1[x]))
-        assert ks < 1.5 * ks_critical(y1.size)
-
-
-def test_perturb_pair_rejects_bad_count():
-    with pytest.raises(ValueError):
-        perturb_pair(_pair_world(), ((0.0, 1.0), (0.0, 1.0)), make_spec(), np.random.default_rng(0), 0)
 
 
 def test_perturbed_decomposition_additivity():
@@ -318,9 +294,8 @@ def test_conservative_bound_dominates_perturbed_true_opt():
     spec = make_spec(rho=0.1, delta_c=tag_delta, w=2 * math.log(2 / tag_delta))
     dec = perturbed_decomposition(spec, world, ((0.0, 1.0), (0.0, 0.5)), 0, 1, bins=96)
     true = optimal_epsilon(dec.pair, 0.02)
-    eps1, d1 = marginal_tight_budget(dec.marginal_pairs[0], tag_delta)
-    eps2, d2 = marginal_tight_budget(dec.marginal_pairs[1], tag_delta)
-    bound = conservative_bound(spec, eps1, d1, eps2, d2, 0.02)
+    eps1, eps2 = (optimal_epsilon(pair, tag_delta) for pair in dec.marginal_pairs)
+    bound = conservative_bound(spec, eps1, tag_delta, eps2, tag_delta, 0.02)
     assert math.isfinite(bound)
     assert true <= bound + 1e-9
 
@@ -351,7 +326,9 @@ def test_coupled_block_law_rows_normalized():
     world = World(("s0", "s1"), ("x0", "x1"),
                   np.array([[0.45, 0.05], [0.05, 0.45]]),
                   default_adjacency(np.array([[0.45, 0.05], [0.05, 0.45]])))
-    law, g1, g2 = coupled_block_law(make_spec(), world, ((0.0, 1.0), (0.0, 0.5)), bins=15)
+    spec = make_spec()
+    g1, g2, terms = block_grid(spec.xi1, spec.xi2, world, ((0.0, 1.0), (0.0, 0.5)), bins=15)
+    law = mix_block_law(spec, world, terms)
     assert law.shape == (2, 225)
     assert np.allclose(law.sum(axis=1), 1.0, atol=1e-12)
     assert not np.allclose(law[0], law[1])
@@ -366,7 +343,8 @@ def test_coupled_block_law_matches_decomposition_on_invertible_world():
     spec = make_spec()
     world = _pair_world()
     fmaps = ((0.0, 1.0), (0.0, 0.5))
-    law, g1, g2 = coupled_block_law(spec, world, fmaps, bins=41)
+    g1, g2, terms = block_grid(spec.xi1, spec.xi2, world, fmaps, bins=41)
+    law = mix_block_law(spec, world, terms)
     dec = perturbed_decomposition(spec, world, fmaps, 0, 1, bins=41)
     assert np.allclose(g1, dec.grid1) and np.allclose(g2, dec.grid2)
     pair_block = DistPair(law[0], law[1])

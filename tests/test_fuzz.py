@@ -5,9 +5,13 @@ Each model example copies one demo model and, in most examples, applies one
 mutation: drop a key, put NaN or +-inf in a number (the copula section's
 included), or push an adjacency or dependence-member index out of range.
 ``check``, ``compose`` and ``copula-sample`` then run at an eps drawn up to
-1e300 in size.  Each number example runs ``check``, ``compose``, ``audit``,
-``pld`` and ``ic`` on an intact demo model with numbers drawn finite or
-not, in range or not.  Whatever the input, ``dcp`` must answer with exit
+1e300 in size.  Every demo model also goes through each type swap (a list,
+an object, a string, a number, a bool or null in place of the value) at
+each top-level key and at each key of a mechanism or dependence entry, and
+``check``, ``compose``, ``pld``, ``audit`` and ``copula-sample`` run on it.
+Each number example runs ``check``, ``compose``, ``audit``, ``pld`` and
+``ic`` on an intact demo model with numbers drawn finite or not, in range
+or not.  Whatever the input, ``dcp`` must answer with exit
 code 0, 1 or 2, never let an exception escape and never print a NaN.
 """
 
@@ -18,6 +22,7 @@ import math
 import pathlib
 import re
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -82,6 +87,41 @@ def test_dcp_never_raises_on_mutated_models(tmp_path_factory, model, eps, eps_g)
                  main(["--model", str(path), "copula-sample", "-n", "3"])]
     assert all(code in (0, 1, 2) for code in codes)
     assert "Traceback" not in err.getvalue()
+
+
+SWAPS = ([], [0.5, "a"], {"a": 1}, "abc", 0.7, 2, True, None)
+
+
+def swap_sites(model):
+    """Each top-level key and each key of a mechanism or dependence entry."""
+    yield from ((key,) for key in model)
+    for section in ("mechanisms", "dependence"):
+        for i, entry in enumerate(model.get(section, [])):
+            yield from ((section, i, key) for key in entry)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_dcp_never_raises_on_type_swapped_models(tmp_path, name):
+    path = tmp_path / "model.json"
+    single = MODELS[name]["mechanisms"][0]["name"]
+    argvs = (["check", "--eps", "1.0", "--delta", "0.05"], ["compose"],
+             ["pld", "--pair", "s0", "s1", "--mech", single],
+             ["audit", "--single", single, "--eps-g", "1.0", "--delta-g", "0.05"],
+             ["copula-sample", "-n", "3"])
+    for site in swap_sites(MODELS[name]):
+        for value in SWAPS:
+            model = json.loads(json.dumps(MODELS[name]))
+            parent = model
+            for step in site[:-1]:
+                parent = parent[step]
+            parent[site[-1]] = value
+            path.write_text(json.dumps(model))
+            for argv in argvs:
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = main(["--model", str(path), *argv])
+                assert code in (0, 1, 2), (site, value, argv)
+                assert "Traceback" not in err.getvalue()
 
 
 NUMBER = st.one_of(

@@ -3,7 +3,8 @@
 Ungrouped mechanisms with bitwise-equal kernels share one atom per multiset
 of their outputs; every bound read on those laws must match the same bound
 read on the dense laws (``dense_route``) within ``TOL`` relative, and a
-composition without repeats must read the dense laws themselves.
+composition without repeats must read the dense joint itself and a product
+law with the dense product's bytes.
 """
 
 import math
@@ -168,7 +169,7 @@ def test_without_repeats_the_dense_laws_are_read():
     mechs = (_kernel("a", 3, 5), _kernel("b", 3, 6), _kernel("c", 2, 7))
     value = comp.Composition(_mixing_world(), mechs)
     assert value.lumped is value.joint
-    assert value.lumped_product is value.product
+    assert value.lumped_product.matrix.tobytes() == dense_laws(value.world, mechs)[1].tobytes()
     assert value.sizes["atoms"] == value.sizes["outcomes"] == 18
     pi = np.arange(36.0).reshape(18, 2)
     assert value.per_outcome(pi) is pi

@@ -13,7 +13,6 @@ from dcpkit.model import (
     effective_kernel,
     is_invertible,
     load_model,
-    load_world,
 )
 
 
@@ -34,7 +33,7 @@ BASE = {
 
 
 def test_load_identity_world(tmp_path):
-    world = load_world(write_model(tmp_path, BASE))
+    world = load_model(write_model(tmp_path, BASE)).world
     assert world.secrets == ("s0", "s1")
     assert np.allclose(world.marginal_secret, [0.5, 0.5])
     assert world.adjacency == {(0, 1), (1, 0)}
@@ -43,13 +42,13 @@ def test_load_identity_world(tmp_path):
 def test_load_rejects_bad_mass(tmp_path):
     bad = dict(BASE, joint=[[0.5, 0.0], [0.0, 0.49]])
     with pytest.raises(ModelError, match="sums to"):
-        load_world(write_model(tmp_path, bad))
+        load_model(write_model(tmp_path, bad))
 
 
 def test_load_rejects_zero_marginal_adjacency(tmp_path):
     bad = dict(BASE, joint=[[0.5, 0.5], [0.0, 0.0]], adjacency={"pairs": [[0, 1]]})
     with pytest.raises(ModelError, match="zero marginal"):
-        load_world(write_model(tmp_path, bad))
+        load_model(write_model(tmp_path, bad))
 
 
 def test_load_rejects_malformed_json(tmp_path):

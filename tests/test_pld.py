@@ -129,9 +129,9 @@ def test_convolution_equals_product_law_on_invertible_world():
         for i in range(3)
     ]
     effs = [effective_kernel(world, m) for m in mechs]
-    pld = pld_from_pair(DistPair(*effs[0].pair(0, 1)))
+    pld = pld_from_pair(effs[0].pair(0, 1))
     for eff in effs[1:]:
-        pld = convolve(pld, pld_from_pair(DistPair(*eff.pair(0, 1))))
+        pld = convolve(pld, pld_from_pair(eff.pair(0, 1)))
     cj = composed_joint(world, mechs, [])
     for eps in (0.0, 0.3, 0.8, 1.5):
         assert privacy_profile(pld, eps) == pytest.approx(
@@ -142,6 +142,35 @@ def test_convolution_equals_product_law_on_invertible_world():
 def test_negative_infinity_atoms_are_inert():
     pld = Pld(losses=np.array([-np.inf, 1.0]), masses=np.array([0.25, 0.75]))
     assert privacy_profile(pld, 0.0) == pytest.approx(0.75 * (1 - math.exp(-1.0)))
+
+
+def test_positive_infinity_atoms_join_the_mass_at_infinity():
+    pld = Pld(losses=np.array([np.inf, 0.0]), masses=np.array([0.5, 0.5]))
+    assert (pld.losses.tolist(), pld.inf_mass) == ([0.0], 0.5)
+    assert epsilon_for_delta(pld, 0.1) == math.inf
+
+
+@pytest.mark.parametrize("losses,masses,inf_mass", [
+    ([math.nan, 0.0], [0.5, 0.5], 0.0),
+    ([0.0], [1.0], math.nan),
+    ([0.0], [0.5], math.inf),
+    ([0.0, 1.0], [math.nan, 1.0], 0.0),
+])
+def test_pld_refuses_nan_losses_and_non_finite_masses(losses, masses, inf_mass):
+    with pytest.raises(ValueError):
+        Pld(losses=np.array(losses), masses=np.array(masses), inf_mass=inf_mass)
+
+
+def test_read_pld_csv_books_overflowing_losses_at_infinity_and_refuses_nan(tmp_path):
+    path = tmp_path / "pld.csv"
+    path.write_text("loss,mass\n1e400,0.5\n0.0,0.5\ninf,0.0\n")
+    pld = read_pld_csv(path)
+    assert (pld.losses.tolist(), pld.inf_mass) == ([0.0], 0.5)
+    assert epsilon_for_delta(pld, 0.0) == math.inf
+    for rows in ("1e400,0.5\nnan,0.3\n0.0,0.2\n", "0.0,1.0\ninf,nan\n"):
+        path.write_text("loss,mass\n" + rows)
+        with pytest.raises(ValueError):
+            read_pld_csv(path)
 
 
 def test_csv_round_trip(tmp_path):
@@ -184,12 +213,13 @@ def test_decomposition_mixing_world_nonzero(rr_mechanism, mixing_world_2x2):
     fin = dec.finite
     assert np.abs(dec.world_term[fin]).max() > 1e-3
     # brute-force comparison: world term equals joint-vs-product log ratio
-    from dcpkit.composition import composed_joint, product_pair
+    from dcpkit.composition import composed_joint
+    from dcpkit.model import effective_kernel
 
     cj = composed_joint(mixing_world_2x2, [rr_mechanism, rr_mechanism], [])
-    prod0 = product_pair(mixing_world_2x2, [rr_mechanism, rr_mechanism], 0, 0).p
-    prod1 = product_pair(mixing_world_2x2, [rr_mechanism, rr_mechanism], 1, 1).p
-    expect = np.log(cj.rows(0) / prod0) - np.log(cj.rows(1) / prod1)
+    eff = effective_kernel(mixing_world_2x2, rr_mechanism).matrix
+    prod0, prod1 = (np.outer(eff[s], eff[s]).ravel() for s in (0, 1))
+    expect = np.log(cj.matrix[0] / prod0) - np.log(cj.matrix[1] / prod1)
     assert np.allclose(dec.world_term, expect, atol=1e-12)
 
 
