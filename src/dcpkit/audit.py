@@ -60,10 +60,10 @@ def roc_bound_check(roc: RocCurve, eps: float, delta: float) -> float:
     return float(max(direct.max(), complement.max()))
 
 
-def worst_pair_roc(world: World, law: np.ndarray) -> tuple[RocCurve, tuple[int, int]]:
-    """Highest-AUC adjacent pair for a per-secret outcome law: the live
-    ``Law`` on that very read-only array when there is one, else one checked
-    here."""
+def worst_pair_roc(world: World, law: Law | np.ndarray) -> tuple[RocCurve, tuple[int, int]]:
+    """Highest-AUC adjacent pair for a per-secret outcome law, taken as
+    ``Law.of`` takes it: a ``Law`` as it is, a read-only array as the live
+    ``Law`` on it when there is one, else a law checked here."""
     return _worst_roc(world, Law.of(law))
 
 
@@ -84,30 +84,23 @@ def _worst_roc(world: World, law: Law) -> tuple[RocCurve, tuple[int, int]]:
 
 def compare_protocol(
     world: World,
-    law_composed: np.ndarray,
-    law_single: np.ndarray,
+    law_composed: Law | np.ndarray,
+    law_single: Law | np.ndarray,
     grid: list[tuple[float, float]],
-    require_certified: bool = True,
 ) -> list[dict]:
     """Worst-pair attacker AUC of a composed setup vs a single mechanism.
 
     Each setup is a fixed per-secret outcome law (rows = secrets), taken as
     ``worst_pair_roc`` takes it and swept for its worst-pair ROC once; each
-    grid point reads both laws' worst delta at its eps.  Both setups must
-    actually satisfy their certificate at each grid point unless
-    ``require_certified`` is off.
+    grid point reads both laws' worst delta at its eps.  A row records each
+    setup's worst delta and raises nothing: whether both are certified at
+    its grid point is the caller's judgement.
     """
     laws = [Law.of(law) for law in (law_composed, law_single)]
     (roc_a, pair_a), (roc_b, pair_b) = (_worst_roc(world, law) for law in laws)
     rows = []
     for eps_g, delta_g in grid:
         d_a, d_b = (law.worst(world, eps=eps_g).value for law in laws)
-        for name, worst_delta in (("composed", d_a), ("single", d_b)):
-            if require_certified and worst_delta > delta_g + 1e-9:
-                raise ValueError(
-                    f"{name} setup is not certified at (eps={eps_g}, delta={delta_g}): "
-                    f"achieved delta {worst_delta}"
-                )
         rows.append(
             {
                 "eps_g": eps_g,

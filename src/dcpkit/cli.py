@@ -217,9 +217,9 @@ def cmd_audit(args) -> int:
     remap = {old: new for new, old in enumerate(members)}
     dep = [type(g)(members=tuple(remap[i] for i in g.members), joint_kernel=g.joint_kernel,
                    joint_outputs=g.joint_outputs) for g in model.dependence]
-    law_comp = comp.composed_joint(world, [model.mechanisms[i] for i in members], dep).matrix
+    law_comp = comp.composed_joint(world, [model.mechanisms[i] for i in members], dep)
     grid = [(eg, dg) for eg in args.eps_g for dg in args.delta_g]
-    rows = compare_protocol(world, law_comp, law_single.matrix, grid, require_certified=False)
+    rows = compare_protocol(world, law_comp, law_single, grid)
     lines = [_header(args, "audit"), "eps_g,delta_g,auc_composed,auc_single,gap\n"]
     for r in rows:
         lines.append(f"{_fmt(r['eps_g'])},{_fmt(r['delta_g'])},{_fmt(r['auc_composed'])},"

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import config
 from .divergence import DistPair, Law, _adjacent_pairs, hockey_stick, tradeoff_curve
-from .model import (DependenceGroup, MechanismKernel, TypeClass, World, _freeze, atom_counts, atom_index,
-                    composed_law, effective_kernel, lay_out, lumped_law, mix_kernel, type_classes)
+from .model import (DependenceGroup, MechanismKernel, TypeClass, World, _freeze, _posterior, atom_counts,
+                    atom_index, composed_law, effective_kernel, lay_out, lumped_law, mix_kernel, type_classes)
 from .pld import LossSum, _decompose, convolve, epsilon_for_delta, pld_from_pair
 
 
@@ -27,7 +27,7 @@ class Composition:
     on first use: the composed ``joint`` (rows secrets, columns the product
     alphabet in C order over the mechanisms' outputs), the effective
     kernels ``effs`` and each group's members and effective joint.  Each
-    law keeps an adjacent pair's loss profile once a bound asks for it.
+    pair of a law keeps its sort and its loss profile once asked for.
 
     ``lumped`` is the joint on the type ``classes`` (``model.type_classes``):
     ungrouped mechanisms with bitwise-equal kernels share one atom per
@@ -198,8 +198,8 @@ def composition_report(
         for dg in delta_gs:
             opt_rows.append(
                 (s0, s1, dg,
-                 prod.profile(s0, s1).epsilon(dg),
-                 joint.profile(s0, s1).epsilon(dg),
+                 prod_pair.profile.epsilon(dg),
+                 joint_pair.profile.epsilon(dg),
                  over.epsilon(dg))
             )
         for eg in eps_gs:
@@ -325,19 +325,13 @@ def cel_compare(
     value = Composition.of(world, mechs, dependence)
     prior = world.marginal_secret
     b = value.lumped.matrix             # secrets x atoms, true law
-    prod = value.lumped_product.matrix
-    # posteriors: columns normalized over secrets
-    w_joint = b * prior[:, None]
-    w_prod = prod * prior[:, None]
-    marg_joint = w_joint.sum(axis=0)
-    marg_prod = w_prod.sum(axis=0)
+    post_joint = _posterior(prior, b)[0]  # outcomes x secrets
+    post_prod = _posterior(prior, value.lumped_product.matrix)[0]
     cel_joint = 0.0
     cel_prod = 0.0
     for s in range(len(world.secrets)):
-        mass = w_joint[s]  # true weight of (s, outcome)
+        mass = b[s] * prior[s]  # true weight of (s, outcome)
         live = mass > 0.0
-        post_joint = w_joint[s, live] / marg_joint[live]
-        post_prod = w_prod[s, live] / marg_prod[live]
-        cel_joint -= float((mass[live] * np.log(post_joint)).sum())
-        cel_prod -= float((mass[live] * np.log(post_prod)).sum())
+        cel_joint -= float((mass[live] * np.log(post_joint[live, s])).sum())
+        cel_prod -= float((mass[live] * np.log(post_prod[live, s])).sum())
     return {"cel_joint": cel_joint, "cel_product": cel_prod}

@@ -60,6 +60,11 @@ class DistPair:
         """``_np_steps(p, q)``, sorted once and kept."""
         return _np_steps(self.p, self.q)
 
+    @cached_property
+    def profile(self) -> LossProfile:
+        """``LossProfile(self)``, built once and kept."""
+        return LossProfile(self)
+
 
 def _keep_live(pair: DistPair, p: np.ndarray, q: np.ndarray) -> DistPair:
     """Set ``pair`` to checked, clipped ``p``, ``q`` less their dead outcomes."""
@@ -136,7 +141,7 @@ def optimal_epsilon(pair: DistPair, delta: float) -> float:
     found on the sorted log-ratio breakpoints by solving ``A - B e^eps =
     delta`` on the bracketing segment; no iterative search is involved.
     """
-    return LossProfile(pair).epsilon(delta)
+    return pair.profile.epsilon(delta)
 
 
 @dataclass(frozen=True)
@@ -160,12 +165,13 @@ class WorstPair(NamedTuple):
 @dataclass(frozen=True, eq=False)
 class Law:
     """A per-secret law (rows = secrets: an effective kernel, a composed
-    joint), checked once, each pair and loss profile made once asked for.
-    Pairs are its rows clipped at 0 and cut to their live outcomes, as
-    ``DistPair`` makes them, on read-only arrays; pair (s1, s0) is pair (s0,
-    s1) swapped, so the Neyman-Pearson sort that a trade-off curve of one and
-    the ROC of the other read is done once per ordered pair.  A law on a
-    read-only matrix is found again from that array by ``Law.of`` while it lives."""
+    joint), checked once, each pair made once asked for, keeping its sort
+    and loss profile.  Pairs are its rows clipped at 0 and cut to their live
+    outcomes, as ``DistPair`` makes them, on read-only arrays; pair (s1, s0)
+    is pair (s0, s1) swapped, so the Neyman-Pearson sort that a trade-off
+    curve of one and the ROC of the other read is done once per ordered
+    pair.  A law on a read-only matrix is found again from that array by
+    ``Law.of`` while it lives."""
 
     matrix: np.ndarray
 
@@ -175,14 +181,15 @@ class Law:
         rows = np.clip(self.matrix, 0.0, None) if np.signbit(self.matrix).any() else self.matrix
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_pairs", {})
-        object.__setattr__(self, "_profiles", {})
         if not self.matrix.flags.writeable:
             _LAWS[id(self.matrix)] = self
 
     @staticmethod
     def of(law) -> Law:
-        """The live law already built on this very read-only array, else a
-        new law on ``law`` as floats."""
+        """``law`` itself when it is a ``Law``, else the live law already built
+        on this very read-only array, else a new law on ``law`` as floats."""
+        if isinstance(law, Law):
+            return law
         matrix = np.asarray(law, dtype=float)
         found = _LAWS.get(id(matrix))  # a live law holds its matrix, so its id is not reused
         return Law(matrix) if found is None else found
@@ -196,11 +203,6 @@ class Law:
             self._pairs[(s0, s1)] = pair
         return pair
 
-    def profile(self, s0: int, s1: int) -> LossProfile:
-        if (s0, s1) not in self._profiles:
-            self._profiles[(s0, s1)] = LossProfile(self.pair(s0, s1))
-        return self._profiles[(s0, s1)]
-
     def worst(self, world: World, *, eps: float | None = None,
               delta: float | None = None) -> WorstPair:
         """``worst_pair`` of this law."""
@@ -209,7 +211,7 @@ class Law:
         pairs = _adjacent_pairs(world)
         values = {
             (s0, s1): hockey_stick(self.pair(s0, s1), eps) if delta is None
-            else self.profile(s0, s1).epsilon(delta)
+            else self.pair(s0, s1).profile.epsilon(delta)
             for (s0, s1) in pairs
         }
         first = max(values, key=values.__getitem__)

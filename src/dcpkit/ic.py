@@ -24,7 +24,7 @@ from scipy import linalg, optimize, spatial
 
 from .composition import Composition
 from .divergence import Law, worst_pair
-from .model import DependenceGroup, MechanismKernel, World, check_cap, join_per_secret
+from .model import DependenceGroup, MechanismKernel, World, _posterior, check_cap, join_per_secret
 
 TAU_CAP = 1e6
 
@@ -111,22 +111,7 @@ def posterior(
     mask); rows for zero-weight outcomes are marked dead and left as the
     prior.
     """
-    return _posterior(world, joint_with_alpha(world, mechs, dependence, alpha))
-
-
-def _posterior(world: World, law: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``posterior`` of a per-secret law already joined with alpha."""
-    prior = world.marginal_secret
-    weights = law * prior[:, None]           # secrets x outcomes
-    marginal = weights.sum(axis=0)
-    live = marginal > 0.0
-    if not live.any():
-        raise ValueError("all joint outcomes carry zero mass")
-    post = np.empty((law.shape[1], prior.size))  # outcomes x secrets
-    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 on the dead rows, reset below
-        np.divide(weights.T, marginal[:, None], out=post)
-    post[~live] = prior
-    return post, marginal, live
+    return _posterior(world.marginal_secret, joint_with_alpha(world, mechs, dependence, alpha))
 
 
 @dataclass(frozen=True)
@@ -196,12 +181,12 @@ def spsr_loss(
     the expectation; a response putting zero mass on a positive-weight
     cell scores +inf.
     """
-    return _spsr_loss(pi, world, joint_with_alpha(world, mechs, dependence, alpha), loss)
+    return _spsr_loss(pi, world.marginal_secret, joint_with_alpha(world, mechs, dependence, alpha), loss)
 
 
-def _spsr_loss(pi: np.ndarray, world: World, law: np.ndarray, loss: str) -> float:
+def _spsr_loss(pi: np.ndarray, prior: np.ndarray, law: np.ndarray, loss: str) -> float:
     """``spsr_loss`` under a per-secret law already joined with alpha."""
-    weights = (law * world.marginal_secret[:, None]).T   # outcomes x secrets, a view
+    weights = (law * prior[:, None]).T   # outcomes x secrets, a view
     pi = np.asarray(pi, dtype=float)
     if loss == "log":
         hot = weights > 0.0
@@ -275,37 +260,38 @@ def solve_task1(problem: IcProblem) -> IcSolution:
     tau_g, m = problem.tau_g, problem.alpha_size
     b_all = _composed_law(problem.world, problem.mechs, problem.dependence).matrix
     check_cap(b_all.shape[1] * m, f"{b_all.shape[1]} outcomes x {m} channel symbols")
-    world, keep = _positive_prior(problem.world)
-    b = b_all[keep]
+    prior = problem.world.marginal_secret
+    keep = np.flatnonzero(prior > 0.0)
+    b, live_prior = b_all[keep], prior[keep]
 
     def judged(alpha: np.ndarray, diagnostics: dict) -> IcSolution:
         alpha_all = np.full((b_all.shape[0], m), 1.0 / m)
         alpha_all[keep] = alpha / alpha.sum(axis=1, keepdims=True)
         law = join_per_secret(b_all, alpha_all)
-        post, _, live = _posterior(problem.world, law)
+        post, _, live = _posterior(prior, law)
         return _certified_solution(problem, alpha_all, tau_g, Law(law), post, live, diagnostics)
 
     constant = judged(np.ones((len(keep), m)), {"design": "constant"})
     design = None
     if constant.certified and m > 1 and len(keep) > 1:
-        design = _design_on_rays(world, b, tau_g, problem.delta_g, problem.loss)
+        design = _design_on_rays(live_prior, b, tau_g, problem.delta_g, problem.loss)
     if design is None:
         return constant
-    designed = judged(_fit_columns(world, b, design[0], m, problem.loss), design[1])
+    designed = judged(_fit_columns(live_prior, b, design[0], m, problem.loss), design[1])
     return designed if designed.certified else constant
 
 
-def _design_on_rays(world: World, b: np.ndarray, tau_g: float, delta_g: float,
+def _design_on_rays(prior: np.ndarray, b: np.ndarray, tau_g: float, delta_g: float,
                     loss: str) -> tuple[np.ndarray, dict] | None:
     """Columns (secrets x rays) of the best channel on the feasible rays, or
     None when only the constant column is feasible."""
     n_s = b.shape[0]
-    rays = _feasible_rays(world, b, tau_g, delta_g)
+    rays = _feasible_rays(prior, b, tau_g, delta_g)
     if rays is None:
         return None
     used, diagnostics = np.arange(2), {"design": "extreme-rays", "rays": len(rays)}
     if n_s > 2:
-        losses = [_column_loss(world, b, r, loss) for r in rays]
+        losses = [_column_loss(prior, b, r, loss) for r in rays]
         res = optimize.linprog(losses, A_eq=rays.T, b_eq=np.ones(n_s), method="highs")
         if res.status != 0:
             return None
@@ -316,7 +302,7 @@ def _design_on_rays(world: World, b: np.ndarray, tau_g: float, delta_g: float,
     return rays[used[weights > 0.0]].T * weights[weights > 0.0], diagnostics
 
 
-def _feasible_rays(world: World, b: np.ndarray, tau_g: float, delta_g: float) -> np.ndarray | None:
+def _feasible_rays(prior: np.ndarray, b: np.ndarray, tau_g: float, delta_g: float) -> np.ndarray | None:
     """Feasible columns, one per row and each summing to one, spanning the
     cone of feasible columns; None when it holds the constant one c alone.
 
@@ -329,7 +315,6 @@ def _feasible_rays(world: World, b: np.ndarray, tau_g: float, delta_g: float) ->
     two secrets the cone's two ends), an inner approximation.  Each is
     pulled towards c by a relative 1e-12, inside the cuts' rounding.
     """
-    prior = world.marginal_secret
     n_s, n_y = b.shape
     n_cuts = n_y * n_s * (1 if delta_g > 0.0 else 2) + n_s
     check_cap(n_cuts * n_s, f"{n_cuts} cuts on {n_s} secrets")
@@ -404,33 +389,23 @@ def _cross_section_vertices(cuts: np.ndarray, c: np.ndarray) -> np.ndarray | Non
     return c + hull.intersections @ u.T
 
 
-def _column_loss(world: World, b: np.ndarray, column: np.ndarray, loss: str) -> float:
+def _column_loss(prior: np.ndarray, b: np.ndarray, column: np.ndarray, loss: str) -> float:
     """L(v): the expected loss of the outcomes (y, a) of channel column v = alpha(., a)."""
     law = b * column[:, None]
-    return _spsr_loss(_posterior(world, law)[0], world, law, loss)
+    return _spsr_loss(_posterior(prior, law)[0], prior, law, loss)
 
 
-def _fit_columns(world: World, b: np.ndarray, columns: np.ndarray, m: int, loss: str) -> np.ndarray:
+def _fit_columns(prior: np.ndarray, b: np.ndarray, columns: np.ndarray, m: int, loss: str) -> np.ndarray:
     """``columns`` on ``m`` symbols: merge the pair whose sum raises the loss
     least until they fit, or pad with zero columns."""
     cols = list(columns.T)
     while len(cols) > m:
-        cost = {(i, j): _column_loss(world, b, cols[i] + cols[j], loss)
-                - _column_loss(world, b, cols[i], loss) - _column_loss(world, b, cols[j], loss)
+        cost = {(i, j): _column_loss(prior, b, cols[i] + cols[j], loss)
+                - _column_loss(prior, b, cols[i], loss) - _column_loss(prior, b, cols[j], loss)
                 for i, j in itertools.combinations(range(len(cols)), 2)}
         i, j = min(cost, key=cost.get)
         cols[i] = cols[i] + cols.pop(j)
     return np.column_stack(cols + [np.zeros(b.shape[0])] * (m - len(cols)))
-
-
-def _positive_prior(world: World) -> tuple[World, np.ndarray]:
-    """``world`` on its positive-prior secrets, and their indices in it.  No
-    adjacent pair touches a zero-prior secret, so every pair carries over."""
-    keep = np.flatnonzero(world.marginal_secret > 0.0)
-    new = {int(s): i for i, s in enumerate(keep)}
-    sub = World(tuple(world.secrets[s] for s in keep), world.datasets, world.joint[keep],
-                frozenset((new[a], new[b]) for a, b in world.adjacency))
-    return sub, keep
 
 
 def solve_task2(problem: IcProblem) -> IcSolution:
@@ -449,7 +424,7 @@ def solve_task2(problem: IcProblem) -> IcSolution:
     # joined with a constant alpha the composition's law is itself
     value = Composition.of(world, mechs, dependence) if mechs else None
     law = value.lumped if mechs else _composed_law(world, mechs, dependence)
-    post, _, live = _posterior(world, law.matrix)
+    post, _, live = _posterior(world.marginal_secret, law.matrix)
     prior, rows = _on_support(world, post if live.all() else post[live])
     with np.errstate(divide="ignore"):  # pi = 0 on a positive-prior secret: no finite tau
         tau = max(1.0, float((prior / rows).max()))
@@ -482,7 +457,7 @@ def _certified_solution(problem: IcProblem, alpha: np.ndarray, tau_g: float, law
         feasibility=report.max_residual,
         certified=report.max_residual <= 1e-6 and direct <= problem.delta_g + 1e-6,
         direct_check_delta=direct,
-        loss_value=_spsr_loss(post, world, law.matrix, problem.loss),
+        loss_value=_spsr_loss(post, world.marginal_secret, law.matrix, problem.loss),
         diagnostics={**diagnostics, "residuals": report,
                      "live_outcomes": int(live.sum() if value is None else value.counts[live].sum())},
     )
@@ -517,7 +492,7 @@ def certify(
     delta_g: float,
 ) -> CertReport:
     law = joint_with_alpha(world, mechs, dependence, alpha)
-    post, _, live = _posterior(world, law)
+    post, _, live = _posterior(world.marginal_secret, law)
     report = pi_feasible(post, world, tau_g, delta_g, live)
     stage1 = report.max_residual <= 1e-6
 

@@ -13,6 +13,7 @@ import contextlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations_with_replacement
 from typing import Mapping, NamedTuple, Sequence
 
@@ -94,9 +95,10 @@ class World:
             if (b, a) not in self.adjacency:
                 raise ModelError(f"adjacency is not symmetric: ({a},{b}) present, ({b},{a}) missing")
 
-    @property
+    @cached_property
     def marginal_secret(self) -> np.ndarray:
-        return self.joint.sum(axis=1)
+        """The prior over secrets, summed once and read-only."""
+        return _freeze(self.joint.sum(axis=1))
 
     def conditional_dataset(self, s: int) -> np.ndarray:
         """Return the dataset distribution conditioned on secret index ``s``."""
@@ -257,6 +259,22 @@ def lay_out(factors: Sequence[tuple[Sequence[int], np.ndarray]], dims: tuple[int
 def join_per_secret(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-secret law of two outputs independent given the secret (``a``'s output major)."""
     return np.einsum("sy,sa->sya", a, b).reshape(a.shape[0], -1)
+
+
+def _posterior(prior: np.ndarray, law: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact Bayes posterior over secrets per outcome of a per-secret ``law``
+    under ``prior``: (rows [outcomes x secrets], outcome weights, live mask).
+    A zero-weight outcome is marked dead and its row left as the prior."""
+    weights = law * prior[:, None]           # secrets x outcomes
+    marginal = weights.sum(axis=0)
+    live = marginal > 0.0
+    if not live.any():
+        raise ValueError("all joint outcomes carry zero mass")
+    post = np.empty((law.shape[1], prior.size))  # outcomes x secrets
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 on the dead rows, reset below
+        np.divide(weights.T, marginal[:, None], out=post)
+    post[~live] = prior
+    return post, marginal, live
 
 
 class TypeClass(NamedTuple):

@@ -97,17 +97,17 @@ def triangulating_instance(noise: float = 0.15) -> tuple[World, list[MechanismKe
     return world, [m1, m2]
 
 
-def _binned_noise(values, scale: float, bins: int, span: float, cdf) -> tuple[np.ndarray, np.ndarray]:
+def _binned_noise(values, scale: float, bins: int, span: float, cdf) -> np.ndarray:
     """Rows of additive noise (standard CDF ``cdf``) on ``values``, binned on
-    ``bins`` cells to ``span`` scales past them, and the CDF at the edges.
-    Edge cells absorb the tails so every row is exactly stochastic."""
+    ``bins`` cells to ``span`` scales past them.  Edge cells absorb the
+    tails so every row is exactly stochastic."""
     values = np.asarray(values, dtype=float)
     edges = np.linspace(values.min() - span * scale, values.max() + span * scale, bins + 1)
     cdf = cdf((edges[None, :] - values[:, None]) / scale)
     rows = np.diff(cdf, axis=1)
     rows[:, 0] += cdf[:, 0]
     rows[:, -1] += 1.0 - cdf[:, -1]
-    return rows, cdf
+    return rows
 
 
 def _laplace_cdf(x):
@@ -119,13 +119,13 @@ def _laplace_cdf(x):
 def binned_gaussian_kernel(values, sigma: float, bins: int = 33,
                            name: str = "gauss") -> MechanismKernel:
     """Additive Gaussian noise on per-dataset query values, binned to 6 sigmas past them."""
-    rows, _ = _binned_noise(values, sigma, bins, 6.0, special.ndtr)
+    rows = _binned_noise(values, sigma, bins, 6.0, special.ndtr)
     return MechanismKernel(name, tuple(f"b{i}" for i in range(bins)), rows)
 
 
 def binned_laplace_kernel(values, scale: float, bins: int = 33,
                           name: str = "laplace") -> MechanismKernel:
-    rows, _ = _binned_noise(values, scale, bins, 8.0, _laplace_cdf)
+    rows = _binned_noise(values, scale, bins, 8.0, _laplace_cdf)
     return MechanismKernel(name, tuple(f"b{i}" for i in range(bins)), rows)
 
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from dcpkit import ic
 from dcpkit.divergence import Law, tradeoff_curve, worst_pair
-from dcpkit.model import composed_law, effective_kernel, lay_out
+from dcpkit.model import _posterior, composed_law, effective_kernel, lay_out
 
 TOL = 1e-12  # relative to max(1, |value|)
 
@@ -57,7 +57,7 @@ def dense_cel(world, joint, product) -> dict:
 def dense_task2(world, joint, delta_g, loss="log") -> dict:
     """``ic.solve_task2``'s numbers on the dense joint; ``tau_g`` is inf when
     no finite ratio bound exists."""
-    post, _, live = ic._posterior(world, joint)
+    post, _, live = _posterior(world.marginal_secret, joint)
     prior, rows = ic._on_support(world, post[live])
     with np.errstate(divide="ignore"):
         tau = max(1.0, float((prior / rows).max()))
@@ -70,5 +70,5 @@ def dense_task2(world, joint, delta_g, loss="log") -> dict:
         eps_g = ic.epsilon_of_tau(tau, world)
         out.update(eps_g=eps_g, direct_check_delta=worst_pair(world, joint, eps=eps_g).value,
                    feasibility=ic.pi_feasible(post, world, tau, delta_g, live).max_residual,
-                   loss_value=ic._spsr_loss(post, world, joint, loss))
+                   loss_value=ic._spsr_loss(post, world.marginal_secret, joint, loss))
     return out

@@ -115,12 +115,10 @@ def test_compare_protocol_uninformative(uniform_world, noise_mechanism):
     assert rows[0]["gap"] == pytest.approx(0.0)
 
 
-def test_compare_protocol_requires_certificates(invertible_world, rr_mechanism):
+def test_compare_protocol_returns_uncertified_rows(invertible_world, rr_mechanism):
+    # the uncertified row comes back with its delta, for the caller to judge
     law = effective_kernel(invertible_world, rr_mechanism).matrix
-    with pytest.raises(ValueError, match="not certified"):
-        compare_protocol(invertible_world, law, law, [(0.2, 0.0)])
-    # without the requirement the uncertified row comes back with its delta
-    (row,) = compare_protocol(invertible_world, law, law, [(0.2, 0.0)], require_certified=False)
+    (row,) = compare_protocol(invertible_world, law, law, [(0.2, 0.0)])
     delta = worst_pair(invertible_world, law, eps=0.2).value
     assert delta > 0.0
     assert row["delta_composed"] == row["delta_single"] == delta
@@ -151,14 +149,32 @@ def test_compare_protocol_sweeps_each_law_once(monkeypatch, mixing_world_2x2, rr
     monkeypatch.setattr(audit, "lr_attack_roc", counted)
     law_single = effective_kernel(mixing_world_2x2, rr_mechanism).matrix
     law_comp = composed_joint(mixing_world_2x2, [rr_mechanism, rr_mechanism], []).matrix
-    rows = compare_protocol(mixing_world_2x2, law_comp, law_single, [(0.5, 0.1), (1.0, 0.2)],
-                            require_certified=False)
+    rows = compare_protocol(mixing_world_2x2, law_comp, law_single, [(0.5, 0.1), (1.0, 0.2)])
     assert len(calls) == 2 * len(mixing_world_2x2.adjacency)
     assert [(r["eps_g"], r["delta_g"]) for r in rows] == [(0.5, 0.1), (1.0, 0.2)]
     for r in rows:
         assert r["delta_composed"] == worst_pair(mixing_world_2x2, law_comp, eps=r["eps_g"]).value
         assert r["delta_single"] == worst_pair(mixing_world_2x2, law_single, eps=r["eps_g"]).value
         assert r["auc_composed"] == worst_pair_roc(mixing_world_2x2, law_comp)[0].auc
+
+
+def test_compare_protocol_takes_the_laws_callers_hold(monkeypatch, mixing_world_2x2, rr_mechanism):
+    # ``dcp audit`` and the experiments pass a composed joint's and an effective kernel's Law
+    law_single = effective_kernel(mixing_world_2x2, rr_mechanism)
+    law_comp = composed_joint(mixing_world_2x2, [rr_mechanism, rr_mechanism], [])
+    grid = [(0.5, 0.1), (1.0, 0.2)]
+    copies = (law_comp.matrix.copy(), law_single.matrix.copy())  # writeable: checked anew
+    from_arrays = compare_protocol(mixing_world_2x2, *copies, grid)
+    built, init = [], Law.__post_init__
+    monkeypatch.setattr(Law, "__post_init__", lambda self: built.append(self) or init(self))
+    from_laws = compare_protocol(mixing_world_2x2, law_comp, law_single, grid)
+    assert built == []
+
+    def flat(rows):
+        return [{k: (v.fpr.tobytes(), v.tpr.tobytes(), v.auc, v.flipped) if k.startswith("roc_") else v
+                 for k, v in row.items()} for row in rows]
+
+    assert flat(from_laws) == flat(from_arrays)
 
 
 def test_compare_protocol_on_an_empty_adjacency(rr_mechanism):

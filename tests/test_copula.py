@@ -259,12 +259,6 @@ def test_copula_plrv_requires_adjacency():
         copula_plrv(make_spec(), world, 0, 0)
 
 
-def test_copula_plrv_grid_too_coarse():
-    spec = make_spec()
-    with pytest.raises(ValueError, match="coarse"):
-        copula_plrv(spec, _pair_world(), 0, 1, bins=8, span=0.01)
-
-
 def test_psedr_samples_marginals_and_correlation():
     spec = make_spec(rho=1e-6)
     rng = np.random.default_rng(13)

@@ -421,6 +421,15 @@ def test_a_pair_of_its_own_keeps_its_sort_and_its_twin():
     assert pair.swapped().p is pair.q and pair.swapped().q is pair.p
 
 
+def test_a_pair_keeps_its_loss_profile():
+    for pair in tie_heavy_pairs():
+        assert pair.profile is pair.profile
+        fresh = LossProfile(pair)
+        for delta in (0.0, 1e-3, 0.05, 0.3, 1.0, fresh.delta0, fresh.inf_mass, *fresh.deltas):
+            delta = float(min(max(delta, 0.0), 1.0))
+            assert optimal_epsilon(pair, delta).hex() == fresh.epsilon(delta).hex()
+
+
 def test_loss_profile_equals_one_piece_optimal_epsilon():
     rng = np.random.default_rng(17)
     for pair in oracle_pairs(rng):

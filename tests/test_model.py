@@ -183,6 +183,14 @@ def test_world_is_immutable(invertible_world):
         invertible_world.joint[0, 0] = 0.9
 
 
+def test_secret_marginal_is_summed_once_and_read_only(mixing_world_2x2):
+    marg = mixing_world_2x2.marginal_secret
+    assert mixing_world_2x2.marginal_secret is marg
+    assert marg.tobytes() == mixing_world_2x2.joint.sum(axis=1).tobytes()
+    with pytest.raises(ValueError):
+        marg[0] = 0.9
+
+
 DEPENDENT = dict(
     BASE,
     mechanisms=[
