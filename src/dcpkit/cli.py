@@ -177,14 +177,13 @@ def _sample_lines(out) -> list[str]:
 
 def cmd_ic(args) -> int:
     model = _load(args)
+    task1 = {"tau_g": args.tau, "alpha_size": args.alphabet, "loss": args.loss}  # main refuses them in task 2
     problem = ic.IcProblem(
         world=model.world,
         mechs=list(model.mechanisms),
         dependence=list(model.dependence),
         delta_g=args.delta_g,
-        tau_g=args.tau if args.task == 1 else None,
-        alpha_size=args.alphabet,
-        loss=args.loss,
+        **{k: v for k, v in task1.items() if v is not None},  # unset: the problem's defaults
     )
     sol = ic.solve_task1(problem) if args.task == 1 else ic.solve_task2(problem)
     payload = {
@@ -309,8 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", type=int, choices=(1, 2), required=True)
     p.add_argument("--tau", type=FINITE, help="ratio bound (task 1)")
     p.add_argument("--delta-g", type=PROBABILITY, default=0.0)
-    p.add_argument("--alphabet", type=COUNT, default=2, help="added channel size m")
-    p.add_argument("--loss", choices=("log", "brier"), default="log")
+    p.add_argument("--alphabet", type=COUNT, help="added channel size m (task 1, default 2)")
+    p.add_argument("--loss", choices=("log", "brier"), help="loss (task 1, default log)")
     p.set_defaults(func=cmd_ic)
 
     p = sub.add_parser("audit", help="attacker AUC of composed vs single")
@@ -340,6 +339,9 @@ def main(argv=None) -> int:
             raise ModelError("--bins applies only to experiment --name copula")
         if args.command == "ic" and args.task == 1 and args.tau is None:
             raise ModelError("task 1 needs --tau")
+        task1_only = [f for f in ("tau", "alphabet", "loss") if getattr(args, f, None) is not None]
+        if args.command == "ic" and args.task == 2 and task1_only:
+            raise ModelError(f"--{task1_only[0]} applies only to ic --task 1")
         return args.func(args)
     except (ModelError, ValueError, OSError) as exc:
         sys.stderr.write(f"dcp: error: {exc}\n")

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import config
 from .divergence import DistPair, Law, _adjacent_pairs, hockey_stick, tradeoff_curve
-from .model import (DependenceGroup, MechanismKernel, TypeClass, World, _freeze, _posterior, atom_counts,
-                    atom_index, composed_law, effective_kernel, lay_out, lumped_law, mix_kernel, type_classes)
+from .model import (DependenceGroup, MechanismKernel, TypeClass, World, _freeze, _posterior, atom_index,
+                    composed_law, effective_kernel, lay_out, lumped_law, mix_kernel, type_classes)
 from .pld import LossSum, _decompose, convolve, epsilon_for_delta, pld_from_pair
 
 
@@ -31,11 +31,11 @@ class Composition:
 
     ``lumped`` is the joint on the type ``classes`` (``model.type_classes``):
     ungrouped mechanisms with bitwise-equal kernels share one atom per
-    multiset of their outputs, ``counts`` outcomes in all; when no class has
-    two members it is ``joint`` itself.  ``lumped_product`` is the product
-    of the ``effs`` (the dependence-ignoring joint) on the same atoms.  The
-    bounds read these two; ``joint`` serves the callers that need one
-    column per outcome.
+    multiset of their outputs, ``counts`` outcomes in all.  It is ``joint``
+    when no class has two members; else ``joint`` is spread from it and
+    hands out its pairs.  ``lumped_product`` is the product of the ``effs``
+    on the same atoms.  The bounds read these two; ``joint.matrix`` serves
+    the callers that need one column per outcome.
     """
 
     world: World
@@ -56,6 +56,8 @@ class Composition:
 
     @cached_property
     def joint(self) -> Law:
+        if self.repeats:  # each outcome its atom's mass over the atom's count
+            return self.lumped.spread(self.index, self.counts)
         return Law(_freeze(composed_law(self.world, self.mechs, self.dependence)))
 
     @cached_property
@@ -89,11 +91,18 @@ class Composition:
     @cached_property
     def counts(self) -> np.ndarray:
         """Outcomes per atom of ``lumped``."""
-        return _freeze(atom_counts(self.classes))
+        return _freeze(np.bincount(self.index))
+
+    @cached_property
+    def index(self) -> np.ndarray:
+        """The atom of ``lumped`` each outcome of ``joint`` lies in."""
+        index = atom_index(self.classes)
+        index.flags.writeable = False
+        return index
 
     def per_outcome(self, rows: np.ndarray) -> np.ndarray:
         """Rows given per atom of ``lumped`` repeated for each outcome of ``joint``."""
-        return np.take(rows, atom_index(self.classes), axis=0) if self.repeats else rows
+        return np.take(rows, self.index, axis=0) if self.repeats else rows
 
     @property
     def sizes(self) -> dict:

@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .config import PROB_ATOL
-from .model import MechanismKernel, World, _check_rows_stochastic, effective_kernel
+from .model import MechanismKernel, World, _check_rows_stochastic, _freeze, effective_kernel
 
 
 @dataclass(frozen=True)
@@ -193,6 +193,15 @@ class Law:
         matrix = np.asarray(law, dtype=float)
         found = _LAWS.get(id(matrix))  # a live law holds its matrix, so its id is not reused
         return Law(matrix) if found is None else found
+
+    def spread(self, index: np.ndarray, counts: np.ndarray) -> Law:
+        """The read-only law whose column i is column ``index[i]`` over its
+        ``counts``: its outcomes split each column at one likelihood ratio,
+        so it hands out this law's pairs."""
+        law = Law(_freeze(np.take(self.matrix / counts, index, axis=1)))
+        object.__setattr__(law, "_rows", self._rows)
+        object.__setattr__(law, "_pairs", self._pairs)
+        return law
 
     def pair(self, s0: int, s1: int) -> DistPair:
         pair = self._pairs.get((s0, s1))

@@ -392,12 +392,6 @@ def lumped_law(world: World, mechs: Sequence[MechanismKernel], dependence: Seque
     return mix_kernel(world, lay_out(factors, tuple(len(c.types) for c in classes)))
 
 
-def atom_counts(classes: Sequence[TypeClass]) -> np.ndarray:
-    """Outcomes per atom of a law on ``classes``."""
-    return lay_out([((a,), c.counts[None, :]) for a, c in enumerate(classes)],
-                   tuple(len(c.types) for c in classes))[0]
-
-
 def atom_index(classes: Sequence[TypeClass]) -> np.ndarray:
     """The atom of a law on ``classes`` each outcome of the product alphabet
     lies in (outcomes in C order over the mechanisms)."""

@@ -10,7 +10,7 @@ import numpy as np
 
 from dcpkit import ic
 from dcpkit.divergence import Law, tradeoff_curve, worst_pair
-from dcpkit.model import _posterior, composed_law, effective_kernel, lay_out
+from dcpkit.model import MechanismKernel, _posterior, composed_law, effective_kernel, lay_out
 
 TOL = 1e-12  # relative to max(1, |value|)
 
@@ -27,6 +27,35 @@ def dense_laws(world, mechs, dependence=()):
     product = lay_out([((i,), effective_kernel(world, m).matrix) for i, m in enumerate(mechs)],
                       tuple(m.n_outputs for m in mechs))
     return joint, product
+
+
+def dense_mechanism(world, mechs, dependence=()) -> MechanismKernel:
+    """One mechanism whose kernel is the composition's per-dataset product
+    kernel, a group's joint kernel standing in for its members': composed
+    alone its law is ``composed_law(world, mechs, dependence)`` bit for bit,
+    so a library call given it runs on the dense joint."""
+    grouped = {i for g in dependence for i in g.members}
+    factors = [((i,), m.kernel) for i, m in enumerate(mechs) if i not in grouped]
+    factors += [(g.members, g.joint_kernel) for g in dependence]
+    kernel = lay_out(factors, tuple(m.n_outputs for m in mechs))
+    return MechanismKernel("dense", tuple(map(str, range(kernel.shape[1]))), kernel)
+
+
+def close_arrays(got, want) -> bool:
+    """Equal shapes, and each entry ``close`` or the same NaN or infinity."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    if got.shape != want.shape:
+        return False
+    with np.errstate(invalid="ignore"):
+        near = np.abs(got - want) <= TOL * np.maximum(1.0, np.abs(want))
+    return bool((near | (got == want) | (np.isnan(got) & np.isnan(want))).all())
+
+
+def close_curves(got, want) -> bool:
+    """Two piecewise-linear curves, each given as (xs, ys) vertices, agree
+    within ``TOL`` on the union of their vertex grids."""
+    grid = np.union1d(got[0], want[0])
+    return close_arrays(np.interp(grid, *got), np.interp(grid, *want))
 
 
 def dense_dominance(world, joint, product) -> dict:

@@ -158,6 +158,15 @@ def test_bins_outside_the_copula_experiment_exits_2_before_any_output(capsys, ar
     assert captured.err == "dcp: error: --bins applies only to experiment --name copula\n"
 
 
+@pytest.mark.parametrize("flag, value", [("--tau", "3"), ("--alphabet", "2"), ("--loss", "log")])
+def test_task1_options_are_refused_by_task2_before_any_output(capsys, flag, value):
+    # even the task-1 defaults: task 2 would print the same bytes without them
+    assert run(["--model", MIXING, "ic", "--task", "2", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"dcp: error: {flag} applies only to ic --task 1\n"
+
+
 def test_bins_reaches_the_copula_experiment(capsys):
     # 17 is the experiment's own block grid, so the bytes are the default run's
     outs = []

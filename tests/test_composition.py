@@ -557,6 +557,15 @@ def _count_builds(monkeypatch):
     return joints, effs, mixes, layouts
 
 
+def _spread_joint(world, mechs):
+    """The composed joint as the composition lays it out: each outcome its
+    type's mass over the type's count, built from the model layer alone (the
+    dense ``composed_law`` itself, bit for bit, when no kernel repeats)."""
+    classes = model_layer.type_classes(mechs)
+    index = model_layer.atom_index(classes)
+    return (model_layer.lumped_law(world, mechs, (), classes) / np.bincount(index))[:, index]
+
+
 def _random_instance(rng, n_secrets=2, n_datasets=3, dims=(4, 4, 4, 3)):
     world = _world(rng.dirichlet(np.ones(n_secrets * n_datasets)).reshape(n_secrets, n_datasets))
     repeated = MechanismKernel("r", tuple(map(str, range(dims[0]))),
@@ -595,8 +604,8 @@ def test_one_instance_asked_many_bounds_builds_each_law_once(monkeypatch):
     tradeoff_curve(cj.pair(*pair))
     comp.tradeoff_dominance(world, mechs, [])
     ic.solve_task2(ic.IcProblem(world=world, mechs=mechs, delta_g=0.05))
-    assert (len(joints), len(layouts), mixes) == (1, 1, [])  # the product law is the one layout here
-    assert len(lumps) == 1  # the joint on type classes, which the bounds read
+    assert (len(joints), len(layouts), mixes) == (0, 1, [])  # the product law is the one layout here
+    assert len(lumps) == 1  # the joint on type classes, which the bounds read and the joint spreads
     assert sorted(effs) == sorted(m.name for m in mechs)
     assert len(profiles) == 2 * len(world.adjacency)  # one per pair of the joint and of the product
     # the same answers as the laws built afresh: the bounds read the laws on
@@ -605,7 +614,8 @@ def test_one_instance_asked_many_bounds_builds_each_law_once(monkeypatch):
     joint = model_layer.composed_law(world, mechs)
     product = model_layer.lay_out([((i,), effective_kernel(world, m).matrix) for i, m in enumerate(mechs)],
                                   tuple(m.n_outputs for m in mechs))
-    assert np.array_equal(cj.matrix, joint)
+    assert np.array_equal(cj.matrix, _spread_joint(world, mechs))
+    assert np.abs(cj.matrix - joint).max() <= 1e-12
     fresh = comp.Composition(world, tuple(mechs))
     assert fresh.sizes["atoms"] == 20 * 3 < fresh.sizes["outcomes"] == 4 * 4 * 4 * 3
     for d, t, u in zip(deltas, true, under):
@@ -624,7 +634,7 @@ def test_new_objects_are_never_served_the_previous_law(monkeypatch):
     kept = []
     for _ in range(6):
         world, mechs = _random_instance(rng, dims=(3, 3, 2))
-        expect = model_layer.composed_law(world, mechs)
+        expect = _spread_joint(world, mechs)
         assert np.array_equal(comp.composed_joint(world, mechs).matrix, expect)
         # the previous round's objects were dropped by their caller; the slot
         # kept them alive, so no id in its key could be reused, until now
@@ -632,8 +642,7 @@ def test_new_objects_are_never_served_the_previous_law(monkeypatch):
         assert all(ref() is None for ref in kept)
         # the same objects in another order compose another law
         swapped = [mechs[2], mechs[0], mechs[1]]
-        assert np.array_equal(comp.composed_joint(world, swapped).matrix,
-                              model_layer.composed_law(world, swapped))
+        assert np.array_equal(comp.composed_joint(world, swapped).matrix, _spread_joint(world, swapped))
         # equal numbers in new objects are a new composition, built anew
         twin = World(world.secrets, world.datasets, world.joint.copy(), world.adjacency)
         assert comp.Composition.of(twin, mechs) is not comp.Composition.of(world, mechs)
@@ -664,7 +673,7 @@ def _large_alphabet_op(world, mechs):
 @pytest.mark.parametrize("n_secrets, dims, sorts", [
     (2, (3, 4, 5), 4),      # joint and product, 2 ordered pairs each
     (3, (3, 4, 5), 12),     # joint and product, 6 ordered pairs each
-    (2, (4, 4, 4, 3), 6),   # the dense joint (ROC), its type-class law and their product
+    (2, (4, 4, 4, 3), 4),   # the type-class law (the joint hands out its pairs) and its product
 ])
 def test_each_law_sorts_each_ordered_adjacent_pair_once(monkeypatch, n_secrets, dims, sorts):
     from dcpkit import divergence
@@ -676,6 +685,7 @@ def test_each_law_sorts_each_ordered_adjacent_pair_once(monkeypatch, n_secrets, 
     monkeypatch.setattr(divergence, "_np_steps", lambda a, b: calls.append(a.size) or steps(a, b))
     _large_alphabet_op(world, mechs)
     assert len(calls) == sorts
+    assert max(calls) <= comp.Composition.of(world, mechs).sizes["atoms"]  # no sort of dense outcomes
     _large_alphabet_op(world, mechs)  # the same objects again: the slot's laws keep their sorts
     assert len(calls) == sorts
 

@@ -1,10 +1,11 @@
 """Laws on type classes against the dense route.
 
 Ungrouped mechanisms with bitwise-equal kernels share one atom per multiset
-of their outputs; every bound read on those laws must match the same bound
-read on the dense laws (``dense_route``) within ``TOL`` relative, and a
-composition without repeats must read the dense joint itself and a product
-law with the dense product's bytes.
+of their outputs; every bound read on those laws, and every reading of the
+composed joint spread from them, must match the same reading of the dense
+laws (``dense_route``) within ``TOL`` relative, and a composition without
+repeats must read the dense joint itself and a product law with the dense
+product's bytes.
 """
 
 import math
@@ -13,12 +14,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from dcpkit import composition as comp
 from dcpkit import ic
-from dcpkit.divergence import Law, LossProfile, hockey_stick, worst_pair
-from dcpkit.model import DependenceGroup, MechanismKernel, World, atom_index, default_adjacency
-from dense_route import close, dense_cel, dense_dominance, dense_laws, dense_task2
+from dcpkit.audit import lr_attack_roc, worst_pair_roc
+from dcpkit.divergence import Law, LossProfile, hockey_stick, tradeoff_curve, worst_pair
+from dcpkit.model import DependenceGroup, MechanismKernel, World, atom_index, composed_law, default_adjacency
+from dcpkit.pld import decompose_plrv, pld_from_pair, privacy_profile
+from dense_route import (close, close_arrays, close_curves, dense_cel, dense_dominance, dense_laws,
+                         dense_mechanism, dense_task2)
 
 
 def _normalized(weights):
@@ -79,10 +84,65 @@ def compositions(draw):
     return world, mechs, dependence
 
 
-def _assert_pairs_close(got: dict, want: dict):
+def _assert_eps_close(world, got: dict, dense: np.ndarray, delta: float):
+    """Per-pair epsilons at ``delta`` against those of the ``dense`` law.
+    Epsilon jumps from +inf down at a delta equal to the pair's mass at
+    +inf, where one ulp of that mass decides the side: there an infinite
+    epsilon against a finite one passes."""
+    law = Law(dense)
+    want = law.worst(world, delta=delta).values
     assert got.keys() == want.keys()
     for pair, value in want.items():
-        assert close(got[pair], value), (pair, got[pair], value)
+        at_jump = close(delta, law.pair(*pair).profile.inf_mass) and math.inf in (got[pair], value)
+        assert close(got[pair], value) or at_jump, (pair, got[pair], value)
+
+
+def _assert_joint_matches(world, mechs, dependence, value, joint, dense):
+    """The composed joint and every reader of its pairs against the dense
+    joint: byte for byte without repeats; with them, the joint spread from
+    the atoms hands out the atoms' pairs and each reading is ``close``
+    (curves as functions, since a type's outcomes fall into ratio groups a
+    few ulps apart)."""
+    cj, want_law = comp.composed_joint(world, mechs, dependence), Law(joint)
+    pairs = sorted(world.adjacency)
+    if not value.repeats:
+        assert cj.matrix.tobytes() == joint.tobytes()
+        for pair in pairs:
+            got, want = cj.pair(*pair), want_law.pair(*pair)
+            assert (got.p.tobytes(), got.q.tobytes()) == (want.p.tobytes(), want.q.tobytes())
+        return
+    assert close_arrays(cj.matrix, joint)
+    for pair in pairs:
+        got, want = cj.pair(*pair), want_law.pair(*pair)
+        assert got is value.lumped.pair(*pair)
+        curves = [tradeoff_curve(got), tradeoff_curve(want)]
+        assert close_curves(*((c.alphas, c.betas) for c in curves))
+        rocs = [lr_attack_roc(got), lr_attack_roc(want)]
+        assert close(rocs[0].auc, rocs[1].auc)
+        assert close_curves(*((r.fpr, r.tpr) for r in rocs))
+        plds = [pld_from_pair(got), pld_from_pair(want)]  # as ``dcp pld`` builds it
+        assert close(plds[0].inf_mass, plds[1].inf_mass)
+        for eps in np.union1d(*(p.losses[np.isfinite(p.losses)] for p in plds)):
+            assert close(privacy_profile(plds[0], eps), privacy_profile(plds[1], eps)), eps
+        assert close_arrays(decompose_plrv(world, mechs, dependence, *pair).total,
+                            decompose_plrv(world, [dense], [], *pair).total)
+    assert close(worst_pair_roc(world, cj.matrix)[0].auc, worst_pair_roc(world, joint)[0].auc)
+    for eps in (0.0, 0.3, 1.0, 2.5):
+        assert close(cj.check(world, eps, 0.05).worst_delta, worst_pair(world, joint, eps=eps).value)
+
+
+def _assert_task1_matches(world, mechs, dependence, dense, tau_g, delta_g):
+    """IC task 1 on the composition against task 1 on its dense joint.  The
+    added channel is fixed up to the names of its symbols, and ulps may
+    order its columns otherwise: they are matched at least total distance."""
+    got, want = (ic.solve_task1(ic.IcProblem(world=world, mechs=ms, dependence=dep, delta_g=delta_g, tau_g=tau_g))
+                 for ms, dep in ((mechs, dependence), ([dense], [])))
+    assert got.certified == want.certified
+    m, n_secrets = want.alpha.shape[1], want.pi.shape[1]
+    _, names = linear_sum_assignment(np.abs(got.alpha[:, :, None] - want.alpha[:, None, :]).sum(axis=0))
+    assert close_arrays(got.alpha, want.alpha[:, names])
+    assert close_arrays(got.pi, want.pi.reshape(-1, m, n_secrets)[:, names].reshape(-1, n_secrets))
+    assert close(got.feasibility, want.feasibility)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -90,16 +150,17 @@ def _assert_pairs_close(got: dict, want: dict):
 def test_lumped_answers_match_the_dense_route(case):
     world, mechs, dependence = case
     joint, product = dense_laws(world, mechs, dependence)
+    dense = dense_mechanism(world, mechs, dependence)
+    assert composed_law(world, [dense]).tobytes() == joint.tobytes()
     value = comp.Composition.of(world, mechs, dependence)
+    _assert_joint_matches(world, mechs, dependence, value, joint, dense)
     assert value.sizes["outcomes"] == joint.shape[1] == int(value.counts.sum())
     assert value.sizes["atoms"] == value.lumped.matrix.shape[1] == value.lumped_product.matrix.shape[1]
     # the epsilon bounds at fixed deltas and at each pair's own delta(0)
     delta0s = [LossProfile(Law(joint).pair(*pair)).delta0 for pair in sorted(world.adjacency)]
     for d in (0.0, 0.01, 0.05, *delta0s):
-        _assert_pairs_close(comp.true_opt(world, mechs, dependence, d, per_pair=True)[1],
-                            worst_pair(world, joint, delta=d).values)
-        _assert_pairs_close(comp.underline_opt(world, mechs, d, per_pair=True)[1],
-                            worst_pair(world, product, delta=d).values)
+        _assert_eps_close(world, comp.true_opt(world, mechs, dependence, d, per_pair=True)[1], joint, d)
+        _assert_eps_close(world, comp.underline_opt(world, mechs, d, per_pair=True)[1], product, d)
     # hockey-stick deltas: the report's dependence-ignoring and true columns, the basic check
     eps_gs = [0.0, 0.3, 1.0, 2.5]
     report = comp.composition_report(world, mechs, dependence, [0.02], eps_gs)
@@ -128,6 +189,8 @@ def test_lumped_answers_match_the_dense_route(case):
         assert sol.pi.shape == want["pi"].shape
         assert float(np.abs(sol.pi - want["pi"]).max()) <= 1e-12
         assert sol.diagnostics["live_outcomes"] == want["live_outcomes"]
+        for tau_g in (max(1.0, 0.9 * want["tau_g"]), 1.5 * want["tau_g"]):
+            _assert_task1_matches(world, mechs, dependence, dense, tau_g, delta_g)
 
 
 def _mixing_world():
@@ -144,12 +207,12 @@ def test_six_copies_of_one_kernel_read_one_atom_per_multiset():
     value = comp.Composition(_mixing_world(), (mech,) * 6)
     assert value.sizes == {"outcomes": 7**6, "atoms": 924, "classes": [((0, 1, 2, 3, 4, 5), 924)]}
     assert value.lumped.matrix.shape == (2, 924)
-    assert int(value.counts.sum()) == 7**6
+    # the outcomes per atom are the multinomial coefficients of the types
+    assert np.array_equal(value.counts, value.classes[0].counts) and int(value.counts.sum()) == 7**6
     # a type's mass is its count times the probability of any one of its outcomes
     index = atom_index(value.classes)
-    per_outcome = value.lumped.matrix[:, index] / value.counts[index]
-    assert np.allclose(per_outcome, value.joint.matrix, rtol=1e-13, atol=0.0)
-    assert np.array_equal(np.bincount(index, minlength=924), value.counts)
+    assert np.array_equal(value.joint.matrix, value.lumped.matrix[:, index] / value.counts[index])
+    assert close_arrays(value.joint.matrix, dense_laws(value.world, value.mechs)[0])
 
 
 def test_classes_follow_first_members_and_leave_grouped_mechanisms_alone():
