@@ -57,7 +57,7 @@ class Composition:
     @cached_property
     def joint(self) -> Law:
         if self.repeats:  # each outcome its atom's mass over the atom's count
-            return self.lumped.spread(self.index, self.counts)
+            return self.lumped.spread(self.index)
         return Law(_freeze(composed_law(self.world, self.mechs, self.dependence)))
 
     @cached_property

@@ -171,7 +171,8 @@ class Law:
     is pair (s0, s1) swapped, so the Neyman-Pearson sort that a trade-off
     curve of one and the ROC of the other read is done once per ordered
     pair.  A law on a read-only matrix is found again from that array by
-    ``Law.of`` while it lives."""
+    ``Law.of`` while it lives.  A law made by ``spread`` hands out the pairs
+    of the law it was spread from."""
 
     matrix: np.ndarray
 
@@ -194,11 +195,11 @@ class Law:
         found = _LAWS.get(id(matrix))  # a live law holds its matrix, so its id is not reused
         return Law(matrix) if found is None else found
 
-    def spread(self, index: np.ndarray, counts: np.ndarray) -> Law:
-        """The read-only law whose column i is column ``index[i]`` over its
-        ``counts``: its outcomes split each column at one likelihood ratio,
-        so it hands out this law's pairs."""
-        law = Law(_freeze(np.take(self.matrix / counts, index, axis=1)))
+    def spread(self, index: np.ndarray) -> Law:
+        """The read-only law whose column i is column ``index[i]`` over the
+        number of outcomes ``index`` sends there: its outcomes split each
+        column at one likelihood ratio, so it hands out this law's pairs."""
+        law = Law(_freeze(np.take(self.matrix / np.bincount(index), index, axis=1)))
         object.__setattr__(law, "_rows", self._rows)
         object.__setattr__(law, "_pairs", self._pairs)
         return law

@@ -615,7 +615,7 @@ def test_one_instance_asked_many_bounds_builds_each_law_once(monkeypatch):
     product = model_layer.lay_out([((i,), effective_kernel(world, m).matrix) for i, m in enumerate(mechs)],
                                   tuple(m.n_outputs for m in mechs))
     assert np.array_equal(cj.matrix, _spread_joint(world, mechs))
-    assert np.abs(cj.matrix - joint).max() <= 1e-12
+    assert np.allclose(cj.matrix, joint, rtol=1e-13, atol=0.0)
     fresh = comp.Composition(world, tuple(mechs))
     assert fresh.sizes["atoms"] == 20 * 3 < fresh.sizes["outcomes"] == 4 * 4 * 4 * 3
     for d, t, u in zip(deltas, true, under):

@@ -84,17 +84,10 @@ def compositions(draw):
     return world, mechs, dependence
 
 
-def _assert_eps_close(world, got: dict, dense: np.ndarray, delta: float):
-    """Per-pair epsilons at ``delta`` against those of the ``dense`` law.
-    Epsilon jumps from +inf down at a delta equal to the pair's mass at
-    +inf, where one ulp of that mass decides the side: there an infinite
-    epsilon against a finite one passes."""
-    law = Law(dense)
-    want = law.worst(world, delta=delta).values
+def _assert_pairs_close(got: dict, want: dict):
     assert got.keys() == want.keys()
     for pair, value in want.items():
-        at_jump = close(delta, law.pair(*pair).profile.inf_mass) and math.inf in (got[pair], value)
-        assert close(got[pair], value) or at_jump, (pair, got[pair], value)
+        assert close(got[pair], value), (pair, got[pair], value)
 
 
 def _assert_joint_matches(world, mechs, dependence, value, joint, dense):
@@ -111,7 +104,7 @@ def _assert_joint_matches(world, mechs, dependence, value, joint, dense):
             got, want = cj.pair(*pair), want_law.pair(*pair)
             assert (got.p.tobytes(), got.q.tobytes()) == (want.p.tobytes(), want.q.tobytes())
         return
-    assert close_arrays(cj.matrix, joint)
+    assert np.allclose(cj.matrix, joint, rtol=1e-13, atol=0.0)
     for pair in pairs:
         got, want = cj.pair(*pair), want_law.pair(*pair)
         assert got is value.lumped.pair(*pair)
@@ -150,17 +143,16 @@ def _assert_task1_matches(world, mechs, dependence, dense, tau_g, delta_g):
 def test_lumped_answers_match_the_dense_route(case):
     world, mechs, dependence = case
     joint, product = dense_laws(world, mechs, dependence)
-    dense = dense_mechanism(world, mechs, dependence)
-    assert composed_law(world, [dense]).tobytes() == joint.tobytes()
     value = comp.Composition.of(world, mechs, dependence)
-    _assert_joint_matches(world, mechs, dependence, value, joint, dense)
     assert value.sizes["outcomes"] == joint.shape[1] == int(value.counts.sum())
     assert value.sizes["atoms"] == value.lumped.matrix.shape[1] == value.lumped_product.matrix.shape[1]
     # the epsilon bounds at fixed deltas and at each pair's own delta(0)
     delta0s = [LossProfile(Law(joint).pair(*pair)).delta0 for pair in sorted(world.adjacency)]
     for d in (0.0, 0.01, 0.05, *delta0s):
-        _assert_eps_close(world, comp.true_opt(world, mechs, dependence, d, per_pair=True)[1], joint, d)
-        _assert_eps_close(world, comp.underline_opt(world, mechs, d, per_pair=True)[1], product, d)
+        _assert_pairs_close(comp.true_opt(world, mechs, dependence, d, per_pair=True)[1],
+                            worst_pair(world, joint, delta=d).values)
+        _assert_pairs_close(comp.underline_opt(world, mechs, d, per_pair=True)[1],
+                            worst_pair(world, product, delta=d).values)
     # hockey-stick deltas: the report's dependence-ignoring and true columns, the basic check
     eps_gs = [0.0, 0.3, 1.0, 2.5]
     report = comp.composition_report(world, mechs, dependence, [0.02], eps_gs)
@@ -189,7 +181,19 @@ def test_lumped_answers_match_the_dense_route(case):
         assert sol.pi.shape == want["pi"].shape
         assert float(np.abs(sol.pi - want["pi"]).max()) <= 1e-12
         assert sol.diagnostics["live_outcomes"] == want["live_outcomes"]
-        for tau_g in (max(1.0, 0.9 * want["tau_g"]), 1.5 * want["tau_g"]):
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(compositions())
+def test_joint_spread_from_the_atoms_reads_as_the_dense_joint(case):
+    world, mechs, dependence = case
+    joint, _ = dense_laws(world, mechs, dependence)
+    dense = dense_mechanism(world, mechs, dependence)
+    assert composed_law(world, [dense]).tobytes() == joint.tobytes()
+    _assert_joint_matches(world, mechs, dependence, comp.Composition.of(world, mechs, dependence), joint, dense)
+    for delta_g in (0.0, 0.05):
+        tau_star = dense_task2(world, joint, delta_g)["tau_g"]
+        for tau_g in (max(1.0, 0.9 * tau_star), 1.5 * tau_star) if tau_star <= ic.TAU_CAP else ():
             _assert_task1_matches(world, mechs, dependence, dense, tau_g, delta_g)
 
 
@@ -211,8 +215,10 @@ def test_six_copies_of_one_kernel_read_one_atom_per_multiset():
     assert np.array_equal(value.counts, value.classes[0].counts) and int(value.counts.sum()) == 7**6
     # a type's mass is its count times the probability of any one of its outcomes
     index = atom_index(value.classes)
-    assert np.array_equal(value.joint.matrix, value.lumped.matrix[:, index] / value.counts[index])
-    assert close_arrays(value.joint.matrix, dense_laws(value.world, value.mechs)[0])
+    per_outcome = value.lumped.matrix[:, index] / value.counts[index]
+    assert np.array_equal(value.joint.matrix, per_outcome)
+    assert np.allclose(per_outcome, dense_laws(value.world, value.mechs)[0], rtol=1e-13, atol=0.0)
+    assert np.array_equal(np.bincount(index, minlength=924), value.counts)
 
 
 def test_classes_follow_first_members_and_leave_grouped_mechanisms_alone():
