@@ -68,10 +68,13 @@ def worst_pair_roc(world: World, law: Law | np.ndarray) -> tuple[RocCurve, tuple
 
 
 def _worst_roc(world: World, law: Law) -> tuple[RocCurve, tuple[int, int]]:
-    """``worst_pair_roc`` of a checked law.  The ROC of pair (s0, s1) reads
-    the law's sort of pair (s1, s0), so this sweep, the trade-off curves of
-    the same law and ``tradeoff_dominance`` sort each ordered pair once."""
-    candidates = sorted(world.adjacency)
+    """``worst_pair_roc`` of a checked law.  The AUCs of (s0, s1) and
+    (s1, s0) are equal in exact arithmetic, so each adjacent pair (the
+    adjacency is symmetric) is scored once, as (s0, s1) with s0 < s1, and
+    rounding cannot pick which orientation is named.  The ROC of pair
+    (s0, s1) reads the law's sort of pair (s1, s0), which the trade-off
+    curves of the same law and ``tradeoff_dominance`` share."""
+    candidates = [(s0, s1) for s0, s1 in sorted(world.adjacency) if s0 < s1]
     if not candidates:
         raise ValueError("no adjacent pairs to audit")
     best, best_pair = None, None

@@ -15,15 +15,16 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-from scipy import integrate, special, stats
+from scipy import special
 
 from .composition import dp_optcomp
 from .divergence import DistPair
 from .model import World, check_cap
 from .pld import Pld, pld_from_pair
-from .synth import _binned_noise
+from .synth import _binned_noise, _laplace_cdf
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+_LOG_SQRT2PI = float(np.log(_SQRT2PI))
 
 
 # ----------------------------------------------------------------------
@@ -31,7 +32,12 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
 class _LocationScaleMarginal:
-    """A noise marginal of the scipy family ``_dist`` at (loc, scale)."""
+    """A noise marginal at (loc, scale), computed on y = (v - loc) / scale.
+
+    The subclasses' closed forms are scipy.stats' own, in the same order of
+    operations, so every value and its type (np.float64 for a scalar) match
+    ``stats.laplace``/``stats.norm`` at (loc, scale) bit for bit.
+    """
 
     def __init__(self, scale: float, loc: float = 0.0):
         if not 0.0 < scale < math.inf:
@@ -41,17 +47,8 @@ class _LocationScaleMarginal:
         self.scale = float(scale)
         self.loc = float(loc)
 
-    def cdf(self, v):
-        return self._dist.cdf(v, loc=self.loc, scale=self.scale)
-
-    def ppf(self, u):
-        return self._dist.ppf(u, loc=self.loc, scale=self.scale)
-
-    def pdf(self, v):
-        return self._dist.pdf(v, loc=self.loc, scale=self.scale)
-
-    def logpdf(self, v):
-        return self._dist.logpdf(v, loc=self.loc, scale=self.scale)
+    def _standard(self, v):
+        return (np.asarray(v, dtype=float) - self.loc) / self.scale
 
     @property
     def spread(self) -> float:
@@ -62,17 +59,50 @@ class LaplaceMarginal(_LocationScaleMarginal):
     """Laplace(loc, scale) noise marginal."""
 
     family = "laplace"
-    _dist = stats.laplace
+
+    def cdf(self, v):
+        return _laplace_cdf(self._standard(v))[()]   # a scalar comes back as np.float64, as from scipy
+
+    def ppf(self, u):
+        u = np.asarray(u, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            y = np.where(u > 0.5, -np.log(2 * (1 - u)), np.log(2 * u))
+        return y * self.scale + self.loc
+
+    def pdf(self, v):
+        return 0.5 * np.exp(-np.abs(self._standard(v))) / self.scale
+
+    def logpdf(self, v):
+        # log of the density, not log 0.5 - |y|: it reaches -inf where exp underflows
+        with np.errstate(divide="ignore"):
+            return np.log(0.5 * np.exp(-np.abs(self._standard(v)))) - np.log(self.scale)
 
 
 class GaussianMarginal(_LocationScaleMarginal):
     """Normal(loc, sigma^2) noise marginal."""
 
     family = "gaussian"
-    _dist = stats.norm
 
     def __init__(self, sigma: float, loc: float = 0.0):
         super().__init__(sigma, loc)
+
+    def cdf(self, v):
+        return special.ndtr(self._standard(v))
+
+    def ppf(self, u):
+        return special.ndtri(u) * self.scale + self.loc
+
+    def pdf(self, v):
+        y = self._standard(v)
+        return np.exp(-y**2 / 2.0) / _SQRT2PI / self.scale
+
+    def logpdf(self, v):
+        return _norm_logpdf(self._standard(v)) - np.log(self.scale)
+
+
+def _norm_logpdf(t):
+    """The standard normal log-density."""
+    return -t**2 / 2.0 - _LOG_SQRT2PI
 
 
 class EmpiricalMarginal:
@@ -247,16 +277,18 @@ def bivariate_gaussian_cdf(a: float, b: float, rho: float) -> float:
     """
     if not -1.0 < rho < 1.0:
         raise ValueError(f"rho must lie in (-1, 1), got {rho}")
+    from scipy import integrate  # only this quadrature needs it: kept off dcp's start-up
+
     if math.isinf(a) and a > 0:
-        return float(stats.norm.cdf(b))
+        return float(special.ndtr(b))
     if math.isinf(b) and b > 0:
-        return float(stats.norm.cdf(a))
+        return float(special.ndtr(a))
     if (math.isinf(a) and a < 0) or (math.isinf(b) and b < 0):
         return 0.0
     root = math.sqrt(1.0 - rho * rho)
 
     def integrand(z):
-        return math.exp(-0.5 * z * z) / _SQRT2PI * stats.norm.cdf((b - rho * z) / root)
+        return math.exp(-0.5 * z * z) / _SQRT2PI * special.ndtr((b - rho * z) / root)
 
     val, _ = integrate.quad(integrand, -np.inf, a, epsabs=1e-12, epsrel=1e-12, limit=200)
     return float(min(max(val, 0.0), 1.0))
@@ -278,9 +310,9 @@ def psedr_map(spec: GaussianCopulaSpec, state: str, z1, z2):
     sd2 = math.sqrt(spec.rho**2 * v + (1.0 - spec.rho**2))
     z1 = np.asarray(z1, dtype=float)
     z2 = np.asarray(z2, dtype=float)
-    u1 = stats.norm.cdf((z1 - eta) / sd1)
+    u1 = special.ndtr((z1 - eta) / sd1)
     zhat = spec.rho * z1 + math.sqrt(1.0 - spec.rho**2) * z2
-    u2 = stats.norm.cdf((zhat - spec.rho * eta) / sd2)
+    u2 = special.ndtr((zhat - spec.rho * eta) / sd2)
     return u1, u2, np.asarray(spec.xi1.ppf(u1)), np.asarray(spec.xi2.ppf(u2))
 
 
@@ -311,8 +343,8 @@ def copula_cdf(spec: GaussianCopulaSpec, v1: float, v2: float) -> float:
         if u1 == 1.0:
             return u2
         return u1
-    t1 = float(stats.norm.ppf(u1))
-    t2 = float(stats.norm.ppf(u2))
+    t1 = float(special.ndtri(u1))
+    t2 = float(special.ndtri(u2))
     return bivariate_gaussian_cdf(t1, t2, spec.effective_correlation)
 
 
@@ -414,7 +446,7 @@ def perturbed_decomposition(
         t1 = _normal_score(spec.xi1, v1)
         t2 = _normal_score(spec.xi2, v2)
         log_cop = _coupled_log_density(spec, t1, t2, *shifts) - (
-            stats.norm.logpdf(t1) + stats.norm.logpdf(t2)
+            _norm_logpdf(t1) + _norm_logpdf(t2)
         )
         return lp, log_cop
 
@@ -439,7 +471,7 @@ def perturbed_decomposition(
         for s, latent in ((s0, m0), (s1, m1v)):
             v = grid - shifts_f[s][axis]
             t = _normal_score(xi, v)
-            dens = xi.pdf(v) * np.exp(stats.norm.logpdf(t - latent[axis]) - stats.norm.logpdf(t))
+            dens = xi.pdf(v) * np.exp(_norm_logpdf(t - latent[axis]) - _norm_logpdf(t))
             rows.append(dens / dens.sum())
         marginal_pairs.append(DistPair(*rows))
 
@@ -461,7 +493,7 @@ def _output_grid(xi, values: np.ndarray, bins: int) -> np.ndarray:
 
 def _normal_score(xi, v):
     """Standard normal quantile of the marginal CDF at ``v``, kept off 0 and 1."""
-    return stats.norm.ppf(np.clip(xi.cdf(v), 1e-300, 1 - 1e-16))
+    return special.ndtri(np.clip(xi.cdf(v), 1e-300, 1 - 1e-16))
 
 
 def block_grid(xi1, xi2, world: World, query_maps: tuple, bins: int = 17):
@@ -479,7 +511,7 @@ def block_grid(xi1, xi2, world: World, query_maps: tuple, bins: int = 17):
         lp = xi1.logpdf(v1) + xi2.logpdf(v2)
         t1 = _normal_score(xi1, v1)
         t2 = _normal_score(xi2, v2)
-        terms.append((lp - stats.norm.logpdf(t1) - stats.norm.logpdf(t2), t1, t2))
+        terms.append((lp - _norm_logpdf(t1) - _norm_logpdf(t2), t1, t2))
     return g1, g2, terms
 
 

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg, optimize, spatial
 
 from .composition import Composition
 from .divergence import Law, worst_pair
@@ -291,6 +290,8 @@ def _design_on_rays(prior: np.ndarray, b: np.ndarray, tau_g: float, delta_g: flo
         return None
     used, diagnostics = np.arange(2), {"design": "extreme-rays", "rays": len(rays)}
     if n_s > 2:
+        from scipy import optimize  # only this LP needs it: kept off dcp's start-up
+
         losses = [_column_loss(prior, b, r, loss) for r in rays]
         res = optimize.linprog(losses, A_eq=rays.T, b_eq=np.ones(n_s), method="highs")
         if res.status != 0:
@@ -374,6 +375,8 @@ def _simplex_grid(n: int) -> np.ndarray:
 def _cross_section_vertices(cuts: np.ndarray, c: np.ndarray) -> np.ndarray | None:
     """Vertices of {v : cuts v <= 0, sum v = 1}, as v = c + u z over an
     orthonormal basis u of sum = 0; None when it has no interior."""
+    from scipy import linalg, optimize, spatial  # only task 1's LP design needs them: kept off dcp's start-up
+
     u = linalg.null_space(np.ones((1, c.size)))
     a, off = cuts @ u, cuts @ c
     # Chebyshev centre: the interior point qhull needs
@@ -397,15 +400,33 @@ def _column_loss(prior: np.ndarray, b: np.ndarray, column: np.ndarray, loss: str
 
 def _fit_columns(prior: np.ndarray, b: np.ndarray, columns: np.ndarray, m: int, loss: str) -> np.ndarray:
     """``columns`` on ``m`` symbols: merge the pair whose sum raises the loss
-    least until they fit, or pad with zero columns."""
+    least until they fit, or pad with zero columns.  The columns come out in
+    a canonical order (``_column_key``, zero columns last), and merges whose
+    costs tie within 1e-12 are told apart by the columns they leave in that
+    order, so the last bits of the law choose neither the merge nor the
+    order of the symbols."""
     cols = list(columns.T)
     while len(cols) > m:
         cost = {(i, j): _column_loss(prior, b, cols[i] + cols[j], loss)
                 - _column_loss(prior, b, cols[i], loss) - _column_loss(prior, b, cols[j], loss)
                 for i, j in itertools.combinations(range(len(cols)), 2)}
-        i, j = min(cost, key=cost.get)
+        least = min(cost.values())
+
+        def left(pair):
+            kept = [v for k, v in enumerate(cols) if k not in pair]
+            return sorted(map(_column_key, kept + [cols[pair[0]] + cols[pair[1]]]))
+
+        i, j = min((pair for pair, c in cost.items() if c <= least + 1e-12), key=left)
         cols[i] = cols[i] + cols.pop(j)
+    cols.sort(key=_column_key)
     return np.column_stack(cols + [np.zeros(b.shape[0])] * (m - len(cols)))
+
+
+def _column_key(v: np.ndarray) -> tuple:
+    """A column's place in alpha: by v_1 / v_0, then lexicographically, each
+    to 10 significant digits, so that ulps cannot break a tie."""
+    ratio = v[1] / v[0] if v[0] > 0.0 else math.inf
+    return tuple(float(f"{x:.9e}") for x in (ratio, *v))
 
 
 def solve_task2(problem: IcProblem) -> IcSolution:

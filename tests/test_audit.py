@@ -108,6 +108,25 @@ def test_worst_pair_roc_picks_max(mixing_world_2x2, rr_mechanism):
     assert roc.auc >= 0.5
 
 
+def test_worst_pair_roc_names_the_first_orientation_of_each_pair():
+    # (s0, s1) and (s1, s0) have equal AUCs in exact arithmetic; on repeated
+    # kernels the spread joint and the dense joint round them differently,
+    # and both must still name (0, 1) and return that pair's ROC
+    from dcpkit.model import composed_law
+
+    rng = np.random.default_rng(16)
+    for _ in range(8):
+        joint = rng.dirichlet(np.ones(6)).reshape(2, 3)
+        world = World(("s0", "s1"), ("x0", "x1", "x2"), joint, default_adjacency(joint))
+        kernel = 0.6 * rng.dirichlet(np.ones(5), size=3) + 0.4 / 5
+        mechs = [MechanismKernel("m", tuple("abcde"), kernel)] * 4
+        for law in (composed_joint(world, mechs, []), Law(composed_law(world, mechs))):
+            roc, pair = worst_pair_roc(world, law)
+            want = lr_attack_roc(law.pair(0, 1))
+            assert pair == (0, 1)
+            assert roc.fpr.tobytes() == want.fpr.tobytes() and roc.tpr.tobytes() == want.tpr.tobytes()
+
+
 def test_compare_protocol_uninformative(uniform_world, noise_mechanism):
     law = effective_kernel(uniform_world, noise_mechanism).matrix
     rows = compare_protocol(uniform_world, law, law, [(1.0, 0.1)])
@@ -150,7 +169,7 @@ def test_compare_protocol_sweeps_each_law_once(monkeypatch, mixing_world_2x2, rr
     law_single = effective_kernel(mixing_world_2x2, rr_mechanism).matrix
     law_comp = composed_joint(mixing_world_2x2, [rr_mechanism, rr_mechanism], []).matrix
     rows = compare_protocol(mixing_world_2x2, law_comp, law_single, [(0.5, 0.1), (1.0, 0.2)])
-    assert len(calls) == 2 * len(mixing_world_2x2.adjacency)
+    assert len(calls) == 2 * (len(mixing_world_2x2.adjacency) // 2)   # two laws, one sweep per unordered pair
     assert [(r["eps_g"], r["delta_g"]) for r in rows] == [(0.5, 0.1), (1.0, 0.2)]
     for r in rows:
         assert r["delta_composed"] == worst_pair(mixing_world_2x2, law_comp, eps=r["eps_g"]).value

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -461,3 +464,32 @@ def test_repeated_kernels_print_the_dense_route_numbers(capsys):
         certified = want["feasibility"] <= 1e-6 and want["direct_check_delta"] <= delta_g + 1e-6
         assert payload["certified"] == certified
         assert code == (0 if certified else 1)
+
+
+# scipy's modules that cost more to import than any dcp call costs to run
+_HEAVY_SCIPY = ("scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.spatial")
+
+_IMPORT_GATE = """
+import contextlib, io, json, sys
+import dcpkit
+from dcpkit.cli import main
+heavy = sys.argv[1].split(",")
+loaded = {"import": [m for m in heavy if m in sys.modules]}
+with contextlib.redirect_stdout(io.StringIO()):
+    loaded["exit"] = main(["--model", sys.argv[2], "check", "--eps", "1", "--delta", "0.01"])
+loaded["check"] = [m for m in heavy if m in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_import_and_check_leave_the_heavy_scipy_modules_unloaded():
+    # a fresh interpreter: this test process has long since imported them
+    import dcpkit
+
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(dcpkit.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-c", _IMPORT_GATE, ",".join(_HEAVY_SCIPY), MIXING],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0 and done.stderr == "", done.stderr
+    loaded = json.loads(done.stdout)
+    assert loaded.pop("exit") in (0, 1)             # a verdict, not a refusal
+    assert loaded == {"import": [], "check": []}

@@ -361,6 +361,44 @@ def test_marginals_refuse_a_bad_scale_or_loc(bad):
                 family(1.0, loc=bad)
 
 
+def _same_values(got, want):
+    """Equal type, shape and bits, NaN payloads aside (scipy writes its own NaN
+    where the closed form carries the input's)."""
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+_SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e-300, -1e-300, 745.0, -745.0]
+
+
+@pytest.mark.parametrize("loc,scale", [(0.0, 1.0), (-2.5, 0.7), (3.0, 40.0), (1e3, 1e-3)])
+@pytest.mark.parametrize("family,dist", [(LaplaceMarginal, stats.laplace), (GaussianMarginal, stats.norm)])
+def test_marginal_closed_forms_match_scipy_bit_for_bit(family, dist, loc, scale):
+    from dcpkit.copula import _normal_score
+
+    rng = np.random.default_rng(5)
+    xi = family(scale, loc=loc)
+    v = np.concatenate([loc + scale * rng.standard_normal(20_000),
+                        loc + scale * rng.uniform(-40.0, 40.0, 20_000),
+                        loc + scale * np.array(_SPECIALS), _SPECIALS])
+    ulp = np.spacing(0.5)
+    q = np.concatenate([rng.uniform(size=20_000),
+                        [0.0, -0.0, 1.0, 0.5, 0.5 - ulp, 0.5 + ulp, 1e-300, 1 - 1e-16, math.nan]])
+    args = {"loc": loc, "scale": scale}
+    for method, points in (("cdf", v), ("pdf", v), ("logpdf", v), ("ppf", q)):
+        want = getattr(dist, method)
+        got = getattr(xi, method)
+        _same_values(got(points), want(points, **args))
+        for x in points[-9:]:                   # Python scalars: np.float64 back, as scipy
+            _same_values(got(float(x)), want(float(x), **args))
+    _same_values(_normal_score(xi, v),
+                 stats.norm.ppf(np.clip(dist.cdf(v, **args), 1e-300, 1 - 1e-16)))
+
+
 def test_spec_refuses_non_finite_numbers_and_an_overflowing_variance():
     for kw in ({"eps_c": math.nan}, {"w": math.nan}, {"w": math.inf},
                {"eta": {"s0": 0.0, "s1": math.nan}}, {"c_sen": math.nan}):

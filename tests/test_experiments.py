@@ -75,7 +75,9 @@ def test_mismatched_grids_rejected():
 # empty, so only the fill runs), and the copula one is filled by bisection.
 # tests/data/experiment_rows.json holds these rows as the code before the
 # vectorized inner loops computed them (the pi-empty rows as the code before
-# the calibrations were merged); rows must match exactly.
+# the calibrations were merged, the independent rows' composed AUCs, gaps and
+# ROC violations as the worst-pair ROC scoring each unordered pair once
+# computes them); rows must match exactly.
 GOLDEN_POINTS = {
     "independent": (run_independent_experiment, 5.0, 1.0),
     "independent-pi-empty": (run_independent_experiment, 0.5, 0.1),
