@@ -6,7 +6,7 @@ a mechanism against a world's adjacency, and Neyman-Pearson trade-off
 curves.  It also holds the three primitives every other layer builds on: the
 worst adjacent pair of a per-secret law (``worst_pair``), the
 likelihood-ratio sweep behind trade-off curves and attacker ROCs, and the
-monotone bisection behind every calibration (``bisect_monotone``).  The
+bracketing root finder behind every calibration (``monotone_root``).  The
 privacy-loss-distribution route in ``dcpkit.pld`` computes the same
 quantities through loss atoms; the two routes stay independent so each can
 serve as the other's oracle.
@@ -121,10 +121,13 @@ class LossProfile:
         """``optimal_epsilon`` of the pair at ``delta``."""
         if not 0.0 <= delta <= 1.0:
             raise ValueError(f"delta must lie in [0, 1], got {delta}")
+        # a positive +inf mass up to 4 ulps below delta still reads as above it,
+        # so its last bit never decides between +inf and a finite epsilon; this
+        # comes first, since delta(0) can equal the mass
+        if self.inf_mass > 0.0 and delta <= self.inf_mass + 4.0 * math.ulp(self.inf_mass):
+            return math.inf
         if self.delta0 <= delta:
             return 0.0
-        if self.inf_mass > delta:
-            return math.inf
         j = int(np.searchsorted(-self.deltas, -delta))  # first breakpoint with profile <= delta
         # segment (l_{j-1}, l_j]: active atoms are those with loss >= l_j
         a = self.inf_mass + float(self.masses[j:].sum())
@@ -137,7 +140,10 @@ def optimal_epsilon(pair: DistPair, delta: float) -> float:
     """Smallest eps >= 0 with hockey_stick(pair, eps) <= delta.
 
     Returns ``math.inf`` when no finite eps works, i.e. when the p-mass on
-    outcomes with q = 0 strictly exceeds delta.  Otherwise the answer is
+    outcomes with q = 0 strictly exceeds delta, and also when that mass is
+    positive and at most 4 ulps (of the mass) below delta: the pessimistic
+    answer where one rounding of the mass would decide between +inf and a
+    finite eps.  A zero mass never gives +inf.  Otherwise the answer is
     found on the sorted log-ratio breakpoints by solving ``A - B e^eps =
     delta`` on the bracketing segment; no iterative search is involved.
     """
@@ -258,26 +264,49 @@ def worst_pair(world: World, law: np.ndarray, *, eps: float | None = None,
     return Law(np.asarray(law, dtype=float)).worst(world, eps=eps, delta=delta)
 
 
-def bisect_monotone(pred: Callable[[float], bool], lo: float, hi: float, *,
-                    geometric: bool, tol: float, max_iter: int) -> tuple[float, float]:
-    """Shrink the bracket [lo, hi] around the switch point of a monotone test.
+def monotone_root(value: Callable[[float], float], lo: float, hi: float, v_lo: float,
+                  v_hi: float, *, above: Callable[[float], bool], tol: float) -> tuple[float, float]:
+    """Shrink the bracket [lo, hi] (0 < lo < hi) around the switch of a
+    monotone value until ``hi / lo < 1 + tol``.
 
-    ``pred`` is false below the switch and true above it.  Each step tests
-    the midpoint (``sqrt(lo * hi)`` when ``geometric``, else the mean) and
-    moves the bracket edge on its side.  The loop stops once ``hi / lo < 1 +
-    tol`` (geometric) or ``hi - lo < tol * max(1, hi)``, or after
-    ``max_iter`` steps, and returns the bracket it has.  A midpoint equal to
-    the edge it would replace also stops it: every later step would repeat
-    that one, so the bracket is the one ``max_iter`` steps give.
+    ``above(value(x))`` is false below the switch and true above it, and
+    the value changes sign there; the caller passes ``v_lo``, the value at
+    ``lo`` (not above), and ``v_hi``, the value at ``hi`` (above), which it
+    has already computed.  Each step is an ITP step (Oliveira & Takahashi
+    2020) in log x, with kappa1 = 0.1, kappa2 = 2 and n0 = 1: the secant
+    point of the bracket's values, moved toward the midpoint by 0.1 w^2 on
+    a bracket w wide and held half the tolerance in from either end, then
+    kept close enough to the midpoint that after j steps the bracket is at
+    most as wide as bisection's after j - 1.  So it stops at most one step
+    after bisection would, and on a smooth value far sooner.  When an end's
+    value is not finite the step is the midpoint.  Both returned ends are
+    points that were evaluated; once the step and ``sqrt(lo * hi)`` both
+    round onto an end, the bracket is returned as it is.
     """
-    for _ in range(max_iter):
-        mid = math.sqrt(lo * hi) if geometric else 0.5 * (lo + hi)
-        above = pred(mid)
-        if mid == (hi if above else lo):
-            break
-        lo, hi = (lo, mid) if above else (mid, hi)
-        if (hi / lo < 1.0 + tol) if geometric else (hi - lo < tol * max(1.0, hi)):
-            break
+    reach = math.log(hi) - math.log(lo)  # the widest the bracket may be after this step
+    margin = 0.5 * math.log1p(tol)
+    while hi / lo >= 1.0 + tol:
+        a, b = math.log(lo), math.log(hi)
+        mid = 0.5 * (a + b)
+        x = mid
+        if math.isfinite(v_lo) and math.isfinite(v_hi):
+            x = a + (b - a) * (v_lo / (v_lo - v_hi))  # the values differ in sign
+            x += math.copysign(min(0.1 * (b - a) ** 2, abs(mid - x)), mid - x)
+            # a switch within half the tolerance of an end: this step ends the search
+            x = min(max(x, a + margin), b - margin)
+            radius = max(reach - 0.5 * (b - a), 0.0)
+            x = min(max(x, mid - radius), mid + radius)
+        point = math.exp(x)
+        if not lo < point < hi:
+            point = math.sqrt(lo * hi)
+            if not lo < point < hi:
+                break
+        v = value(point)
+        if above(v):
+            hi, v_hi = point, v
+        else:
+            lo, v_lo = point, v
+        reach *= 0.5
     return lo, hi
 
 

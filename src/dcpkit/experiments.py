@@ -17,7 +17,7 @@ from . import ic
 from .audit import compare_protocol, roc_bound_check
 from .composition import composed_joint
 from .copula import GaussianCopulaSpec, LaplaceMarginal, block_grid, mix_block_law
-from .divergence import bisect_monotone, worst_pair
+from .divergence import monotone_root, worst_pair
 from .model import adjacency_labels, effective_kernel, join_per_secret
 from .synth import (
     _calibrate_noise_scale,
@@ -145,17 +145,20 @@ def run_copula_experiment(
             block = mix_block_law(spec, world, terms)
             return join_per_secret(block, rest_law)
 
-        def overshoots(eps_c):
-            return worst_pair(world, law_at(eps_c), eps=eps_g).value > delta
+        def overshoot(eps_c):
+            return worst_pair(world, law_at(eps_c), eps=eps_g).value - delta
 
         lo, hi = 1e-4, 64.0
-        if overshoots(lo):
+        v_lo = overshoot(lo)
+        if v_lo > 0.0:
             law, eps_c, flag = law_at(lo), math.inf, "fill-infeasible"
         else:
-            if not overshoots(hi):
+            v_hi = overshoot(hi)
+            if v_hi <= 0.0:
                 lo = hi
             else:
-                lo, _ = bisect_monotone(overshoots, lo, hi, geometric=True, tol=1e-9, max_iter=60)
+                lo, _ = monotone_root(overshoot, lo, hi, v_lo, v_hi, above=lambda v: v > 0.0,
+                                      tol=1e-9)
             eps_c, law, flag = lo, law_at(lo), "coupling-filled"
         rows.append(_audit_row(world, law, eps_g, eps_i, delta, flag, eps_c))
     return ExperimentResult(name="copula", seed=seed, rows=rows)

@@ -8,7 +8,7 @@ import math
 import numpy as np
 from scipy import special
 
-from .divergence import bisect_monotone, worst_pair
+from .divergence import monotone_root, worst_pair
 from .model import MechanismKernel, World, default_adjacency, effective_kernel, is_invertible, join_per_secret
 
 # the bracket of every noise-scale calibration and of the secret-channel fill
@@ -132,17 +132,19 @@ def binned_laplace_kernel(values, scale: float, bins: int = 33,
 def _calibrate_noise_scale(world: World, kernel, values, eps_target: float, delta: float,
                            bins: int) -> float:
     """Scale the noise of ``kernel(values, scale, bins)`` so the worst-pair
-    tight epsilon at ``delta`` hits ``eps_target`` (bisection; epsilon
-    decreases in the scale); a target the bounds do not reach is refused."""
-    def tight(scale):
+    tight epsilon at ``delta`` hits ``eps_target``; a target the bounds do
+    not reach is refused.  Epsilon decreases in the scale, so the root
+    finder's bracket ends at the least scale found with epsilon <=
+    ``eps_target``, within a factor 1 + 1e-12 of one without."""
+    def excess(scale):
         mech = kernel(values, scale, bins)
-        return effective_kernel(world, mech).worst(world, delta=delta).value
+        return effective_kernel(world, mech).worst(world, delta=delta).value - eps_target
 
     lo, hi = SCALE_BOUNDS
-    if tight(lo) < eps_target or tight(hi) > eps_target:
+    v_lo, v_hi = excess(lo), excess(hi)
+    if v_lo < 0.0 or v_hi > 0.0:
         raise ValueError("eps_target outside the reachable range for these bounds")
-    _, hi = bisect_monotone(lambda scale: tight(scale) <= eps_target, lo, hi,
-                            geometric=True, tol=1e-12, max_iter=80)
+    _, hi = monotone_root(excess, lo, hi, v_lo, v_hi, above=lambda v: v <= 0.0, tol=1e-12)
     return hi
 
 
@@ -176,16 +178,17 @@ def calibrate_alpha_fill(
     returns (alpha, sigma); sigma = inf means even the widest channel in
     bounds cannot be certified.
     """
-    def achieved(sigma):
+    def excess(sigma):
         alpha = secret_gaussian_channel(eta, sigma, bins)
         law = join_per_secret(base_law, alpha)
-        return worst_pair(world, law, eps=eps_g).value
+        return worst_pair(world, law, eps=eps_g).value - delta_g
 
     lo, hi = SCALE_BOUNDS
-    if achieved(hi) > delta_g:
+    v_hi = excess(hi)
+    if v_hi > 0.0:
         return secret_gaussian_channel(eta, hi, bins), math.inf
-    if achieved(lo) <= delta_g:
+    v_lo = excess(lo)
+    if v_lo <= 0.0:
         return secret_gaussian_channel(eta, lo, bins), lo
-    _, hi = bisect_monotone(lambda sigma: achieved(sigma) <= delta_g, lo, hi,
-                            geometric=True, tol=1e-12, max_iter=80)
+    _, hi = monotone_root(excess, lo, hi, v_lo, v_hi, above=lambda v: v <= 0.0, tol=1e-12)
     return secret_gaussian_channel(eta, hi, bins), hi

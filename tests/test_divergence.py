@@ -4,7 +4,10 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from bisection import full_bisection
 from conftest import random_dist_pair
 from dcpkit.audit import lr_attack_roc
 from dcpkit.composition import composed_joint
@@ -12,9 +15,9 @@ from dcpkit.divergence import (
     DistPair,
     Law,
     LossProfile,
-    bisect_monotone,
     check_dcp,
     hockey_stick,
+    monotone_root,
     optimal_epsilon,
     tradeoff_curve,
     worst_pair,
@@ -86,7 +89,9 @@ def test_optimal_epsilon_rr_delta_zero():
 def test_optimal_epsilon_unachievable_atom():
     pair = DistPair(np.array([0.1, 0.9, 0.0]), np.array([0.0, 0.5, 0.5]))
     assert optimal_epsilon(pair, 0.05) == math.inf
-    assert math.isfinite(optimal_epsilon(pair, 0.1))
+    # at the +inf mass and up to 4 ulps past it the answer stays +inf
+    assert optimal_epsilon(pair, 0.1) == optimal_epsilon(pair, 0.1 + 4 * math.ulp(0.1)) == math.inf
+    assert math.isfinite(optimal_epsilon(pair, 0.1 + 5 * math.ulp(0.1)))
 
 
 def test_optimal_epsilon_round_trip():
@@ -131,12 +136,16 @@ def test_optimal_epsilon_duplicate_losses_merge():
 
 
 def test_optimal_epsilon_inf_mass_exactly_delta():
-    # the unabsorbable atom exactly equals delta: the remaining atoms still
-    # force a finite epsilon at the largest finite loss
+    # the unabsorbable atom exactly equals delta: one ulp of that mass would
+    # decide between +inf and a finite epsilon, so the answer is +inf; just
+    # past the 4-ulp window the remaining atoms force a finite epsilon at the
+    # largest finite loss
     pair = DistPair(np.array([0.1, 0.6, 0.3]), np.array([0.0, 0.3, 0.7]))
-    eps = optimal_epsilon(pair, 0.1)
+    assert optimal_epsilon(pair, 0.1) == math.inf
+    delta = 0.1 + 5 * math.ulp(0.1)
+    eps = optimal_epsilon(pair, delta)
     assert eps == pytest.approx(math.log(0.6 / 0.3), abs=1e-12)
-    assert hockey_stick(pair, eps) <= 0.1 + 1e-15
+    assert hockey_stick(pair, eps) <= delta + 1e-15
 
 
 def test_check_dcp(invertible_world, rr_mechanism):
@@ -434,52 +443,118 @@ def test_loss_profile_equals_one_piece_optimal_epsilon():
     rng = np.random.default_rng(17)
     for pair in oracle_pairs(rng):
         profile = LossProfile(pair)
-        deltas = [0.0, 1.0, profile.delta0, profile.inf_mass, *np.linspace(0.0, 1.0, 23),
-                  *profile.deltas, *np.nextafter(profile.deltas, 1.0)]
+        # a positive +inf mass reads as above every delta up to 4 ulps past it
+        window = profile.inf_mass + 4.0 * math.ulp(profile.inf_mass) if profile.inf_mass > 0.0 else -1.0
+        deltas = [0.0, 1.0, profile.delta0, profile.inf_mass, window, math.nextafter(window, 2.0),
+                  *np.linspace(0.0, 1.0, 23), *profile.deltas, *np.nextafter(profile.deltas, 1.0)]
         deltas = [float(min(max(d, 0.0), 1.0)) for d in deltas]
         rng.shuffle(deltas)  # the one profile answers in any order
         for delta in deltas:
-            want = reference_optimal_epsilon(pair, delta)
+            want = math.inf if delta <= window else reference_optimal_epsilon(pair, delta)
             assert profile.epsilon(delta) == want
             assert optimal_epsilon(pair, delta) == want
 
 
-# ---------------------------------------------------- monotone bisection
+# ------------------------------------------- monotone root finder (ITP)
+
+
+def replay(lo, hi, calls, value, above):
+    """The brackets the root finder held, from its evaluations in order:
+    each evaluation lies strictly inside the bracket before it."""
+    brackets = [(lo, hi)]
+    for x in calls:
+        assert lo < x < hi
+        lo, hi = (lo, x) if above(value(x)) else (x, hi)
+        brackets.append((lo, hi))
+    return brackets
+
+
+def run_root(value, lo, hi, above, tol, v_lo=None, v_hi=None):
+    """``monotone_root`` from the values at the ends, and its evaluations."""
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        assert len(calls) <= 2_000, "the root finder does not stop"
+        return value(x)
+
+    got = monotone_root(counted, lo, hi, value(lo) if v_lo is None else v_lo,
+                        value(hi) if v_hi is None else v_hi, above=above, tol=tol)
+    return got, calls
+
+
+def bisection_count(pred, lo, hi, tol):
+    calls = []
+    full_bisection(lambda x: calls.append(x) or pred(x), lo, hi, True, 10_000, tol=tol)
+    return len(calls)
+
+
+# rising values with their switch at s; the calibrations' tie rule reads
+# ``v <= 0`` on the value negated, the copula fill's ``v > 0`` on it as is
+SHAPES = {
+    "smooth": lambda s, k: lambda x: k * math.log(x / s) + (x - s) / s,
+    "step": lambda s, k: lambda x: 1.0 if x >= s else -1.0,
+    "plateaus": lambda s, k: lambda x: math.floor(k * math.log(x / s)) + 0.5,
+    "inf prefix": lambda s, k: lambda x: -math.inf if x < s / (1.0 + k) else math.log(x / s),
+    "tie": lambda s, k: lambda x: min(math.log(x / s), 0.0) + max(math.log(x / s) - k, 0.0),
+}
+
+
+def signed(shape, strict):
+    if strict:
+        return shape, (lambda v: v > 0.0)
+    return (lambda x: -shape(x)), (lambda v: v <= 0.0)
 
 
 def test_bisect_monotone_keeps_the_bracket():
-    calls = []
+    # every evaluation lies inside the bracket held, the ends returned were
+    # evaluated, and a smooth value needs far fewer steps than bisection's 44
+    for strict in (False, True):
+        value, above = signed(SHAPES["smooth"](0.3, 0.7), strict)
+        (lo, hi), calls = run_root(value, 1e-3, 10.0, above, 1e-12)
+        assert replay(1e-3, 10.0, calls, value, above)[-1] == (lo, hi)
+        assert not above(value(lo)) and above(value(hi)) and lo <= 0.3 <= hi
+        assert {lo, hi} <= set(calls) and hi / lo < 1.0 + 1e-12
+        assert len(calls) <= 12 < bisection_count(lambda x: above(value(x)), 1e-3, 10.0, 1e-12) == 44
+    # an infinite value at an end gets a bisection step, not a secant one
+    value, above = signed(SHAPES["smooth"](0.3, 0.7), False)
+    for v_lo, v_hi in ((math.inf, value(1.0)), (value(0.1), -math.inf)):
+        _, calls = run_root(value, 0.1, 1.0, above, 1e-12, v_lo, v_hi)
+        assert calls[0] == pytest.approx(math.sqrt(0.1), rel=1e-15)
 
-    def above(x):
-        calls.append(x)
-        return x >= 0.3
 
-    lo, hi = bisect_monotone(above, 0.0, 1.0, geometric=False, tol=0.0, max_iter=3)
-    assert (lo, hi) == (0.25, 0.375)  # tests 0.5, 0.25, 0.375; no stop rule fires
-    assert calls == [0.5, 0.25, 0.375]
+@pytest.mark.parametrize("strict", [False, True])
+def test_bisect_monotone_stop_rules(strict):
+    # it stops the first time the bracket is within tol, and at most one
+    # step after bisection would
+    value, above = signed(SHAPES["step"](2.0, 0.0), strict)
+    for tol in (1e-3, 1e-6, 1e-9, 1e-12):
+        (lo, hi), calls = run_root(value, 1.0, 1e4, above, tol)
+        brackets = replay(1.0, 1e4, calls, value, above)
+        assert brackets[-1] == (lo, hi) and lo < 2.0 <= hi
+        assert [b / a < 1.0 + tol for a, b in brackets] == [False] * len(calls) + [True]
+        assert len(calls) <= bisection_count(lambda x: x >= 2.0, 1.0, 1e4, tol) + 1
 
-    for geometric in (False, True):
-        lo, hi = bisect_monotone(above, 1e-3, 10.0, geometric=geometric, tol=0.0, max_iter=40)
-        assert not above(lo) and above(hi) and lo < hi
 
-
-@pytest.mark.parametrize("geometric", [True, False])
-def test_bisect_monotone_stop_rules(geometric):
-    calls = []
-
-    def above(x):
-        calls.append(x)
-        return x >= 2.0
-
-    def stopped(lo, hi):
-        return hi / lo < 1.0 + 1e-6 if geometric else hi - lo < 1e-6 * max(1.0, hi)
-
-    lo, hi = bisect_monotone(above, 1.0, 1e4, geometric=geometric, tol=1e-6, max_iter=200)
-    n = len(calls)
-    assert n < 200 and lo < 2.0 <= hi and stopped(lo, hi)
-    # one step earlier the rule did not hold: the loop stops the first time it does
-    assert not stopped(*bisect_monotone(above, 1.0, 1e4, geometric=geometric, tol=1e-6,
-                                        max_iter=n - 1))
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(SHAPES)), st.booleans(), st.floats(-6.0, 6.0),
+       st.floats(0.05, 0.95), st.floats(0.5, 9.0), st.floats(0.01, 5.0),
+       st.sampled_from([1e-12, 1e-9, 1e-6]))
+def test_monotone_root_property(shape, strict, log_s, where, decades, k, tol):
+    s = math.exp(log_s)
+    lo, hi = s / 10.0 ** (where * decades), s * 10.0 ** ((1.0 - where) * decades)
+    value, above = signed(SHAPES[shape](s, k), strict)
+    pred = lambda x: above(value(x))  # noqa: E731
+    assume(not pred(lo) and pred(hi))  # a tie's plateau may reach past hi
+    (got_lo, got_hi), calls = run_root(value, lo, hi, above, tol)
+    # the bracket contract: evaluated ends on either side, within tol
+    assert replay(lo, hi, calls, value, above)[-1] == (got_lo, got_hi)
+    assert not pred(got_lo) and pred(got_hi) and got_hi / got_lo < 1.0 + tol
+    # at most one evaluation more than bisection
+    assert len(calls) <= bisection_count(pred, lo, hi, tol) + 1
+    # and it holds the switch that bisection run to float resolution finds
+    ref_lo, ref_hi = full_bisection(pred, lo, hi, True, 400)
+    assert got_lo < ref_hi and ref_lo < got_hi
 
 
 # -------------------------------------------------- worst adjacent pair

@@ -6,13 +6,17 @@ import numpy as np
 import pytest
 
 from dcpkit.experiments import (
+    _QUERY_MAPS,
     COPULA_EPS_G,
     COPULA_EPS_I,
     INDEPENDENT_EPS_G,
     INDEPENDENT_EPS_I,
+    LAM,
+    MECH_BINS,
     run_copula_experiment,
     run_independent_experiment,
 )
+from dcpkit.model import effective_kernel
 from dcpkit.synth import (
     _calibrate_noise_scale,
     binned_gaussian_kernel,
@@ -56,6 +60,22 @@ def test_experiment_deterministic_replay():
     assert a.rows == b.rows
 
 
+@pytest.mark.parametrize("kernel,bins", [(binned_gaussian_kernel, MECH_BINS),
+                                         (binned_laplace_kernel, 3 * MECH_BINS)])
+def test_noise_calibration_returns_the_least_scale(kernel, bins):
+    # tight(s) <= target < tight(s / (1 + 1e-12)): s is the least scale
+    # meeting the target, to within the root finder's tolerance
+    world = mixing_world(LAM)
+
+    def tight(scale, values):
+        return effective_kernel(world, kernel(values, scale, bins)).worst(world, delta=0.02).value
+
+    for values in _QUERY_MAPS:
+        for target in (0.05, 0.18, 0.6, 1.0, 3.0):
+            s = _calibrate_noise_scale(world, kernel, values, target, 0.02, bins)
+            assert tight(s, values) <= target < tight(s / (1.0 + 1e-12), values)
+
+
 @pytest.mark.parametrize("kernel", [binned_gaussian_kernel, binned_laplace_kernel])
 def test_noise_calibration_refuses_an_unreachable_target(kernel):
     # the copula experiment's first Laplace marginal at eps_i = 50: even the
@@ -72,12 +92,11 @@ def test_mismatched_grids_rejected():
 
 # Budget points at seeds 0 and 1: "independent" lies in the IC band (the
 # task-1 solver runs), "independent-pi-empty" below it (the constraint set is
-# empty, so only the fill runs), and the copula one is filled by bisection.
-# tests/data/experiment_rows.json holds these rows as the code before the
-# vectorized inner loops computed them (the pi-empty rows as the code before
-# the calibrations were merged, the independent rows' composed AUCs, gaps and
-# ROC violations as the worst-pair ROC scoring each unordered pair once
-# computes them); rows must match exactly.
+# empty, so only the fill runs), and the copula one fills the coupling.
+# tests/data/experiment_rows.json holds these rows with every scale and fill
+# found by the ITP root finder (``divergence.monotone_root``); each moves
+# within its bracket's tolerance with any change to the steps, and the rows
+# must match exactly.
 GOLDEN_POINTS = {
     "independent": (run_independent_experiment, 5.0, 1.0),
     "independent-pi-empty": (run_independent_experiment, 0.5, 0.1),

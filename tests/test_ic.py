@@ -10,9 +10,9 @@ import pytest
 from dcpkit import composition, ic
 from dcpkit.cli import main
 from dcpkit.composition import true_opt
-from dcpkit.divergence import bisect_monotone
 from dcpkit.model import MechanismKernel, World, default_adjacency, load_model
 from dcpkit.synth import dirichlet_world, random_mechanisms
+from bisection import full_bisection
 from response_step import response_step
 
 
@@ -307,7 +307,7 @@ def _tau_by_bisection(world, mechs, delta_g):
         hi = 2.0
         while not feasible(hi):
             hi *= 2.0
-        _, hi = bisect_monotone(feasible, hi / 2.0, hi, geometric=False, tol=1e-12, max_iter=200)
+        _, hi = full_bisection(feasible, hi / 2.0, hi, False, 200, tol=1e-12)
     return hi
 
 

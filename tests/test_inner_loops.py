@@ -3,11 +3,11 @@
 Each test keeps the earlier, slower formulation as its oracle and asserts
 bit-equal results (``np.array_equal``), since the experiments' printed rows
 depend on every last digit: per-row ``scipy.stats`` CDFs for the binned
-kernels, the one-shot copula block law, and a bisection that always runs
-``max_iter`` steps.  The simplex projection runs the other way round: the
-test helper's row sort is held to the sorting network that task 1's former
-penalty loop used, so the response step moved into ``response_step`` takes
-that loop's iterates.
+kernels, the one-shot copula block law, and bisection's full run, whose
+bracket the root finder ends on when run to float resolution.  The simplex
+projection runs the other way round: the test helper's row sort is held to
+the sorting network that task 1's former penalty loop used, so the response
+step moved into ``response_step`` takes that loop's iterates.
 """
 
 import math
@@ -26,10 +26,11 @@ from dcpkit.copula import (
     copula_plrv,
     mix_block_law,
 )
-from dcpkit.divergence import DistPair, bisect_monotone, hockey_stick, optimal_epsilon, worst_pair
+from dcpkit.divergence import DistPair, hockey_stick, monotone_root, optimal_epsilon, worst_pair
 from dcpkit.model import World, default_adjacency
 from dcpkit.pld import pld_from_pair
 from dcpkit.synth import binned_gaussian_kernel, binned_laplace_kernel, mixing_world
+from bisection import full_bisection
 from response_step import project_rows_simplex
 
 
@@ -168,35 +169,46 @@ def test_block_law_rows_stay_finite_when_every_cell_underflows():
             assert np.allclose(law[s], np.exp(log_dens - special.logsumexp(log_dens)), rtol=1e-9, atol=0)
 
 
-def full_bisection(pred, lo, hi, geometric, max_iter):
-    for _ in range(max_iter):
-        mid = math.sqrt(lo * hi) if geometric else 0.5 * (lo + hi)
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
+def _step(switch, strict):
+    """A monotone value that jumps at ``switch``, signed for the tie rule:
+    ``v <= 0`` above a falling value, ``v > 0`` above a rising one."""
+    if strict:
+        return (lambda x: 1.0 if x >= switch else -1.0), (lambda v: v > 0.0)
+    return (lambda x: -1.0 if x >= switch else 1.0), (lambda v: v <= 0.0)
 
 
-@pytest.mark.parametrize("geometric", [False, True])
-def test_bisection_edge_stop_equals_full_run(geometric):
+@pytest.mark.parametrize("strict", [False, True])
+def test_bisection_edge_stop_equals_full_run(strict):
+    # with no width to reach, the root finder runs until the geometric
+    # midpoint rounds onto an end: the bracket of adjacent floats that
+    # bisection's full run ends on, in at most one evaluation more
     rng = np.random.default_rng(3)
     for _ in range(300):
-        switch = float(rng.uniform(0.1, 0.9)) if not geometric else float(np.exp(rng.uniform(-5, 5)))
-        lo, hi = (0.0, 1.0) if not geometric else (switch * 1e-3, switch * 1e3)
-        calls = []
+        switch = float(np.exp(rng.uniform(-5, 5)))
+        lo, hi = switch * 1e-3, switch * 1e3
+        value, above = _step(switch, strict)
+        calls, ref = [], []
 
-        def pred(x):
+        def counted(x):
             calls.append(x)
-            return x >= switch
+            assert len(calls) <= 2_000, "the root finder does not stop"
+            return value(x)
 
-        got = bisect_monotone(pred, lo, hi, geometric=geometric, tol=0.0, max_iter=200)
-        assert got == full_bisection(lambda x: x >= switch, lo, hi, geometric, 200)
-        assert len(calls) < 200
-    # an edge the test disagrees with is still moved as the full run moves it
-    for lo, hi, pred in ((0.0, 1.0, lambda x: False), (0.25, 0.5, lambda x: True)):
-        assert bisect_monotone(pred, lo, hi, geometric=False, tol=0.0, max_iter=300) == \
-            full_bisection(pred, lo, hi, False, 300)
+        got = monotone_root(counted, lo, hi, value(lo), value(hi), above=above, tol=0.0)
+        want = full_bisection(lambda x: ref.append(x) or x >= switch, lo, hi, True, 200)
+        assert got == want and math.nextafter(got[0], math.inf) == got[1]
+        # the full run's steps that moved an end, i.e. tested a point inside
+        bracket, moved = [lo, hi], 0
+        for x in ref:
+            if bracket[0] < x < bracket[1]:
+                bracket[x >= switch], moved = x, moved + 1
+        assert len(calls) <= moved + 1
+    # a switch next to an end: the other end is moved all the way up to it
+    for lo, hi, switch in ((1e-3, 1.0, 1.0), (0.25, 0.5, math.nextafter(0.25, 1.0))):
+        value, above = _step(switch, strict)
+        got = monotone_root(value, lo, hi, value(lo), value(hi), above=above, tol=0.0)
+        assert got == full_bisection(lambda x: x >= switch, lo, hi, True, 300)
+        assert got == ((math.nextafter(hi, 0.0), hi) if switch == hi else (lo, switch))
 
 
 def test_worst_pair_checks_the_law_once_and_still_rejects_bad_rows():

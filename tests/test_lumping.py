@@ -210,6 +210,19 @@ def test_task1_designs_one_channel_where_ulps_could_pick_it(cells, kernel):
     _assert_task1_routes_match(world, mechs, [], dense_laws(world, mechs)[0], dense_mechanism(world, mechs))
 
 
+def test_an_inf_mass_an_ulp_apart_reads_inf_on_both_routes():
+    # pair (0, 1)'s +inf mass is one ulp larger on the type-class law than
+    # on the dense joint; at delta = the smaller mass both read +inf
+    joint = np.array([[5 / 13, 3 / 13], [0.0, 5 / 13]])
+    world = World(("s0", "s1"), ("x0", "x1"), joint, default_adjacency(joint))
+    mechs = [MechanismKernel("k", ("0", "1"), np.array([[5 / 7, 2 / 7], [0.0, 1.0]]))] * 2
+    dense = dense_laws(world, mechs)[0]
+    lumped = comp.Composition.of(world, mechs).lumped.pair(0, 1).profile.inf_mass
+    delta = Law(dense).pair(0, 1).profile.inf_mass
+    assert lumped == math.nextafter(delta, 1.0)
+    assert comp.true_opt(world, mechs, [], delta) == worst_pair(world, dense, delta=delta).value == math.inf
+
+
 def _mixing_world():
     joint = np.array([[0.3, 0.15, 0.05], [0.05, 0.15, 0.3]])
     return World(("s0", "s1"), ("x0", "x1", "x2"), joint, default_adjacency(joint))
