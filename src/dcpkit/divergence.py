@@ -264,6 +264,10 @@ def worst_pair(world: World, law: np.ndarray, *, eps: float | None = None,
     return Law(np.asarray(law, dtype=float)).worst(world, eps=eps, delta=delta)
 
 
+# ITP's slack n0: the steps the root finder may take past bisection's count
+_ITP_N0 = 4
+
+
 def monotone_root(value: Callable[[float], float], lo: float, hi: float, v_lo: float,
                   v_hi: float, *, above: Callable[[float], bool], tol: float) -> tuple[float, float]:
     """Shrink the bracket [lo, hi] (0 < lo < hi) around the switch of a
@@ -273,17 +277,21 @@ def monotone_root(value: Callable[[float], float], lo: float, hi: float, v_lo: f
     the value changes sign there; the caller passes ``v_lo``, the value at
     ``lo`` (not above), and ``v_hi``, the value at ``hi`` (above), which it
     has already computed.  Each step is an ITP step (Oliveira & Takahashi
-    2020) in log x, with kappa1 = 0.1, kappa2 = 2 and n0 = 1: the secant
-    point of the bracket's values, moved toward the midpoint by 0.1 w^2 on
-    a bracket w wide and held half the tolerance in from either end, then
-    kept close enough to the midpoint that after j steps the bracket is at
-    most as wide as bisection's after j - 1.  So it stops at most one step
-    after bisection would, and on a smooth value far sooner.  When an end's
-    value is not finite the step is the midpoint.  Both returned ends are
-    points that were evaluated; once the step and ``sqrt(lo * hi)`` both
-    round onto an end, the bracket is returned as it is.
+    2020) in log x, with kappa1 = 0.1, kappa2 = 2 and n0 = ``_ITP_N0`` = 4:
+    the secant point of the bracket's values, moved toward the midpoint by
+    0.1 w^2 on a bracket w wide and held half the tolerance in from either
+    end, then kept close enough to the midpoint that after j steps the
+    bracket is at most as wide as bisection's after j - 4.  So it stops at
+    most four steps after bisection would, and on a smooth value far
+    sooner.  On a value flat at one end the secant stays one-sided: a slack
+    of one step is spent in its first few steps, leaving midpoints, where
+    four keep the secant going.  When an end's value is not finite the
+    step is the midpoint.  Both returned ends are points that were
+    evaluated; once the step and ``sqrt(lo * hi)`` both round onto an end,
+    the bracket is returned as it is.
     """
-    reach = math.log(hi) - math.log(lo)  # the widest the bracket may be after this step
+    # the widest the bracket may be after this step: bisection's width n0 steps back
+    reach = (math.log(hi) - math.log(lo)) * 2.0 ** (_ITP_N0 - 1)
     margin = 0.5 * math.log1p(tol)
     while hi / lo >= 1.0 + tol:
         a, b = math.log(lo), math.log(hi)

@@ -133,12 +133,18 @@ def _calibrate_noise_scale(world: World, kernel, values, eps_target: float, delt
                            bins: int) -> float:
     """Scale the noise of ``kernel(values, scale, bins)`` so the worst-pair
     tight epsilon at ``delta`` hits ``eps_target``; a target the bounds do
-    not reach is refused.  Epsilon decreases in the scale, so the root
-    finder's bracket ends at the least scale found with epsilon <=
-    ``eps_target``, within a factor 1 + 1e-12 of one without."""
+    not reach is refused.  The root finder reads log(delta reached / delta),
+    the worst pair's hockey-stick delta at ``eps_target`` (-inf where it is
+    0): tight epsilon <= ``eps_target`` exactly when that delta <= ``delta``,
+    and the sum costs no sort.  It decreases in the scale, so the bracket
+    ends at the least scale found within ``delta``, within a factor
+    1 + 1e-12 of one without, on the route ``audit`` reads."""
     def excess(scale):
         mech = kernel(values, scale, bins)
-        return effective_kernel(world, mech).worst(world, delta=delta).value - eps_target
+        reached = effective_kernel(world, mech).worst(world, eps=eps_target).value
+        if reached == 0.0:
+            return -math.inf
+        return math.log(reached / delta) if delta > 0.0 else math.inf
 
     lo, hi = SCALE_BOUNDS
     v_lo, v_hi = excess(lo), excess(hi)

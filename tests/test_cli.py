@@ -2,6 +2,8 @@ import json
 import math
 import os
 import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
@@ -464,6 +466,35 @@ def test_repeated_kernels_print_the_dense_route_numbers(capsys):
         certified = want["feasibility"] <= 1e-6 and want["direct_check_delta"] <= delta_g + 1e-6
         assert payload["certified"] == certified
         assert code == (0 if certified else 1)
+
+
+def readme_usage_lines() -> list[str]:
+    """The ``dcp`` lines of the README's command-line usage block."""
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```\n", 2)[1]
+    return [line for line in block.splitlines() if line.startswith("dcp ")]
+
+
+def test_readme_usage_lines_run(tmp_path, capsys):
+    # every usage line as printed, with its optional [...] parts dropped and
+    # then kept: a verdict (exit 0 or 1), and every file it names written
+    lines = readme_usage_lines()
+    assert len(lines) == 9
+    for line in lines:
+        for optional in (r"\[[^]]*\]", r"[][]"):
+            args = shlex.split(re.sub(optional, "", line), comments=True)[1:]
+            args = [MIXING if a == "M.json" else "coarse" if a == "NAME" else a for a in args]
+            written = []
+            for i, a in enumerate(args[:-1]):
+                if a in ("--out", "--svg"):
+                    args[i + 1] = str(tmp_path / f"{len(written)}-{args[i + 1]}")
+                    written.append(pathlib.Path(args[i + 1]))
+            capsys.readouterr()
+            assert main(args) in (0, 1), line
+            stdout = capsys.readouterr().out
+            assert all(path.stat().st_size > 0 for path in written), line
+            if "--out" not in args:
+                assert stdout.startswith("# dcp "), line
 
 
 # scipy's modules that cost more to import than any dcp call costs to run

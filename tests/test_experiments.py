@@ -5,6 +5,8 @@ import pathlib
 import numpy as np
 import pytest
 
+from dcpkit import experiments, synth
+from dcpkit.divergence import monotone_root
 from dcpkit.experiments import (
     _QUERY_MAPS,
     COPULA_EPS_G,
@@ -76,6 +78,24 @@ def test_noise_calibration_returns_the_least_scale(kernel, bins):
             assert tight(s, values) <= target < tight(s / (1.0 + 1e-12), values)
 
 
+@pytest.mark.parametrize("kernel,bins", [(binned_gaussian_kernel, MECH_BINS),
+                                         (binned_laplace_kernel, 3 * MECH_BINS)])
+@pytest.mark.parametrize("delta", [0.02, 0.0])
+def test_noise_calibration_meets_delta_at_the_target(kernel, bins, delta):
+    # the same scales on the route the root finder reads and ``audit`` reads
+    # back: delta(s) <= delta < delta(s / (1 + 1e-12)) at the target epsilon;
+    # at delta = 0 every value is +-inf and each step bisects
+    world = mixing_world(LAM)
+
+    def reached(scale, values, target):
+        return effective_kernel(world, kernel(values, scale, bins)).worst(world, eps=target).value
+
+    for values in _QUERY_MAPS:
+        for target in (0.05, 0.18, 0.6, 1.0, 3.0):
+            s = _calibrate_noise_scale(world, kernel, values, target, delta, bins)
+            assert reached(s, values, target) <= delta < reached(s / (1.0 + 1e-12), values, target)
+
+
 @pytest.mark.parametrize("kernel", [binned_gaussian_kernel, binned_laplace_kernel])
 def test_noise_calibration_refuses_an_unreachable_target(kernel):
     # the copula experiment's first Laplace marginal at eps_i = 50: even the
@@ -83,6 +103,38 @@ def test_noise_calibration_refuses_an_unreachable_target(kernel):
     world = mixing_world(0.005)
     with pytest.raises(ValueError, match="outside the reachable range"):
         _calibrate_noise_scale(world, kernel, (0.0, 1.0, 0.0, 1.0), 50.0, 0.02, 21)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_default_grids_stay_inside_the_budget(seed):
+    # no slack: the single mechanism is calibrated on the delta its audit
+    # reads, and every fill the budget admits keeps the composition inside it
+    for run in (run_independent_experiment, run_copula_experiment):
+        for r in run(seed=seed).rows:
+            assert r.single_delta <= r.delta_g, (run.__name__, r.eps_g)
+            if "fill-infeasible" not in r.ic_flag:
+                assert r.composed_delta <= r.delta_g, (run.__name__, r.eps_g)
+
+
+def test_root_finder_evaluations_on_the_default_grids(monkeypatch):
+    # every calibration of both default grids, flat-ended fills included,
+    # within 20 evaluations (bisection takes 44 on a scale, 34 on eps_c)
+    counts = []
+
+    def counted(value, *args, **kwargs):
+        counts.append(0)
+
+        def tally(x):
+            counts[-1] += 1
+            return value(x)
+        return monotone_root(tally, *args, **kwargs)
+
+    for module in (synth, experiments):
+        monkeypatch.setattr(module, "monotone_root", counted)
+    run_independent_experiment(seed=0)
+    run_copula_experiment(seed=0)
+    assert len(counts) == 66
+    assert max(counts) <= 20 and sum(counts) <= 858
 
 
 def test_mismatched_grids_rejected():
