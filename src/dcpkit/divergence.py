@@ -65,6 +65,11 @@ class DistPair:
         """``LossProfile(self)``, built once and kept."""
         return LossProfile(self)
 
+    @cached_property
+    def table(self) -> LossTable:
+        """``LossTable(self)``, built once and kept."""
+        return LossTable(self)
+
 
 def _keep_live(pair: DistPair, p: np.ndarray, q: np.ndarray) -> DistPair:
     """Set ``pair`` to checked, clipped ``p``, ``q`` less their dead outcomes."""
@@ -134,6 +139,44 @@ class LossProfile:
         b = float((self.masses[j:] * np.exp(-self.losses[j:])).sum())
         eps = math.log((a - delta) / b)
         return float(max(eps, 0.0))
+
+
+class LossTable:
+    """Every finite loss log(p/q) of one pair, ascending, with the p- and
+    q-mass from each loss on (``p_from``, ``q_from``, a 0 past the last),
+    and its p-mass at +inf: the pair's profile at any eps, negative ones
+    too, in one lookup."""
+
+    def __init__(self, pair: DistPair):
+        p, q = pair.p, pair.q
+        both = (p > 0.0) & (q > 0.0)
+        losses = np.log(p[both]) - np.log(q[both])
+        order = np.argsort(losses, kind="stable")
+        self.losses = losses[order]
+        self.p_from, self.q_from = (
+            np.append(np.cumsum(v[both][order][::-1])[::-1], 0.0) for v in (p, q))
+        self.inf_mass = float(p[q == 0.0].sum())
+
+    def hockey_stick(self, a: np.ndarray, b: np.ndarray, eps: float) -> float:
+        """``hockey_stick`` at ``eps`` of this pair joined with (``a``, ``b``),
+        i.e. of (p_i a_k, q_i b_k) over the outcomes (i, k).  Outcome k adds
+        a_k times the pair's profile at eps - log(a_k / b_k) (Balle, Barthe &
+        Gaboardi 2018), which is 1 at b_k = 0: a_k (inf_mass + p_from[j]) -
+        e^eps b_k q_from[j], j the first loss above the shifted eps."""
+        if not math.isfinite(eps):
+            raise ValueError(f"eps must be finite, got {eps}")
+        live = a > 0.0
+        a, b = a[live], b[live]
+        with np.errstate(divide="ignore"):
+            j = np.searchsorted(self.losses, eps - (np.log(a) - np.log(b)), side="right")
+        bq = b * self.q_from[j]
+        try:
+            bq *= math.exp(eps)
+        except OverflowError:
+            # as in ``hockey_stick``: scale in the log domain, where bq = 0 stays 0
+            with np.errstate(divide="ignore"):
+                bq = np.exp(eps + np.log(bq))
+        return float(np.maximum(a * (self.inf_mass + self.p_from[j]) - bq, 0.0).sum())
 
 
 def optimal_epsilon(pair: DistPair, delta: float) -> float:
@@ -232,6 +275,16 @@ class Law:
         }
         first = max(values, key=values.__getitem__)
         return WorstPair(values[first], first, values)
+
+    def worst_joined(self, world: World, channel: np.ndarray, eps: float) -> float:
+        """``worst(world, eps=eps).value`` of ``join_per_secret(self.matrix,
+        channel)``, read off this law's pairs' loss tables: one check of the
+        per-secret ``channel`` and one lookup per channel output, where the
+        joined law would be built, checked and cut per pair."""
+        _check_rows_stochastic(channel, "per-secret channel")
+        rows = np.clip(channel, 0.0, None)
+        return max(self.pair(s0, s1).table.hockey_stick(rows[s0], rows[s1], eps)
+                   for s0, s1 in _adjacent_pairs(world))
 
     def check(self, world: World, eps: float, delta: float) -> DcpReport:
         """Certify this law at (eps, delta) over every adjacent secret pair:

@@ -20,8 +20,9 @@ from .copula import GaussianCopulaSpec, LaplaceMarginal, block_grid, mix_block_l
 from .divergence import monotone_root, worst_pair
 from .model import adjacency_labels, effective_kernel, join_per_secret
 from .synth import (
+    _LAPLACE,
     _calibrate_noise_scale,
-    binned_laplace_kernel,
+    _step_out,
     calibrate_alpha_fill,
     calibrate_gaussian_mechanism,
     mixing_world,
@@ -126,40 +127,43 @@ def run_copula_experiment(
     rows = []
     for j, (eps_g, eps_i) in enumerate(zip(eps_gs, eps_is)):
         f1, f2 = _QUERY_MAPS[0], _QUERY_MAPS[1]
-        xi1 = LaplaceMarginal(_calibrate_noise_scale(world, binned_laplace_kernel, f1, eps_i, delta,
-                                                     MECH_BINS * 3))
-        xi2 = LaplaceMarginal(_calibrate_noise_scale(world, binned_laplace_kernel, f2, eps_i, delta,
-                                                     MECH_BINS * 3))
+        xi1, xi2 = (LaplaceMarginal(_calibrate_noise_scale(world, _LAPLACE, f, eps_i, delta,
+                                                           MECH_BINS * 3)) for f in (f1, f2))
         others = [
             calibrate_gaussian_mechanism(world, fmap, eps_i, delta, bins=MECH_BINS, name=f"m{i}")
             for i, fmap in enumerate(_QUERY_MAPS[2:])
         ]
-        rest_law = composed_joint(world, others).matrix
+        rest = composed_joint(world, others)
         _, _, terms = block_grid(xi1, xi2, world, (f1, f2), bins=block_bins)
 
-        def law_at(eps_c):
+        def block_at(eps_c):
             spec = GaussianCopulaSpec(
                 rho=DEFAULT_RHO, eta=eta, eps_c=eps_c, delta_c=delta, w=w, xi1=xi1, xi2=xi2,
                 adjacency_labels=adjacency_labels(world),
             )
-            block = mix_block_law(spec, world, terms)
-            return join_per_secret(block, rest_law)
+            return mix_block_law(spec, world, terms)
 
         def overshoot(eps_c):
-            return worst_pair(world, law_at(eps_c), eps=eps_g).value - delta
+            law = join_per_secret(block_at(eps_c), rest.matrix)
+            return worst_pair(world, law, eps=eps_g).value - delta
 
+        # the root finder reads the worst delta off the loss tables of the
+        # other mechanisms' law; the ends and the fill are judged directly
         lo, hi = 1e-4, 64.0
         v_lo = overshoot(lo)
         if v_lo > 0.0:
-            law, eps_c, flag = law_at(lo), math.inf, "fill-infeasible"
+            eps_c, fill_at, flag = math.inf, lo, "fill-infeasible"
         else:
             v_hi = overshoot(hi)
             if v_hi <= 0.0:
-                lo = hi
+                fill_at = hi
             else:
-                lo, _ = monotone_root(overshoot, lo, hi, v_lo, v_hi, above=lambda v: v > 0.0,
-                                      tol=1e-9)
-            eps_c, law, flag = lo, law_at(lo), "coupling-filled"
+                fill_at, _ = monotone_root(
+                    lambda e: rest.worst_joined(world, block_at(e), eps_g) - delta,
+                    lo, hi, v_lo, v_hi, above=lambda v: v > 0.0, tol=1e-9)
+                fill_at = _step_out(overshoot, fill_at, 1.0 / (1.0 + 1e-9), lo)
+            eps_c, flag = fill_at, "coupling-filled"
+        law = join_per_secret(block_at(fill_at), rest.matrix)
         rows.append(_audit_row(world, law, eps_g, eps_i, delta, flag, eps_c))
     return ExperimentResult(name="copula", seed=seed, rows=rows)
 

@@ -40,11 +40,17 @@ def _check_finite(mat: np.ndarray, what: str) -> None:
 
 
 def _check_rows_stochastic(mat: np.ndarray, what: str) -> None:
+    # two reductions pass every check below: a row sum within PROB_ATOL of 1
+    # is finite, which rules out NaN, +-inf and an overflowing sum, and NaN
+    # fails both comparisons
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = mat.sum(axis=1)
+    if mat.size and mat.min() >= -PROB_ATOL and (np.abs(sums - 1.0) <= PROB_ATOL).all():
+        return
     _check_finite(mat, what)
     if np.any(mat < -PROB_ATOL):
         i, j = np.argwhere(mat < -PROB_ATOL)[0]
         raise ModelError(f"{what}: negative entry at row {i}, col {j}: {mat[i, j]}")
-    sums = mat.sum(axis=1)
     bad = np.where(np.abs(sums - 1.0) > PROB_ATOL)[0]
     if bad.size:
         raise ModelError(f"{what}: row {bad[0]} sums to {sums[bad[0]]}, not 1")

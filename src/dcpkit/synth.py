@@ -8,8 +8,9 @@ import math
 import numpy as np
 from scipy import special
 
-from .divergence import monotone_root, worst_pair
-from .model import MechanismKernel, World, default_adjacency, effective_kernel, is_invertible, join_per_secret
+from .divergence import Law, monotone_root, worst_pair
+from .model import (MechanismKernel, ModelError, World, _check_rows_stochastic, default_adjacency,
+                    is_invertible, join_per_secret, mix_kernel)
 
 # the bracket of every noise-scale calibration and of the secret-channel fill
 SCALE_BOUNDS = (1e-3, 1e4)
@@ -102,9 +103,13 @@ def _binned_noise(values, scale: float, bins: int, span: float, cdf) -> np.ndarr
     ``bins`` cells to ``span`` scales past them.  Edge cells absorb the
     tails so every row is exactly stochastic."""
     values = np.asarray(values, dtype=float)
-    edges = np.linspace(values.min() - span * scale, values.max() + span * scale, bins + 1)
-    cdf = cdf((edges[None, :] - values[:, None]) / scale)
-    rows = np.diff(cdf, axis=1)
+    lo, hi = values.min() - span * scale, values.max() + span * scale
+    # np.linspace(lo, hi, bins + 1) operation for operation, as its step is
+    # not 0 for a scale that is not subnormal
+    edges = np.arange(bins + 1.0) * ((hi - lo) / bins) + lo
+    edges[-1] = hi
+    cdf = cdf((edges - values[:, None]) / scale)
+    rows = cdf[:, 1:] - cdf[:, :-1]
     rows[:, 0] += cdf[:, 0]
     rows[:, -1] += 1.0 - cdf[:, -1]
     return rows
@@ -116,32 +121,44 @@ def _laplace_cdf(x):
     return np.where(x > 0, 1.0 - e, e)
 
 
+# the noise families as (span in scales past the values, standard CDF)
+_GAUSSIAN = (6.0, special.ndtr)
+_LAPLACE = (8.0, _laplace_cdf)
+
+
 def binned_gaussian_kernel(values, sigma: float, bins: int = 33,
                            name: str = "gauss") -> MechanismKernel:
     """Additive Gaussian noise on per-dataset query values, binned to 6 sigmas past them."""
-    rows = _binned_noise(values, sigma, bins, 6.0, special.ndtr)
+    rows = _binned_noise(values, sigma, bins, *_GAUSSIAN)
     return MechanismKernel(name, tuple(f"b{i}" for i in range(bins)), rows)
 
 
 def binned_laplace_kernel(values, scale: float, bins: int = 33,
                           name: str = "laplace") -> MechanismKernel:
-    rows = _binned_noise(values, scale, bins, 8.0, _laplace_cdf)
+    rows = _binned_noise(values, scale, bins, *_LAPLACE)
     return MechanismKernel(name, tuple(f"b{i}" for i in range(bins)), rows)
 
 
-def _calibrate_noise_scale(world: World, kernel, values, eps_target: float, delta: float,
+def _calibrate_noise_scale(world: World, noise, values, eps_target: float, delta: float,
                            bins: int) -> float:
-    """Scale the noise of ``kernel(values, scale, bins)`` so the worst-pair
-    tight epsilon at ``delta`` hits ``eps_target``; a target the bounds do
-    not reach is refused.  The root finder reads log(delta reached / delta),
-    the worst pair's hockey-stick delta at ``eps_target`` (-inf where it is
-    0): tight epsilon <= ``eps_target`` exactly when that delta <= ``delta``,
-    and the sum costs no sort.  It decreases in the scale, so the bracket
-    ends at the least scale found within ``delta``, within a factor
-    1 + 1e-12 of one without, on the route ``audit`` reads."""
+    """Scale the binned noise ``noise`` (``_GAUSSIAN`` or ``_LAPLACE``) on
+    ``values`` so the worst-pair tight epsilon at ``delta`` hits
+    ``eps_target``; a target the bounds do not reach is refused.  The root
+    finder reads log(delta reached / delta), the worst pair's hockey-stick
+    delta at ``eps_target`` (-inf where it is 0): tight epsilon <=
+    ``eps_target`` exactly when that delta <= ``delta``, and the sum costs
+    no sort.  It decreases in the scale, so the bracket ends at the least
+    scale found within ``delta``, within a factor 1 + 1e-12 of one without,
+    on the route ``audit`` reads.  A step checks and mixes the binned rows,
+    the law ``effective_kernel`` gives that kernel's mechanism, bit for bit."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (len(world.datasets),):
+        raise ModelError(f"{values.size} query values, world has {len(world.datasets)} datasets")
+
     def excess(scale):
-        mech = kernel(values, scale, bins)
-        reached = effective_kernel(world, mech).worst(world, eps=eps_target).value
+        rows = _binned_noise(values, scale, bins, *noise)
+        _check_rows_stochastic(rows, "binned noise kernel")
+        reached = Law(mix_kernel(world, rows)).worst(world, eps=eps_target).value
         if reached == 0.0:
             return -math.inf
         return math.log(reached / delta) if delta > 0.0 else math.inf
@@ -159,7 +176,7 @@ def calibrate_gaussian_mechanism(
     bins: int = 33, name: str = "gauss",
 ) -> MechanismKernel:
     """The binned Gaussian mechanism whose worst-pair tight epsilon at ``delta`` is ``eps_target``."""
-    sigma = _calibrate_noise_scale(world, binned_gaussian_kernel, values, eps_target, delta, bins)
+    sigma = _calibrate_noise_scale(world, _GAUSSIAN, values, eps_target, delta, bins)
     return binned_gaussian_kernel(values, sigma, bins, name=name)
 
 
@@ -167,6 +184,14 @@ def secret_gaussian_channel(eta, sigma: float, bins: int = 33) -> np.ndarray:
     """Row-stochastic secret-to-output kernel: binned Gaussian around eta(s)."""
     kern = binned_gaussian_kernel(eta, sigma, bins, name="alpha")
     return np.asarray(kern.kernel)
+
+
+def _step_out(direct, x: float, factor: float, end: float) -> float:
+    """The direct route's last word on a fill: ``x`` moved by ``factor``
+    toward ``end``, where ``direct`` reads <= 0, until it reads <= 0 at ``x``."""
+    while x != end and direct(x) > 0.0:
+        x = min(x * factor, end) if factor > 1.0 else max(x * factor, end)
+    return x
 
 
 def calibrate_alpha_fill(
@@ -180,21 +205,29 @@ def calibrate_alpha_fill(
     """Most informative secret-channel fill that keeps the full composition
     inside (eps_g, delta_g) by the direct divergence check.
 
-    ``base_law`` is the composed per-secret law of the existing mechanisms;
-    returns (alpha, sigma); sigma = inf means even the widest channel in
-    bounds cannot be certified.
+    ``base_law`` is the composed per-secret law of the existing mechanisms
+    (an array or its ``Law``); returns (alpha, sigma); sigma = inf means
+    even the widest channel in bounds cannot be certified.  The root finder
+    reads the joined law's worst delta off ``base_law``'s loss tables
+    (``Law.worst_joined``); the bracket's ends and the returned scale are
+    judged on the joined law itself.
     """
-    def excess(sigma):
-        alpha = secret_gaussian_channel(eta, sigma, bins)
-        law = join_per_secret(base_law, alpha)
+    base = Law.of(base_law)
+
+    def direct(sigma):
+        law = join_per_secret(base.matrix, secret_gaussian_channel(eta, sigma, bins))
         return worst_pair(world, law, eps=eps_g).value - delta_g
 
+    def excess(sigma):
+        return base.worst_joined(world, _binned_noise(eta, sigma, bins, *_GAUSSIAN), eps_g) - delta_g
+
     lo, hi = SCALE_BOUNDS
-    v_hi = excess(hi)
+    v_hi = direct(hi)
     if v_hi > 0.0:
         return secret_gaussian_channel(eta, hi, bins), math.inf
-    v_lo = excess(lo)
+    v_lo = direct(lo)
     if v_lo <= 0.0:
         return secret_gaussian_channel(eta, lo, bins), lo
-    _, hi = monotone_root(excess, lo, hi, v_lo, v_hi, above=lambda v: v <= 0.0, tol=1e-12)
-    return secret_gaussian_channel(eta, hi, bins), hi
+    _, sigma = monotone_root(excess, lo, hi, v_lo, v_hi, above=lambda v: v <= 0.0, tol=1e-12)
+    sigma = _step_out(direct, sigma, 1.0 + 1e-12, hi)
+    return secret_gaussian_channel(eta, sigma, bins), sigma

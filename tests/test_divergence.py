@@ -23,7 +23,7 @@ from dcpkit.divergence import (
     tradeoff_curve,
     worst_pair,
 )
-from dcpkit.model import MechanismKernel, World, default_adjacency
+from dcpkit.model import MechanismKernel, World, default_adjacency, join_per_secret
 from dcpkit.synth import mixing_world
 
 RR = DistPair(np.array([0.75, 0.25]), np.array([0.25, 0.75]))
@@ -438,6 +438,49 @@ def test_a_pair_keeps_its_loss_profile():
         for delta in (0.0, 1e-3, 0.05, 0.3, 1.0, fresh.delta0, fresh.inf_mass, *fresh.deltas):
             delta = float(min(max(delta, 0.0), 1.0))
             assert optimal_epsilon(pair, delta).hex() == fresh.epsilon(delta).hex()
+
+
+def test_loss_table_reads_the_joined_laws_worst_delta():
+    # the worst delta of join_per_secret(base, channel) off base's loss
+    # tables equals the direct route's on the joined law: zero cells on one
+    # or both rows, tied losses, a channel output with zero on one side
+    # (the profile at -inf), shifted eps below 0 and past every loss
+    rng = np.random.default_rng(29)
+    seen = dict.fromkeys(("both_zero", "one_zero", "ties", "one_sided_channel",
+                          "negative_shift", "past_every_loss"), 0)
+    for _ in range(400):
+        n_secrets = int(rng.integers(2, 5))
+        # small integer weights give zero cells and tied losses
+        base = rng.integers(0, 4, size=(n_secrets, int(rng.integers(1, 9)))).astype(float)
+        channel = rng.integers(0, 3, size=(n_secrets, int(rng.integers(1, 5)))).astype(float)
+        base[:, 0] += base.sum(axis=1) == 0.0
+        channel[:, 0] += channel.sum(axis=1) == 0.0
+        base /= base.sum(axis=1, keepdims=True)
+        channel /= channel.sum(axis=1, keepdims=True)
+        world = World(tuple(f"s{i}" for i in range(n_secrets)), ("x0",),
+                      np.full((n_secrets, 1), 1.0 / n_secrets),
+                      frozenset((a, b) for a in range(n_secrets) for b in range(n_secrets) if a != b))
+        law = Law(base)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            losses = np.log(base[:, None, :]) - np.log(base[None, :, :])
+            shifts = np.log(channel[:, None, :]) - np.log(channel[None, :, :])
+        finite = losses[np.isfinite(losses)]
+        top = float(finite.max()) + float(np.nan_to_num(shifts, posinf=0.0, neginf=0.0).max())
+        # 800: e^eps is past the float range
+        for eps in (0.0, float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 3.0)), top + 0.5, 800.0):
+            want = worst_pair(world, join_per_secret(base, channel), eps=eps).value
+            got = law.worst_joined(world, channel, eps)
+            assert abs(got - want) <= max(1e-12 * abs(want), 1e-15), (base, channel, eps)
+            seen["negative_shift"] += bool((eps - shifts[np.isfinite(shifts)] < 0.0).any())
+            seen["past_every_loss"] += eps > top
+        zeros = base == 0.0
+        seen["both_zero"] += bool((zeros[:, None, :] & zeros[None, :, :]).any())
+        seen["one_zero"] += bool((zeros[:, None, :] != zeros[None, :, :]).any())
+        seen["ties"] += any(np.unique(row[np.isfinite(row)]).size < np.isfinite(row).sum()
+                            for a, rows in enumerate(losses) for b, row in enumerate(rows) if a != b)
+        czeros = channel == 0.0
+        seen["one_sided_channel"] += bool((czeros[:, None, :] != czeros[None, :, :]).any())
+    assert min(seen.values()) >= 20, seen
 
 
 def test_loss_profile_equals_one_piece_optimal_epsilon():

@@ -1,12 +1,13 @@
 import dataclasses
 import json
+import math
 import pathlib
 
 import numpy as np
 import pytest
 
 from dcpkit import experiments, synth
-from dcpkit.divergence import monotone_root
+from dcpkit.divergence import LossTable, monotone_root
 from dcpkit.experiments import (
     _QUERY_MAPS,
     COPULA_EPS_G,
@@ -20,11 +21,16 @@ from dcpkit.experiments import (
 )
 from dcpkit.model import effective_kernel
 from dcpkit.synth import (
+    _GAUSSIAN,
+    _LAPLACE,
     _calibrate_noise_scale,
     binned_gaussian_kernel,
     binned_laplace_kernel,
     mixing_world,
 )
+
+# each kernel builder's noise family, as ``_calibrate_noise_scale`` takes it
+NOISE = {binned_gaussian_kernel: _GAUSSIAN, binned_laplace_kernel: _LAPLACE}
 
 
 def test_default_grids():
@@ -74,7 +80,7 @@ def test_noise_calibration_returns_the_least_scale(kernel, bins):
 
     for values in _QUERY_MAPS:
         for target in (0.05, 0.18, 0.6, 1.0, 3.0):
-            s = _calibrate_noise_scale(world, kernel, values, target, 0.02, bins)
+            s = _calibrate_noise_scale(world, NOISE[kernel], values, target, 0.02, bins)
             assert tight(s, values) <= target < tight(s / (1.0 + 1e-12), values)
 
 
@@ -92,8 +98,40 @@ def test_noise_calibration_meets_delta_at_the_target(kernel, bins, delta):
 
     for values in _QUERY_MAPS:
         for target in (0.05, 0.18, 0.6, 1.0, 3.0):
-            s = _calibrate_noise_scale(world, kernel, values, target, delta, bins)
+            s = _calibrate_noise_scale(world, NOISE[kernel], values, target, delta, bins)
             assert reached(s, values, target) <= delta < reached(s / (1.0 + 1e-12), values, target)
+
+
+@pytest.mark.parametrize("kernel,bins", [(binned_gaussian_kernel, MECH_BINS),
+                                         (binned_laplace_kernel, 3 * MECH_BINS)])
+def test_noise_scale_step_equals_the_mechanisms_law_bit_for_bit(monkeypatch, kernel, bins):
+    # a step mixes and checks the binned rows without building the mechanism,
+    # its labels or its effective kernel, and reads the very same value
+    world, target, delta = mixing_world(LAM), 0.6, 0.02
+    steps = []
+    monkeypatch.setattr(synth, "monotone_root", lambda value, lo, hi, *a, **k: steps.append(value) or (lo, hi))
+    for values in _QUERY_MAPS:
+        _calibrate_noise_scale(world, NOISE[kernel], values, target, delta, bins)
+        step = steps[-1]
+        for sigma in np.geomspace(1e-3, 1e4, 200):
+            reached = effective_kernel(world, kernel(values, sigma, bins)).worst(world, eps=target).value
+            want = -math.inf if reached == 0.0 else math.log(reached / delta)
+            assert step(sigma).hex() == want.hex(), (values, sigma)
+
+
+@pytest.mark.parametrize("noise", [_GAUSSIAN, _LAPLACE])
+def test_binned_noise_is_the_linspace_and_diff_form_bit_for_bit(noise):
+    span, cdf = noise
+    for values in _QUERY_MAPS:
+        values = np.asarray(values)
+        for scale in np.geomspace(1e-3, 1e4, 200):
+            for bins in (MECH_BINS, 9, 3 * MECH_BINS, 33):
+                edges = np.linspace(values.min() - span * scale, values.max() + span * scale, bins + 1)
+                want = cdf((edges[None, :] - values[:, None]) / scale)
+                rows = np.diff(want, axis=1)
+                rows[:, 0] += want[:, 0]
+                rows[:, -1] += 1.0 - want[:, -1]
+                assert rows.tobytes() == synth._binned_noise(values, scale, bins, span, cdf).tobytes()
 
 
 @pytest.mark.parametrize("kernel", [binned_gaussian_kernel, binned_laplace_kernel])
@@ -102,7 +140,7 @@ def test_noise_calibration_refuses_an_unreachable_target(kernel):
     # least noise in the bracket stays below the target, so no scale hits it
     world = mixing_world(0.005)
     with pytest.raises(ValueError, match="outside the reachable range"):
-        _calibrate_noise_scale(world, kernel, (0.0, 1.0, 0.0, 1.0), 50.0, 0.02, 21)
+        _calibrate_noise_scale(world, NOISE[kernel], (0.0, 1.0, 0.0, 1.0), 50.0, 0.02, 21)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -135,6 +173,29 @@ def test_root_finder_evaluations_on_the_default_grids(monkeypatch):
     run_copula_experiment(seed=0)
     assert len(counts) == 66
     assert max(counts) <= 20 and sum(counts) <= 858
+
+
+@pytest.mark.parametrize("run,eps_g,eps_i,shrink", [(run_independent_experiment, 5.0, 1.0, 1e-12),
+                                                     (run_copula_experiment, 1.0, 0.18, 1e-8)])
+def test_the_direct_route_has_the_last_word_on_a_fill(monkeypatch, run, eps_g, eps_i, shrink):
+    # loss-table reads a little below the joined law's delta end the root
+    # finder where the law itself is over budget: the fill steps outward
+    # until the direct route passes it, and the row stays inside the budget
+    read = LossTable.hockey_stick
+    monkeypatch.setattr(LossTable, "hockey_stick",
+                        lambda self, a, b, eps: read(self, a, b, eps) * (1.0 - shrink))
+    moved, original = [], synth._step_out
+
+    def step_out(direct, x, factor, end):
+        passed = original(direct, x, factor, end)
+        moved.append(passed != x)
+        return passed
+
+    for module in (synth, experiments):
+        monkeypatch.setattr(module, "_step_out", step_out)
+    (row,) = run(eps_gs=(eps_g,), eps_is=(eps_i,)).rows
+    assert moved == [True]
+    assert row.composed_delta <= row.delta_g
 
 
 def test_mismatched_grids_rejected():

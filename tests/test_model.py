@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from dcpkit.config import PROB_ATOL
 from dcpkit.model import (
+    _check_rows_stochastic,
     DependenceGroup,
     MechanismKernel,
     ModelError,
@@ -91,6 +93,28 @@ def test_effective_kernel_mixture_value():
     eff = effective_kernel(world, mech)
     assert np.allclose(eff.matrix[0], expected, atol=1e-15)
     assert np.allclose(eff.matrix[0], [0.41, 0.59])
+
+
+@pytest.mark.parametrize("rows,message", [
+    ([[0.5, np.nan]], "non-finite entry at row 0, col 1: nan"),
+    ([[0.5, 0.5], [np.inf, 0.0]], "non-finite entry at row 1, col 0: inf"),
+    ([[0.5, 0.5], [1.0, -np.inf]], "non-finite entry at row 1, col 1: -inf"),
+    ([[1.0, -np.inf, np.inf]], "non-finite entry at row 0, col 1: -inf"),
+    ([[0.5, 0.5 + 2 * PROB_ATOL, -2 * PROB_ATOL]], f"negative entry at row 0, col 2: {-2 * PROB_ATOL}"),
+    ([[0.5, 0.5], [0.5, 0.5 + 2 * PROB_ATOL]], f"row 1 sums to {0.5 + (0.5 + 2 * PROB_ATOL)}, not 1"),
+    ([[1e308, 1e308, 0.0]], "row 0 sums to inf, not 1"),
+])
+def test_rows_stochastic_check_names_the_first_fault(rows, message):
+    # the two-reduction pass lets none of these through, and the checks
+    # behind it name the fault word for word
+    with pytest.raises(ModelError) as err:
+        _check_rows_stochastic(np.array(rows), "m")
+    assert str(err.value) == f"m: {message}"
+
+
+def test_rows_stochastic_check_passes_exact_rows_and_negative_zeros():
+    _check_rows_stochastic(np.array([[1.0, 0.0], [0.25, 0.75]]), "m")
+    _check_rows_stochastic(np.array([[1.0, -0.0], [-0.0, 1.0]]), "m")
 
 
 def test_effective_kernel_rows_sum_to_one():
