@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import DistPair, Law, _np_run
+from .divergence import DistPair, Law
 from .model import World
 
 
@@ -35,9 +35,9 @@ class RocCurve:
 
 def lr_attack_roc(pair: DistPair) -> RocCurve:
     """ROC of the likelihood-ratio attacker distinguishing p from q: the
-    Neyman-Pearson sweep with the two sides swapped, read off the sort of
-    ``pair.swapped()``, which its trade-off curve shares."""
-    fpr, tpr = _np_run(*pair.swapped().steps, 0.0)
+    Neyman-Pearson sweep with the two sides swapped, read off the profile
+    of ``pair.swapped()``: the pair's own loss order, reversed."""
+    fpr, tpr = pair.swapped().profile.sweep(0.0)
     auc = float(np.trapezoid(tpr, fpr))
     flipped = False
     if auc < 0.5:
@@ -72,8 +72,8 @@ def _worst_roc(world: World, law: Law) -> tuple[RocCurve, tuple[int, int]]:
     (s1, s0) are equal in exact arithmetic, so each adjacent pair (the
     adjacency is symmetric) is scored once, as (s0, s1) with s0 < s1, and
     rounding cannot pick which orientation is named.  The ROC of pair
-    (s0, s1) reads the law's sort of pair (s1, s0), which the trade-off
-    curves of the same law and ``tradeoff_dominance`` share."""
+    (s0, s1) reads the one loss order of the law's pair, which its trade-off
+    curves, tight epsilons and ``tradeoff_dominance`` share."""
     candidates = [(s0, s1) for s0, s1 in sorted(world.adjacency) if s0 < s1]
     if not candidates:
         raise ValueError("no adjacent pairs to audit")

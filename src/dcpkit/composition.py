@@ -27,7 +27,7 @@ class Composition:
     on first use: the composed ``joint`` (rows secrets, columns the product
     alphabet in C order over the mechanisms' outputs), the effective
     kernels ``effs`` and each group's members and effective joint.  Each
-    pair of a law keeps its sort and its loss profile once asked for.
+    pair of a law and its twin share one ``LossProfile``, sorted once.
 
     ``lumped`` is the joint on the type ``classes`` (``model.type_classes``):
     ungrouped mechanisms with bitwise-equal kernels share one atom per
@@ -300,22 +300,21 @@ def tradeoff_dominance(
 ) -> dict:
     """Compare the composed trade-off curve against the product curve.
 
-    Evaluates both type-II error curves on the merged grid of type-I
-    levels; ``max_violation`` is the largest amount the composed curve sits
-    above the product curve (the composed setup being *less* informative
-    there, which redundant mechanisms do produce), ``max_gap`` the largest
-    amount it sits below.
+    Each curve is evaluated at the other's vertices, where the difference
+    of two piecewise-linear curves peaks; ``max_violation`` is the largest
+    amount the composed curve sits above the product curve (the composed
+    setup being *less* informative there, which redundant mechanisms do
+    produce), ``max_gap`` the largest amount it sits below.
     """
     pairs = _adjacent_pairs(world)
     value = Composition.of(world, mechs, dependence)
     worst_violation, worst_gap, worst_at = -math.inf, 0.0, None
     for (s0, s1) in pairs:
-        joint_curve = tradeoff_curve(value.lumped.pair(s0, s1))
-        prod_curve = tradeoff_curve(value.lumped_product.pair(s0, s1))
-        grid = np.union1d(joint_curve.alphas, prod_curve.alphas)
-        diff = joint_curve.beta(grid) - prod_curve.beta(grid)
-        violation = float(diff.max())
-        gap = float(-diff.min())
+        joint = tradeoff_curve(value.lumped.pair(s0, s1))
+        prod = tradeoff_curve(value.lumped_product.pair(s0, s1))
+        diffs = (joint.betas - prod.beta(joint.alphas), joint.beta(prod.alphas) - prod.betas)
+        violation = max(float(d.max()) for d in diffs)
+        gap = -min(float(d.min()) for d in diffs)
         if violation > worst_violation:
             worst_violation, worst_at = violation, (s0, s1)
         worst_gap = max(worst_gap, gap)

@@ -15,13 +15,12 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-from scipy import special
 
 from .composition import dp_optcomp
 from .divergence import DistPair
 from .model import World, check_cap
 from .pld import Pld, pld_from_pair
-from .synth import _binned_noise, _laplace_cdf
+from .synth import _binned_noise, _laplace_cdf, _special
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _LOG_SQRT2PI = float(np.log(_SQRT2PI))
@@ -87,10 +86,10 @@ class GaussianMarginal(_LocationScaleMarginal):
         super().__init__(sigma, loc)
 
     def cdf(self, v):
-        return special.ndtr(self._standard(v))
+        return _special().ndtr(self._standard(v))
 
     def ppf(self, u):
-        return special.ndtri(u) * self.scale + self.loc
+        return _special().ndtri(u) * self.scale + self.loc
 
     def pdf(self, v):
         y = self._standard(v)
@@ -280,15 +279,15 @@ def bivariate_gaussian_cdf(a: float, b: float, rho: float) -> float:
     from scipy import integrate  # only this quadrature needs it: kept off dcp's start-up
 
     if math.isinf(a) and a > 0:
-        return float(special.ndtr(b))
+        return float(_special().ndtr(b))
     if math.isinf(b) and b > 0:
-        return float(special.ndtr(a))
+        return float(_special().ndtr(a))
     if (math.isinf(a) and a < 0) or (math.isinf(b) and b < 0):
         return 0.0
     root = math.sqrt(1.0 - rho * rho)
 
     def integrand(z):
-        return math.exp(-0.5 * z * z) / _SQRT2PI * special.ndtr((b - rho * z) / root)
+        return math.exp(-0.5 * z * z) / _SQRT2PI * _special().ndtr((b - rho * z) / root)
 
     val, _ = integrate.quad(integrand, -np.inf, a, epsabs=1e-12, epsrel=1e-12, limit=200)
     return float(min(max(val, 0.0), 1.0))
@@ -310,9 +309,9 @@ def psedr_map(spec: GaussianCopulaSpec, state: str, z1, z2):
     sd2 = math.sqrt(spec.rho**2 * v + (1.0 - spec.rho**2))
     z1 = np.asarray(z1, dtype=float)
     z2 = np.asarray(z2, dtype=float)
-    u1 = special.ndtr((z1 - eta) / sd1)
+    u1 = _special().ndtr((z1 - eta) / sd1)
     zhat = spec.rho * z1 + math.sqrt(1.0 - spec.rho**2) * z2
-    u2 = special.ndtr((zhat - spec.rho * eta) / sd2)
+    u2 = _special().ndtr((zhat - spec.rho * eta) / sd2)
     return u1, u2, np.asarray(spec.xi1.ppf(u1)), np.asarray(spec.xi2.ppf(u2))
 
 
@@ -343,8 +342,8 @@ def copula_cdf(spec: GaussianCopulaSpec, v1: float, v2: float) -> float:
         if u1 == 1.0:
             return u2
         return u1
-    t1 = float(special.ndtri(u1))
-    t2 = float(special.ndtri(u2))
+    t1 = float(_special().ndtri(u1))
+    t2 = float(_special().ndtri(u2))
     return bivariate_gaussian_cdf(t1, t2, spec.effective_correlation)
 
 
@@ -374,7 +373,7 @@ def copula_plrv(
     eta1 = spec.eta_of(world.secrets[s1])
     if eta0 == eta1:
         return Pld.point(0.0)
-    p, q = _binned_noise((eta0, eta1), math.sqrt(spec.var1), bins, 8.0, special.ndtr)
+    p, q = _binned_noise((eta0, eta1), math.sqrt(spec.var1), bins, 8.0, _special().ndtr)
     return pld_from_pair(DistPair(p, q))
 
 
@@ -493,7 +492,7 @@ def _output_grid(xi, values: np.ndarray, bins: int) -> np.ndarray:
 
 def _normal_score(xi, v):
     """Standard normal quantile of the marginal CDF at ``v``, kept off 0 and 1."""
-    return special.ndtri(np.clip(xi.cdf(v), 1e-300, 1 - 1e-16))
+    return _special().ndtri(np.clip(xi.cdf(v), 1e-300, 1 - 1e-16))
 
 
 def block_grid(xi1, xi2, world: World, query_maps: tuple, bins: int = 17):

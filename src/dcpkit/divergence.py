@@ -4,12 +4,13 @@ Everything here works directly on probability vectors: the hockey-stick
 divergence, its inversion to the smallest feasible epsilon, certification of
 a mechanism against a world's adjacency, and Neyman-Pearson trade-off
 curves.  It also holds the three primitives every other layer builds on: the
-worst adjacent pair of a per-secret law (``worst_pair``), the
-likelihood-ratio sweep behind trade-off curves and attacker ROCs, and the
-bracketing root finder behind every calibration (``monotone_root``).  The
-privacy-loss-distribution route in ``dcpkit.pld`` computes the same
-quantities through loss atoms; the two routes stay independent so each can
-serve as the other's oracle.
+worst adjacent pair of a per-secret law (``worst_pair``), the one sort of a
+pair's losses behind its tight epsilon, trade-off curve, attacker ROC and
+joined delta, and its twin's (``LossProfile``), and the bracketing root
+finder behind every calibration (``monotone_root``).  The direct
+``hockey_stick`` and the privacy-loss-distribution route in ``dcpkit.pld``
+compute the same quantities without that sort; the routes stay independent
+so each can serve as the others' oracle.
 """
 
 from __future__ import annotations
@@ -56,19 +57,11 @@ class DistPair:
         return twin
 
     @cached_property
-    def steps(self) -> tuple[np.ndarray, np.ndarray]:
-        """``_np_steps(p, q)``, sorted once and kept."""
-        return _np_steps(self.p, self.q)
-
-    @cached_property
     def profile(self) -> LossProfile:
-        """``LossProfile(self)``, built once and kept."""
-        return LossProfile(self)
-
-    @cached_property
-    def table(self) -> LossTable:
-        """``LossTable(self)``, built once and kept."""
-        return LossTable(self)
+        """The pair's ``LossProfile``: its twin's, reversed, when the twin
+        has one, so a pair and its twin sort once between them."""
+        twin = self.swapped()
+        return twin.profile.reversed() if "profile" in twin.__dict__ else LossProfile(self)
 
 
 def _keep_live(pair: DistPair, p: np.ndarray, q: np.ndarray) -> DistPair:
@@ -94,33 +87,44 @@ def hockey_stick(pair: DistPair, eps: float) -> float:
 
 
 class LossProfile:
-    """The privacy profile of one pair, built once to be asked at many delta:
-    its p-mass at +inf, delta(0), and its positive losses merged and sorted,
-    with their masses and the profile at each (the breakpoints)."""
+    """The losses log p - log q of one pair in [-inf, +inf], ascending, equal
+    ones merged into a group with its p- and q-mass summed in outcome order:
+    the one order that the trade-off curve, ROC, tight epsilon and joined
+    delta of the pair read, and its twin reads reversed (``reversed``)
+    (Balle, Barthe & Gaboardi 2018; Dong, Roth & Su 2022).  The sums from
+    each group on are taken once asked for."""
 
     def __init__(self, pair: DistPair):
-        p, q = pair.p, pair.q
-        self.inf_mass = float(p[(q == 0.0) & (p > 0.0)].sum())
-        both = (p > 0.0) & (q > 0.0)
-        losses = np.log(p[both]) - np.log(q[both])
-        masses = p[both]
-        # only atoms with positive loss contribute for eps >= 0
-        pos = losses > 0.0
-        losses, masses = losses[pos], masses[pos]
-        self.delta0 = self.inf_mass + float((masses * (1.0 - np.exp(-losses))).sum())
-        # merge duplicate losses, sort ascending
-        order = np.argsort(losses)
-        losses, masses = losses[order], masses[order]
-        first = np.ones(losses.size, dtype=bool)
-        first[1:] = losses[1:] != losses[:-1]
-        uniq = losses[first]
-        umass = np.zeros_like(uniq)
-        np.add.at(umass, np.cumsum(first) - 1, masses)
-        # profile at each breakpoint: atoms strictly above it still contribute
-        strict_mass = np.concatenate([np.cumsum(umass[::-1])[::-1][1:], [0.0]])
-        strict_b = np.concatenate([np.cumsum((umass * np.exp(-uniq))[::-1])[::-1][1:], [0.0]])
-        self.losses, self.masses = uniq, umass
-        self.deltas = self.inf_mass + strict_mass - strict_b * np.exp(uniq)
+        self.losses, self.p_mass, self.q_mass = _np_steps(pair.p, pair.q)
+
+    def reversed(self) -> LossProfile:
+        """The profile of the pair (q, p) on these very group masses."""
+        twin = object.__new__(LossProfile)
+        twin.losses, twin.p_mass, twin.q_mass = -self.losses[::-1], self.q_mass[::-1], self.p_mass[::-1]
+        return twin
+
+    @property
+    def inf_mass(self) -> float:
+        """The p-mass at loss +inf, where q = 0."""
+        return float(self.p_mass[-1]) if self.losses[-1] == math.inf else 0.0
+
+    @cached_property
+    def _from(self) -> tuple[np.ndarray, np.ndarray]:
+        """The p- and q-mass of the groups from each one on, a 0 past the last."""
+        return tuple(np.append(np.cumsum(v[::-1])[::-1], 0.0) for v in (self.p_mass, self.q_mass))
+
+    @cached_property
+    def _breaks(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """The first group with a positive loss, the p- less the q-mass of
+        the groups from each positive one on (``gaps``, a 0 past the last;
+        delta(0) first), and the profile at each finite positive loss
+        (atoms strictly above it contribute), negated so that it ascends."""
+        p_from, q_from = self._from
+        first = int(np.searchsorted(self.losses, 0.0, side="right"))
+        end = self.losses.size - (self.losses[-1] == math.inf)
+        gaps = np.append(np.cumsum((self.p_mass[first:] - self.q_mass[first:])[::-1])[::-1], 0.0)
+        drops = np.exp(self.losses[first:end]) * q_from[first + 1:end + 1] - p_from[first + 1:end + 1]
+        return first, gaps, drops
 
     def epsilon(self, delta: float) -> float:
         """``optimal_epsilon`` of the pair at ``delta``."""
@@ -129,54 +133,62 @@ class LossProfile:
         # a positive +inf mass up to 4 ulps below delta still reads as above it,
         # so its last bit never decides between +inf and a finite epsilon; this
         # comes first, since delta(0) can equal the mass
-        if self.inf_mass > 0.0 and delta <= self.inf_mass + 4.0 * math.ulp(self.inf_mass):
+        inf_mass = self.inf_mass
+        if inf_mass > 0.0 and delta <= inf_mass + 4.0 * math.ulp(inf_mass):
             return math.inf
-        if self.delta0 <= delta:
+        first, gaps, drops = self._breaks
+        if gaps[0] <= delta:
             return 0.0
-        j = int(np.searchsorted(-self.deltas, -delta))  # first breakpoint with profile <= delta
-        # segment (l_{j-1}, l_j]: active atoms are those with loss >= l_j
-        a = self.inf_mass + float(self.masses[j:].sum())
-        b = float((self.masses[j:] * np.exp(-self.losses[j:])).sum())
-        eps = math.log((a - delta) / b)
+        k = int(np.searchsorted(drops, -delta))  # first breakpoint with profile <= delta
+        # segment (l_{j-1}, l_j], j = first + k: the atoms with loss >= l_j are
+        # active, with p-mass a and q-mass b, and eps = log((a - delta) / b).
+        # Below log 2 it is log1p((a - b - delta) / b), with a - b summed from
+        # p - q, which keeps a small eps accurate to its own size; above, the
+        # quotient is as accurate and log rounds closer than log1p
+        p_from, q_from = self._from
+        gap, b = gaps[k] - delta, q_from[first + k]
+        eps = math.log1p(gap / b) if gap < b else math.log((p_from[first + k] - delta) / b)
         return float(max(eps, 0.0))
 
+    def sweep(self, q_start: float) -> tuple[np.ndarray, np.ndarray]:
+        """Neyman-Pearson vertices (p_run, q_run) of the groups in this order.
 
-class LossTable:
-    """Every finite loss log(p/q) of one pair, ascending, with the p- and
-    q-mass from each loss on (``p_from``, ``q_from``, a 0 past the last),
-    and its p-mass at +inf: the pair's profile at any eps, negative ones
-    too, in one lookup."""
-
-    def __init__(self, pair: DistPair):
-        p, q = pair.p, pair.q
-        both = (p > 0.0) & (q > 0.0)
-        losses = np.log(p[both]) - np.log(q[both])
-        order = np.argsort(losses, kind="stable")
-        self.losses = losses[order]
-        self.p_from, self.q_from = (
-            np.append(np.cumsum(v[both][order][::-1])[::-1], 0.0) for v in (p, q))
-        self.inf_mass = float(p[q == 0.0].sum())
+        p_run is the p-mass taken so far, rising strictly from 0 to 1; q_run
+        starts at ``q_start`` and moves by each group's q-mass in sequence,
+        down from 1 (type-II error) or up from 0 (true-positive rate).  A
+        group without p-mass moves the vertex before it instead of adding one.
+        """
+        p_run = np.concatenate(([0.0], np.cumsum(self.p_mass)))
+        # step from q_start one group at a time (subtracting -q_mass adds them):
+        # 1 - cumsum would drift by up to 1e-14 on 1e5-outcome alphabets
+        q_run = np.subtract.accumulate(np.concatenate(([q_start], self.q_mass if q_start else -self.q_mass)))
+        vertex = np.concatenate(([True], p_run[1:] > p_run[:-1]))
+        ends = np.append(np.flatnonzero(vertex)[1:] - 1, p_run.size - 1)
+        p_run, q_run = p_run[vertex], np.maximum(q_run[ends], 0.0)
+        p_run[-1], q_run[-1] = 1.0, 1.0 - q_start
+        return p_run, q_run
 
     def hockey_stick(self, a: np.ndarray, b: np.ndarray, eps: float) -> float:
         """``hockey_stick`` at ``eps`` of this pair joined with (``a``, ``b``),
         i.e. of (p_i a_k, q_i b_k) over the outcomes (i, k).  Outcome k adds
         a_k times the pair's profile at eps - log(a_k / b_k) (Balle, Barthe &
-        Gaboardi 2018), which is 1 at b_k = 0: a_k (inf_mass + p_from[j]) -
-        e^eps b_k q_from[j], j the first loss above the shifted eps."""
+        Gaboardi 2018), which is 1 at b_k = 0: a_k p_from[j] - e^eps b_k
+        q_from[j], j the first group with a loss above the shifted eps."""
         if not math.isfinite(eps):
             raise ValueError(f"eps must be finite, got {eps}")
         live = a > 0.0
         a, b = a[live], b[live]
         with np.errstate(divide="ignore"):
             j = np.searchsorted(self.losses, eps - (np.log(a) - np.log(b)), side="right")
-        bq = b * self.q_from[j]
+        p_from, q_from = self._from
+        bq = b * q_from[j]
         try:
             bq *= math.exp(eps)
         except OverflowError:
             # as in ``hockey_stick``: scale in the log domain, where bq = 0 stays 0
             with np.errstate(divide="ignore"):
                 bq = np.exp(eps + np.log(bq))
-        return float(np.maximum(a * (self.inf_mass + self.p_from[j]) - bq, 0.0).sum())
+        return float(np.maximum(a * p_from[j] - bq, 0.0).sum())
 
 
 def optimal_epsilon(pair: DistPair, delta: float) -> float:
@@ -187,7 +199,7 @@ def optimal_epsilon(pair: DistPair, delta: float) -> float:
     positive and at most 4 ulps (of the mass) below delta: the pessimistic
     answer where one rounding of the mass would decide between +inf and a
     finite eps.  A zero mass never gives +inf.  Otherwise the answer is
-    found on the sorted log-ratio breakpoints by solving ``A - B e^eps =
+    found on the breakpoints of ``pair.profile`` by solving ``A - B e^eps =
     delta`` on the bracketing segment; no iterative search is involved.
     """
     return pair.profile.epsilon(delta)
@@ -214,14 +226,13 @@ class WorstPair(NamedTuple):
 @dataclass(frozen=True, eq=False)
 class Law:
     """A per-secret law (rows = secrets: an effective kernel, a composed
-    joint), checked once, each pair made once asked for, keeping its sort
-    and loss profile.  Pairs are its rows clipped at 0 and cut to their live
-    outcomes, as ``DistPair`` makes them, on read-only arrays; pair (s1, s0)
-    is pair (s0, s1) swapped, so the Neyman-Pearson sort that a trade-off
-    curve of one and the ROC of the other read is done once per ordered
-    pair.  A law on a read-only matrix is found again from that array by
-    ``Law.of`` while it lives.  A law made by ``spread`` hands out the pairs
-    of the law it was spread from."""
+    joint), checked once, each pair made once asked for.  Pairs are its rows
+    clipped at 0 and cut to their live outcomes, as ``DistPair`` makes them,
+    on read-only arrays; pair (s1, s0) is pair (s0, s1) swapped, so the two
+    share one ``LossProfile``: each unordered adjacent pair is sorted once.
+    A law on a read-only matrix is found again from that array by ``Law.of``
+    while it lives.  A law made by ``spread`` hands out the pairs of the law
+    it was spread from."""
 
     matrix: np.ndarray
 
@@ -278,12 +289,12 @@ class Law:
 
     def worst_joined(self, world: World, channel: np.ndarray, eps: float) -> float:
         """``worst(world, eps=eps).value`` of ``join_per_secret(self.matrix,
-        channel)``, read off this law's pairs' loss tables: one check of the
+        channel)``, read off this law's pairs' loss profiles: one check of the
         per-secret ``channel`` and one lookup per channel output, where the
         joined law would be built, checked and cut per pair."""
         _check_rows_stochastic(channel, "per-secret channel")
         rows = np.clip(channel, 0.0, None)
-        return max(self.pair(s0, s1).table.hockey_stick(rows[s0], rows[s1], eps)
+        return max(self.pair(s0, s1).profile.hockey_stick(rows[s0], rows[s1], eps)
                    for s0, s1 in _adjacent_pairs(world))
 
     def check(self, world: World, eps: float, delta: float) -> DcpReport:
@@ -397,23 +408,23 @@ class TradeoffCurve:
         return np.interp(alpha, self.alphas, self.betas)
 
 
-def _np_steps(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The a- and b-mass of each likelihood-ratio group, in decreasing order
-    of b/a: the sort behind a Neyman-Pearson sweep.
+def _np_steps(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each loss log p - log q of a pair, ascending in [-inf, +inf], with
+    the p- and q-mass of the outcomes at it: the one sort behind the pair's
+    ``LossProfile``.
 
-    Outcomes with exactly equal ratios form one group, summed in outcome
-    order as ``.sum()`` sums them.  ``a`` and ``b`` carry no negative zero
-    (pairs are clipped at 0).
+    Outcomes with exactly equal losses form one group, summed in outcome
+    order as ``.sum()`` sums them.  ``p`` and ``q`` are a pair's live
+    outcomes, so no loss is NaN.
     """
     with np.errstate(divide="ignore"):
-        ratio = np.where(a > 0.0, b / np.where(a > 0.0, a, 1.0), np.inf)
-    order = np.argsort(-ratio)
-    ratio = ratio[order]
-    first = np.concatenate(([True], ratio[1:] != ratio[:-1]))
-    del ratio
+        loss = np.log(p) - np.log(q)
+    order = np.argsort(loss)
+    loss = loss[order]
+    first = np.concatenate(([True], loss[1:] != loss[:-1]))
     if first.all():
         # every group is one outcome, whose sum 0.0 + x is x
-        return a[order], b[order]
+        return loss, p[order], q[order]
     # that sort leaves each tie group in any order; sorting the keys (group,
     # outcome) puts every group in outcome order, as a stable sort would
     group = np.cumsum(first)
@@ -427,41 +438,20 @@ def _np_steps(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     padded = starts + np.arange(starts.size)
     at = np.arange(first.size) + group  # each outcome's place after its group's zero
     buf = np.zeros(first.size + starts.size)
-    steps = []
-    for v in (a, b):
+    masses = []
+    for v in (p, q):
         buf[at] = v[order]
-        steps.append(np.add.reduceat(buf, padded))
-    return steps[0], steps[1]
-
-
-def _np_run(a_steps: np.ndarray, b_steps: np.ndarray, b_from: float) -> tuple[np.ndarray, np.ndarray]:
-    """Neyman-Pearson vertices from the groups of ``_np_steps``.
-
-    Returns (a_run, b_run): a_run is the a-mass taken so far, rising
-    strictly from 0 to 1; b_run starts at ``b_from`` and moves by each
-    group's b-mass in sequence, down from 1 (type-II error) or up from 0
-    (true-positive rate).  A group without a-mass moves the vertex before it
-    instead of adding one.
-    """
-    a_run = np.concatenate(([0.0], np.cumsum(a_steps)))
-    # step from b_from one group at a time (subtracting -b_steps adds them):
-    # 1 - cumsum would drift by up to 1e-14 on 1e5-outcome alphabets
-    b_run = np.subtract.accumulate(np.concatenate(([b_from], b_steps if b_from else -b_steps)))
-    vertex = np.concatenate(([True], a_run[1:] > a_run[:-1]))
-    ends = np.append(np.flatnonzero(vertex)[1:] - 1, a_run.size - 1)
-    a_run, b_run = a_run[vertex], np.maximum(b_run[ends], 0.0)
-    a_run[-1], b_run[-1] = 1.0, 1.0 - b_from
-    return a_run, b_run
+        masses.append(np.add.reduceat(buf, padded))
+    return loss[starts], masses[0], masses[1]
 
 
 def tradeoff_curve(pair: DistPair) -> TradeoffCurve:
     """Neyman-Pearson curve: reject in decreasing order of q/p, accumulate errors.
 
-    Likelihood-ratio ties are merged into a single vertex, which makes the
-    vertex list canonical; outcomes with p = 0 collapse into the alpha = 0
-    vertex and outcomes with q = 0 into the final beta = 0 segment.  The
-    sort is ``pair.steps``: a pair sorts once, whichever of this curve and
-    the ROC of its swapped twin asks first.
+    Outcomes of equal loss log p - log q are merged into a single vertex,
+    which makes the vertex list canonical; outcomes with p = 0 collapse into
+    the alpha = 0 vertex and outcomes with q = 0 into the final beta = 0
+    segment.  It sweeps ``pair.profile``'s groups in ascending loss, the
+    order that the pair's tight epsilon and its twin's ROC read too.
     """
-    alphas, betas = _np_run(*pair.steps, 1.0)
-    return TradeoffCurve(alphas=alphas, betas=betas)
+    return TradeoffCurve(*pair.profile.sweep(1.0))

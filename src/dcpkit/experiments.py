@@ -17,7 +17,7 @@ from . import ic
 from .audit import compare_protocol, roc_bound_check
 from .composition import composed_joint
 from .copula import GaussianCopulaSpec, LaplaceMarginal, block_grid, mix_block_law
-from .divergence import monotone_root, worst_pair
+from .divergence import Law, monotone_root
 from .model import adjacency_labels, effective_kernel, join_per_secret
 from .synth import (
     _LAPLACE,
@@ -98,14 +98,11 @@ def run_independent_experiment(
         ]
         base_law = composed_joint(world, mechs).matrix
         flag = _ic_attempt(world, mechs, eps_g, delta)
-        alpha, sigma = calibrate_alpha_fill(
+        law, sigma = calibrate_alpha_fill(
             world, base_law, eta=(0.0, 1.0), eps_g=eps_g, delta_g=delta, bins=9
         )
         if math.isinf(sigma):
-            law = base_law
             flag = flag + "+fill-infeasible"
-        else:
-            law = join_per_secret(base_law, alpha)
         rows.append(_audit_row(world, law, eps_g, eps_i, delta, flag, sigma))
     return ExperimentResult(name="independent", seed=seed, rows=rows)
 
@@ -143,12 +140,14 @@ def run_copula_experiment(
             )
             return mix_block_law(spec, world, terms)
 
-        def overshoot(eps_c):
-            law = join_per_secret(block_at(eps_c), rest.matrix)
-            return worst_pair(world, law, eps=eps_g).value - delta
+        judged = {}
 
-        # the root finder reads the worst delta off the loss tables of the
-        # other mechanisms' law; the ends and the fill are judged directly
+        def overshoot(eps_c):
+            judged[eps_c] = law = Law(join_per_secret(block_at(eps_c), rest.matrix))
+            return law.worst(world, eps=eps_g).value - delta
+
+        # the root finder reads the worst delta off the loss profiles of the other
+        # mechanisms' law; the ends and the fill are judged, and audited, directly
         lo, hi = 1e-4, 64.0
         v_lo = overshoot(lo)
         if v_lo > 0.0:
@@ -163,8 +162,7 @@ def run_copula_experiment(
                     lo, hi, v_lo, v_hi, above=lambda v: v > 0.0, tol=1e-9)
                 fill_at = _step_out(overshoot, fill_at, 1.0 / (1.0 + 1e-9), lo)
             eps_c, flag = fill_at, "coupling-filled"
-        law = join_per_secret(block_at(fill_at), rest.matrix)
-        rows.append(_audit_row(world, law, eps_g, eps_i, delta, flag, eps_c))
+        rows.append(_audit_row(world, judged[fill_at], eps_g, eps_i, delta, flag, eps_c))
     return ExperimentResult(name="copula", seed=seed, rows=rows)
 
 

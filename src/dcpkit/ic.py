@@ -374,10 +374,12 @@ def _simplex_grid(n: int) -> np.ndarray:
 
 def _cross_section_vertices(cuts: np.ndarray, c: np.ndarray) -> np.ndarray | None:
     """Vertices of {v : cuts v <= 0, sum v = 1}, as v = c + u z over an
-    orthonormal basis u of sum = 0; None when it has no interior."""
-    from scipy import linalg, optimize, spatial  # only task 1's LP design needs them: kept off dcp's start-up
+    orthonormal basis u of sum = 0, the Helmert contrasts (column k is
+    (1, .., 1, -k, 0, ..) / sqrt(k (k + 1))); None when it has no interior."""
+    from scipy import optimize, spatial  # only task 1's LP design needs them: kept off dcp's start-up
 
-    u = linalg.null_space(np.ones((1, c.size)))
+    row, k = np.arange(c.size)[:, None], np.arange(1, c.size)
+    u = ((row < k) - k * (row == k)) / np.sqrt(k * (k + 1.0))
     a, off = cuts @ u, cuts @ c
     # Chebyshev centre: the interior point qhull needs
     res = optimize.linprog(np.r_[np.zeros(u.shape[1]), -1.0], b_ub=-off,

@@ -6,9 +6,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
-from .divergence import Law, monotone_root, worst_pair
+from .divergence import Law, monotone_root
 from .model import (MechanismKernel, ModelError, World, _check_rows_stochastic, default_adjacency,
                     is_invertible, join_per_secret, mix_kernel)
 
@@ -121,8 +120,16 @@ def _laplace_cdf(x):
     return np.where(x > 0, 1.0 - e, e)
 
 
+def _special():
+    """``scipy.special``, imported on the first call that needs a normal CDF
+    or quantile: its import takes longer than ``import dcpkit`` without it,
+    and a ``dcp`` call on a model without a copula section needs neither."""
+    from scipy import special
+    return special
+
+
 # the noise families as (span in scales past the values, standard CDF)
-_GAUSSIAN = (6.0, special.ndtr)
+_GAUSSIAN = (6.0, lambda x: _special().ndtr(x))
 _LAPLACE = (8.0, _laplace_cdf)
 
 
@@ -201,22 +208,24 @@ def calibrate_alpha_fill(
     eps_g: float,
     delta_g: float,
     bins: int = 33,
-) -> tuple[np.ndarray, float]:
+) -> tuple[Law, float]:
     """Most informative secret-channel fill that keeps the full composition
     inside (eps_g, delta_g) by the direct divergence check.
 
     ``base_law`` is the composed per-secret law of the existing mechanisms
-    (an array or its ``Law``); returns (alpha, sigma); sigma = inf means
-    even the widest channel in bounds cannot be certified.  The root finder
-    reads the joined law's worst delta off ``base_law``'s loss tables
-    (``Law.worst_joined``); the bracket's ends and the returned scale are
-    judged on the joined law itself.
+    (an array or its ``Law``); returns (law, sigma), law the ``Law`` joined
+    with the channel at sigma that the direct check judged; sigma = inf means
+    even the widest channel in bounds cannot be certified, and law is
+    ``base_law``'s.  The root finder reads the joined law's worst delta off
+    ``base_law``'s loss profiles (``Law.worst_joined``); the bracket's ends
+    and the returned scale are judged on the joined law itself.
     """
     base = Law.of(base_law)
+    judged = {}
 
     def direct(sigma):
-        law = join_per_secret(base.matrix, secret_gaussian_channel(eta, sigma, bins))
-        return worst_pair(world, law, eps=eps_g).value - delta_g
+        judged[sigma] = law = Law(join_per_secret(base.matrix, secret_gaussian_channel(eta, sigma, bins)))
+        return law.worst(world, eps=eps_g).value - delta_g
 
     def excess(sigma):
         return base.worst_joined(world, _binned_noise(eta, sigma, bins, *_GAUSSIAN), eps_g) - delta_g
@@ -224,10 +233,10 @@ def calibrate_alpha_fill(
     lo, hi = SCALE_BOUNDS
     v_hi = direct(hi)
     if v_hi > 0.0:
-        return secret_gaussian_channel(eta, hi, bins), math.inf
+        return base, math.inf
     v_lo = direct(lo)
     if v_lo <= 0.0:
-        return secret_gaussian_channel(eta, lo, bins), lo
+        return judged[lo], lo
     _, sigma = monotone_root(excess, lo, hi, v_lo, v_hi, above=lambda v: v <= 0.0, tol=1e-12)
     sigma = _step_out(direct, sigma, 1.0 + 1e-12, hi)
-    return secret_gaussian_channel(eta, sigma, bins), sigma
+    return judged[sigma], sigma

@@ -524,3 +524,35 @@ def test_import_and_check_leave_the_heavy_scipy_modules_unloaded():
     loaded = json.loads(done.stdout)
     assert loaded.pop("exit") in (0, 1)             # a verdict, not a refusal
     assert loaded == {"import": [], "check": []}
+
+
+_NO_SCIPY_GATE = """
+import contextlib, io, json, sys
+import dcpkit
+from dcpkit.cli import main
+scipy = lambda: sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+loaded = {"import": scipy()}
+for model in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        loaded[model] = [main(["--model", model, "check", "--eps", "1", "--delta", "0.01"]), scipy()]
+print(json.dumps(loaded))
+"""
+
+
+def test_import_and_check_without_a_copula_section_load_no_scipy_module():
+    # scipy.special is imported on the first normal CDF: no module of scipy
+    # at all is loaded by the import, nor by a check that needs none
+    import dcpkit
+
+    models = [str(path) for path in sorted(DEMOS.glob("*.json"))
+              if "copula" not in json.loads(path.read_text())]
+    assert len(models) == 2
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(dcpkit.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-c", _NO_SCIPY_GATE, *models],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0 and done.stderr == "", done.stderr
+    loaded = json.loads(done.stdout)
+    assert loaded.pop("import") == []
+    assert sorted(loaded) == models
+    for code, modules in loaded.values():
+        assert code in (0, 1) and modules == []    # a verdict, and no scipy module

@@ -17,7 +17,7 @@ from dcpkit import config
 from dcpkit import model as model_layer
 from dcpkit import pld as pld_layer
 from dcpkit.cli import main
-from dcpkit.divergence import DistPair, hockey_stick, optimal_epsilon
+from dcpkit.divergence import DistPair, hockey_stick, optimal_epsilon, tradeoff_curve
 from dcpkit.ic import certify
 from dcpkit.model import (
     DependenceGroup,
@@ -28,7 +28,7 @@ from dcpkit.model import (
     load_model,
 )
 from dcpkit.pld import convolve, decompose_plrv, epsilon_for_delta, pld_from_pair, privacy_profile
-from dcpkit.synth import triangulating_instance
+from dcpkit.synth import mixing_world, triangulating_instance
 
 DATA = pathlib.Path(__file__).parent / "data"
 DEMOS = pathlib.Path(__file__).parent.parent / "demos" / "models"
@@ -607,7 +607,8 @@ def test_one_instance_asked_many_bounds_builds_each_law_once(monkeypatch):
     assert (len(joints), len(layouts), mixes) == (0, 1, [])  # the product law is the one layout here
     assert len(lumps) == 1  # the joint on type classes, which the bounds read and the joint spreads
     assert sorted(effs) == sorted(m.name for m in mechs)
-    assert len(profiles) == 2 * len(world.adjacency)  # one per pair of the joint and of the product
+    # one per unordered adjacent pair of the joint and of the product: a pair's twin reads it reversed
+    assert len(profiles) == len(world.adjacency)
     # the same answers as the laws built afresh: the bounds read the laws on
     # type classes (three copies of one kernel here), within the last bits
     # of the dense laws
@@ -671,11 +672,11 @@ def _large_alphabet_op(world, mechs):
 
 
 @pytest.mark.parametrize("n_secrets, dims, sorts", [
-    (2, (3, 4, 5), 4),      # joint and product, 2 ordered pairs each
-    (3, (3, 4, 5), 12),     # joint and product, 6 ordered pairs each
-    (2, (4, 4, 4, 3), 4),   # the type-class law (the joint hands out its pairs) and its product
+    (2, (3, 4, 5), 2),      # joint and product, 1 unordered pair each
+    (3, (3, 4, 5), 6),      # joint and product, 3 unordered pairs each
+    (2, (4, 4, 4, 3), 2),   # the type-class law (the joint hands out its pairs) and its product
 ])
-def test_each_law_sorts_each_ordered_adjacent_pair_once(monkeypatch, n_secrets, dims, sorts):
+def test_each_law_sorts_each_unordered_adjacent_pair_once(monkeypatch, n_secrets, dims, sorts):
     from dcpkit import divergence
 
     world, mechs = _random_instance(np.random.default_rng(46), n_secrets=n_secrets, dims=dims)
@@ -688,6 +689,44 @@ def test_each_law_sorts_each_ordered_adjacent_pair_once(monkeypatch, n_secrets, 
     assert max(calls) <= comp.Composition.of(world, mechs).sizes["atoms"]  # no sort of dense outcomes
     _large_alphabet_op(world, mechs)  # the same objects again: the slot's laws keep their sorts
     assert len(calls) == sorts
+
+
+def _tie_heavy_worlds():
+    """A kernel with zeros in a mixing and in an invertible world: its
+    copies tie exactly and leave outcomes with mass on one side only."""
+    kernel = np.array([[0.5, 0.5, 0.0], [0.0, 0.4, 0.6], [0.3, 0.3, 0.4], [0.2, 0.0, 0.8]])
+    mech = MechanismKernel("z", ("0", "1", "2"), kernel)
+    one_hot = np.array([[0.5, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.5]])
+    for world in (mixing_world(0.3), World(("s0", "s1"), tuple("abcd"), one_hot, default_adjacency(one_hot))):
+        yield world, mech
+
+
+def union_grid_dominance(world, mechs):
+    """``tradeoff_dominance`` as it was: both curves on the union of their
+    vertex grids, on the laws the library reads."""
+    value = comp.Composition.of(world, mechs)
+    violation, gap, at = -math.inf, 0.0, None
+    for pair in sorted(world.adjacency):
+        jc = tradeoff_curve(value.lumped.pair(*pair))
+        pc = tradeoff_curve(value.lumped_product.pair(*pair))
+        grid = np.union1d(jc.alphas, pc.alphas)
+        diff = jc.beta(grid) - pc.beta(grid)
+        if float(diff.max()) > violation:
+            violation, at = float(diff.max()), pair
+        gap = max(gap, float(-diff.min()))
+    return {"max_violation": violation, "max_gap": gap, "worst_pair": at}
+
+
+def test_dominance_at_each_curves_vertices_equals_the_union_grid():
+    # a difference of two piecewise-linear curves peaks at a vertex of one of
+    # them, and np.interp reads a curve's own vertex exactly: the same numbers,
+    # bit for bit, on random instances and on tie-heavy repeated kernels
+    rng = np.random.default_rng(47)
+    instances = [_random_instance(rng, n_secrets=n, dims=dims)
+                 for n in (2, 3) for dims in ((2, 3), (3, 4, 5), (4, 4, 4, 3), (3, 3, 3))]
+    instances += [(world, [mech] * copies) for world, mech in _tie_heavy_worlds() for copies in (2, 4, 6)]
+    for world, mechs in instances:
+        assert comp.tradeoff_dominance(world, mechs) == union_grid_dominance(world, mechs)
 
 
 def test_empty_adjacency_is_refused_by_the_composition_bounds(rr_mechanism):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from bisection import full_bisection
 from conftest import random_dist_pair
+from dense_route import close_arrays, close_curves
 from dcpkit.audit import lr_attack_roc
 from dcpkit.composition import composed_joint
 from dcpkit.divergence import (
@@ -260,17 +261,30 @@ def test_sweep_on_tied_and_one_sided_outcomes():
                 assert np.allclose(roc.tpr_at(fpr), 1.0 - swapped.beta(fpr), rtol=0, atol=1e-12)
 
 
-def loop_sweep(a, b, b_from):
-    """The per-outcome loop the vectorized sweep replaced, kept as its reference."""
+def loss_key(a, b):
+    """The sort key of a sweep: the loss log a - log b, ascending."""
     with np.errstate(divide="ignore"):
-        ratio = np.where(a > 0.0, b / np.where(a > 0.0, a, 1.0), np.inf)
-    order = np.argsort(-ratio, kind="stable")
-    a, b, ratio = a[order], b[order], ratio[order]
+        return np.log(a) - np.log(b)
+
+
+def ratio_key(a, b):
+    """The sort key the sweep had before it shared the loss order: b/a,
+    descending, with +inf where a = 0."""
+    with np.errstate(divide="ignore"):
+        return -np.where(a > 0.0, b / np.where(a > 0.0, a, 1.0), np.inf)
+
+
+def loop_sweep(a, b, b_from, key=loss_key):
+    """The per-outcome loop the vectorized sweep replaced, kept as its
+    reference: outcomes in ascending ``key``, equal keys one group."""
+    keys = key(a, b)
+    order = np.argsort(keys, kind="stable")
+    a, b, keys = a[order], b[order], keys[order]
     a_run, b_run = [0.0], [b_from]
     acc_a, acc_b, i = 0.0, b_from, 0
     while i < a.size:
         j = i
-        while j < a.size and ratio[j] == ratio[i]:
+        while j < a.size and keys[j] == keys[i]:
             j += 1
         acc_a += float(a[i:j].sum())
         acc_b += float(b[i:j].sum()) * (1.0 if b_from == 0.0 else -1.0)
@@ -306,16 +320,22 @@ def test_sweep_matches_reference_loop():
         np.testing.assert_allclose(roc.tpr, tpr, rtol=0, atol=1e-15)
 
 
-def stable_sweep(a, b, b_from):
-    """The sweep as it was with one stable sort, kept as the reference for
-    the unstable sort plus the (group, outcome) key sort."""
-    with np.errstate(divide="ignore"):
-        ratio = np.where(a > 0.0, b / np.where(a > 0.0, a, 1.0), np.inf)
-    order = np.argsort(-ratio, kind="stable")
-    ratio = ratio[order]
-    starts = np.flatnonzero(np.concatenate(([True], ratio[1:] != ratio[:-1])))
+def stable_groups(a, b):
+    """The losses log a - log b ascending, each with the a- and b-mass of
+    its outcomes summed in outcome order, by one stable sort: the reference
+    for the unstable sort plus the (group, outcome) key sort."""
+    loss = loss_key(a, b)
+    order = np.argsort(loss, kind="stable")
+    loss = loss[order]
+    starts = np.flatnonzero(np.concatenate(([True], loss[1:] != loss[:-1])))
     padded = starts + np.arange(starts.size)
-    a_steps, b_steps = (np.add.reduceat(np.insert(v[order], starts, 0.0), padded) for v in (a, b))
+    a_mass, b_mass = (np.add.reduceat(np.insert(v[order], starts, 0.0), padded) for v in (a, b))
+    return loss[starts], a_mass, b_mass
+
+
+def stable_sweep(a, b, b_from):
+    """The sweep on the groups of ``stable_groups``."""
+    _, a_steps, b_steps = stable_groups(a, b)
     a_run = np.concatenate(([0.0], np.cumsum(a_steps)))
     b_run = np.subtract.accumulate(np.concatenate(([b_from], b_steps if b_from else -b_steps)))
     vertex = np.concatenate(([True], a_run[1:] > a_run[:-1]))
@@ -326,10 +346,30 @@ def stable_sweep(a, b, b_from):
 
 
 def reference_optimal_epsilon(pair, delta):
-    """``optimal_epsilon`` as it was in one piece, with ``np.unique``'s second
-    sort; kept as the reference for the split build and query."""
+    """``optimal_epsilon`` in one piece on the groups of ``stable_groups``;
+    kept as the reference for the shared order and the split build and query."""
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta must lie in [0, 1], got {delta}")
+    loss, p_mass, q_mass = stable_groups(pair.p, pair.q)
+    p_from, q_from = (np.append(np.cumsum(v[::-1])[::-1], 0.0) for v in (p_mass, q_mass))
+    inf_mass = float(p_mass[-1]) if loss[-1] == math.inf else 0.0
+    first = int(np.searchsorted(loss, 0.0, side="right"))
+    gaps = np.append(np.cumsum((p_mass[first:] - q_mass[first:])[::-1])[::-1], 0.0)
+    if gaps[0] <= delta:
+        return 0.0
+    if inf_mass > delta:
+        return math.inf
+    end = loss.size - (loss[-1] == math.inf)
+    delta_bp = p_from[first + 1:end + 1] - np.exp(loss[first:end]) * q_from[first + 1:end + 1]
+    j = first + int(np.searchsorted(-delta_bp, -delta))
+    gap, b = gaps[j - first] - delta, q_from[j]
+    return float(max(math.log1p(gap / b) if gap < b else math.log((p_from[j] - delta) / b), 0.0))
+
+
+def parent_optimal_epsilon(pair, delta):
+    """``optimal_epsilon`` as it was before the shared order: positive
+    losses merged by ``np.unique`` and a, b summed afresh per query, b as
+    the sum of p e^-loss."""
     p, q = pair.p, pair.q
     inf_mass = float(p[(q == 0.0) & (p > 0.0)].sum())
     both = (p > 0.0) & (q > 0.0)
@@ -342,8 +382,6 @@ def reference_optimal_epsilon(pair, delta):
         return 0.0
     if inf_mass > delta:
         return math.inf
-    order = np.argsort(losses)
-    losses, masses = losses[order], masses[order]
     uniq, inverse = np.unique(losses, return_inverse=True)
     umass = np.zeros_like(uniq)
     np.add.at(umass, inverse, masses)
@@ -353,8 +391,7 @@ def reference_optimal_epsilon(pair, delta):
     j = int(np.searchsorted(-delta_bp, -delta))
     a = inf_mass + float(umass[j:].sum())
     b = float((umass[j:] * np.exp(-uniq[j:])).sum())
-    eps = math.log((a - delta) / b)
-    return float(max(eps, 0.0))
+    return float(max(math.log((a - delta) / b), 0.0))
 
 
 def oracle_pairs(rng):
@@ -405,7 +442,87 @@ def test_sweep_order_equals_the_stable_sort_bit_for_bit():
                 for got, want in zip((curve.alphas, curve.betas, roc.fpr, roc.tpr), (*want_curve, *want_roc)):
                     assert got.tobytes() == want.tobytes()
             if k >= len(rows):
-                assert pair.steps[0].size == pair.p.size
+                assert pair.profile.p_mass.size == pair.p.size
+
+
+def derandomized_laws():
+    """Two-row laws of small integer weights, drawn from a fixed seed:
+    tied losses, zeros on either side (losses -inf and +inf) and dead
+    outcomes, with each zero's sign drawn."""
+    rng = np.random.default_rng(21)
+    for _ in range(300):
+        w = rng.integers(0, 4, size=(2, int(rng.integers(1, 12)))).astype(float)
+        w[:, 0] += w.sum(axis=1) == 0.0
+        w /= w.sum(axis=1, keepdims=True)
+        w[(w == 0.0) & (rng.random(w.shape) < 0.5)] = -0.0
+        yield Law(w)
+
+
+def close_vertices(got, want):
+    """(agree, same vertices): equal vertex lists within 1e-12 relative;
+    where the tie groups of the two sort keys differ (equal ratios b/a with
+    losses an ulp apart, or the reverse), the lists differ by collinear
+    vertices, and the curves agree within 1e-12 on the union of both lists."""
+    if got[0].shape == want[0].shape and all(close_arrays(g, w) for g, w in zip(got, want)):
+        return True, True
+    return close_curves(got, want), False
+
+
+def breakpoints(profile):
+    """A profile's delta(0) and its profile at each finite positive loss."""
+    _, gaps, drops = profile._breaks
+    return float(gaps[0]), -drops
+
+
+def test_the_shared_order_reads_as_the_parents_three_sorts():
+    # trade-off vertices, ROC, AUC and tight epsilon off the one loss order
+    # of each pair against the separate sorts they had before it, and the
+    # joined delta against the direct route on the joined law
+    rng = np.random.default_rng(22)
+    pairs = [law.pair(s0, s1) for law in derandomized_laws() for s0, s1 in ((0, 1), (1, 0))]
+    pairs += oracle_pairs(rng)
+    seen = dict.fromkeys(("ties", "neg_inf", "pos_inf", "signed_zero", "split_groups"), 0)
+    for pair in pairs:
+        curve = tradeoff_curve(pair)
+        same, equal_groups = close_vertices((curve.alphas, curve.betas),
+                                            loop_sweep(pair.p, pair.q, 1.0, key=ratio_key))
+        assert same
+        seen["split_groups"] += not equal_groups
+
+        roc = lr_attack_roc(pair)
+        fpr, tpr = loop_sweep(pair.q, pair.p, 0.0, key=ratio_key)
+        auc = float(np.trapezoid(tpr, fpr))
+        if auc < 0.5:
+            fpr, tpr = 1.0 - tpr[::-1], 1.0 - fpr[::-1]
+            auc = float(np.trapezoid(tpr, fpr))
+        assert abs(roc.auc - auc) <= 1e-12 * max(1.0, abs(auc))
+        assert close_vertices((roc.fpr, roc.tpr), (fpr, tpr))[0]
+
+        profile = pair.profile
+        window = profile.inf_mass + 4.0 * math.ulp(profile.inf_mass) if profile.inf_mass > 0.0 else -1.0
+        delta0, deltas = breakpoints(profile)
+        for delta in (0.0, 1.0, delta0, math.nextafter(window, 2.0), *np.linspace(0.0, 1.0, 21), *deltas):
+            delta = float(min(max(delta, 0.0), 1.0))
+            got = profile.epsilon(delta)
+            want = math.inf if delta <= window else parent_optimal_epsilon(pair, delta)
+            assert got == want if math.isinf(want) else abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+        with np.errstate(divide="ignore"):
+            losses = np.log(pair.p) - np.log(pair.q)
+        seen["ties"] += np.unique(losses).size < losses.size
+        seen["neg_inf"] += bool((losses == -math.inf).any())
+        seen["pos_inf"] += bool((losses == math.inf).any())
+    for law in derandomized_laws():
+        seen["signed_zero"] += bool(np.signbit(law.matrix).any())
+        world = World(("s0", "s1"), ("x0",), np.full((2, 1), 0.5), frozenset({(0, 1), (1, 0)}))
+        channel = rng.integers(0, 3, size=(2, int(rng.integers(1, 5)))).astype(float)
+        channel[:, 0] += channel.sum(axis=1) == 0.0
+        channel /= channel.sum(axis=1, keepdims=True)
+        for eps in (0.0, 0.4, 1.3, 4.0):
+            want = worst_pair(world, join_per_secret(law.matrix, channel), eps=eps).value
+            got = law.worst_joined(world, channel, eps)
+            assert abs(got - want) <= max(1e-12 * abs(want), 1e-15)
+    assert min(seen.values()) >= 10, seen
 
 
 def test_a_law_and_its_pairs_die_together():
@@ -414,7 +531,10 @@ def test_a_law_and_its_pairs_die_together():
     tradeoff_curve(pair)
     lr_attack_roc(pair)
     assert pair.swapped() is law.pair(1, 0) and pair.swapped().swapped() is pair
-    kept = [weakref.ref(obj) for obj in (law, pair, pair.swapped(), *pair.steps, *pair.swapped().steps)]
+    profiles = (pair.profile, pair.swapped().profile)
+    kept = [weakref.ref(obj) for obj in (law, pair, pair.swapped(), *profiles,
+                                          *(v for pr in profiles for v in (pr.losses, pr.p_mass, pr.q_mass)))]
+    del profiles
     del pair
     gc.disable()  # reference counting alone must free them: no cycle
     try:
@@ -427,15 +547,21 @@ def test_a_law_and_its_pairs_die_together():
 def test_a_pair_of_its_own_keeps_its_sort_and_its_twin():
     pair = DistPair(np.array([0.5, 0.3, 0.2]), np.array([0.2, 0.3, 0.5]))
     assert pair.swapped() is pair.swapped() and pair.swapped().swapped() is pair
-    assert pair.steps is pair.steps
+    assert pair.profile is pair.profile
     assert pair.swapped().p is pair.q and pair.swapped().q is pair.p
+    # the twin reads the pair's one order reversed, on the very same masses
+    twin = pair.swapped().profile
+    assert twin is pair.swapped().profile
+    assert twin.p_mass.base is pair.profile.q_mass and twin.q_mass.base is pair.profile.p_mass
+    assert np.array_equal(twin.losses, -pair.profile.losses[::-1])
 
 
 def test_a_pair_keeps_its_loss_profile():
     for pair in tie_heavy_pairs():
         assert pair.profile is pair.profile
         fresh = LossProfile(pair)
-        for delta in (0.0, 1e-3, 0.05, 0.3, 1.0, fresh.delta0, fresh.inf_mass, *fresh.deltas):
+        delta0, deltas = breakpoints(fresh)
+        for delta in (0.0, 1e-3, 0.05, 0.3, 1.0, delta0, fresh.inf_mass, *deltas):
             delta = float(min(max(delta, 0.0), 1.0))
             assert optimal_epsilon(pair, delta).hex() == fresh.epsilon(delta).hex()
 
@@ -489,8 +615,9 @@ def test_loss_profile_equals_one_piece_optimal_epsilon():
         profile = LossProfile(pair)
         # a positive +inf mass reads as above every delta up to 4 ulps past it
         window = profile.inf_mass + 4.0 * math.ulp(profile.inf_mass) if profile.inf_mass > 0.0 else -1.0
-        deltas = [0.0, 1.0, profile.delta0, profile.inf_mass, window, math.nextafter(window, 2.0),
-                  *np.linspace(0.0, 1.0, 23), *profile.deltas, *np.nextafter(profile.deltas, 1.0)]
+        delta0, breaks = breakpoints(profile)
+        deltas = [0.0, 1.0, delta0, profile.inf_mass, window, math.nextafter(window, 2.0),
+                  *np.linspace(0.0, 1.0, 23), *breaks, *np.nextafter(breaks, 1.0)]
         deltas = [float(min(max(d, 0.0), 1.0)) for d in deltas]
         rng.shuffle(deltas)  # the one profile answers in any order
         for delta in deltas:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dcpkit import experiments, synth
-from dcpkit.divergence import LossTable, monotone_root
+from dcpkit.divergence import LossProfile, monotone_root
 from dcpkit.experiments import (
     _QUERY_MAPS,
     COPULA_EPS_G,
@@ -178,11 +178,11 @@ def test_root_finder_evaluations_on_the_default_grids(monkeypatch):
 @pytest.mark.parametrize("run,eps_g,eps_i,shrink", [(run_independent_experiment, 5.0, 1.0, 1e-12),
                                                      (run_copula_experiment, 1.0, 0.18, 1e-8)])
 def test_the_direct_route_has_the_last_word_on_a_fill(monkeypatch, run, eps_g, eps_i, shrink):
-    # loss-table reads a little below the joined law's delta end the root
+    # loss-profile reads a little below the joined law's delta end the root
     # finder where the law itself is over budget: the fill steps outward
     # until the direct route passes it, and the row stays inside the budget
-    read = LossTable.hockey_stick
-    monkeypatch.setattr(LossTable, "hockey_stick",
+    read = LossProfile.hockey_stick
+    monkeypatch.setattr(LossProfile, "hockey_stick",
                         lambda self, a, b, eps: read(self, a, b, eps) * (1.0 - shrink))
     moved, original = [], synth._step_out
 
@@ -229,3 +229,22 @@ def golden_rows() -> dict:
 
 def test_rows_match_golden_file_exactly():
     assert golden_rows() == json.loads(GOLDEN_FILE.read_text())
+
+
+def test_each_unordered_pair_of_each_law_is_sorted_once(monkeypatch):
+    # the fills read the fixed factor's pairs in both orientations and the
+    # audit reads the judged law's ROC: each reads a pair's one loss order,
+    # so no unordered pair of a law is sorted twice (its arrays stay alive
+    # here, so their ids name it)
+    sorted_pairs = []
+    init = LossProfile.__init__
+
+    def counted(self, pair):
+        sorted_pairs.append((pair.p, pair.q))
+        init(self, pair)
+
+    monkeypatch.setattr(LossProfile, "__init__", counted)
+    for run, eps_g, eps_i in GOLDEN_POINTS.values():
+        run(seed=0, eps_gs=(eps_g,), eps_is=(eps_i,))
+    keys = [frozenset((id(p), id(q))) for p, q in sorted_pairs]
+    assert len(keys) >= 3 and len(set(keys)) == len(keys)

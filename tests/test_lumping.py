@@ -143,7 +143,7 @@ def test_lumped_answers_match_the_dense_route(case):
     assert value.sizes["outcomes"] == joint.shape[1] == int(value.counts.sum())
     assert value.sizes["atoms"] == value.lumped.matrix.shape[1] == value.lumped_product.matrix.shape[1]
     # the epsilon bounds at fixed deltas and at each pair's own delta(0)
-    delta0s = [LossProfile(Law(joint).pair(*pair)).delta0 for pair in sorted(world.adjacency)]
+    delta0s = [float(LossProfile(Law(joint).pair(*pair))._breaks[1][0]) for pair in sorted(world.adjacency)]
     for d in (0.0, 0.01, 0.05, *delta0s):
         _assert_pairs_close(comp.true_opt(world, mechs, dependence, d, per_pair=True)[1],
                             worst_pair(world, joint, delta=d).values)
