@@ -1,8 +1,10 @@
 """Bayes-optimal membership-inference auditing.
 
-The exact likelihood-ratio attacker's ROC between two adjacent secrets,
-region bounds implied by an (eps, delta) certificate, and the protocol
-comparing a composed setup against a single mechanism at matched budgets.
+The exact likelihood-ratio attacker's ROC between two adjacent secrets
+and at a law's highest-AUC adjacent pair (``worst_pair_roc``), region
+bounds implied by an (eps, delta) certificate, and the protocol comparing a
+composed setup against a single mechanism at matched budgets, which reads
+``worst_pair_roc`` for both setups.
 """
 
 from __future__ import annotations
@@ -63,17 +65,14 @@ def roc_bound_check(roc: RocCurve, eps: float, delta: float) -> float:
 def worst_pair_roc(world: World, law: Law | np.ndarray) -> tuple[RocCurve, tuple[int, int]]:
     """Highest-AUC adjacent pair for a per-secret outcome law, taken as
     ``Law.of`` takes it: a ``Law`` as it is, a read-only array as the live
-    ``Law`` on it when there is one, else a law checked here."""
-    return _worst_roc(world, Law.of(law))
+    ``Law`` on it when there is one, else a law checked here.
 
-
-def _worst_roc(world: World, law: Law) -> tuple[RocCurve, tuple[int, int]]:
-    """``worst_pair_roc`` of a checked law.  The AUCs of (s0, s1) and
-    (s1, s0) are equal in exact arithmetic, so each adjacent pair (the
-    adjacency is symmetric) is scored once, as (s0, s1) with s0 < s1, and
-    rounding cannot pick which orientation is named.  The ROC of pair
-    (s0, s1) reads the one loss order of the law's pair, which its trade-off
-    curves, tight epsilons and ``tradeoff_dominance`` share."""
+    The AUCs of (s0, s1) and (s1, s0) are equal in exact arithmetic, so each
+    adjacent pair (the adjacency is symmetric) is scored once, as (s0, s1)
+    with s0 < s1, and rounding cannot pick which orientation is named.  The
+    ROC of pair (s0, s1) reads the one loss order of the law's pair, which
+    its trade-off curves, tight epsilons and ``tradeoff_dominance`` share."""
+    law = Law.of(law)
     candidates = [(s0, s1) for s0, s1 in sorted(world.adjacency) if s0 < s1]
     if not candidates:
         raise ValueError("no adjacent pairs to audit")
@@ -100,7 +99,7 @@ def compare_protocol(
     its grid point is the caller's judgement.
     """
     laws = [Law.of(law) for law in (law_composed, law_single)]
-    (roc_a, pair_a), (roc_b, pair_b) = (_worst_roc(world, law) for law in laws)
+    (roc_a, pair_a), (roc_b, pair_b) = (worst_pair_roc(world, law) for law in laws)
     rows = []
     for eps_g, delta_g in grid:
         d_a, d_b = (law.worst(world, eps=eps_g).value for law in laws)

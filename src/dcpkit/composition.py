@@ -17,7 +17,7 @@ import numpy as np
 from . import config
 from .divergence import DistPair, Law, _adjacent_pairs, hockey_stick, tradeoff_curve
 from .model import (DependenceGroup, MechanismKernel, TypeClass, World, _freeze, _posterior, atom_index,
-                    composed_law, effective_kernel, lay_out, lumped_law, mix_kernel, type_classes)
+                    effective_kernel, lay_out, lumped_law, mix_kernel, type_classes)
 from .pld import LossSum, _decompose, convolve, epsilon_for_delta, pld_from_pair
 
 
@@ -29,13 +29,15 @@ class Composition:
     kernels ``effs`` and each group's members and effective joint.  Each
     pair of a law and its twin share one ``LossProfile``, sorted once.
 
-    ``lumped`` is the joint on the type ``classes`` (``model.type_classes``):
-    ungrouped mechanisms with bitwise-equal kernels share one atom per
-    multiset of their outputs, ``counts`` outcomes in all.  It is ``joint``
-    when no class has two members; else ``joint`` is spread from it and
-    hands out its pairs.  ``lumped_product`` is the product of the ``effs``
-    on the same atoms.  The bounds read these two; ``joint.matrix`` serves
-    the callers that need one column per outcome.
+    ``lumped`` is the joint on the type ``classes`` (``model.type_classes``),
+    the one build of a composed law (``model.lumped_law``): ungrouped
+    mechanisms with bitwise-equal kernels share one atom per multiset of
+    their outputs, ``counts`` outcomes in all.  When no class has two
+    members the classes are single mechanisms, ``lumped`` is the dense
+    composed law and ``joint`` is ``lumped``; else ``joint`` is spread from
+    it and hands out its pairs.  ``lumped_product`` is the product of the
+    ``effs`` on the same atoms.  The bounds read these two; ``joint.matrix``
+    serves the callers that need one column per outcome.
     """
 
     world: World
@@ -56,9 +58,8 @@ class Composition:
 
     @cached_property
     def joint(self) -> Law:
-        if self.repeats:  # each outcome its atom's mass over the atom's count
-            return self.lumped.spread(self.index)
-        return Law(_freeze(composed_law(self.world, self.mechs, self.dependence)))
+        # each outcome its atom's mass over the atom's count
+        return self.lumped.spread(self.index) if self.repeats else self.lumped
 
     @cached_property
     def effs(self) -> list[Law]:
@@ -78,8 +79,6 @@ class Composition:
 
     @cached_property
     def lumped(self) -> Law:
-        if not self.repeats:
-            return self.joint
         return Law(_freeze(lumped_law(self.world, self.mechs, self.dependence, self.classes)))
 
     @cached_property

@@ -420,6 +420,7 @@ def perturbed_decomposition(
     functions are evaluated on the grid from separate code paths so their
     additivity is a genuine numerical check.
     """
+    _check_densities(spec.xi1, spec.xi2)
     f1, f2 = (np.asarray(q, dtype=float) for q in query_maps)
     shifts_f = {}
     for s in (s0, s1):
@@ -439,11 +440,7 @@ def perturbed_decomposition(
     y1, y2 = np.meshgrid(g1, g2, indexing="ij")
 
     def state_logs(s, shifts):
-        v1 = y1 - shifts_f[s][0]
-        v2 = y2 - shifts_f[s][1]
-        lp = spec.xi1.logpdf(v1) + spec.xi2.logpdf(v2)
-        t1 = _normal_score(spec.xi1, v1)
-        t2 = _normal_score(spec.xi2, v2)
+        lp, t1, t2 = _noise_terms(spec.xi1, spec.xi2, y1, y2, shifts_f[s])
         log_cop = _coupled_log_density(spec, t1, t2, *shifts) - (
             _norm_logpdf(t1) + _norm_logpdf(t2)
         )
@@ -495,21 +492,34 @@ def _normal_score(xi, v):
     return _special().ndtri(np.clip(xi.cdf(v), 1e-300, 1 - 1e-16))
 
 
+def _check_densities(*xis) -> None:
+    """Refuse a marginal without a density before the accounting grids it."""
+    for xi in xis:
+        if not hasattr(xi, "logpdf"):
+            raise ValueError(f"marginal family {xi.family!r} has no density: the copula accounting "
+                             "(block_grid, perturbed_decomposition) supports 'laplace' and 'gaussian'")
+
+
+def _noise_terms(xi1, xi2, y1, y2, shift):
+    """The noise pair's log-density and its two normal scores on the grid
+    (``y1``, ``y2``) less the query values ``shift``."""
+    v1, v2 = y1 - shift[0], y2 - shift[1]
+    return xi1.logpdf(v1) + xi2.logpdf(v2), _normal_score(xi1, v1), _normal_score(xi2, v2)
+
+
 def block_grid(xi1, xi2, world: World, query_maps: tuple, bins: int = 17):
     """The eps_c-free half of the coupled block law: grids g1, g2 and, per
     dataset, (noise log-density less normal-score log-densities, score 1,
     score 2).  ``mix_block_law`` completes it."""
     check_cap(bins * bins, f"block grid of {bins} x {bins} cells")
+    _check_densities(xi1, xi2)
     f1, f2 = (np.asarray(q, dtype=float) for q in query_maps)
     g1 = _output_grid(xi1, f1, bins)
     g2 = _output_grid(xi2, f2, bins)
     y1, y2 = np.meshgrid(g1, g2, indexing="ij")
     terms = []
     for x in range(len(world.datasets)):
-        v1, v2 = y1 - f1[x], y2 - f2[x]
-        lp = xi1.logpdf(v1) + xi2.logpdf(v2)
-        t1 = _normal_score(xi1, v1)
-        t2 = _normal_score(xi2, v2)
+        lp, t1, t2 = _noise_terms(xi1, xi2, y1, y2, (f1[x], f2[x]))
         terms.append((lp - _norm_logpdf(t1) - _norm_logpdf(t2), t1, t2))
     return g1, g2, terms
 

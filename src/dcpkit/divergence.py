@@ -72,18 +72,21 @@ def _keep_live(pair: DistPair, p: np.ndarray, q: np.ndarray) -> DistPair:
     return pair
 
 
+def _exp_times(eps: float, q: np.ndarray) -> np.ndarray:
+    """e^eps q.  Where e^eps is past the float range, each q is scaled in
+    the log domain, where q = 0 gives e^-inf = 0 and no inf * 0."""
+    try:
+        return math.exp(eps) * q
+    except OverflowError:
+        with np.errstate(divide="ignore", over="ignore"):
+            return np.exp(eps + np.log(q))
+
+
 def hockey_stick(pair: DistPair, eps: float) -> float:
     """Sum of (p - e^eps q)+ over outcomes; the delta achieved at this eps."""
     if not math.isfinite(eps):
         raise ValueError(f"eps must be finite, got {eps}")
-    try:
-        gap = pair.p - math.exp(eps) * pair.q
-    except OverflowError:
-        # e^eps is past the float range: scale each q in the log domain, where
-        # q = 0 gives e^-inf = 0 (its whole p-mass) and no inf * 0
-        with np.errstate(divide="ignore", over="ignore"):
-            gap = pair.p - np.exp(eps + np.log(pair.q))
-    return float(np.maximum(gap, 0.0).sum())
+    return float(np.maximum(pair.p - _exp_times(eps, pair.q), 0.0).sum())
 
 
 class LossProfile:
@@ -123,8 +126,16 @@ class LossProfile:
         first = int(np.searchsorted(self.losses, 0.0, side="right"))
         end = self.losses.size - (self.losses[-1] == math.inf)
         gaps = np.append(np.cumsum((self.p_mass[first:] - self.q_mass[first:])[::-1])[::-1], 0.0)
-        drops = np.exp(self.losses[first:end]) * q_from[first + 1:end + 1] - p_from[first + 1:end + 1]
-        return first, gaps, drops
+        losses, q_next = self.losses[first:end], q_from[first + 1:end + 1]
+        if first < end and losses[-1] > 709.0:  # the losses ascend: only then can e^loss overflow
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                scaled = np.exp(losses) * q_next
+                # where e^loss is past the float range, scale q in the log domain as ``_exp_times`` does
+                past = ~np.isfinite(scaled)
+                scaled[past] = np.exp(losses[past] + np.log(q_next[past]))
+        else:
+            scaled = np.exp(losses) * q_next
+        return first, gaps, scaled - p_from[first + 1:end + 1]
 
     def epsilon(self, delta: float) -> float:
         """``optimal_epsilon`` of the pair at ``delta``."""
@@ -147,7 +158,12 @@ class LossProfile:
         # quotient is as accurate and log rounds closer than log1p
         p_from, q_from = self._from
         gap, b = gaps[k] - delta, q_from[first + k]
-        eps = math.log1p(gap / b) if gap < b else math.log((p_from[first + k] - delta) / b)
+        if gap < b:
+            eps = math.log1p(gap / b)
+        else:
+            # a float quotient past the float range reads inf: take it in the log domain
+            a, b = float(p_from[first + k] - delta), float(b)
+            eps = math.log(a / b) if a / b < math.inf else math.log(a) - math.log(b)
         return float(max(eps, 0.0))
 
     def sweep(self, q_start: float) -> tuple[np.ndarray, np.ndarray]:
@@ -181,14 +197,7 @@ class LossProfile:
         with np.errstate(divide="ignore"):
             j = np.searchsorted(self.losses, eps - (np.log(a) - np.log(b)), side="right")
         p_from, q_from = self._from
-        bq = b * q_from[j]
-        try:
-            bq *= math.exp(eps)
-        except OverflowError:
-            # as in ``hockey_stick``: scale in the log domain, where bq = 0 stays 0
-            with np.errstate(divide="ignore"):
-                bq = np.exp(eps + np.log(bq))
-        return float(np.maximum(a * p_from[j] - bq, 0.0).sum())
+        return float(np.maximum(a * p_from[j] - _exp_times(eps, b * q_from[j]), 0.0).sum())
 
 
 def optimal_epsilon(pair: DistPair, delta: float) -> float:

@@ -4,8 +4,10 @@ Two experiment shapes: budget filling with an added independent
 secret channel, and budget filling through a calibrated Gaussian-copula
 coupling of two noise mechanisms.  Each grid point calibrates every
 mechanism tightly, attempts the inverse-composition design, fills the
-remaining budget subject to the direct divergence check, and audits the
-result against a single mechanism calibrated to the same budget.
+remaining budget subject to the direct divergence check
+(``synth.fill_budget``: over the secret channel's sigma or the coupling's
+eps_c), and audits the result against a single mechanism calibrated to the
+same budget.
 """
 
 from __future__ import annotations
@@ -17,14 +19,15 @@ from . import ic
 from .audit import compare_protocol, roc_bound_check
 from .composition import composed_joint
 from .copula import GaussianCopulaSpec, LaplaceMarginal, block_grid, mix_block_law
-from .divergence import Law, monotone_root
 from .model import adjacency_labels, effective_kernel, join_per_secret
 from .synth import (
+    _GAUSSIAN,
     _LAPLACE,
+    SCALE_BOUNDS,
+    _binned_noise,
     _calibrate_noise_scale,
-    _step_out,
-    calibrate_alpha_fill,
     calibrate_gaussian_mechanism,
+    fill_budget,
     mixing_world,
 )
 
@@ -90,17 +93,19 @@ def run_independent_experiment(
     if len(eps_gs) != len(eps_is):
         raise ValueError("eps_g and eps_i grids must have equal length")
     world = mixing_world(LAM)
+    # the secret channel: Gaussian noise around 0 and 1 on 9 bins, the less informative the wider
+    channel = lambda sigma: _binned_noise((0.0, 1.0), sigma, 9, *_GAUSSIAN)
     rows = []
     for eps_g, eps_i in zip(eps_gs, eps_is):
         mechs = [
             calibrate_gaussian_mechanism(world, fmap, eps_i, delta, bins=MECH_BINS, name=f"m{i}")
             for i, fmap in enumerate(_QUERY_MAPS)
         ]
-        base_law = composed_joint(world, mechs).matrix
+        base = composed_joint(world, mechs)
         flag = _ic_attempt(world, mechs, eps_g, delta)
-        law, sigma = calibrate_alpha_fill(
-            world, base_law, eta=(0.0, 1.0), eps_g=eps_g, delta_g=delta, bins=9
-        )
+        law, sigma = fill_budget(world, eps_g, delta, lambda sigma: join_per_secret(base.matrix, channel(sigma)),
+                                 lambda sigma: base.worst_joined(world, channel(sigma), eps_g),
+                                 safe=SCALE_BOUNDS[1], free=SCALE_BOUNDS[0], tol=1e-12)
         if math.isinf(sigma):
             flag = flag + "+fill-infeasible"
         rows.append(_audit_row(world, law, eps_g, eps_i, delta, flag, sigma))
@@ -140,29 +145,13 @@ def run_copula_experiment(
             )
             return mix_block_law(spec, world, terms)
 
-        judged = {}
-
-        def overshoot(eps_c):
-            judged[eps_c] = law = Law(join_per_secret(block_at(eps_c), rest.matrix))
-            return law.worst(world, eps=eps_g).value - delta
-
-        # the root finder reads the worst delta off the loss profiles of the other
-        # mechanisms' law; the ends and the fill are judged, and audited, directly
-        lo, hi = 1e-4, 64.0
-        v_lo = overshoot(lo)
-        if v_lo > 0.0:
-            eps_c, fill_at, flag = math.inf, lo, "fill-infeasible"
-        else:
-            v_hi = overshoot(hi)
-            if v_hi <= 0.0:
-                fill_at = hi
-            else:
-                fill_at, _ = monotone_root(
-                    lambda e: rest.worst_joined(world, block_at(e), eps_g) - delta,
-                    lo, hi, v_lo, v_hi, above=lambda v: v > 0.0, tol=1e-9)
-                fill_at = _step_out(overshoot, fill_at, 1.0 / (1.0 + 1e-9), lo)
-            eps_c, flag = fill_at, "coupling-filled"
-        rows.append(_audit_row(world, judged[fill_at], eps_g, eps_i, delta, flag, eps_c))
+        # the coupling fill: the block joined before the other mechanisms, the
+        # less informative the smaller eps_c
+        law, eps_c = fill_budget(world, eps_g, delta, lambda eps_c: join_per_secret(block_at(eps_c), rest.matrix),
+                                 lambda eps_c: rest.worst_joined(world, block_at(eps_c), eps_g),
+                                 safe=1e-4, free=64.0, tol=1e-9)
+        flag = "fill-infeasible" if math.isinf(eps_c) else "coupling-filled"
+        rows.append(_audit_row(world, law, eps_g, eps_i, delta, flag, eps_c))
     return ExperimentResult(name="copula", seed=seed, rows=rows)
 
 

@@ -1,5 +1,6 @@
 """Synthetic worlds, mechanisms, and budget calibrations for experiments
-and property tests."""
+and property tests: noise scales calibrated to a target epsilon, and the
+one budget fill (``fill_budget``) that both experiments' fills run."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import numpy as np
 
 from .divergence import Law, monotone_root
 from .model import (MechanismKernel, ModelError, World, _check_rows_stochastic, default_adjacency,
-                    is_invertible, join_per_secret, mix_kernel)
+                    is_invertible, mix_kernel)
 
 # the bracket of every noise-scale calibration and of the secret-channel fill
 SCALE_BOUNDS = (1e-3, 1e4)
@@ -187,56 +188,43 @@ def calibrate_gaussian_mechanism(
     return binned_gaussian_kernel(values, sigma, bins, name=name)
 
 
-def secret_gaussian_channel(eta, sigma: float, bins: int = 33) -> np.ndarray:
-    """Row-stochastic secret-to-output kernel: binned Gaussian around eta(s)."""
-    kern = binned_gaussian_kernel(eta, sigma, bins, name="alpha")
-    return np.asarray(kern.kernel)
+def fill_budget(world: World, eps_g: float, delta_g: float, joined, fast, safe: float,
+                free: float, tol: float) -> tuple[Law, float]:
+    """Fill what is left of (``eps_g``, ``delta_g``): the fill parameter x
+    nearest ``free`` whose joined law ``Law(joined(x))`` keeps the worst
+    pair's delta at ``eps_g`` within ``delta_g`` by the direct check (a
+    delta of exactly ``delta_g`` passes).  The joined law's delta is
+    monotone in x, lowest at ``safe``.
 
-
-def _step_out(direct, x: float, factor: float, end: float) -> float:
-    """The direct route's last word on a fill: ``x`` moved by ``factor``
-    toward ``end``, where ``direct`` reads <= 0, until it reads <= 0 at ``x``."""
-    while x != end and direct(x) > 0.0:
-        x = min(x * factor, end) if factor > 1.0 else max(x * factor, end)
-    return x
-
-
-def calibrate_alpha_fill(
-    world: World,
-    base_law: np.ndarray,
-    eta,
-    eps_g: float,
-    delta_g: float,
-    bins: int = 33,
-) -> tuple[Law, float]:
-    """Most informative secret-channel fill that keeps the full composition
-    inside (eps_g, delta_g) by the direct divergence check.
-
-    ``base_law`` is the composed per-secret law of the existing mechanisms
-    (an array or its ``Law``); returns (law, sigma), law the ``Law`` joined
-    with the channel at sigma that the direct check judged; sigma = inf means
-    even the widest channel in bounds cannot be certified, and law is
-    ``base_law``'s.  The root finder reads the joined law's worst delta off
-    ``base_law``'s loss profiles (``Law.worst_joined``); the bracket's ends
-    and the returned scale are judged on the joined law itself.
+    The direct check judges ``safe``, then ``free``; between them the root
+    finder reads ``fast(x)``, the joined law's worst delta read off the
+    fixed factor's loss profiles (``Law.worst_joined``), to within a factor
+    1 + ``tol`` of x.  From the end it returns, x steps toward ``safe`` by
+    that factor until the direct check passes it.  Returns (law, x), law the
+    one the direct check judged at x; x = inf when even ``safe`` fails, with
+    the law judged there.
     """
-    base = Law.of(base_law)
     judged = {}
 
-    def direct(sigma):
-        judged[sigma] = law = Law(join_per_secret(base.matrix, secret_gaussian_channel(eta, sigma, bins)))
+    def direct(x):
+        judged[x] = law = Law(joined(x))
         return law.worst(world, eps=eps_g).value - delta_g
 
-    def excess(sigma):
-        return base.worst_joined(world, _binned_noise(eta, sigma, bins, *_GAUSSIAN), eps_g) - delta_g
+    v_safe = direct(safe)
+    if v_safe > 0.0:
+        return judged[safe], math.inf
+    v_free = direct(free)
+    if v_free <= 0.0:
+        return judged[free], free
 
-    lo, hi = SCALE_BOUNDS
-    v_hi = direct(hi)
-    if v_hi > 0.0:
-        return base, math.inf
-    v_lo = direct(lo)
-    if v_lo <= 0.0:
-        return judged[lo], lo
-    _, sigma = monotone_root(excess, lo, hi, v_lo, v_hi, above=lambda v: v <= 0.0, tol=1e-12)
-    sigma = _step_out(direct, sigma, 1.0 + 1e-12, hi)
-    return judged[sigma], sigma
+    excess = lambda x: fast(x) - delta_g
+    # the root finder's bracket ascends: with safe on top, the passing values are above the switch
+    if safe > free:
+        _, x = monotone_root(excess, free, safe, v_free, v_safe, above=lambda v: v <= 0.0, tol=tol)
+        factor, toward = 1.0 + tol, min
+    else:
+        x, _ = monotone_root(excess, safe, free, v_safe, v_free, above=lambda v: v > 0.0, tol=tol)
+        factor, toward = 1.0 / (1.0 + tol), max
+    while x != safe and direct(x) > 0.0:
+        x = toward(x * factor, safe)
+    return judged[x], x

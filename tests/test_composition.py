@@ -545,12 +545,13 @@ def test_report_and_bounds_build_each_law_once(monkeypatch):
 
 def _count_builds(monkeypatch):
     """Empty the composition slot and count, in the composition layer, the
-    joint builds, the product-law layouts, the effective kernels by mechanism
-    name and the group laws by kernel id."""
+    joint builds (on type classes, the one build of a composed law), the
+    product-law layouts, the effective kernels by mechanism name and the
+    group laws by kernel id."""
     monkeypatch.setattr(comp, "_SLOT", [None])
     joints, layouts, effs, mixes = [], [], [], []
-    build, lay, eff, mix = comp.composed_law, comp.lay_out, comp.effective_kernel, comp.mix_kernel
-    monkeypatch.setattr(comp, "composed_law", lambda *a: joints.append(1) or build(*a))
+    build, lay, eff, mix = comp.lumped_law, comp.lay_out, comp.effective_kernel, comp.mix_kernel
+    monkeypatch.setattr(comp, "lumped_law", lambda *a: joints.append(1) or build(*a))
     monkeypatch.setattr(comp, "lay_out", lambda *a: layouts.append(1) or lay(*a))
     monkeypatch.setattr(comp, "effective_kernel", lambda w, m: effs.append(m.name) or eff(w, m))
     monkeypatch.setattr(comp, "mix_kernel", lambda w, k: mixes.append(id(k)) or mix(w, k))
@@ -586,8 +587,6 @@ def test_one_instance_asked_many_bounds_builds_each_law_once(monkeypatch):
 
     world, mechs = _random_instance(np.random.default_rng(41), n_secrets=3)
     joints, effs, mixes, layouts = _count_builds(monkeypatch)
-    lumps, lump = [], comp.lumped_law
-    monkeypatch.setattr(comp, "lumped_law", lambda *a: lumps.append(1) or lump(*a))
     profiles = []
 
     class CountedProfile(divergence.LossProfile):
@@ -604,8 +603,9 @@ def test_one_instance_asked_many_bounds_builds_each_law_once(monkeypatch):
     tradeoff_curve(cj.pair(*pair))
     comp.tradeoff_dominance(world, mechs, [])
     ic.solve_task2(ic.IcProblem(world=world, mechs=mechs, delta_g=0.05))
-    assert (len(joints), len(layouts), mixes) == (0, 1, [])  # the product law is the one layout here
-    assert len(lumps) == 1  # the joint on type classes, which the bounds read and the joint spreads
+    # the joint on type classes, which the bounds read and the joint spreads,
+    # and the product law, the one layout here
+    assert (len(joints), len(layouts), mixes) == (1, 1, [])
     assert sorted(effs) == sorted(m.name for m in mechs)
     # one per unordered adjacent pair of the joint and of the product: a pair's twin reads it reversed
     assert len(profiles) == len(world.adjacency)

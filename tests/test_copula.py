@@ -280,6 +280,19 @@ def test_perturbed_decomposition_additivity():
     assert resid <= 1e-6
 
 
+def test_accounting_refuses_an_empirical_marginal():
+    # sampling takes all three families; the accounting needs a density
+    empirical = EmpiricalMarginal([-3.0, 0.0, 3.0], [0.0, 0.5, 1.0])
+    world, fmaps = _pair_world(), ((0.0, 1.0), (0.0, 0.5))
+    for xi1, xi2 in ((empirical, GaussianMarginal(1.0)), (LaplaceMarginal(1.0), empirical)):
+        spec = make_spec(xi1=xi1, xi2=xi2)
+        assert psedr_samples(spec, "s0", np.random.default_rng(3), 10)["v1"].shape == (10,)
+        for run in (lambda: perturbed_decomposition(spec, world, fmaps, 0, 1, bins=16),
+                    lambda: block_grid(xi1, xi2, world, fmaps, bins=9)):
+            with pytest.raises(ValueError, match="'empirical' has no density.*block_grid, perturbed_decomposition"):
+                run()
+
+
 def test_conservative_bound_dominates_perturbed_true_opt():
     # moderate coupling; in the comonotone limit (effective correlation
     # near 1) the independence-based bound is known to fail

@@ -744,6 +744,23 @@ def test_worst_pair_first_pair_wins_ties():
     assert tight.value == pytest.approx(math.log(0.7 / 0.2), abs=1e-12)
 
 
+def test_tight_epsilon_past_the_float_range_of_e_loss():
+    # a loss of log(0.5 / 1e-310) = 713.1 puts e^loss past the float range,
+    # and (a - delta) / b with b = 1e-310 overflows too: the tight epsilon is
+    # finite all the same, the one that bisection on the direct route finds
+    pair = DistPair(np.array([0.5, 0.5]), np.array([1e-310, 1.0 - 1e-310]))
+    world = World(("s0", "s1"), ("x0", "x1"), np.array([[0.5, 0.0], [0.0, 0.5]]),
+                  default_adjacency(np.array([[0.5, 0.0], [0.0, 0.5]])))
+    law = np.stack([pair.p, pair.q])
+    for delta in (0.4, 0.1):
+        eps = optimal_epsilon(pair, delta)
+        _, ref = full_bisection(lambda e: hockey_stick(pair, e) <= delta, 700.0, 720.0, True, 400, tol=1e-15)
+        assert eps == pytest.approx(ref, rel=1e-13)
+        assert hockey_stick(pair, eps) <= delta < hockey_stick(pair, eps * (1.0 - 1e-12))
+        worst = worst_pair(world, law, delta=delta)
+        assert (worst.value, worst.pair) == (eps, (0, 1)) and worst.values[(1, 0)] < 1.0
+
+
 def test_worst_pair_empty_adjacency_names_it():
     joint = np.array([[0.5, 0.0], [0.0, 0.5]])
     world = World(("a", "b"), ("x", "y"), joint, frozenset())

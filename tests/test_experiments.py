@@ -156,7 +156,8 @@ def test_default_grids_stay_inside_the_budget(seed):
 
 def test_root_finder_evaluations_on_the_default_grids(monkeypatch):
     # every calibration of both default grids, flat-ended fills included,
-    # within 20 evaluations (bisection takes 44 on a scale, 34 on eps_c)
+    # within 20 evaluations (bisection takes 44 on a scale, 34 on eps_c);
+    # both fills and every noise scale go through ``synth``'s root finder
     counts = []
 
     def counted(value, *args, **kwargs):
@@ -167,12 +168,11 @@ def test_root_finder_evaluations_on_the_default_grids(monkeypatch):
             return value(x)
         return monotone_root(tally, *args, **kwargs)
 
-    for module in (synth, experiments):
-        monkeypatch.setattr(module, "monotone_root", counted)
+    monkeypatch.setattr(synth, "monotone_root", counted)
     run_independent_experiment(seed=0)
     run_copula_experiment(seed=0)
-    assert len(counts) == 66
-    assert max(counts) <= 20 and sum(counts) <= 858
+    assert (len(counts), sum(counts)) == (66, 841)
+    assert max(counts) <= 20
 
 
 @pytest.mark.parametrize("run,eps_g,eps_i,shrink", [(run_independent_experiment, 5.0, 1.0, 1e-12),
@@ -184,17 +184,21 @@ def test_the_direct_route_has_the_last_word_on_a_fill(monkeypatch, run, eps_g, e
     read = LossProfile.hockey_stick
     monkeypatch.setattr(LossProfile, "hockey_stick",
                         lambda self, a, b, eps: read(self, a, b, eps) * (1.0 - shrink))
-    moved, original = [], synth._step_out
+    brackets, fills, root, fill = [], [], synth.monotone_root, experiments.fill_budget
+    monkeypatch.setattr(synth, "monotone_root", lambda *a, **k: brackets.append(root(*a, **k)) or brackets[-1])
 
-    def step_out(direct, x, factor, end):
-        passed = original(direct, x, factor, end)
-        moved.append(passed != x)
-        return passed
+    def fill_budget(*args, **kwargs):
+        start = len(brackets)
+        law, x = fill(*args, **kwargs)
+        fills.append((brackets[start:], x))
+        return law, x
 
-    for module in (synth, experiments):
-        monkeypatch.setattr(module, "_step_out", step_out)
+    monkeypatch.setattr(experiments, "fill_budget", fill_budget)
     (row,) = run(eps_gs=(eps_g,), eps_is=(eps_i,)).rows
-    assert moved == [True]
+    # the fill's one bracket holds the switch that the loss profiles read,
+    # and the fill stepped out of it
+    (((lo, hi),), x), = fills
+    assert not lo <= x <= hi and row.fill_parameter == x
     assert row.composed_delta <= row.delta_g
 
 

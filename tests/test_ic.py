@@ -402,8 +402,8 @@ def test_feasible_posterior_tail_mass_chain():
 def test_solvers_build_the_composed_joint_once(monkeypatch):
     model = load_model(pathlib.Path(__file__).parent.parent / "demos" / "models" / "mixing_pair.json")
     builds = []
-    build = composition.composed_law
-    monkeypatch.setattr(composition, "composed_law", lambda *args: builds.append(1) or build(*args))
+    build = composition.lumped_law
+    monkeypatch.setattr(composition, "lumped_law", lambda *args: builds.append(1) or build(*args))
     monkeypatch.setattr(composition, "_SLOT", [None])
     world, mechs, dependence = model.world, list(model.mechanisms), list(model.dependence)
     for tau_g, solve in ((3.0, ic.solve_task1), (None, ic.solve_task2)):
