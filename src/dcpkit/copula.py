@@ -203,6 +203,17 @@ class GaussianCopulaSpec:
                 f"declared c_sen = {self.c_sen} does not match the eta sensitivity {computed}"
             )
 
+    def with_eps_c(self, eps_c: float) -> GaussianCopulaSpec:
+        """This spec at ``eps_c``: eps_c is checked as the constructor checks
+        it, and the rest of the validation and the sensitivity carry over."""
+        if not math.isfinite(eps_c):
+            raise ValueError(f"eps_c must be finite, got {eps_c}")
+        if eps_c < 0:
+            raise ValueError(f"eps_c must be >= 0, got {eps_c}")
+        spec = object.__new__(GaussianCopulaSpec)
+        spec.__dict__.update(self.__dict__, eps_c=eps_c)
+        return spec
+
     def _computed_sensitivity(self) -> float:
         labels = list(self.eta)
         if self.adjacency_labels is not None:
@@ -508,30 +519,30 @@ def _noise_terms(xi1, xi2, y1, y2, shift):
 
 
 def block_grid(xi1, xi2, world: World, query_maps: tuple, bins: int = 17):
-    """The eps_c-free half of the coupled block law: grids g1, g2 and, per
-    dataset, (noise log-density less normal-score log-densities, score 1,
-    score 2).  ``mix_block_law`` completes it."""
+    """The eps_c-free half of the coupled block law: grids g1, g2 and
+    ``terms``, the stack of (noise log-density less normal-score
+    log-densities, score 1, score 2), each with one grid per dataset, on the
+    grid less that dataset's query values.  ``mix_block_law`` completes it."""
     check_cap(bins * bins, f"block grid of {bins} x {bins} cells")
     _check_densities(xi1, xi2)
     f1, f2 = (np.asarray(q, dtype=float) for q in query_maps)
     g1 = _output_grid(xi1, f1, bins)
     g2 = _output_grid(xi2, f2, bins)
     y1, y2 = np.meshgrid(g1, g2, indexing="ij")
-    terms = []
-    for x in range(len(world.datasets)):
-        lp, t1, t2 = _noise_terms(xi1, xi2, y1, y2, (f1[x], f2[x]))
-        terms.append((lp - _norm_logpdf(t1) - _norm_logpdf(t2), t1, t2))
-    return g1, g2, terms
+    at = np.arange(len(world.datasets))
+    lp, t1, t2 = _noise_terms(xi1, xi2, y1, y2, (f1[at, None, None], f2[at, None, None]))
+    return g1, g2, np.stack((lp - _norm_logpdf(t1) - _norm_logpdf(t2), t1, t2))
 
 
 def mix_block_law(spec: GaussianCopulaSpec, world: World, terms) -> np.ndarray:
     """The eps_c half of the coupled block law: the per-secret cell-mass law
     of the coupled pair on ``block_grid``'s shared 2-D grid.
 
-    Each secret's per-dataset coupled density (state-shifted copula factor
-    times the noise product, from the dataset ``terms``) is mixed over
-    P(x|s).  Cell masses are midpoint-density approximations, renormalized
-    per secret.
+    Each secret's coupled density (state-shifted copula factor times the
+    noise product) is taken on the ``terms`` of all its datasets with mass
+    at once and mixed over P(x|s): the sum over the dataset axis adds the
+    datasets one by one in order, as a loop over them would.  Cell masses
+    are midpoint-density approximations, renormalized per secret.
     """
     etas = np.array([spec.eta_of(lbl) for lbl in world.secrets])
     mu_ref = float(etas.mean())
@@ -539,19 +550,16 @@ def mix_block_law(spec: GaussianCopulaSpec, world: World, terms) -> np.ndarray:
     for s in range(len(world.secrets)):
         m1, m2 = _shift_pair(spec, etas[s], mu_ref)
         cond = world.conditional_dataset(s)
-        dens = np.zeros_like(terms[0][0])
-        logs = []  # per dataset with mass: P(x|s) and the log-density on the grid
-        for x, (base, t1, t2) in enumerate(terms):
-            if cond[x] == 0.0:
-                continue
-            logs.append((cond[x], base + _coupled_log_density(spec, t1, t2, m1, m2)))
-            dens += cond[x] * np.exp(logs[-1][1])
+        live = cond != 0.0
+        base, t1, t2 = terms if live.all() else terms[:, live]
+        logs = base + _coupled_log_density(spec, t1, t2, m1, m2)
+        weights = cond[live, None, None]
+        dens = (weights * np.exp(logs)).sum(axis=0)
         total = dens.sum()
         if total == 0.0:
             # every cell underflowed (a correlation within ~1e-9 of +-1): shift
             # each log-density by the row's largest, which then reads e^0 = 1
-            top = max(float(log_d.max()) for _, log_d in logs)
-            dens = sum(c * np.exp(log_d - top) for c, log_d in logs)
+            dens = (weights * np.exp(logs - logs.max())).sum(axis=0)
             total = dens.sum()
         laws.append((dens / total).ravel())
     return np.array(laws)

@@ -65,10 +65,14 @@ class DistPair:
 
 
 def _keep_live(pair: DistPair, p: np.ndarray, q: np.ndarray) -> DistPair:
-    """Set ``pair`` to checked, clipped ``p``, ``q`` less their dead outcomes."""
+    """Set ``pair`` to checked, clipped ``p``, ``q`` less their dead
+    outcomes: ``p`` and ``q`` themselves when every outcome is live, else
+    copies cut to the live ones."""
     live = (p > 0.0) | (q > 0.0)
-    object.__setattr__(pair, "p", p[live])
-    object.__setattr__(pair, "q", q[live])
+    if not live.all():
+        p, q = p[live], q[live]
+    object.__setattr__(pair, "p", p)
+    object.__setattr__(pair, "q", q)
     return pair
 
 
@@ -86,7 +90,9 @@ def hockey_stick(pair: DistPair, eps: float) -> float:
     """Sum of (p - e^eps q)+ over outcomes; the delta achieved at this eps."""
     if not math.isfinite(eps):
         raise ValueError(f"eps must be finite, got {eps}")
-    return float(np.maximum(pair.p - _exp_times(eps, pair.q), 0.0).sum())
+    gaps = _exp_times(eps, pair.q)
+    np.subtract(pair.p, gaps, out=gaps)
+    return float(np.maximum(gaps, 0.0, out=gaps).sum())
 
 
 class LossProfile:
@@ -237,8 +243,9 @@ class Law:
     """A per-secret law (rows = secrets: an effective kernel, a composed
     joint), checked once, each pair made once asked for.  Pairs are its rows
     clipped at 0 and cut to their live outcomes, as ``DistPair`` makes them,
-    on read-only arrays; pair (s1, s0) is pair (s0, s1) swapped, so the two
-    share one ``LossProfile``: each unordered adjacent pair is sorted once.
+    on read-only arrays (``pair``); pair (s1, s0) is pair (s0, s1) swapped,
+    so the two share one ``LossProfile``: each unordered adjacent pair is
+    sorted once.  A law's matrix is not written once the law is made.
     A law on a read-only matrix is found again from that array by ``Law.of``
     while it lives.  A law made by ``spread`` hands out the pairs of the law
     it was spread from."""
@@ -274,6 +281,9 @@ class Law:
         return law
 
     def pair(self, s0: int, s1: int) -> DistPair:
+        """The pair of rows (``s0``, ``s1``), made once: read-only views of
+        the (clipped) rows when every outcome is live, else copies cut to
+        the live outcomes."""
         pair = self._pairs.get((s0, s1))
         if pair is None:
             pair = _keep_live(object.__new__(DistPair), self._rows[s0], self._rows[s1])

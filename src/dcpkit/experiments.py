@@ -126,6 +126,7 @@ def run_copula_experiment(
     world = mixing_world(LAM)
     w = 2.0 * math.log(2.0 / delta)
     eta = {world.secrets[0]: 0.0, world.secrets[1]: 1.0}
+    labels = adjacency_labels(world)
     rows = []
     for j, (eps_g, eps_i) in enumerate(zip(eps_gs, eps_is)):
         f1, f2 = _QUERY_MAPS[0], _QUERY_MAPS[1]
@@ -137,13 +138,10 @@ def run_copula_experiment(
         ]
         rest = composed_joint(world, others)
         _, _, terms = block_grid(xi1, xi2, world, (f1, f2), bins=block_bins)
-
-        def block_at(eps_c):
-            spec = GaussianCopulaSpec(
-                rho=DEFAULT_RHO, eta=eta, eps_c=eps_c, delta_c=delta, w=w, xi1=xi1, xi2=xi2,
-                adjacency_labels=adjacency_labels(world),
-            )
-            return mix_block_law(spec, world, terms)
+        # the coupling's eps_c-free parts (validation, sensitivity) once per point
+        coupling = GaussianCopulaSpec(rho=DEFAULT_RHO, eta=eta, eps_c=0.0, delta_c=delta, w=w,
+                                      xi1=xi1, xi2=xi2, adjacency_labels=labels)
+        block_at = lambda eps_c: mix_block_law(coupling.with_eps_c(eps_c), world, terms)
 
         # the coupling fill: the block joined before the other mechanisms, the
         # less informative the smaller eps_c

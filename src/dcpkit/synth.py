@@ -8,9 +8,8 @@ import math
 
 import numpy as np
 
-from .divergence import Law, monotone_root
-from .model import (MechanismKernel, ModelError, World, _check_rows_stochastic, default_adjacency,
-                    is_invertible, mix_kernel)
+from .divergence import Law, _exp_times, monotone_root
+from .model import MechanismKernel, ModelError, World, _check_rows_stochastic, default_adjacency, is_invertible
 
 # the bracket of every noise-scale calibration and of the secret-channel fill
 SCALE_BOUNDS = (1e-3, 1e4)
@@ -98,21 +97,32 @@ def triangulating_instance(noise: float = 0.15) -> tuple[World, list[MechanismKe
     return world, [m1, m2]
 
 
+def _noise_binner(values, bins: int, span: float, cdf):
+    """``_binned_noise`` on ``values`` as a function of the scale alone: the
+    values' min, max and column and the edge steps are taken once."""
+    values = np.asarray(values, dtype=float)
+    v_min, v_max, column = values.min(), values.max(), values[:, None]
+    steps = np.arange(bins + 1.0)
+
+    def rows(scale: float) -> np.ndarray:
+        lo, hi = v_min - span * scale, v_max + span * scale
+        # np.linspace(lo, hi, bins + 1) operation for operation, as its step is
+        # not 0 for a scale that is not subnormal
+        edges = steps * ((hi - lo) / bins) + lo
+        edges[-1] = hi
+        at = cdf((edges - column) / scale)
+        rows = at[:, 1:] - at[:, :-1]
+        rows[:, 0] += at[:, 0]
+        rows[:, -1] += 1.0 - at[:, -1]
+        return rows
+    return rows
+
+
 def _binned_noise(values, scale: float, bins: int, span: float, cdf) -> np.ndarray:
     """Rows of additive noise (standard CDF ``cdf``) on ``values``, binned on
     ``bins`` cells to ``span`` scales past them.  Edge cells absorb the
     tails so every row is exactly stochastic."""
-    values = np.asarray(values, dtype=float)
-    lo, hi = values.min() - span * scale, values.max() + span * scale
-    # np.linspace(lo, hi, bins + 1) operation for operation, as its step is
-    # not 0 for a scale that is not subnormal
-    edges = np.arange(bins + 1.0) * ((hi - lo) / bins) + lo
-    edges[-1] = hi
-    cdf = cdf((edges - values[:, None]) / scale)
-    rows = cdf[:, 1:] - cdf[:, :-1]
-    rows[:, 0] += cdf[:, 0]
-    rows[:, -1] += 1.0 - cdf[:, -1]
-    return rows
+    return _noise_binner(values, bins, span, cdf)(scale)
 
 
 def _laplace_cdf(x):
@@ -157,16 +167,34 @@ def _calibrate_noise_scale(world: World, noise, values, eps_target: float, delta
     ``eps_target`` exactly when that delta <= ``delta``, and the sum costs
     no sort.  It decreases in the scale, so the bracket ends at the least
     scale found within ``delta``, within a factor 1 + 1e-12 of one without,
-    on the route ``audit`` reads.  A step checks and mixes the binned rows,
-    the law ``effective_kernel`` gives that kernel's mechanism, bit for bit."""
+    on the route ``audit`` reads.
+
+    What the scale does not move is taken once: the binner's values and
+    edge steps, each secret's P(x|s) (``mix_kernel``'s uniform row for a
+    zero-prior secret) and the adjacent pairs' indices.  A step bins, mixes
+    and checks the rows as ``effective_kernel`` does; on a mixture with
+    every entry positive it sums (p - e^eps q)+ of all pairs in one array,
+    and any other mixture, whose dead outcomes ``Law`` cuts before summing,
+    goes through ``Law.worst``: the value is that law's, bit for bit."""
     values = np.asarray(values, dtype=float)
     if values.shape != (len(world.datasets),):
         raise ModelError(f"{values.size} query values, world has {len(world.datasets)} datasets")
+    binned = _noise_binner(values, bins, *noise)
+    marg = world.marginal_secret
+    conds = [world.joint[s] / marg[s] if marg[s] > 0 else None for s in range(len(world.secrets))]
+    uniform = np.full(bins, 1.0 / bins)
+    s0, s1 = np.array(sorted(world.adjacency), dtype=np.intp).reshape(-1, 2).T
 
     def excess(scale):
-        rows = _binned_noise(values, scale, bins, *noise)
+        rows = binned(scale)
         _check_rows_stochastic(rows, "binned noise kernel")
-        reached = Law(mix_kernel(world, rows)).worst(world, eps=eps_target).value
+        mixed = np.array([uniform if cond is None else cond @ rows for cond in conds])
+        _check_rows_stochastic(mixed, "per-secret law")
+        if s0.size and mixed.min() > 0.0:
+            gaps = mixed[s0] - _exp_times(eps_target, mixed[s1])
+            reached = float(np.maximum(gaps, 0.0, out=gaps).sum(axis=1).max())
+        else:
+            reached = Law(mixed).worst(world, eps=eps_target).value
         if reached == 0.0:
             return -math.inf
         return math.log(reached / delta) if delta > 0.0 else math.inf

@@ -13,6 +13,7 @@ from dcpkit.cli import main
 
 DEMOS = pathlib.Path(__file__).parent.parent / "demos" / "models"
 MIXING = str(DEMOS / "mixing_pair.json")
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def run(args):
@@ -208,6 +209,15 @@ def test_experiment_reproducible(tmp_path):
     assert lines[1].startswith("eps_g,eps_i,delta_g,auc_composed,auc_single,gap")
     assert len(lines) == 2 + 5  # header comment + columns + five grid points
     assert svg.read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize("name", ["independent", "copula"])
+def test_default_grid_csv_matches_the_committed_bytes(tmp_path, name):
+    # ``dcp --seed 0 --out FILE experiment --name NAME``: the README's two
+    # experiment lines, byte for byte (CI compares the installed dcp too)
+    out = tmp_path / f"{name}.csv"
+    assert run(["--seed", "0", "--out", str(out), "experiment", "--name", name]) == 0
+    assert out.read_bytes() == (DATA / f"experiment_{name}_seed0.csv").read_bytes()
 
 
 MALFORMED_BASE = {

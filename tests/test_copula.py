@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import pathlib
@@ -96,6 +97,19 @@ def test_spec_validation():
         make_spec(w=1.0)
     with pytest.raises(ValueError, match="c_sen"):
         make_spec(c_sen=2.0)
+
+
+def test_spec_with_eps_c_checks_eps_c_as_the_constructor_does():
+    spec = make_spec()
+    moved = spec.with_eps_c(2.5)
+    assert moved == dataclasses.replace(spec, eps_c=2.5)
+    assert spec.eps_c != 2.5  # the spec itself is left as it was
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError) as moved_err:
+            spec.with_eps_c(bad)
+        with pytest.raises(ValueError) as built_err:
+            make_spec(eps_c=bad)
+        assert str(moved_err.value) == str(built_err.value)
 
 
 def test_spec_degenerate_variance_guard():

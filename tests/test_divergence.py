@@ -544,6 +544,41 @@ def test_a_law_and_its_pairs_die_together():
         gc.enable()
 
 
+def test_a_law_hands_out_views_of_live_rows_and_cuts_dead_ones():
+    live = Law(np.array([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]]))
+    pair = live.pair(0, 1)
+    assert np.shares_memory(pair.p, live.matrix) and np.shares_memory(pair.q, live.matrix)
+    assert not (pair.p.flags.writeable or pair.q.flags.writeable)
+    assert live.matrix.flags.writeable  # the views are read-only, not the law's matrix
+    dead = Law(np.array([[0.5, 0.3, 0.0, 0.2], [0.2, 0.3, 0.0, 0.5]]))
+    pair = dead.pair(1, 0)
+    assert not (np.shares_memory(pair.p, dead.matrix) or np.shares_memory(pair.q, dead.matrix))
+    assert pair.p.tolist() == [0.2, 0.3, 0.5] and pair.q.tolist() == [0.5, 0.3, 0.2]
+    assert not (pair.p.flags.writeable or pair.q.flags.writeable)
+
+
+def test_hockey_stick_is_the_one_expression_bit_for_bit():
+    # the in-place (p - e^eps q)+ sums what the expression sums, zeros and
+    # subnormals included
+    rng = np.random.default_rng(23)
+    for k in range(300):
+        n = int(rng.integers(1, 60))
+        p, q = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n) * rng.choice([0.05, 1.0]))
+        for v in (p, q):
+            v[rng.random(n) < 0.2] = 0.0
+            v[rng.random(n) < 0.1] = 5e-324 * rng.integers(1, 2**20)
+        if p.sum() == 0.0 or q.sum() == 0.0:
+            continue
+        pair = DistPair(p / p.sum(), q / q.sum())
+        for eps in (0.0, 1e-9, 0.3, 2.0, 40.0, 709.0):
+            want = float(np.maximum(pair.p - math.exp(eps) * pair.q, 0.0).sum())
+            assert hockey_stick(pair, eps).hex() == want.hex(), (k, eps)
+        for eps in (709.79, 740.0, 800.0):  # e^eps past the float range: the log domain
+            with np.errstate(divide="ignore", over="ignore"):
+                want = float(np.maximum(pair.p - np.exp(eps + np.log(pair.q)), 0.0).sum())
+            assert hockey_stick(pair, eps).hex() == want.hex(), (k, eps)
+
+
 def test_a_pair_of_its_own_keeps_its_sort_and_its_twin():
     pair = DistPair(np.array([0.5, 0.3, 0.2]), np.array([0.2, 0.3, 0.5]))
     assert pair.swapped() is pair.swapped() and pair.swapped().swapped() is pair

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dcpkit import experiments, synth
-from dcpkit.divergence import LossProfile, monotone_root
+from dcpkit.divergence import Law, LossProfile, monotone_root
 from dcpkit.experiments import (
     _QUERY_MAPS,
     COPULA_EPS_G,
@@ -19,7 +19,7 @@ from dcpkit.experiments import (
     run_copula_experiment,
     run_independent_experiment,
 )
-from dcpkit.model import effective_kernel
+from dcpkit.model import effective_kernel, mix_kernel
 from dcpkit.synth import (
     _GAUSSIAN,
     _LAPLACE,
@@ -103,20 +103,38 @@ def test_noise_calibration_meets_delta_at_the_target(kernel, bins, delta):
 
 
 @pytest.mark.parametrize("kernel,bins", [(binned_gaussian_kernel, MECH_BINS),
-                                         (binned_laplace_kernel, 3 * MECH_BINS)])
+                                         (binned_laplace_kernel, 3 * MECH_BINS),
+                                         (binned_gaussian_kernel, 33)])  # the audit's single mechanism
 def test_noise_scale_step_equals_the_mechanisms_law_bit_for_bit(monkeypatch, kernel, bins):
     # a step mixes and checks the binned rows without building the mechanism,
-    # its labels or its effective kernel, and reads the very same value
-    world, target, delta = mixing_world(LAM), 0.6, 0.02
+    # its labels or its effective kernel, and reads the very same value, on
+    # mixtures with zero entries (small scales) and without
+    world, delta = mixing_world(LAM), 0.02
     steps = []
     monkeypatch.setattr(synth, "monotone_root", lambda value, lo, hi, *a, **k: steps.append(value) or (lo, hi))
-    for values in _QUERY_MAPS:
-        _calibrate_noise_scale(world, NOISE[kernel], values, target, delta, bins)
-        step = steps[-1]
-        for sigma in np.geomspace(1e-3, 1e4, 200):
-            reached = effective_kernel(world, kernel(values, sigma, bins)).worst(world, eps=target).value
-            want = -math.inf if reached == 0.0 else math.log(reached / delta)
-            assert step(sigma).hex() == want.hex(), (values, sigma)
+    for target in (0.05, 0.6, 3.0):
+        for values in _QUERY_MAPS:
+            _calibrate_noise_scale(world, NOISE[kernel], values, target, delta, bins)
+            step = steps[-1]
+            for sigma in np.geomspace(1e-3, 1e4, 200):
+                reached = effective_kernel(world, kernel(values, sigma, bins)).worst(world, eps=target).value
+                want = -math.inf if reached == 0.0 else math.log(reached / delta)
+                assert step(sigma).hex() == want.hex(), (target, values, sigma)
+
+
+def test_a_noise_scale_step_builds_no_law_where_every_outcome_is_live(monkeypatch):
+    # a mixture without a zero entry is read as one array; one with a zero
+    # goes through ``Law.worst``, whose dead-outcome cut orders the sum
+    world, built, steps = mixing_world(LAM), [], []
+    monkeypatch.setattr(synth, "Law", lambda matrix: built.append(matrix) or Law(matrix))
+    monkeypatch.setattr(synth, "monotone_root", lambda value, lo, hi, *a, **k: steps.append(value) or (lo, hi))
+    _calibrate_noise_scale(world, _GAUSSIAN, _QUERY_MAPS[0], 0.6, 0.02, MECH_BINS)
+    built.clear()
+    for sigma, laws in ((0.5, 0), (1e-3, 1)):
+        mixed = mix_kernel(world, binned_gaussian_kernel(_QUERY_MAPS[0], sigma, MECH_BINS).kernel)
+        assert (mixed.min() > 0.0) == (laws == 0)
+        steps[-1](sigma)
+        assert len(built) == laws, sigma
 
 
 @pytest.mark.parametrize("noise", [_GAUSSIAN, _LAPLACE])

@@ -130,17 +130,23 @@ def one_shot_block_law(spec, world, query_maps, bins, span=8.0):
 
 
 def test_block_law_steps_equal_one_shot_law():
-    world = mixing_world(0.3)
-    maps = ((0.0, 1.0, 0.0, 1.0), (0.0, 1.0, 1.0, 0.0))
-    xi1, xi2 = LaplaceMarginal(0.7), GaussianMarginal(1.3)
-    g1, g2, terms = block_grid(xi1, xi2, world, maps, bins=13)
-    for eps_c in (0.01, 0.3, 2.0, 40.0):
-        spec = GaussianCopulaSpec(rho=-0.4, eta={"s0": 0.0, "s1": 1.0}, eps_c=eps_c,
-                                  delta_c=0.02, w=2.0 * math.log(100.0), xi1=xi1, xi2=xi2)
-        want, w1, w2 = one_shot_block_law(spec, world, maps, bins=13)
-        assert np.all(np.isfinite(want))
-        assert np.array_equal(mix_block_law(spec, world, terms), want)
-        assert np.array_equal(g1, w1) and np.array_equal(g2, w2)
+    # at mixing 0 each secret has P(x|s) = 0 on all datasets but one
+    for world in (mixing_world(0.3), mixing_world(0.0)):
+        maps = ((0.0, 1.0, 0.0, 1.0), (0.0, 1.0, 1.0, 0.0))
+        xi1, xi2 = LaplaceMarginal(0.7), GaussianMarginal(1.3)
+        g1, g2, terms = block_grid(xi1, xi2, world, maps, bins=13)
+        coupling = GaussianCopulaSpec(rho=-0.4, eta={"s0": 0.0, "s1": 1.0}, eps_c=0.0,
+                                      delta_c=0.02, w=2.0 * math.log(100.0), xi1=xi1, xi2=xi2)
+        for eps_c in (0.01, 0.3, 2.0, 40.0):
+            spec = GaussianCopulaSpec(rho=-0.4, eta={"s0": 0.0, "s1": 1.0}, eps_c=eps_c,
+                                      delta_c=0.02, w=2.0 * math.log(100.0), xi1=xi1, xi2=xi2)
+            want, w1, w2 = one_shot_block_law(spec, world, maps, bins=13)
+            assert np.all(np.isfinite(want))
+            assert np.array_equal(mix_block_law(spec, world, terms), want)
+            # the spec moved to eps_c is the spec built there, and mixes the same law
+            assert coupling.with_eps_c(eps_c) == spec
+            assert np.array_equal(mix_block_law(coupling.with_eps_c(eps_c), world, terms), want)
+            assert np.array_equal(g1, w1) and np.array_equal(g2, w2)
 
 
 def test_block_law_rows_stay_finite_when_every_cell_underflows():
@@ -164,7 +170,7 @@ def test_block_law_rows_stay_finite_when_every_cell_underflows():
             m1, m2 = _shift_pair(spec, etas[s], float(etas.mean()))
             cond = world.conditional_dataset(s)
             logs = [math.log(cond[x]) + base + _coupled_log_density(spec, t1, t2, m1, m2)
-                    for x, (base, t1, t2) in enumerate(terms) if cond[x] > 0.0]
+                    for x, (base, t1, t2) in enumerate(zip(*terms)) if cond[x] > 0.0]
             log_dens = special.logsumexp(logs, axis=0).ravel()
             assert np.allclose(law[s], np.exp(log_dens - special.logsumexp(log_dens)), rtol=1e-9, atol=0)
 
