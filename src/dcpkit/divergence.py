@@ -7,7 +7,8 @@ curves.  It also holds the three primitives every other layer builds on: the
 worst adjacent pair of a per-secret law (``worst_pair``), the one sort of a
 pair's losses behind its tight epsilon, trade-off curve, attacker ROC and
 joined delta, and its twin's (``LossProfile``), and the bracketing root
-finder behind every calibration (``monotone_root``).  The direct
+finder behind every calibration (one ITP search, ``_itp``, run alone by
+``monotone_root`` or several in lockstep by ``monotone_roots``).  The direct
 ``hockey_stick`` and the privacy-loss-distribution route in ``dcpkit.pld``
 compute the same quantities without that sort; the routes stay independent
 so each can serve as the others' oracle.
@@ -19,7 +20,7 @@ import math
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import Callable, Generator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -351,27 +352,29 @@ def worst_pair(world: World, law: np.ndarray, *, eps: float | None = None,
 _ITP_N0 = 4
 
 
-def monotone_root(value: Callable[[float], float], lo: float, hi: float, v_lo: float,
-                  v_hi: float, *, above: Callable[[float], bool], tol: float) -> tuple[float, float]:
+def _itp(lo: float, hi: float, v_lo: float, v_hi: float, above: Callable[[float], bool],
+         tol: float) -> Generator[float, float, tuple[float, float]]:
     """Shrink the bracket [lo, hi] (0 < lo < hi) around the switch of a
-    monotone value until ``hi / lo < 1 + tol``.
+    monotone value until ``hi / lo < 1 + tol``: a generator that yields each
+    point to evaluate, is sent the value there, and returns the bracket.
 
-    ``above(value(x))`` is false below the switch and true above it, and
-    the value changes sign there; the caller passes ``v_lo``, the value at
-    ``lo`` (not above), and ``v_hi``, the value at ``hi`` (above), which it
-    has already computed.  Each step is an ITP step (Oliveira & Takahashi
-    2020) in log x, with kappa1 = 0.1, kappa2 = 2 and n0 = ``_ITP_N0`` = 4:
-    the secant point of the bracket's values, moved toward the midpoint by
-    0.1 w^2 on a bracket w wide and held half the tolerance in from either
-    end, then kept close enough to the midpoint that after j steps the
-    bracket is at most as wide as bisection's after j - 4.  So it stops at
-    most four steps after bisection would, and on a smooth value far
-    sooner.  On a value flat at one end the secant stays one-sided: a slack
-    of one step is spent in its first few steps, leaving midpoints, where
-    four keep the secant going.  When an end's value is not finite the
-    step is the midpoint.  Both returned ends are points that were
-    evaluated; once the step and ``sqrt(lo * hi)`` both round onto an end,
-    the bracket is returned as it is.
+    ``above(value)`` is false below the switch and true above it, and the
+    value changes sign there; ``v_lo`` is the value at ``lo`` (not above)
+    and ``v_hi`` the value at ``hi`` (above).  Each step is an ITP step
+    (Oliveira & Takahashi 2020) in log x, with kappa1 = 0.1, kappa2 = 2 and
+    n0 = ``_ITP_N0`` = 4: the secant point of the bracket's values, moved
+    toward the midpoint by 0.1 w^2 on a bracket w wide and held half the
+    tolerance in from either end, then kept close enough to the midpoint
+    that after j steps the bracket is at most as wide as bisection's after
+    j - 4.  So it stops at most four steps after bisection would, and on a
+    smooth value far sooner.  On a value flat at one end the secant stays
+    one-sided: a slack of one step is spent in its first few steps, leaving
+    midpoints, where four keep the secant going.  When an end's value is
+    not finite the step is the midpoint.  Both returned ends are points
+    that were evaluated; once the step and ``sqrt(lo * hi)`` both round
+    onto an end, the bracket is returned as it is.  Every step is
+    Python-float arithmetic on the bracket's ends and values, so a search's
+    points do not depend on who drives it.
     """
     # the widest the bracket may be after this step: bisection's width n0 steps back
     reach = (math.log(hi) - math.log(lo)) * 2.0 ** (_ITP_N0 - 1)
@@ -392,13 +395,43 @@ def monotone_root(value: Callable[[float], float], lo: float, hi: float, v_lo: f
             point = math.sqrt(lo * hi)
             if not lo < point < hi:
                 break
-        v = value(point)
+        v = yield point
         if above(v):
             hi, v_hi = point, v
         else:
             lo, v_lo = point, v
         reach *= 0.5
     return lo, hi
+
+
+def monotone_root(value: Callable[[float], float], lo: float, hi: float, v_lo: float,
+                  v_hi: float, *, above: Callable[[float], bool], tol: float) -> tuple[float, float]:
+    """The ``_itp`` search of [lo, hi] on ``value``, whose values at the
+    ends, ``v_lo`` and ``v_hi``, the caller has already computed."""
+    (bracket,) = monotone_roots(lambda which, points: [value(points[0])], [(lo, hi, v_lo, v_hi)],
+                                above=above, tol=tol)
+    return bracket
+
+
+def monotone_roots(values: Callable[[list, list], Sequence[float]], brackets, *,
+                   above: Callable[[float], bool], tol: float) -> list[tuple[float, float]]:
+    """``_itp`` searches of K brackets (lo, hi, v_lo, v_hi) in lockstep:
+    each round, ``values(which, points)`` is asked in one call for the
+    values at the points of the searches still running (``which``, their
+    indices, ascending).  Each search's points and returned bracket are
+    those it has run alone."""
+    searches = [_itp(lo, hi, v_lo, v_hi, above, tol) for lo, hi, v_lo, v_hi in brackets]
+    ends, sent = [None] * len(searches), dict.fromkeys(range(len(searches)))
+    while sent:
+        points = {}
+        for k, v in sent.items():
+            try:
+                points[k] = searches[k].send(v)
+            except StopIteration as stop:
+                ends[k] = stop.value
+        which = list(points)
+        sent = dict(zip(which, values(which, list(points.values())))) if which else {}
+    return ends
 
 
 def check_dcp(world: World, mech: MechanismKernel, eps: float, delta: float) -> DcpReport:

@@ -24,8 +24,9 @@ from .synth import (
     _GAUSSIAN,
     _LAPLACE,
     SCALE_BOUNDS,
-    _binned_noise,
-    _calibrate_noise_scale,
+    _calibrate_noise_scales,
+    _noise_binner,
+    binned_gaussian_kernel,
     calibrate_gaussian_mechanism,
     fill_budget,
     mixing_world,
@@ -82,6 +83,14 @@ def _ic_attempt(world, mechs, eps_g, delta_g) -> str:
     return "certified" if ic.solve_task1(problem).certified else "uncertified"
 
 
+def _gaussian_mechanisms(world, fmaps, eps_i, delta):
+    """Gaussian mechanisms m0, m1, .. on the query maps ``fmaps``, each
+    calibrated tight at (``eps_i``, ``delta``), in lockstep."""
+    sigmas = _calibrate_noise_scales(world, _GAUSSIAN, fmaps, eps_i, delta, MECH_BINS)
+    return [binned_gaussian_kernel(fmap, sigma, MECH_BINS, name=f"m{i}")
+            for i, (fmap, sigma) in enumerate(zip(fmaps, sigmas))]
+
+
 def run_independent_experiment(
     seed: int = 0,
     eps_gs=INDEPENDENT_EPS_G,
@@ -94,13 +103,11 @@ def run_independent_experiment(
         raise ValueError("eps_g and eps_i grids must have equal length")
     world = mixing_world(LAM)
     # the secret channel: Gaussian noise around 0 and 1 on 9 bins, the less informative the wider
-    channel = lambda sigma: _binned_noise((0.0, 1.0), sigma, 9, *_GAUSSIAN)
+    binned = _noise_binner((0.0, 1.0), 9, *_GAUSSIAN)
+    channel = lambda sigma: binned([sigma])[0]
     rows = []
     for eps_g, eps_i in zip(eps_gs, eps_is):
-        mechs = [
-            calibrate_gaussian_mechanism(world, fmap, eps_i, delta, bins=MECH_BINS, name=f"m{i}")
-            for i, fmap in enumerate(_QUERY_MAPS)
-        ]
+        mechs = _gaussian_mechanisms(world, _QUERY_MAPS, eps_i, delta)
         base = composed_joint(world, mechs)
         flag = _ic_attempt(world, mechs, eps_g, delta)
         law, sigma = fill_budget(world, eps_g, delta, lambda sigma: join_per_secret(base.matrix, channel(sigma)),
@@ -130,12 +137,9 @@ def run_copula_experiment(
     rows = []
     for j, (eps_g, eps_i) in enumerate(zip(eps_gs, eps_is)):
         f1, f2 = _QUERY_MAPS[0], _QUERY_MAPS[1]
-        xi1, xi2 = (LaplaceMarginal(_calibrate_noise_scale(world, _LAPLACE, f, eps_i, delta,
-                                                           MECH_BINS * 3)) for f in (f1, f2))
-        others = [
-            calibrate_gaussian_mechanism(world, fmap, eps_i, delta, bins=MECH_BINS, name=f"m{i}")
-            for i, fmap in enumerate(_QUERY_MAPS[2:])
-        ]
+        xi1, xi2 = map(LaplaceMarginal, _calibrate_noise_scales(world, _LAPLACE, (f1, f2), eps_i, delta,
+                                                               MECH_BINS * 3))
+        others = _gaussian_mechanisms(world, _QUERY_MAPS[2:], eps_i, delta)
         rest = composed_joint(world, others)
         _, _, terms = block_grid(xi1, xi2, world, (f1, f2), bins=block_bins)
         # the coupling's eps_c-free parts (validation, sensitivity) once per point

@@ -148,7 +148,7 @@ def pi_feasible(
     # of its extreme entry: one reduction per column, no full-size temporary
     max_lower = float((prior / tau_g - rows.min(axis=0)).max())
     if delta_g > 0.0:
-        expect = (rows**2 / prior[None, :]).sum(axis=1) - delta_g * tau_g
+        expect = _secret_sums(rows**2 / prior[None, :]) - delta_g * tau_g
         max_expect = float(expect.max())
         max_upper = -math.inf
     else:
@@ -156,6 +156,16 @@ def pi_feasible(
         max_expect = -math.inf
     max_res = max(max_lower, max_upper, max_expect)
     return FeasibilityReport(max_lower, max_upper, max_expect, max_res)
+
+
+def _secret_sums(rows: np.ndarray) -> np.ndarray:
+    """``rows.sum(axis=1)`` of an outcomes x secrets array, each row summed
+    as in a C-contiguous array, whatever the layout: numpy adds fewer than
+    8 terms left to right in any layout, but 8 or more pairwise only along
+    a contiguous row."""
+    if rows.ndim == 2 and rows.shape[1] >= 8:
+        rows = np.ascontiguousarray(rows)
+    return rows.sum(axis=1)
 
 
 def _on_support(world: World, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -184,18 +194,24 @@ def spsr_loss(
 
 
 def _spsr_loss(pi: np.ndarray, prior: np.ndarray, law: np.ndarray, loss: str) -> float:
-    """``spsr_loss`` under a per-secret law already joined with alpha."""
+    """``spsr_loss`` under a per-secret law already joined with alpha.  Each
+    sum runs over the cells in outcome-major order, whatever the layout of
+    ``pi``."""
     weights = (law * prior[:, None]).T   # outcomes x secrets, a view
     pi = np.asarray(pi, dtype=float)
     if loss == "log":
         hot = weights > 0.0
-        pi_hot = pi[hot]
+        # with every weight positive, the C-order ravels pick what the masks pick
+        if hot.all() and pi.shape == hot.shape:
+            w_hot, pi_hot = weights.ravel(), pi.ravel()
+        else:
+            w_hot, pi_hot = weights[hot], pi[hot]
         if np.any(pi_hot <= 0.0):
             return math.inf
-        return float(-(weights[hot] * np.log(pi_hot)).sum())
+        return float(-(w_hot * np.log(pi_hot)).sum())
     if loss == "brier":
-        sq = (pi**2).sum(axis=1, keepdims=True)
-        return float((weights * (sq - 2.0 * pi + 1.0)).sum())
+        sq = _secret_sums(pi**2)[:, None]
+        return float(np.multiply(weights, sq - 2.0 * pi + 1.0, order="C").sum())
     raise ValueError(f"unknown loss {loss!r}")
 
 
@@ -452,7 +468,7 @@ def solve_task2(problem: IcProblem) -> IcSolution:
     with np.errstate(divide="ignore"):  # pi = 0 on a positive-prior secret: no finite tau
         tau = max(1.0, float((prior / rows).max()))
     if delta_g > 0.0:
-        tau = max(tau, float((rows**2 / prior).sum(axis=1).max()) / delta_g)
+        tau = max(tau, float(_secret_sums(rows**2 / prior).max()) / delta_g)
     else:
         tau = max(tau, float((rows / prior).max()))
     if tau > TAU_CAP:
@@ -523,7 +539,7 @@ def certify(
     prior, rows = _on_support(world, post[live])
     ratio = rows / prior[None, :]
     outside = (ratio > tau_g * (1.0 + 1e-12)) | (ratio < (1.0 - 1e-12) / tau_g)
-    tails = (rows * outside).sum(axis=1)
+    tails = _secret_sums(rows * outside)
     stage2_tail = float(tails.max())
     stage2 = stage2_tail <= delta_g + 1e-9
 

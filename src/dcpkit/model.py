@@ -40,13 +40,15 @@ def _check_finite(mat: np.ndarray, what: str) -> None:
 
 
 def _check_rows_stochastic(mat: np.ndarray, what: str) -> None:
-    # two reductions pass every check below: a row sum within PROB_ATOL of 1
-    # is finite, which rules out NaN, +-inf and an overflowing sum, and NaN
-    # fails both comparisons
+    # four reductions pass every check below.  Entries in [-PROB_ATOL, 2]
+    # are finite and sum without overflow, so no warning needs silencing,
+    # and x - 1 rounds monotonically, so the largest |row sum - 1| decides;
+    # NaN fails every comparison and takes the checks below
+    if (mat.size and np.minimum.reduce(mat, None) >= -PROB_ATOL and np.maximum.reduce(mat, None) <= 2.0
+            and np.maximum.reduce(np.abs(np.add.reduce(mat, 1) - 1.0)) <= PROB_ATOL):
+        return
     with np.errstate(over="ignore", invalid="ignore"):
         sums = mat.sum(axis=1)
-    if mat.size and mat.min() >= -PROB_ATOL and (np.abs(sums - 1.0) <= PROB_ATOL).all():
-        return
     _check_finite(mat, what)
     if np.any(mat < -PROB_ATOL):
         i, j = np.argwhere(mat < -PROB_ATOL)[0]
@@ -270,17 +272,20 @@ def join_per_secret(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _posterior(prior: np.ndarray, law: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact Bayes posterior over secrets per outcome of a per-secret ``law``
     under ``prior``: (rows [outcomes x secrets], outcome weights, live mask).
-    A zero-weight outcome is marked dead and its row left as the prior."""
-    weights = law * prior[:, None]           # secrets x outcomes
-    marginal = weights.sum(axis=0)
+    A zero-weight outcome is marked dead and its row left as the prior.
+    The rows are computed secrets-major, as ``law`` is laid out, and handed
+    out as the transpose of that array: a reduction over the outcomes of
+    one secret reads contiguous memory."""
+    post = law * prior[:, None]           # secrets x outcomes, the joint weights
+    marginal = post.sum(axis=0)
     live = marginal > 0.0
     if not live.any():
         raise ValueError("all joint outcomes carry zero mass")
-    post = np.empty((law.shape[1], prior.size))  # outcomes x secrets
-    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 on the dead rows, reset below
-        np.divide(weights.T, marginal[:, None], out=post)
-    post[~live] = prior
-    return post, marginal, live
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 on the dead outcomes, reset below
+        np.divide(post, marginal, out=post)
+    if not live.all():
+        post[:, ~live] = prior[:, None]
+    return post.T, marginal, live
 
 
 class TypeClass(NamedTuple):

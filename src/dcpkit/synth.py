@@ -4,11 +4,12 @@ one budget fill (``fill_budget``) that both experiments' fills run."""
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from .divergence import Law, _exp_times, monotone_root
+from .divergence import Law, _exp_times, monotone_root, monotone_roots
 from .model import MechanismKernel, ModelError, World, _check_rows_stochastic, default_adjacency, is_invertible
 
 # the bracket of every noise-scale calibration and of the secret-channel fill
@@ -98,23 +99,35 @@ def triangulating_instance(noise: float = 0.15) -> tuple[World, list[MechanismKe
 
 
 def _noise_binner(values, bins: int, span: float, cdf):
-    """``_binned_noise`` on ``values`` as a function of the scale alone: the
-    values' min, max and column and the edge steps are taken once."""
+    """``_binned_noise`` on ``values`` as a function of the scales alone: the
+    values' min and max, their column and the edge steps are taken once.
+    ``values`` is one vector or a stack of them (K x datasets); the binner
+    takes a list of scales, one for each vector ``which`` (a slice or an
+    index list of the stack), and returns their rows as one (len(scales),
+    datasets, bins) array from one CDF call, each the rows its vector gets
+    alone at its scale."""
     values = np.asarray(values, dtype=float)
-    v_min, v_max, column = values.min(), values.max(), values[:, None]
-    steps = np.arange(bins + 1.0)
+    stack = values.reshape(-1, values.shape[-1])
+    ends = list(zip(stack.min(axis=1).tolist(), stack.max(axis=1).tolist()))
+    columns, steps = stack[:, :, None], np.arange(bins + 1.0)
 
-    def rows(scale: float) -> np.ndarray:
-        lo, hi = v_min - span * scale, v_max + span * scale
+    def rows(scales, which=slice(None)) -> np.ndarray:
+        picked = ends[which] if isinstance(which, slice) else [ends[k] for k in which]
+        # each scale's edge step, lowest and highest edge, in Python floats, and the scale
+        lines = []
+        for scale, (v_min, v_max) in zip(scales, picked):
+            lo, hi = v_min - span * scale, v_max + span * scale
+            lines.append(((hi - lo) / bins, lo, hi, scale))
+        lines = np.array(lines)
         # np.linspace(lo, hi, bins + 1) operation for operation, as its step is
         # not 0 for a scale that is not subnormal
-        edges = steps * ((hi - lo) / bins) + lo
-        edges[-1] = hi
-        at = cdf((edges - column) / scale)
+        edges = steps * lines[:, :1] + lines[:, 1:2]
+        edges[:, -1:] = lines[:, 2:3]
+        at = cdf((edges[:, None, :] - columns[which]) / lines[:, 3:, None]).reshape(-1, bins + 1)
         rows = at[:, 1:] - at[:, :-1]
         rows[:, 0] += at[:, 0]
         rows[:, -1] += 1.0 - at[:, -1]
-        return rows
+        return rows.reshape(len(lines), -1, bins)
     return rows
 
 
@@ -122,7 +135,7 @@ def _binned_noise(values, scale: float, bins: int, span: float, cdf) -> np.ndarr
     """Rows of additive noise (standard CDF ``cdf``) on ``values``, binned on
     ``bins`` cells to ``span`` scales past them.  Edge cells absorb the
     tails so every row is exactly stochastic."""
-    return _noise_binner(values, bins, span, cdf)(scale)
+    return _noise_binner(values, bins, span, cdf)([scale])[0]
 
 
 def _laplace_cdf(x):
@@ -131,6 +144,7 @@ def _laplace_cdf(x):
     return np.where(x > 0, 1.0 - e, e)
 
 
+@functools.cache
 def _special():
     """``scipy.special``, imported on the first call that needs a normal CDF
     or quantile: its import takes longer than ``import dcpkit`` without it,
@@ -157,54 +171,95 @@ def binned_laplace_kernel(values, scale: float, bins: int = 33,
     return MechanismKernel(name, tuple(f"b{i}" for i in range(bins)), rows)
 
 
-def _calibrate_noise_scale(world: World, noise, values, eps_target: float, delta: float,
-                           bins: int) -> float:
+def _calibrate_noise_scales(world: World, noise, values_list, eps_target: float, delta: float,
+                            bins: int) -> list[float]:
     """Scale the binned noise ``noise`` (``_GAUSSIAN`` or ``_LAPLACE``) on
-    ``values`` so the worst-pair tight epsilon at ``delta`` hits
-    ``eps_target``; a target the bounds do not reach is refused.  The root
-    finder reads log(delta reached / delta), the worst pair's hockey-stick
-    delta at ``eps_target`` (-inf where it is 0): tight epsilon <=
-    ``eps_target`` exactly when that delta <= ``delta``, and the sum costs
-    no sort.  It decreases in the scale, so the bracket ends at the least
-    scale found within ``delta``, within a factor 1 + 1e-12 of one without,
-    on the route ``audit`` reads.
+    each query-value vector of ``values_list`` so the worst-pair tight
+    epsilon at ``delta`` hits ``eps_target``; a target the bounds do not
+    reach is refused.  The root finder reads log(delta reached / delta),
+    the worst pair's hockey-stick delta at ``eps_target`` (-inf where it is
+    0): tight epsilon <= ``eps_target`` exactly when that delta <=
+    ``delta``, and the sum costs no sort.  It decreases in the scale, so
+    each bracket ends at the least scale found within ``delta``, within a
+    factor 1 + 1e-12 of one without, on the route ``audit`` reads.
 
-    What the scale does not move is taken once: the binner's values and
-    edge steps, each secret's P(x|s) (``mix_kernel``'s uniform row for a
-    zero-prior secret) and the adjacent pairs' indices.  A step bins, mixes
-    and checks the rows as ``effective_kernel`` does; on a mixture with
-    every entry positive it sums (p - e^eps q)+ of all pairs in one array,
-    and any other mixture, whose dead outcomes ``Law`` cuts before summing,
-    goes through ``Law.worst``: the value is that law's, bit for bit."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != (len(world.datasets),):
-        raise ModelError(f"{values.size} query values, world has {len(world.datasets)} datasets")
+    The K calibrations run in lockstep (``monotone_roots``): both bounds of
+    all K in one step, then one step a round on the searches still running.
+    A step bins the scales in one CDF call, checks the stacked rows and the
+    stacked mixtures once each, mixes each secret's P(x|s) with the rows as
+    ``effective_kernel`` does (one gemv per secret and scale: a zero-prior
+    secret gets ``mix_kernel``'s uniform row) and, on the mixtures with
+    every entry positive, sums (p - e^eps q)+ of all pairs in one array;
+    any other mixture, whose dead outcomes ``Law`` cuts before summing, goes
+    through ``Law.worst``.  Each value is that law's, bit for bit, and each
+    scale the one its calibration finds alone.  When a step raises, the
+    calibrations run again one at a time in order, so a batch raises what
+    the first failing calibration raises alone."""
+    try:
+        return _lockstep_noise_scales(world, noise, values_list, eps_target, delta, bins)
+    except ValueError:  # ModelError included
+        if len(values_list) == 1:
+            raise
+        return [_lockstep_noise_scales(world, noise, [values], eps_target, delta, bins)[0]
+                for values in values_list]
+
+
+def _lockstep_noise_scales(world: World, noise, values_list, eps_target: float, delta: float,
+                           bins: int) -> list[float]:
+    """``_calibrate_noise_scales`` without the one-at-a-time rerun."""
+    values, n = np.array(values_list, dtype=float), len(world.datasets)
+    if values.shape[1:] != (n,):
+        raise ModelError(f"{values[0].size} query values, world has {n} datasets")
+    if not 0.0 <= delta <= 1.0:
+        raise ValueError(f"delta must lie in [0, 1], got {delta}")
     binned = _noise_binner(values, bins, *noise)
     marg = world.marginal_secret
-    conds = [world.joint[s] / marg[s] if marg[s] > 0 else None for s in range(len(world.secrets))]
-    uniform = np.full(bins, 1.0 / bins)
+    dead = marg <= 0.0
+    any_dead = bool(dead.any())
+    conds = np.zeros_like(world.joint)
+    conds[~dead] = world.joint[~dead] / marg[~dead, None]
+    cond_rows = conds[None, :, None, :]
     s0, s1 = np.array(sorted(world.adjacency), dtype=np.intp).reshape(-1, 2).T
 
-    def excess(scale):
-        rows = binned(scale)
-        _check_rows_stochastic(rows, "binned noise kernel")
-        mixed = np.array([uniform if cond is None else cond @ rows for cond in conds])
-        _check_rows_stochastic(mixed, "per-secret law")
-        if s0.size and mixed.min() > 0.0:
-            gaps = mixed[s0] - _exp_times(eps_target, mixed[s1])
-            reached = float(np.maximum(gaps, 0.0, out=gaps).sum(axis=1).max())
-        else:
-            reached = Law(mixed).worst(world, eps=eps_target).value
-        if reached == 0.0:
-            return -math.inf
-        return math.log(reached / delta) if delta > 0.0 else math.inf
+    def worst(on):
+        """The worst pair's (p - e^eps q)+ sum of each law in a stack with every entry positive."""
+        gaps = on[:, s0] - _exp_times(eps_target, on[:, s1])
+        return np.maximum.reduce(np.add.reduce(np.maximum(gaps, 0.0, out=gaps), -1), -1).tolist()
 
+    def excess(which, scales):
+        """The values at ``scales`` of the calibrations ``which`` (all K: a slice)."""
+        rows = binned(scales, which)
+        _check_rows_stochastic(rows.reshape(-1, bins), "binned noise kernel")
+        # one vector-matrix product per secret and scale, as ``cond @ rows`` makes it
+        mixed = np.matmul(cond_rows, rows[:, None]).reshape(len(scales), -1, bins)
+        if any_dead:
+            mixed[:, dead] = 1.0 / bins
+        _check_rows_stochastic(mixed.reshape(-1, bins), "per-secret law")
+        if s0.size and np.minimum.reduce(mixed, None) > 0.0:
+            reached = worst(mixed)
+        else:
+            reached = [worst(m[None])[0] if s0.size and m.min() > 0.0
+                       else Law(m).worst(world, eps=eps_target).value for m in mixed]
+        return [-math.inf if r == 0.0 else math.log(r / delta) if delta > 0.0 else math.inf
+                for r in reached]
+
+    k = len(values_list)
     lo, hi = SCALE_BOUNDS
-    v_lo, v_hi = excess(lo), excess(hi)
-    if v_lo < 0.0 or v_hi > 0.0:
+    ends = excess(list(range(k)) * 2, [lo] * k + [hi] * k)
+    if any(v_lo < 0.0 or v_hi > 0.0 for v_lo, v_hi in zip(ends[:k], ends[k:])):
         raise ValueError("eps_target outside the reachable range for these bounds")
-    _, hi = monotone_root(excess, lo, hi, v_lo, v_hi, above=lambda v: v <= 0.0, tol=1e-12)
-    return hi
+    found = monotone_roots(
+        lambda which, scales: excess(slice(None) if len(which) == k else which, scales),
+        [(lo, hi, v_lo, v_hi) for v_lo, v_hi in zip(ends[:k], ends[k:])],
+        above=lambda v: v <= 0.0, tol=1e-12)
+    return [scale for _, scale in found]
+
+
+def _calibrate_noise_scale(world: World, noise, values, eps_target: float, delta: float,
+                           bins: int) -> float:
+    """``_calibrate_noise_scales`` on one query-value vector."""
+    (scale,) = _calibrate_noise_scales(world, noise, [values], eps_target, delta, bins)
+    return scale
 
 
 def calibrate_gaussian_mechanism(

@@ -20,6 +20,7 @@ from dcpkit.divergence import (
     check_dcp,
     hockey_stick,
     monotone_root,
+    monotone_roots,
     optimal_epsilon,
     tradeoff_curve,
     worst_pair,
@@ -761,6 +762,46 @@ def test_monotone_root_property(shape, strict, log_s, where, decades, k, tol):
     # and it holds the switch that bisection run to float resolution finds
     ref_lo, ref_hi = full_bisection(pred, lo, hi, True, 400)
     assert got_lo < ref_hi and ref_lo < got_hi
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_monotone_roots_runs_each_search_as_it_runs_alone(strict):
+    # K searches in lockstep: each round asks once for the points of the
+    # searches still running, in order, and each search evaluates the same
+    # points and returns the same bracket as ``monotone_root`` on it alone;
+    # a bracket already within tol takes no evaluation
+    rng = np.random.default_rng(7)
+    above = signed(SHAPES["smooth"](1.0, 1.0), strict)[1]
+    for trial in range(40):
+        k = int(rng.integers(1, 6))
+        searches = []
+        for _ in range(k):
+            shape = sorted(SHAPES)[int(rng.integers(len(SHAPES)))]
+            s = math.exp(rng.uniform(-5.0, 5.0))
+            lo, hi = s / 10.0 ** rng.uniform(0.0, 4.0), s * 10.0 ** rng.uniform(0.0, 4.0)
+            if rng.random() < 0.1:
+                lo, hi = s, s * (1.0 + 1e-13)
+            value = signed(SHAPES[shape](s, float(rng.uniform(0.01, 5.0))), strict)[0]
+            if above(value(lo)) or not above(value(hi)):
+                continue
+            searches.append((value, lo, hi))
+        tol = float(rng.choice([1e-12, 1e-9, 1e-6]))
+        rounds, points = [], [[] for _ in searches]
+
+        def values(which, xs):
+            rounds.append(list(which))
+            for j, x in zip(which, xs):
+                points[j].append(x)
+            return [searches[j][0](x) for j, x in zip(which, xs)]
+
+        got = monotone_roots(values, [(lo, hi, value(lo), value(hi)) for value, lo, hi in searches],
+                             above=above, tol=tol)
+        for j, (value, lo, hi) in enumerate(searches):
+            alone, calls = run_root(value, lo, hi, above, tol)
+            assert got[j] == alone and points[j] == calls
+        assert all(r == sorted(r) and r for r in rounds)
+        assert [len(r) for r in rounds] == sorted((len(r) for r in rounds), reverse=True)
+        assert len(rounds) == max((len(p) for p in points), default=0)
 
 
 # -------------------------------------------------- worst adjacent pair

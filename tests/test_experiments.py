@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dcpkit import experiments, synth
-from dcpkit.divergence import Law, LossProfile, monotone_root
+from dcpkit.divergence import Law, LossProfile, monotone_root, monotone_roots
 from dcpkit.experiments import (
     _QUERY_MAPS,
     COPULA_EPS_G,
@@ -31,6 +31,12 @@ from dcpkit.synth import (
 
 # each kernel builder's noise family, as ``_calibrate_noise_scale`` takes it
 NOISE = {binned_gaussian_kernel: _GAUSSIAN, binned_laplace_kernel: _LAPLACE}
+
+
+def _capture(steps):
+    """A stand-in for ``synth.monotone_roots`` that keeps each calibration's
+    batched value function in ``steps`` and returns the brackets as given."""
+    return lambda values, brackets, **kwargs: steps.append(values) or [b[:2] for b in brackets]
 
 
 def test_default_grids():
@@ -108,18 +114,26 @@ def test_noise_calibration_meets_delta_at_the_target(kernel, bins, delta):
 def test_noise_scale_step_equals_the_mechanisms_law_bit_for_bit(monkeypatch, kernel, bins):
     # a step mixes and checks the binned rows without building the mechanism,
     # its labels or its effective kernel, and reads the very same value, on
-    # mixtures with zero entries (small scales) and without
+    # mixtures with zero entries (small scales) and without; a step of all
+    # four query maps at once, each at its own scale, reads them too
     world, delta = mixing_world(LAM), 0.02
-    steps = []
-    monkeypatch.setattr(synth, "monotone_root", lambda value, lo, hi, *a, **k: steps.append(value) or (lo, hi))
+    steps, sigmas = [], np.geomspace(1e-3, 1e4, 200)
+    monkeypatch.setattr(synth, "monotone_roots", _capture(steps))
     for target in (0.05, 0.6, 3.0):
+        wants = []
         for values in _QUERY_MAPS:
             _calibrate_noise_scale(world, NOISE[kernel], values, target, delta, bins)
-            step = steps[-1]
-            for sigma in np.geomspace(1e-3, 1e4, 200):
+            step, wants = steps[-1], wants + [[]]
+            for sigma in sigmas:
                 reached = effective_kernel(world, kernel(values, sigma, bins)).worst(world, eps=target).value
-                want = -math.inf if reached == 0.0 else math.log(reached / delta)
-                assert step(sigma).hex() == want.hex(), (target, values, sigma)
+                wants[-1].append((-math.inf if reached == 0.0 else math.log(reached / delta)).hex())
+                assert step([0], [sigma])[0].hex() == wants[-1][-1], (target, values, sigma)
+        synth._calibrate_noise_scales(world, NOISE[kernel], _QUERY_MAPS, target, delta, bins)
+        for i in range(len(sigmas)):
+            # the maps at scales 50 grid points apart: small and large ones in one step
+            at = [(i + 50 * k) % len(sigmas) for k in range(4)]
+            got = steps[-1](list(range(4)), [sigmas[j] for j in at])
+            assert [x.hex() for x in got] == [wants[k][j] for k, j in enumerate(at)], (target, i)
 
 
 def test_a_noise_scale_step_builds_no_law_where_every_outcome_is_live(monkeypatch):
@@ -127,13 +141,13 @@ def test_a_noise_scale_step_builds_no_law_where_every_outcome_is_live(monkeypatc
     # goes through ``Law.worst``, whose dead-outcome cut orders the sum
     world, built, steps = mixing_world(LAM), [], []
     monkeypatch.setattr(synth, "Law", lambda matrix: built.append(matrix) or Law(matrix))
-    monkeypatch.setattr(synth, "monotone_root", lambda value, lo, hi, *a, **k: steps.append(value) or (lo, hi))
+    monkeypatch.setattr(synth, "monotone_roots", _capture(steps))
     _calibrate_noise_scale(world, _GAUSSIAN, _QUERY_MAPS[0], 0.6, 0.02, MECH_BINS)
     built.clear()
     for sigma, laws in ((0.5, 0), (1e-3, 1)):
         mixed = mix_kernel(world, binned_gaussian_kernel(_QUERY_MAPS[0], sigma, MECH_BINS).kernel)
         assert (mixed.min() > 0.0) == (laws == 0)
-        steps[-1](sigma)
+        steps[-1]([0], [sigma])
         assert len(built) == laws, sigma
 
 
@@ -161,6 +175,77 @@ def test_noise_calibration_refuses_an_unreachable_target(kernel):
         _calibrate_noise_scale(world, NOISE[kernel], (0.0, 1.0, 0.0, 1.0), 50.0, 0.02, 21)
 
 
+def _outcome(calibrate):
+    """What ``calibrate()`` returns, or the type and message of what it raises."""
+    try:
+        return calibrate()
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+
+
+# worlds for the lockstep: small and moderate mixing, one-hot conditionals,
+# a Dirichlet joint, a zero-prior secret (``mix_kernel``'s uniform row) and
+# three secrets
+LOCKSTEP_WORLDS = {
+    "mixing-0": mixing_world(0.0),
+    "mixing-0.005": mixing_world(LAM),
+    "mixing-0.3": mixing_world(0.3),
+    "dirichlet": synth.dirichlet_world(np.random.default_rng(24), 2, 4),
+    "zero-prior": mixing_world(LAM, n_secrets=3, prior=(0.5, 0.5, 0.0)),
+    "three-secrets": mixing_world(0.3, n_secrets=3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOCKSTEP_WORLDS))
+def test_lockstep_scales_equal_one_at_a_time_calibrations(name):
+    # K = 1..4 query maps calibrated together give each the scale it gets
+    # alone, float for float, on every noise family, bin count and target
+    world = LOCKSTEP_WORLDS[name]
+    for noise in (_GAUSSIAN, _LAPLACE):
+        for bins in (MECH_BINS, 3 * MECH_BINS, 33):
+            for target in (0.05, 0.6, 3.0):
+                alone = [_outcome(lambda: _calibrate_noise_scale(world, noise, values, target, 0.02, bins))
+                         for values in _QUERY_MAPS]
+                for k in range(1, 5):
+                    together = _outcome(lambda: synth._calibrate_noise_scales(
+                        world, noise, _QUERY_MAPS[:k], target, 0.02, bins))
+                    failed = [a for a in alone[:k] if isinstance(a, tuple)]
+                    if failed:
+                        assert together == failed[0], (noise, bins, target, k)
+                    else:
+                        assert [x.hex() for x in together] == [x.hex() for x in alone[:k]], (noise, bins, target, k)
+
+
+@pytest.mark.parametrize("batch", [
+    [_QUERY_MAPS[0], (0.0, 0.0, 0.0, 0.0), _QUERY_MAPS[1]],   # a constant query: no target reachable
+    [_QUERY_MAPS[0], (0.0, 1.0, 0.0), _QUERY_MAPS[1]],        # three values on four datasets
+    [(0.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0)],                   # the first failure decides
+    [(0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 0.0)],
+])
+def test_a_failing_lockstep_raises_what_the_sequential_loop_raises(batch):
+    world = mixing_world(LAM)
+    for noise, bins in ((_GAUSSIAN, MECH_BINS), (_LAPLACE, 3 * MECH_BINS)):
+        for target in (0.6, 50.0):
+            alone = [_outcome(lambda: _calibrate_noise_scale(world, noise, values, target, 0.02, bins))
+                     for values in batch]
+            failed = [a for a in alone if isinstance(a, tuple)]
+            assert failed
+            with pytest.raises(failed[0][0]) as raised:
+                synth._calibrate_noise_scales(world, noise, batch, target, 0.02, bins)
+            assert str(raised.value) == failed[0][1]
+
+
+@pytest.mark.parametrize("delta", [math.nan, -0.1, 1.5, -math.inf])
+def test_noise_calibration_refuses_a_delta_outside_the_unit_interval(delta):
+    # a NaN or negative delta once calibrated as delta = 0, and delta > 1 was
+    # refused as an unreachable eps_target
+    world = mixing_world(LAM)
+    with pytest.raises(ValueError, match=r"delta must lie in \[0, 1\], got"):
+        synth.calibrate_gaussian_mechanism(world, _QUERY_MAPS[0], 0.5, delta, bins=MECH_BINS)
+    with pytest.raises(ValueError, match=r"delta must lie in \[0, 1\], got"):
+        synth._calibrate_noise_scales(world, _LAPLACE, _QUERY_MAPS[:3], 0.5, delta, 3 * MECH_BINS)
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_default_grids_stay_inside_the_budget(seed):
     # no slack: the single mechanism is calibrated on the delta its audit
@@ -172,11 +257,11 @@ def test_default_grids_stay_inside_the_budget(seed):
                 assert r.composed_delta <= r.delta_g, (run.__name__, r.eps_g)
 
 
-def test_root_finder_evaluations_on_the_default_grids(monkeypatch):
-    # every calibration of both default grids, flat-ended fills included,
-    # within 20 evaluations (bisection takes 44 on a scale, 34 on eps_c);
-    # both fills and every noise scale go through ``synth``'s root finder
-    counts = []
+def _count_evaluations(monkeypatch):
+    """Evaluations per search of ``synth``'s root finders, the fills' one at
+    a time and the noise scales' in lockstep, and each lockstep's batch
+    sizes, one per batched value call."""
+    counts, batches = [], []
 
     def counted(value, *args, **kwargs):
         counts.append(0)
@@ -186,11 +271,52 @@ def test_root_finder_evaluations_on_the_default_grids(monkeypatch):
             return value(x)
         return monotone_root(tally, *args, **kwargs)
 
+    def counted_lockstep(values, brackets, **kwargs):
+        first, sizes = len(counts), []
+        counts.extend([0] * len(brackets))
+        batches.append(sizes)
+
+        def tally(which, points):
+            sizes.append(len(which))
+            for k in which:
+                counts[first + k] += 1
+            return values(which, points)
+        return monotone_roots(tally, brackets, **kwargs)
+
     monkeypatch.setattr(synth, "monotone_root", counted)
+    monkeypatch.setattr(synth, "monotone_roots", counted_lockstep)
+    return counts, batches
+
+
+def test_root_finder_evaluations_on_the_default_grids(monkeypatch):
+    # every calibration of both default grids, flat-ended fills included,
+    # within 20 evaluations (bisection takes 44 on a scale, 34 on eps_c);
+    # both fills and every noise scale go through ``synth``'s root finders
+    counts, _ = _count_evaluations(monkeypatch)
     run_independent_experiment(seed=0)
     run_copula_experiment(seed=0)
     assert (len(counts), sum(counts)) == (66, 841)
     assert max(counts) <= 20
+
+
+def test_default_grids_calibrate_in_lockstep(monkeypatch):
+    # a point's four query maps (independent), or its two Laplace marginals
+    # and two Gaussians (copula), share their steps; the audit's single
+    # mechanism calibrates alone.  Each lockstep makes one batched value
+    # call per round, as many rounds as its longest search takes
+    counts, batches = _count_evaluations(monkeypatch)
+    run_independent_experiment(seed=0)
+    run_copula_experiment(seed=0)
+    assert [max(sizes) for sizes in batches] == [4, 1] * 5 + [2, 2, 1] * 6
+    assert sum(len(sizes) for sizes in batches) == BATCHED_CALLS
+    # every noise-scale evaluation is one member of a batched call
+    assert sum(map(sum, batches)) == sum(counts) - FILL_EVALUATIONS
+
+
+# batched value calls (709 noise-scale evaluations one at a time) and fill
+# evaluations over both default grids at seed 0
+BATCHED_CALLS = 365
+FILL_EVALUATIONS = 132
 
 
 @pytest.mark.parametrize("run,eps_g,eps_i,shrink", [(run_independent_experiment, 5.0, 1.0, 1e-12),

@@ -399,6 +399,119 @@ def test_feasible_posterior_tail_mass_chain():
     assert checked >= 5
 
 
+# The posterior's readers as they read an outcomes x secrets posterior laid
+# out outcome-major (C order); ``model._posterior`` now computes it
+# secrets-major and hands out the transpose, and every reader must give the
+# same floats, bit for bit.
+
+
+def _outcome_major_posterior(prior, law):
+    weights = law * prior[:, None]
+    marginal = weights.sum(axis=0)
+    live = marginal > 0.0
+    post = np.empty((law.shape[1], prior.size))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(weights.T, marginal[:, None], out=post)
+    post[~live] = prior
+    return post, live
+
+
+def _outcome_major_support(prior, post, live):
+    rows = post if live.all() else post[live]
+    support = prior > 0.0
+    return (prior, rows) if support.all() else (prior[support], rows[:, support])
+
+
+def _outcome_major_residual(prior, post, live, tau, delta_g):
+    prior, rows = _outcome_major_support(prior, post, live)
+    max_lower = float((prior / tau - rows.min(axis=0)).max())
+    if delta_g > 0.0:
+        return max(max_lower, float(((rows**2 / prior[None, :]).sum(axis=1) - delta_g * tau).max()))
+    return max(max_lower, float((rows.max(axis=0) - tau * prior).max()))
+
+
+def _outcome_major_tau(prior, post, live, delta_g):
+    prior, rows = _outcome_major_support(prior, post, live)
+    with np.errstate(divide="ignore"):
+        tau = max(1.0, float((prior / rows).max()))
+    if delta_g > 0.0:
+        return max(tau, float((rows**2 / prior).sum(axis=1).max()) / delta_g)
+    return max(tau, float((rows / prior).max()))
+
+
+def _outcome_major_tail(prior, post, live, tau):
+    prior, rows = _outcome_major_support(prior, post[live], np.ones(int(live.sum()), bool))
+    ratio = rows / prior[None, :]
+    outside = (ratio > tau * (1.0 + 1e-12)) | (ratio < (1.0 - 1e-12) / tau)
+    return float((rows * outside).sum(axis=1).max())
+
+
+def _outcome_major_loss(pi, prior, law, loss):
+    weights = (law * prior[:, None]).T
+    if loss == "log":
+        hot = weights > 0.0
+        pi_hot = pi[hot]
+        if np.any(pi_hot <= 0.0):
+            return math.inf
+        return float(-(weights[hot] * np.log(pi_hot)).sum())
+    sq = (pi**2).sum(axis=1, keepdims=True)
+    return float((weights * (sq - 2.0 * pi + 1.0)).sum())
+
+
+def _hex(x):
+    return np.asarray(x, dtype=float).tobytes().hex()
+
+
+def test_posterior_readers_match_the_outcome_major_formulas():
+    # 2, 3 and 9 secrets (numpy sums 8 or more terms pairwise along a C row),
+    # dense mechanisms, a repeated one (lumped outcomes spread back by
+    # ``per_outcome``) and one with a zero column (dead outcomes) or a column
+    # live on one dataset (zero-weight cells: the log loss's masked route)
+    rng = np.random.default_rng(2024)
+    checked = {"log": 0, "brier": 0, "dead": 0, "masked": 0}
+    for trial in range(36):
+        n_s, n_x = (2, 3, 9)[trial % 3], int(rng.integers(3, 5))
+        joint = rng.dirichlet(np.ones(n_s * n_x)).reshape(n_s, n_x)
+        if trial % 4 == 3:  # s0 never meets x0: the sparse output 2 has zero weight under s0 only
+            joint[0, 0] = 0.0
+        world = _world(joint / joint.sum())
+        mechs = random_mechanisms(rng, n_x, int(rng.integers(1, 3)))
+        if trial % 2:
+            mechs.append(MechanismKernel("twin", mechs[0].outputs, mechs[0].kernel))
+        if trial % 4 >= 2:  # output 2 dead, or live on x0 alone
+            sparse = rng.dirichlet(np.ones(3), size=n_x)
+            sparse[int(trial % 4 == 3):, 2] = 0.0
+            mechs.append(MechanismKernel("sparse", ("0", "1", "2"), sparse / sparse.sum(axis=1, keepdims=True)))
+        prior = world.marginal_secret
+        value = composition.Composition.of(world, mechs, [])
+        lumped = value.lumped.matrix
+        post, live = _outcome_major_posterior(prior, lumped)
+        dense, dense_live = _outcome_major_posterior(prior, value.joint.matrix)
+        for delta_g in (0.0, 0.02, 0.3):
+            tau = _outcome_major_tau(prior, post, live, delta_g)
+            if tau > ic.TAU_CAP:
+                with pytest.raises(ValueError, match="cap"):
+                    ic.solve_task2(ic.IcProblem(world=world, mechs=mechs, delta_g=delta_g))
+                continue
+            for loss in ("log", "brier"):
+                sol = ic.solve_task2(ic.IcProblem(world=world, mechs=mechs, delta_g=delta_g, loss=loss))
+                pi = np.take(post, value.index, axis=0) if value.repeats else post
+                assert _hex(sol.pi) == _hex(pi)
+                assert _hex(sol.tau_g) == _hex(tau)
+                assert _hex(sol.feasibility) == _hex(_outcome_major_residual(prior, post, live, tau, delta_g))
+                assert _hex(sol.loss_value) == _hex(_outcome_major_loss(post, prior, lumped, loss))
+                assert _hex(ic.spsr_loss(dense, world, mechs, [], None, loss)) == _hex(
+                    _outcome_major_loss(dense, prior, value.joint.matrix, loss))
+                checked[loss] += 1
+            rep = ic.certify(world, mechs, [], None, tau, delta_g)
+            assert _hex(rep.stage1_residual) == _hex(
+                _outcome_major_residual(prior, dense, dense_live, tau, delta_g))
+            assert _hex(rep.stage2_max_tail) == _hex(_outcome_major_tail(prior, dense, dense_live, tau))
+        checked["dead"] += not dense_live.all()
+        checked["masked"] += not (value.joint.matrix > 0.0).all()
+    assert min(checked.values()) >= 5, checked
+
+
 def test_solvers_build_the_composed_joint_once(monkeypatch):
     model = load_model(pathlib.Path(__file__).parent.parent / "demos" / "models" / "mixing_pair.json")
     builds = []

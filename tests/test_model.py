@@ -105,8 +105,8 @@ def test_effective_kernel_mixture_value():
     ([[1e308, 1e308, 0.0]], "row 0 sums to inf, not 1"),
 ])
 def test_rows_stochastic_check_names_the_first_fault(rows, message):
-    # the two-reduction pass lets none of these through, and the checks
-    # behind it name the fault word for word
+    # the fast pass lets none of these through, and the checks behind it
+    # name the fault word for word
     with pytest.raises(ModelError) as err:
         _check_rows_stochastic(np.array(rows), "m")
     assert str(err.value) == f"m: {message}"
@@ -115,6 +115,40 @@ def test_rows_stochastic_check_names_the_first_fault(rows, message):
 def test_rows_stochastic_check_passes_exact_rows_and_negative_zeros():
     _check_rows_stochastic(np.array([[1.0, 0.0], [0.25, 0.75]]), "m")
     _check_rows_stochastic(np.array([[1.0, -0.0], [-0.0, 1.0]]), "m")
+
+
+def test_rows_stochastic_check_passes_exactly_the_stochastic_rows():
+    # the fast pass and the full checks behind it pass a matrix exactly when
+    # every entry is finite and at least -PROB_ATOL and every row sum is
+    # within PROB_ATOL of 1, on rows drawn at the edges of both tolerances
+    rng = np.random.default_rng(11)
+    odd = [np.nan, np.inf, -np.inf, 1e308, 3.0, -PROB_ATOL, -1.5 * PROB_ATOL, -0.0]
+    verdicts = set()
+    for _ in range(3000):
+        rows = rng.dirichlet(np.ones(int(rng.integers(1, 10))), size=int(rng.integers(1, 4)))
+        for _ in range(int(rng.integers(0, 3))):
+            i, j = rng.integers(rows.shape[0]), rng.integers(rows.shape[1])
+            c = rng.choice([-1.5, -1.0, -0.5, 0.5, 1.0, 1.5]) * PROB_ATOL
+            u = rng.random()
+            if u < 0.2:
+                rows[i, j] = odd[rng.integers(len(odd))]
+            elif u < 0.4 and rows.shape[1] > 1:  # a slightly negative entry, the row sum kept
+                rows[i, j - 1] += rows[i, j] + abs(c)
+                rows[i, j] = -abs(c)
+            else:
+                rows[i, j] += c
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = rows.sum(axis=1)
+            stochastic = bool(np.isfinite(rows).all() and rows.min() >= -PROB_ATOL
+                              and (np.abs(sums - 1.0) <= PROB_ATOL).all())
+        try:
+            _check_rows_stochastic(rows, "m")
+            verdicts.add(True)
+            assert stochastic, rows
+        except ModelError:
+            verdicts.add(False)
+            assert not stochastic, rows
+    assert verdicts == {True, False}
 
 
 def test_effective_kernel_rows_sum_to_one():
