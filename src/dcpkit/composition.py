@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from . import config
 from .divergence import DistPair, Law, _adjacent_pairs, hockey_stick, tradeoff_curve
 from .model import (DependenceGroup, MechanismKernel, TypeClass, World, _freeze, _posterior, atom_index,
                     effective_kernel, lay_out, lumped_law, mix_kernel, type_classes)
-from .pld import LossSum, _decompose, convolve, epsilon_for_delta, pld_from_pair
+from .pld import LossSum, Pld, convolve, epsilon_for_delta, pld_from_pair
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,8 +36,9 @@ class Composition:
     members the classes are single mechanisms, ``lumped`` is the dense
     composed law and ``joint`` is ``lumped``; else ``joint`` is spread from
     it and hands out its pairs.  ``lumped_product`` is the product of the
-    ``effs`` on the same atoms.  The bounds read these two; ``joint.matrix``
-    serves the callers that need one column per outcome.
+    ``effs`` on the same atoms, and ``copula_loss`` the log ratio of the
+    two.  The bounds read these; ``joint.matrix`` serves the callers that
+    need one column per outcome.
     """
 
     world: World
@@ -86,6 +87,29 @@ class Composition:
         law = lay_out([((a,), c.factor(self.effs[c.members[0]].matrix)) for a, c in enumerate(self.classes)],
                       tuple(len(c.types) for c in self.classes))
         return Law(_freeze(law))
+
+    @cached_property
+    def copula_loss(self) -> np.ndarray:
+        """Per secret and atom, log ``lumped`` less log ``lumped_product``,
+        summed from log factors (no product underflows): row s0 less row s1
+        is pair (s0, s1)'s world plus dependence loss (``decompose_plrv``).
+        Where ``lumped`` is 0 it is -inf if the product is positive, else
+        the groups' summed log law less log members' product (-inf where a
+        group law is 0, and 0 without groups), as that split books it."""
+        dims = tuple(len(c.types) for c in self.classes)
+        axis = {i: a for a, c in enumerate(self.classes) for i in c.members}
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logs = [np.log(np.maximum(eff.matrix, 0.0)) for eff in self.effs]
+            log_prod = lay_out([((a,), c.factor(logs[c.members[0]], np.add)) for a, c in enumerate(self.classes)],
+                               dims, np.add)
+            dep = np.zeros_like(log_prod)
+            for members, law in self.groups:
+                g = lay_out([(tuple(axis[i] for i in members), np.log(np.maximum(law, 0.0)))], dims, np.add)
+                p = lay_out([((axis[i],), logs[i]) for i in members], dims, np.add)
+                dep += np.where(np.isneginf(g), -np.inf, g - p)
+            log_law = np.log(np.maximum(self.lumped.matrix, 0.0))
+            out = np.where(log_law > -np.inf, log_law - log_prod, np.where(log_prod > -np.inf, -np.inf, dep))
+        return _freeze(out)
 
     @cached_property
     def counts(self) -> np.ndarray:
@@ -146,18 +170,15 @@ def underline_opt(
 
 
 def _overline_loss(value: Composition, s0: int, s1: int) -> LossSum:
-    """The pushed-forward copula term plus the convolved marginal PLDs.
-
-    The copula term (world + dependence losses) only pins down the loss
-    variable under s0, so its PLD is taken as that pushforward.  The
-    marginals' convolution holds at most one atom per outcome of the
-    product alphabet; the copula term is added as a second independent
-    factor and never convolved in.  The result is the accounting object
-    behind the conservative bound.
-    """
-    copula = _decompose(value, s0, s1).world_pld()
-    marginals = reduce(convolve, [pld_from_pair(eff.pair(s0, s1)) for eff in value.effs])
-    return LossSum(copula, marginals)
+    """The accounting object behind the conservative bound: the copula term
+    (``copula_loss``), which only pins down the loss under s0 and so is
+    pushed forward under ``lumped``'s row s0, plus the marginals' loss as an
+    independent factor: the product pair's ``LossProfile``, the sort the
+    dependence-ignoring bound reads.  Nothing is convolved."""
+    mass, c = value.lumped.matrix[s0], value.copula_loss
+    live = mass > 0.0
+    copula = Pld(losses=c[s0, live] - c[s1, live], masses=mass[live])
+    return LossSum(copula, value.lumped_product.pair(s0, s1).profile)
 
 
 def overline_opt(

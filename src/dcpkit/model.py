@@ -303,17 +303,18 @@ class TypeClass(NamedTuple):
     types: np.ndarray
     counts: np.ndarray
 
-    def factor(self, matrix: np.ndarray) -> np.ndarray:
+    def factor(self, matrix: np.ndarray, op: np.ufunc = np.multiply) -> np.ndarray:
         """The law of the types under one member's ``matrix`` (a kernel or an
         effective kernel): its columns multiplied in sorted output order,
-        times each type's count.  A class of one gives ``matrix`` itself."""
+        times each type's count; with ``op`` = ``np.add`` on the log of
+        ``matrix``, the log of that law, which underflows nowhere.  A class
+        of one gives ``matrix`` itself."""
         if len(self.members) == 1:
             return matrix
         out = matrix[:, self.types[:, 0]]
         for col in self.types.T[1:]:
-            out *= matrix[:, col]
-        out *= self.counts
-        return out
+            op(out, matrix[:, col], out=out)
+        return op(out, self.counts if op is np.multiply else np.log(self.counts), out=out)
 
     def ranks(self) -> np.ndarray:
         """The type of each output tuple of the members, in C order: the types

@@ -3,9 +3,9 @@
 A ``Pld`` holds finite loss atoms plus a mass at +infinity.  Construction
 from a distribution pair, exact convolution, the privacy profile delta(eps)
 and its inverse (of one PLD, or of the sum of two independent losses
-without convolving them), and the copula decomposition of a composed loss
-variable into the world-induced, mechanism-dependence, and independent
-terms all live here.
+without convolving them), and the per-outcome decomposition of a composed
+loss variable into the world-induced, mechanism-dependence, and
+independent terms all live here.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PROB_ATOL
-from .divergence import DistPair
+from .divergence import DistPair, LossProfile
 from .model import DependenceGroup, MechanismKernel, World, check_cap, lay_out
 
 # losses closer than this are merged into one atom (mass-weighted mean)
@@ -126,34 +126,35 @@ _EXP_MAX = math.log(np.finfo(float).max)
 
 class LossSum:
     """Privacy profile of W + M, the sum of two independent loss variables,
-    read off their two PLDs without forming their convolution.
+    read off W's PLD and M's (a PLD or a pair's ``LossProfile``) without
+    forming their convolution.
 
     An atom w of W meets the atoms of M above eps - w; one ``searchsorted``
-    into M's sorted losses finds them, and suffix sums of M's masses and of
-    its masses times e^-m, built once here, give their contribution.  So a
-    profile value costs O(|W| log |M|) and the object O(|W| + |M|) memory,
-    where the convolution holds |W| * |M| atoms.  A single PLD is the case
-    W = 0 (``privacy_profile``, ``epsilon_for_delta``).
+    into M's sorted losses finds them, and suffix sums of M's p-masses and
+    q-masses (a PLD's p-mass times e^-m), built once here, give their
+    contribution.  So a profile value costs O(|W| log |M|) and the object
+    O(|W| + |M|) memory, where the convolution holds |W| * |M| atoms.  A
+    single PLD is the case W = 0 (``privacy_profile``, ``epsilon_for_delta``).
 
     Those sums hold e^+-loss, so a finite loss beyond +-709.78 (a
     probability ratio past the float range) is refused with ``ValueError``.
     """
 
-    def __init__(self, w: Pld, m: Pld):
+    def __init__(self, w: Pld, m: Pld | LossProfile):
         # -inf atoms add nothing at any finite eps, alone or in a sum
         keep = np.isfinite(w.losses)
         self._w, self._w_mass = w.losses[keep], w.masses[keep]
         keep = np.isfinite(m.losses)
-        m_loss, m_mass = m.losses[keep], m.masses[keep]
+        m_loss, m_mass = m.losses[keep], (m.masses if isinstance(m, Pld) else m.p_mass)[keep]
         if (self._w.size and self._w[0] < -_EXP_MAX) or (
                 m_loss.size and max(-m_loss[0], m_loss[-1]) > _EXP_MAX):
             raise ValueError(f"a loss atom lies beyond +-{_EXP_MAX:.2f}, where e^loss leaves the float range")
-        self._w_weight = self._w_mass * np.exp(-self._w)  # scales M's e^-m sums to e^-(w+m)
+        self._w_weight = self._w_mass * np.exp(-self._w)  # scales M's q-mass sums to e^-(w+m)
         self._m = m_loss
         self._m_top = float(m_loss[-1]) if m_loss.size else 0.0
+        m_q = m_mass * np.exp(-m_loss) if isinstance(m, Pld) else m.q_mass[keep]
         # entry j sums M's atoms j, j+1, ...; the entry past the last is 0
-        self._mass_above = np.append(np.cumsum(m_mass[::-1])[::-1], 0.0)
-        self._b_above = np.append(np.cumsum((m_mass * np.exp(-m_loss))[::-1])[::-1], 0.0)
+        self._mass_above, self._b_above = (np.append(np.cumsum(v[::-1])[::-1], 0.0) for v in (m_mass, m_q))
         self.inf_mass = w.inf_mass + m.inf_mass - w.inf_mass * m.inf_mass
 
     def _active(self, eps: float) -> np.ndarray:
@@ -172,7 +173,8 @@ class LossSum:
         return self.inf_mass + float((self._w_mass * np.maximum(self._mass_above[k] - tail, 0.0)).sum())
 
     def epsilon(self, delta: float) -> float:
-        """Smallest eps >= 0 with delta(eps) <= delta (inf if none).
+        """Smallest eps >= 0 with delta(eps) <= delta: inf if none, and if
+        delta exceeds a positive +inf mass by at most 4 ulps of the mass.
 
         On the segment of sum atoms active at eps the profile is a - e^eps b.
         The profile is convex in e^eps and each segment's line lies below
@@ -182,10 +184,12 @@ class LossSum:
         """
         if not 0.0 <= delta <= 1.0:
             raise ValueError(f"delta must lie in [0, 1], got {delta}")
+        # the pessimistic rule of ``LossProfile.epsilon``: a positive +inf mass
+        # up to 4 ulps below delta reads as above it; first, as delta(0) can equal it
+        if self.inf_mass > 0.0 and delta <= self.inf_mass + 4.0 * math.ulp(self.inf_mass):
+            return math.inf
         if self.delta(0.0) <= delta:
             return 0.0
-        if self.inf_mass > delta:
-            return math.inf
         eps, k = 0.0, self._active(0.0)
         while True:
             a = self.inf_mass + float((self._w_mass * self._mass_above[k]).sum())
@@ -208,7 +212,7 @@ def privacy_profile(pld: Pld, eps: float) -> float:
 
 
 def epsilon_for_delta(pld: Pld, delta: float) -> float:
-    """Smallest eps >= 0 with privacy_profile(pld, eps) <= delta (inf if none)."""
+    """Smallest eps >= 0 with privacy_profile(pld, eps) <= delta, as ``LossSum.epsilon``."""
     return LossSum(_ZERO, pld).epsilon(delta)
 
 
@@ -257,22 +261,8 @@ class PlrvDecomposition:
 
     @property
     def finite(self) -> np.ndarray:
-        return (
-            np.isfinite(self.total)
-            & np.isfinite(self.world_term)
-            & np.isfinite(self.dependence_term)
-            & np.isfinite(self.independent_term)
-        )
-
-    def world_pld(self) -> Pld:
-        """Pushforward of world_term + dependence_term under the s0 law."""
-        combined = self.world_term + self.dependence_term
-        mass = self.ref_masses
-        live = mass > 0.0
-        combined, mass = combined[live], mass[live]
-        inf_mass = float(mass[np.isposinf(combined)].sum())
-        keep = ~np.isposinf(combined)
-        return Pld(losses=combined[keep], masses=mass[keep], inf_mass=inf_mass)
+        terms = (self.total, self.world_term, self.dependence_term, self.independent_term)
+        return np.logical_and.reduce([np.isfinite(t) for t in terms])
 
 
 def decompose_plrv(
@@ -293,11 +283,7 @@ def decompose_plrv(
 
     if (s0, s1) not in world.adjacency:
         raise ValueError(f"({s0},{s1}) is not an adjacent pair")
-    return _decompose(Composition.of(world, mechs, dependence), s0, s1)
-
-
-def _decompose(value, s0: int, s1: int) -> PlrvDecomposition:
-    """``decompose_plrv`` of a ``composition.Composition``."""
+    value = Composition.of(world, mechs, dependence)
     effs, groups = [eff.matrix for eff in value.effs], value.groups
     b0, b1 = value.joint.matrix[s0], value.joint.matrix[s1]
     dims = tuple(eff.shape[1] for eff in effs)
@@ -325,8 +311,7 @@ def _decompose(value, s0: int, s1: int) -> PlrvDecomposition:
             # the group's joint replaces its members' product in the reference density
             log_m = log_m + (g - p)
 
-        log_b0 = np.where(b0 > 0.0, np.log(np.where(b0 > 0.0, b0, 1.0)), -np.inf)
-        log_b1 = np.where(b1 > 0.0, np.log(np.where(b1 > 0.0, b1, 1.0)), -np.inf)
+        log_b0, log_b1 = np.log(np.maximum(value.joint.matrix[rows], 0.0))
 
     with np.errstate(invalid="ignore"):
         total = log_b0 - log_b1
@@ -337,13 +322,5 @@ def _decompose(value, s0: int, s1: int) -> PlrvDecomposition:
         world_term = np.where(np.isnan(world_term) & (b0 == 0.0) & (b1 > 0.0), -np.inf, world_term)
     # outcomes impossible under both secrets are undefined everywhere
     dead = (b0 == 0.0) & (b1 == 0.0)
-    total[dead] = np.nan
-    world_term[dead] = np.nan
-    dep_term[dead] = np.nan
-    return PlrvDecomposition(
-        total=total,
-        world_term=world_term,
-        dependence_term=dep_term,
-        independent_term=log_id,
-        ref_masses=b0,
-    )
+    total[dead] = world_term[dead] = dep_term[dead] = np.nan
+    return PlrvDecomposition(total, world_term, dep_term, log_id, ref_masses=b0)

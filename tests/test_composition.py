@@ -282,7 +282,10 @@ def test_dominating_pair_rejects_bad_params():
 
 
 def test_dp_optcomp_identity_on_single():
-    assert comp.dp_optcomp([(1.0, 0.01)], 0.01) == pytest.approx(1.0, abs=1e-12)
+    # at delta_g = the +inf mass itself the pessimistic rule reads +inf, as
+    # optimal_epsilon does; just past its 4 ulps the budget comes back
+    assert comp.dp_optcomp([(1.0, 0.01)], 0.01) == math.inf == optimal_epsilon(comp.dominating_pair(1.0, 0.01), 0.01)
+    assert comp.dp_optcomp([(1.0, 0.01)], 0.01 + 5 * math.ulp(0.01)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_dp_optcomp_pure_addition():
@@ -393,6 +396,46 @@ def _overline_instances():
         mechs = [MechanismKernel(f"m{i}", tuple(map(str, range(n))), rng.dirichlet(np.ones(n), size=nx))
                  for i, n in enumerate(rng.integers(2, 5, size=int(rng.integers(1, 4))))]
         yield world, mechs, []
+    # s0 sees datasets x0 and x1, s1 sees x1 and x2
+    partial = _world([[0.3, 0.2, 0.0], [0.0, 0.2, 0.3]])
+    a = MechanismKernel("a", ("0", "1"), np.array([[0.5, 0.5], [0.6, 0.4], [0.2, 0.8]]))
+    b = MechanismKernel("b", ("0", "1"), np.array([[0.4, 0.6], [0.7, 0.3], [0.5, 0.5]]))
+    c = MechanismKernel("c", ("0", "1"), np.array([[0.6, 0.4], [0.3, 0.7], [0.5, 0.5]]))
+    c_zero = MechanismKernel("c", ("0", "1"), np.array([[0.6, 0.4], [0.0, 1.0], [0.0, 1.0]]))
+    # the group's law is 0 at (0, 1) under s1 alone, where its members' product is positive
+    zero_cell = DependenceGroup(members=(0, 1), joint_kernel=np.array(
+        [np.outer(a.kernel[0], b.kernel[0]).ravel(), [0.6, 0.0, 0.1, 0.3], [0.2, 0.0, 0.3, 0.5]]))
+    yield partial, [a, b, c], [zero_cell]
+    # next to that group, c's output 0 is impossible under s1 alone: joint and product are 0 there
+    yield partial, [a, b, c_zero], [zero_cell]
+    # a grouped member's output 0 is impossible under s1 alone, and so its group's law there
+    a_zero = MechanismKernel("a", ("0", "1"), np.array([[0.5, 0.5], [0.0, 1.0], [0.0, 1.0]]))
+    yield partial, [a_zero, b, c], [DependenceGroup(members=(0, 1), joint_kernel=np.array(
+        [np.outer(a_zero.kernel[0], b.kernel[0]).ravel(), [0.0, 0.0, 0.7, 0.3], [0.0, 0.0, 0.5, 0.5]]))]
+    # output 2 is impossible under s0 alone
+    k = MechanismKernel("k", ("0", "1", "2"), np.array([[0.7, 0.3, 0.0], [0.2, 0.8, 0.0], [0.1, 0.1, 0.8]]))
+    yield partial, [k, c], []
+    # a repeated kernel: its two copies form one type class
+    world = _world(rng.dirichlet(np.ones(9)).reshape(3, 3))
+    twice = MechanismKernel("r", ("0", "1", "2"), rng.dirichlet(np.ones(3), size=3))
+    yield world, [twice, MechanismKernel("m", ("0", "1"), rng.dirichlet(np.ones(2), size=3)), twice], []
+    # a zero-prior secret, which no adjacent pair touches
+    yield _world([[0.3, 0.2], [0.25, 0.25], [0.0, 0.0]]), [
+        MechanismKernel("d", ("0", "1"), kernel), MechanismKernel("e", ("0", "1", "2"), rng.dirichlet(np.ones(3), size=2))], []
+    # output 2 of each mechanism comes from the dataset of prior 1e-200 alone: the
+    # product's cell (2, 2) underflows to 0 on both rows, the joint's does not
+    rare = _world([[0.5, 1e-200], [0.5, 2e-200]])
+    yield rare, [MechanismKernel("u", ("0", "1", "2"), np.array([[0.6, 0.4, 0.0], [0.0, 0.0, 1.0]])),
+                 MechanismKernel("v", ("0", "1", "2"), np.array([[0.3, 0.7, 0.0], [0.0, 0.0, 1.0]]))], []
+
+
+def _world_pld(dec):
+    """Pushforward of world_term + dependence_term under the s0 law."""
+    combined, mass = dec.world_term + dec.dependence_term, dec.ref_masses
+    live = mass > 0.0
+    combined, mass = combined[live], mass[live]
+    at_inf = np.isposinf(combined)
+    return pld_layer.Pld(losses=combined[~at_inf], masses=mass[~at_inf], inf_mass=float(mass[at_inf].sum()))
 
 
 def test_overline_columns_match_the_materialized_convolution():
@@ -402,7 +445,7 @@ def test_overline_columns_match_the_materialized_convolution():
         report = comp.composition_report(world, mechs, dependence, [0.0, 0.02, 0.2], [0.0, 0.5, 2.0])
         plds = {}
         for (s0, s1) in sorted(world.adjacency):
-            pld = decompose_plrv(world, mechs, dependence, s0, s1).world_pld()
+            pld = _world_pld(decompose_plrv(world, mechs, dependence, s0, s1))
             for mech in mechs:
                 pld = convolve(pld, pld_from_pair(effective_kernel(world, mech).pair(s0, s1)))
             plds[(s0, s1)] = pld
@@ -410,6 +453,56 @@ def test_overline_columns_match_the_materialized_convolution():
             assert over == pytest.approx(epsilon_for_delta(plds[(s0, s1)], dg), abs=1e-12)
         for (s0, s1, eg, _, _, over) in report.dt_rows:
             assert over == pytest.approx(privacy_profile(plds[(s0, s1)], eg), abs=1e-12)
+
+
+def test_conservative_bound_reads_inf_within_4_ulps_of_the_inf_mass(tmp_path):
+    # an invertible world, where the three bounds coincide: pair (s1, s0) has
+    # +inf mass 0.5 per copy of the kernel, and a delta_g at that mass reads
+    # +inf in every column, as the tight epsilon's pessimistic rule has it
+    world = _world([[0.5, 0.0], [0.0, 0.5]])
+    mech = MechanismKernel("k", ("0", "1"), np.array([[1.0, 0.0], [0.5, 0.5]]))
+    for mechs, dg in (([mech, mech], 0.75), ([mech], 0.5)):
+        report = comp.composition_report(world, mechs, [], [dg], [0.5])
+        assert [row[3:] for row in report.opt_rows if row[:2] == (1, 0)] == [(math.inf,) * 3]
+        assert report.ordering_ok()
+        assert comp.overline_opt(world, mechs, [], dg) == math.inf
+    path = tmp_path / "invertible.json"
+    path.write_text(json.dumps({"secrets": ["s0", "s1"], "datasets": ["x0", "x1"], "joint": world.joint.tolist(),
+                                "mechanisms": [{"name": f"k{i}", "outputs": ["0", "1"], "kernel": mech.kernel.tolist()}
+                                               for i in range(2)]}))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["--model", str(path), "compose", "--delta-g", "0.75", "--eps-g", "0.5"]) == 0
+
+
+def test_report_convolves_nothing_and_sorts_each_product_pair_once(monkeypatch):
+    # the conservative bound reads the product pair's one LossProfile, which
+    # the dependence-ignoring column sorts: no convolution, no per-mechanism
+    # PLD, no dense decomposition
+    from dcpkit import divergence
+
+    calls = {"convolve": 0, "pld_from_pair": 0, "PlrvDecomposition": 0}
+    for layer in (pld_layer, comp):
+        for name in calls:
+            if hasattr(layer, name):
+                def counted(*a, _f=getattr(layer, name), _name=name, **k):
+                    calls[_name] += 1
+                    return _f(*a, **k)
+                monkeypatch.setattr(layer, name, counted)
+    sorts, marginals = [], []
+    steps, loss_sum = divergence._np_steps, comp.LossSum
+    monkeypatch.setattr(divergence, "_np_steps", lambda p, q: sorts.append(1) or steps(p, q))
+    monkeypatch.setattr(comp, "LossSum", lambda w, m: marginals.append(m) or loss_sum(w, m))
+    for rel in ("demos/models/dependent_pair.json", "tests/data/repeated_kernel.json"):
+        model = load_model(pathlib.Path(__file__).parent.parent / rel)
+        world, mechs, dependence = model.world, list(model.mechanisms), list(model.dependence)
+        del sorts[:], marginals[:]
+        comp.composition_report(world, mechs, dependence, [0.0, 0.02], [0.5, 1.0])
+        value = comp.Composition.of(world, mechs, dependence)
+        assert calls == {"convolve": 0, "pld_from_pair": 0, "PlrvDecomposition": 0}
+        # one sort per unordered pair of the joint and of the product
+        assert len(sorts) == 2 * len({frozenset(pair) for pair in world.adjacency})
+        assert [id(m) for m in marginals] == [id(value.lumped_product.pair(*pair).profile)
+                                              for pair in sorted(world.adjacency)]
 
 
 def test_compose_on_seven_to_the_four_outcomes_stays_small(monkeypatch):
