@@ -37,6 +37,30 @@ def _fmt(x) -> str:
     return str(x)
 
 
+_encoder = functools.cache(lambda pad: json.JSONEncoder(separators=("," + pad, ": ")).encode)
+
+
+def _json(value, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for
+    dicts of scalars, lists and matrices (rows of one length) at indent
+    ``pad``.  A list or matrix is one call of the C encoder (``json`` skips
+    it under ``indent``), a matrix's rows cut apart at ``],<pad>[``."""
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items = [f"{json.dumps(k)}: {_json(v, inner)}" for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    rows = value.tolist() if isinstance(value, np.ndarray) else value
+    if not isinstance(rows, list) or not rows:
+        return json.dumps(rows)
+    if not isinstance(rows[0], list):
+        return "[" + inner + _encoder(inner)(rows)[1:-1] + pad + "]"
+    if not rows[0]:  # rows without entries print as []
+        return "[" + inner + ("," + inner).join(["[]"] * len(rows)) + pad + "]"
+    cells = inner + "  "
+    body = _encoder(cells)(rows)[2:-2].replace("]," + cells + "[", inner + "]," + inner + "[" + cells)
+    return "[" + inner + "[" + cells + body + inner + "]" + pad + "]"
+
+
 def _number(convert, ok, what: str):
     """An argparse ``type=`` that reads ``convert(text)`` and accepts it iff
     ``ok`` holds, so a bad number exits 2 before any command runs."""
@@ -91,8 +115,7 @@ def _check_rows(model: Model):
     for mech in model.mechanisms:
         yield mech.name, effective_kernel(model.world, mech)
     if model.mechanisms:
-        yield "__composition__", comp.composed_joint(model.world, list(model.mechanisms),
-                                                     list(model.dependence))
+        yield "__composition__", comp.Composition.of(model.world, model.mechanisms, model.dependence).lumped
 
 
 def cmd_check(args) -> int:
@@ -109,7 +132,7 @@ def cmd_check(args) -> int:
         }
         ok = ok and rep.holds
     payload = {"eps": args.eps, "delta": args.delta, "holds": ok, "reports": reports}
-    _emit(args, _header(args, "check") + json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _emit(args, _header(args, "check") + _json(payload) + "\n")
     return 0 if ok else 1
 
 
@@ -145,7 +168,7 @@ def cmd_pld(args) -> int:
             raise ModelError(f"no mechanism named {args.mech!r}")
         law = effective_kernel(world, mechs[0])
     else:
-        law = comp.composed_joint(world, list(model.mechanisms), list(model.dependence))
+        law = comp.Composition.of(world, model.mechanisms, model.dependence).lumped
     _emit(args, _header(args, "pld") + pld_csv(pld_from_pair(law.pair(s0, s1))))
     return 0
 
@@ -187,15 +210,15 @@ def cmd_ic(args) -> int:
     )
     sol = ic.solve_task1(problem) if args.task == 1 else ic.solve_task2(problem)
     payload = {
-        "alpha": sol.alpha.tolist(),
-        "pi": sol.pi.tolist(),
+        "alpha": sol.alpha,
+        "pi": sol.pi,
         "tau_g": sol.tau_g,
         "eps_g": sol.eps_g,
         "feasibility": sol.feasibility,
         "certified": sol.certified,
         "direct_check_delta": sol.direct_check_delta,
     }
-    _emit(args, _header(args, "ic") + json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _emit(args, _header(args, "ic") + _json(payload) + "\n")
     return 0 if sol.certified else 1
 
 

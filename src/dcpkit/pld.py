@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,18 +37,13 @@ def _merge_atoms(losses: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np
     with np.errstate(invalid="ignore"):  # -inf - -inf is NaN: -inf atoms join one group
         new_group[1:] = np.diff(losses) > MERGE_ATOL
     gid = np.cumsum(new_group) - 1
-    n = gid[-1] + 1
-    gmass = np.zeros(n)
-    gloss = np.zeros(n)
-    np.add.at(gmass, gid, masses)
-    finite = np.isfinite(losses)  # the rest are -inf (``Pld`` books +inf apart)
-    # -inf atoms merge to -inf; finite atoms to their mass-weighted mean
-    np.add.at(gloss, gid[finite], (losses * masses)[finite])
-    with np.errstate(invalid="ignore"):
-        out_loss = np.where(gmass > 0, gloss / np.where(gmass > 0, gmass, 1.0), 0.0)
-    neg_inf_groups = np.zeros(n, dtype=bool)
-    np.logical_or.at(neg_inf_groups, gid, ~finite)
-    out_loss = np.where(neg_inf_groups, -np.inf, out_loss)
+    # bincount sums each group left to right, as a scatter-add would
+    gmass = np.bincount(gid, masses)
+    finite = np.isfinite(losses)  # the rest are -inf (``Pld`` books +inf apart), sorted into group 0
+    # finite atoms merge to their mass-weighted mean, -inf atoms to -inf
+    out_loss = np.bincount(gid, np.where(finite, losses * masses, 0.0)) / gmass
+    if not finite[0]:
+        out_loss[0] = -np.inf
     return out_loss, gmass
 
 
@@ -157,20 +153,32 @@ class LossSum:
         self._mass_above, self._b_above = (np.append(np.cumsum(v[::-1])[::-1], 0.0) for v in (m_mass, m_q))
         self.inf_mass = w.inf_mass + m.inf_mass - w.inf_mass * m.inf_mass
 
-    def _active(self, eps: float) -> np.ndarray:
-        """Per atom w: index of the first atom of M with w + m > eps."""
-        return np.searchsorted(self._m, eps - self._w, side="right")
+    def _active(self, t: np.ndarray) -> np.ndarray:
+        """Per atom w, given t = eps - w, the index of the first atom of M
+        above t.  t descends, so it is searched reversed: ``searchsorted`` is
+        fastest on ascending keys, and gives the same indices."""
+        return np.searchsorted(self._m, t[::-1], side="right")[::-1]
+
+    def _at(self, eps: float) -> tuple[np.ndarray, float]:
+        """The search at eps and delta(eps)."""
+        t = eps - self._w
+        k = self._active(t)
+        # e^t only multiplies a nonzero suffix where t < m_top, so capping t
+        # there changes no term and keeps e^t finite at any eps
+        tail = np.exp(np.minimum(t, self._m_top)) * self._b_above[k]
+        return k, self.inf_mass + float((self._w_mass * np.maximum(self._mass_above[k] - tail, 0.0)).sum())
+
+    @cached_property
+    def _zero(self) -> tuple[np.ndarray, float]:
+        """The search at 0 and delta(0), where every ``epsilon`` call starts:
+        taken once per object."""
+        return self._at(0.0)
 
     def delta(self, eps: float) -> float:
         """delta(eps) = E[(1 - e^(eps - W - M))+] plus the mass at +inf."""
         if math.isnan(eps):
             raise ValueError(f"eps must be a number, got {eps}")
-        t = eps - self._w
-        k = self._active(eps)
-        # e^t only multiplies a nonzero suffix where t < m_top, so capping t
-        # there changes no term and keeps e^t finite at any eps
-        tail = np.exp(np.minimum(t, self._m_top)) * self._b_above[k]
-        return self.inf_mass + float((self._w_mass * np.maximum(self._mass_above[k] - tail, 0.0)).sum())
+        return self._at(eps)[1]
 
     def epsilon(self, delta: float) -> float:
         """Smallest eps >= 0 with delta(eps) <= delta: inf if none, and if
@@ -188,9 +196,10 @@ class LossSum:
         # up to 4 ulps below delta reads as above it; first, as delta(0) can equal it
         if self.inf_mass > 0.0 and delta <= self.inf_mass + 4.0 * math.ulp(self.inf_mass):
             return math.inf
-        if self.delta(0.0) <= delta:
+        k, delta_0 = self._zero
+        if delta_0 <= delta:
             return 0.0
-        eps, k = 0.0, self._active(0.0)
+        eps = 0.0
         while True:
             a = self.inf_mass + float((self._w_mass * self._mass_above[k]).sum())
             b = float((self._w_weight * self._b_above[k]).sum())
@@ -200,7 +209,7 @@ class LossSum:
             if ratio == math.inf:  # b underflowed: e^root is past the float range
                 raise ValueError(f"the root lies beyond {_EXP_MAX:.2f}, where e^eps leaves the float range")
             root = math.log(ratio)
-            k_root = self._active(root)
+            k_root = self._active(root - self._w)
             if root <= eps or np.array_equal(k_root, k):
                 return float(max(root, 0.0))
             eps, k = root, k_root

@@ -29,13 +29,8 @@ from dcpkit.experiments import run_copula_experiment, run_independent_experiment
 from dcpkit.ic import IcProblem, joint_with_alpha, pi_feasible, posterior, solve_task1, solve_task2
 from dcpkit.model import World, default_adjacency, load_model
 from dcpkit.pld import decompose_plrv, pld_from_pair, privacy_profile
-from dcpkit.synth import (
-    dirichlet_world,
-    invertible_world,
-    random_mechanisms,
-    rr_style_mechanism,
-    triangulating_instance,
-)
+from dcpkit.synth import triangulating_instance
+from generators import dirichlet_world, invertible_world, random_mechanisms, rr_style_mechanism
 from response_step import response_step
 
 SEED = 20260808

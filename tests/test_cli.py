@@ -7,9 +7,13 @@ import shlex
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from dcpkit.cli import main
+from dcpkit.cli import _json, main
 
 DEMOS = pathlib.Path(__file__).parent.parent / "demos" / "models"
 MIXING = str(DEMOS / "mixing_pair.json")
@@ -478,6 +482,17 @@ def test_repeated_kernels_print_the_dense_route_numbers(capsys):
         assert code == (0 if certified else 1)
 
 
+def test_check_and_pld_read_the_lumped_law_and_build_no_joint(capsys):
+    from dcpkit import composition
+
+    for argv in (["check", "--eps", "1.0", "--delta", "0.05"], ["pld", "--pair", "s0", "s1"]):
+        composition._SLOT[0] = None
+        run(["--model", str(REPEATED), *argv])
+        value = composition._SLOT[0][1]
+        assert value.repeats and "lumped" in value.__dict__ and "joint" not in value.__dict__, argv
+    capsys.readouterr()
+
+
 def readme_usage_lines() -> list[str]:
     """The ``dcp`` lines of the README's command-line usage block."""
     readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
@@ -566,3 +581,40 @@ def test_import_and_check_without_a_copula_section_load_no_scipy_module():
     assert sorted(loaded) == models
     for code, modules in loaded.values():
         assert code in (0, 1) and modules == []    # a verdict, and no scipy module
+
+
+# ------------------------------------------------------------ JSON writer
+
+# the floats json words apart (NaN, +-Infinity), a signed zero and the exponents' ends
+JSON_FLOAT = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0,
+                                                     1e300, -1e300, 1e-300, 5e-324]))
+JSON_SCALAR = st.one_of(JSON_FLOAT, st.booleans(), st.none(), st.integers(-10**20, 10**20), st.text(max_size=6))
+MATRIX = arrays(np.float64, st.tuples(st.integers(0, 4), st.integers(0, 4)), elements=JSON_FLOAT)
+CHECK_PAYLOAD = st.fixed_dictionaries({
+    "eps": JSON_FLOAT, "delta": JSON_FLOAT, "holds": st.booleans(),
+    "reports": st.dictionaries(st.text(max_size=8), st.fixed_dictionaries({
+        "holds": st.booleans(), "worst_pair": st.lists(st.text(max_size=4), min_size=2, max_size=2),
+        "worst_delta": JSON_FLOAT})),
+})
+IC_PAYLOAD = st.fixed_dictionaries({
+    "alpha": MATRIX, "pi": st.one_of(MATRIX, st.lists(st.lists(JSON_FLOAT, min_size=3, max_size=3), max_size=3)),
+    "tau_g": JSON_SCALAR, "eps_g": JSON_SCALAR, "feasibility": JSON_SCALAR, "certified": st.booleans(),
+    "direct_check_delta": JSON_SCALAR,
+    "extra": st.one_of(st.lists(JSON_SCALAR, max_size=4), st.dictionaries(st.text(max_size=3), JSON_SCALAR,
+                                                                          max_size=2)),
+})
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(payload=st.one_of(CHECK_PAYLOAD, IC_PAYLOAD))
+def test_json_writer_prints_the_bytes_of_indented_json(payload):
+    oracle = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in payload.items()}
+    assert _json(payload) == json.dumps(oracle, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (1, 1), (0, 0), (2, 3)])
+def test_json_writer_on_matrix_edge_shapes(shape):
+    matrix = np.arange(math.prod(shape), dtype=float).reshape(shape) - 0.5
+    payload = {"pi": matrix, "flat": matrix.ravel(), "nested": {"pi": matrix}}
+    oracle = {"pi": matrix.tolist(), "flat": matrix.ravel().tolist(), "nested": {"pi": matrix.tolist()}}
+    assert _json(payload) == json.dumps(oracle, indent=2, sort_keys=True)

@@ -28,6 +28,7 @@ from dcpkit.synth import (
     binned_laplace_kernel,
     mixing_world,
 )
+from generators import dirichlet_world
 
 # each kernel builder's noise family, as ``_calibrate_noise_scale`` takes it
 NOISE = {binned_gaussian_kernel: _GAUSSIAN, binned_laplace_kernel: _LAPLACE}
@@ -190,7 +191,7 @@ LOCKSTEP_WORLDS = {
     "mixing-0": mixing_world(0.0),
     "mixing-0.005": mixing_world(LAM),
     "mixing-0.3": mixing_world(0.3),
-    "dirichlet": synth.dirichlet_world(np.random.default_rng(24), 2, 4),
+    "dirichlet": dirichlet_world(np.random.default_rng(24), 2, 4),
     "zero-prior": mixing_world(LAM, n_secrets=3, prior=(0.5, 0.5, 0.0)),
     "three-secrets": mixing_world(0.3, n_secrets=3),
 }

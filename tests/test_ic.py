@@ -11,7 +11,7 @@ from dcpkit import composition, ic
 from dcpkit.cli import main
 from dcpkit.composition import true_opt
 from dcpkit.model import MechanismKernel, World, default_adjacency, load_model
-from dcpkit.synth import dirichlet_world, random_mechanisms
+from generators import dirichlet_world, random_mechanisms
 from bisection import full_bisection
 from response_step import response_step
 

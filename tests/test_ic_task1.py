@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from dcpkit import ic
 from dcpkit.divergence import worst_pair
 from dcpkit.model import World, load_model
-from dcpkit.synth import dirichlet_world, random_mechanisms
+from generators import dirichlet_world, random_mechanisms
 
 ROOT = pathlib.Path(__file__).parent.parent
 PARENT_FILE = ROOT / "tests" / "data" / "ic_task1_parent.json"

@@ -10,8 +10,10 @@ from dcpkit import config
 from dcpkit.divergence import DistPair, hockey_stick, optimal_epsilon
 from dcpkit.model import MechanismKernel, World, default_adjacency
 from dcpkit.pld import (
+    MERGE_ATOL,
     LossSum,
     Pld,
+    _merge_atoms,
     convolve,
     decompose_plrv,
     epsilon_for_delta,
@@ -349,3 +351,69 @@ def test_nan_delta_and_eps_are_refused():
                  lambda: loss_sum.delta(math.nan), lambda: epsilon_for_delta(pld_from_pair(RR), math.nan)):
         with pytest.raises(ValueError):
             call()
+
+
+def _merge_atoms_by_scatter_add(losses, masses):
+    """``pld._merge_atoms`` as written with ``np.add.at``: the oracle of its bits."""
+    keep = masses > 0.0
+    losses, masses = losses[keep], masses[keep]
+    if losses.size == 0:
+        return losses, masses
+    order = np.argsort(losses)
+    losses, masses = losses[order], masses[order]
+    new_group = np.empty(losses.size, dtype=bool)
+    new_group[0] = True
+    with np.errstate(invalid="ignore"):
+        new_group[1:] = np.diff(losses) > MERGE_ATOL
+    gid = np.cumsum(new_group) - 1
+    n = gid[-1] + 1
+    gmass = np.zeros(n)
+    gloss = np.zeros(n)
+    np.add.at(gmass, gid, masses)
+    finite = np.isfinite(losses)
+    np.add.at(gloss, gid[finite], (losses * masses)[finite])
+    with np.errstate(invalid="ignore"):
+        out_loss = np.where(gmass > 0, gloss / np.where(gmass > 0, gmass, 1.0), 0.0)
+    neg_inf_groups = np.zeros(n, dtype=bool)
+    np.logical_or.at(neg_inf_groups, gid, ~finite)
+    return np.where(neg_inf_groups, -np.inf, out_loss), gmass
+
+
+# exact ties, ties within MERGE_ATOL, a gap just past it, and -inf atoms
+MERGE_LOSS = st.one_of(
+    st.builds(lambda base, step: base + step, st.sampled_from([-2.5, 0.0, 0.1, 3.0]),
+              st.sampled_from([0.0, 0.0, 3e-13, 1e-12, 1.5e-12, 1e-6])),
+    st.floats(-5.0, 5.0), st.just(-math.inf))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(atoms=st.lists(st.tuples(MERGE_LOSS, st.one_of(st.just(0.0), st.floats(1e-300, 1.0))), max_size=12))
+def test_merge_atoms_matches_the_scatter_add_bit_for_bit(atoms):
+    losses = np.array([a for a, _ in atoms], dtype=float)
+    masses = np.array([b for _, b in atoms], dtype=float)
+    got, want = _merge_atoms(losses, masses), _merge_atoms_by_scatter_add(losses, masses)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(w=plds(), m=plds(), eps=st.one_of(st.floats(-8.0, 8.0), st.integers(-8, 24).map(lambda i: i / 4),
+                                         st.sampled_from([-math.inf, math.inf, 1e300])))
+def test_loss_sum_search_matches_the_ascending_search(w, m, eps):
+    loss_sum = LossSum(w, m)
+    t = eps - loss_sum._w
+    want = np.searchsorted(loss_sum._m, t, side="right")
+    assert np.array_equal(loss_sum._active(t), want)
+
+
+def test_loss_sum_searches_zero_once(monkeypatch):
+    loss_sum = LossSum(pld_from_pair(RR), pld_from_pair(DistPair(np.array([0.6, 0.4]), np.array([0.2, 0.8]))))
+    searches, search = [], LossSum._active
+    monkeypatch.setattr(LossSum, "_active", lambda self, t: searches.append(t.copy()) or search(self, t))
+    at_zero = lambda: sum(np.array_equal(t, 0.0 - loss_sum._w) for t in searches)
+    first = loss_sum.epsilon(0.01)
+    assert first > 0.0 and at_zero() == 1  # the profile's root lies past 0
+    assert loss_sum.epsilon(0.001) > first and loss_sum.epsilon(1.0) == 0.0
+    assert at_zero() == 1
+    # delta(0), taken with that search, is the value the public profile gives
+    assert loss_sum.delta(0.0) == loss_sum._zero[1] and at_zero() == 2
