@@ -25,7 +25,7 @@ from dcpkit import (
 
 rr_pair = DistPair(np.array([0.75, 0.25]), np.array([0.25, 0.75]))
 pld = pld_from_pair(rr_pair)
-print("loss atoms:", pld.losses, "masses:", pld.masses)
+print("loss atoms:", pld.losses, "masses:", pld.p_mass)
 
 print("\nprofile vs direct divergence:")
 for eps in (0.0, 0.5, 1.0):

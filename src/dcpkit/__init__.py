@@ -38,6 +38,7 @@ from .copula import (
 )
 from .divergence import (
     DistPair,
+    LossProfile,
     TradeoffCurve,
     check_dcp,
     hockey_stick,
@@ -69,7 +70,6 @@ from .model import (
     load_model,
 )
 from .pld import (
-    Pld,
     PlrvDecomposition,
     convolve,
     decompose_plrv,

@@ -239,7 +239,8 @@ def cmd_audit(args) -> int:
     remap = {old: new for new, old in enumerate(members)}
     dep = [type(g)(members=tuple(remap[i] for i in g.members), joint_kernel=g.joint_kernel,
                    joint_outputs=g.joint_outputs) for g in model.dependence]
-    law_comp = comp.composed_joint(world, [model.mechanisms[i] for i in members], dep)
+    # the lumped law hands out the pairs the dense joint would: the audit reads nothing else
+    law_comp = comp.Composition.of(world, [model.mechanisms[i] for i in members], dep).lumped
     grid = [(eg, dg) for eg in args.eps_g for dg in args.delta_g]
     rows = compare_protocol(world, law_comp, law_single, grid)
     lines = [_header(args, "audit"), "eps_g,delta_g,auc_composed,auc_single,gap\n"]

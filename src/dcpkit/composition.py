@@ -15,10 +15,10 @@ from functools import cached_property
 import numpy as np
 
 from . import config
-from .divergence import DistPair, Law, _adjacent_pairs, hockey_stick, tradeoff_curve
+from .divergence import DistPair, Law, LossProfile, _adjacent_pairs, hockey_stick, tradeoff_curve
 from .model import (DependenceGroup, MechanismKernel, TypeClass, World, _freeze, _posterior, atom_index,
                     effective_kernel, lay_out, lumped_law, mix_kernel, type_classes)
-from .pld import LossSum, Pld, convolve, epsilon_for_delta, pld_from_pair
+from .pld import LossSum, convolve, epsilon_for_delta, pld_from_pair
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,7 +177,9 @@ def _overline_loss(value: Composition, s0: int, s1: int) -> LossSum:
     dependence-ignoring bound reads.  Nothing is convolved."""
     mass, c = value.lumped.matrix[s0], value.copula_loss
     live = mass > 0.0
-    copula = Pld(losses=c[s0, live] - c[s1, live], masses=mass[live])
+    mass, loss = mass[live], c[s0, live] - c[s1, live]
+    with np.errstate(over="ignore"):  # a loss past the float range is refused as a q-mass
+        copula = LossProfile.of_atoms(loss, mass, mass * np.exp(-loss))
     return LossSum(copula, value.lumped_product.pair(s0, s1).profile)
 
 

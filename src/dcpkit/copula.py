@@ -17,9 +17,8 @@ from typing import Mapping
 import numpy as np
 
 from .composition import dp_optcomp
-from .divergence import DistPair
+from .divergence import DistPair, LossProfile
 from .model import World, check_cap
-from .pld import Pld, pld_from_pair
 from .synth import _binned_noise, _laplace_cdf, _special
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -368,7 +367,7 @@ def copula_plrv(
     s0: int,
     s1: int,
     bins: int = 512,
-) -> Pld:
+) -> LossProfile:
     """Loss distribution contributed by the state-dependent coupling.
 
     The coupling's loss variable between adjacent states reduces to the
@@ -383,9 +382,9 @@ def copula_plrv(
     eta0 = spec.eta_of(world.secrets[s0])
     eta1 = spec.eta_of(world.secrets[s1])
     if eta0 == eta1:
-        return Pld.point(0.0)
+        return DistPair(np.ones(1), np.ones(1)).profile
     p, q = _binned_noise((eta0, eta1), math.sqrt(spec.var1), bins, 8.0, _special().ndtr)
-    return pld_from_pair(DistPair(p, q))
+    return DistPair(p, q).profile
 
 
 @dataclass(frozen=True)

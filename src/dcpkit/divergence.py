@@ -6,12 +6,12 @@ a mechanism against a world's adjacency, and Neyman-Pearson trade-off
 curves.  It also holds the three primitives every other layer builds on: the
 worst adjacent pair of a per-secret law (``worst_pair``), the one sort of a
 pair's losses behind its tight epsilon, trade-off curve, attacker ROC and
-joined delta, and its twin's (``LossProfile``), and the bracketing root
-finder behind every calibration (one ITP search, ``_itp``, run alone by
+joined delta, and its twin's (``LossProfile``, also the privacy-loss
+distribution that ``dcpkit.pld`` composes), and the bracketing root finder
+behind every calibration (one ITP search, ``_itp``, run alone by
 ``monotone_root`` or several in lockstep by ``monotone_roots``).  The direct
-``hockey_stick`` and the privacy-loss-distribution route in ``dcpkit.pld``
-compute the same quantities without that sort; the routes stay independent
-so each can serve as the others' oracle.
+``hockey_stick`` computes the same quantities without that sort; it and the
+profile stay independent routes, so each can serve as the other's oracle.
 """
 
 from __future__ import annotations
@@ -101,11 +101,35 @@ class LossProfile:
     ones merged into a group with its p- and q-mass summed in outcome order:
     the one order that the trade-off curve, ROC, tight epsilon and joined
     delta of the pair read, and its twin reads reversed (``reversed``)
-    (Balle, Barthe & Gaboardi 2018; Dong, Roth & Su 2022).  The sums from
-    each group on are taken once asked for."""
+    (Balle, Barthe & Gaboardi 2018; Dong, Roth & Su 2022).  It is the pair's
+    privacy-loss distribution too; ``of_atoms`` builds one from loss atoms,
+    such as a convolution's.  The sums from each group on are taken once
+    asked for."""
 
     def __init__(self, pair: DistPair):
-        self.losses, self.p_mass, self.q_mass = _np_steps(pair.p, pair.q)
+        with np.errstate(divide="ignore"):
+            loss = np.log(pair.p) - np.log(pair.q)
+        self.losses, self.p_mass, self.q_mass = _np_steps(loss, pair.p, pair.q)
+
+    @staticmethod
+    def of_atoms(losses, p_mass, q_mass) -> LossProfile:
+        """The profile of loss atoms in any order, each with its p- and
+        q-mass, grouped as a pair's outcomes are.  A NaN loss, a non-finite
+        or negative mass, or a total p-mass off 1 by more than 1e-9 is
+        refused with ``ValueError``."""
+        losses, p_mass, q_mass = (np.asarray(v, dtype=float) for v in (losses, p_mass, q_mass))
+        if losses.ndim != 1 or not losses.shape == p_mass.shape == q_mass.shape:
+            raise ValueError("losses and masses must be equal-length vectors")
+        if np.isnan(losses).any() or not (np.isfinite(p_mass).all() and np.isfinite(q_mass).all()):
+            raise ValueError("a loss is NaN or a mass is not finite")
+        if (p_mass < 0.0).any() or (q_mass < 0.0).any():
+            raise ValueError("negative probability mass in a loss profile")
+        total = float(p_mass.sum())
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"total p-mass is {total}, not 1")
+        profile = object.__new__(LossProfile)
+        profile.losses, profile.p_mass, profile.q_mass = _np_steps(losses, p_mass, q_mass)
+        return profile
 
     def reversed(self) -> LossProfile:
         """The profile of the pair (q, p) on these very group masses."""
@@ -460,17 +484,13 @@ class TradeoffCurve:
         return np.interp(alpha, self.alphas, self.betas)
 
 
-def _np_steps(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each loss log p - log q of a pair, ascending in [-inf, +inf], with
-    the p- and q-mass of the outcomes at it: the one sort behind the pair's
-    ``LossProfile``.
+def _np_steps(loss: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each distinct loss, ascending in [-inf, +inf], with the p- and q-mass
+    of the outcomes at it: the one sort behind every ``LossProfile``.
 
-    Outcomes with exactly equal losses form one group, summed in outcome
-    order as ``.sum()`` sums them.  ``p`` and ``q`` are a pair's live
-    outcomes, so no loss is NaN.
+    Outcomes with exactly equal losses form one group, summed in the order
+    given as ``.sum()`` sums them.  No loss is NaN.
     """
-    with np.errstate(divide="ignore"):
-        loss = np.log(p) - np.log(q)
     order = np.argsort(loss)
     loss = loss[order]
     first = np.concatenate(([True], loss[1:] != loss[:-1]))

@@ -1,11 +1,13 @@
 """Privacy-loss random variables and their discrete distributions.
 
-A ``Pld`` holds finite loss atoms plus a mass at +infinity.  Construction
-from a distribution pair, exact convolution, the privacy profile delta(eps)
-and its inverse (of one PLD, or of the sum of two independent losses
-without convolving them), and the per-outcome decomposition of a composed
-loss variable into the world-induced, mechanism-dependence, and
-independent terms all live here.
+A privacy-loss distribution is a ``LossProfile``: loss groups in [-inf,
++inf], ascending, each with its p- and q-mass.  Construction from a
+distribution pair, exact convolution, the privacy profile delta(eps) and
+its inverse (of one PLD, or of the sum of two independent losses without
+convolving them), and the per-outcome decomposition of a composed loss
+variable into the world-induced, mechanism-dependence, and independent
+terms all live here.  The direct ``hockey_stick`` is the profile's
+independent oracle.
 """
 
 from __future__ import annotations
@@ -16,104 +18,30 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import PROB_ATOL
 from .divergence import DistPair, LossProfile
 from .model import DependenceGroup, MechanismKernel, World, check_cap, lay_out
 
-# losses closer than this are merged into one atom (mass-weighted mean)
-MERGE_ATOL = 1e-12
+
+def pld_from_pair(pair: DistPair) -> LossProfile:
+    """The pair's ``LossProfile``: loss atoms log(p/q); p-mass where q = 0
+    is at +inf, q-mass where p = 0 at -inf."""
+    return pair.profile
 
 
-def _merge_atoms(losses: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    keep = masses > 0.0
-    losses, masses = losses[keep], masses[keep]
-    if losses.size == 0:
-        return losses, masses
-    order = np.argsort(losses)
-    losses, masses = losses[order], masses[order]
-    # group runs of losses within MERGE_ATOL of their predecessor
-    new_group = np.empty(losses.size, dtype=bool)
-    new_group[0] = True
-    with np.errstate(invalid="ignore"):  # -inf - -inf is NaN: -inf atoms join one group
-        new_group[1:] = np.diff(losses) > MERGE_ATOL
-    gid = np.cumsum(new_group) - 1
-    # bincount sums each group left to right, as a scatter-add would
-    gmass = np.bincount(gid, masses)
-    finite = np.isfinite(losses)  # the rest are -inf (``Pld`` books +inf apart), sorted into group 0
-    # finite atoms merge to their mass-weighted mean, -inf atoms to -inf
-    out_loss = np.bincount(gid, np.where(finite, losses * masses, 0.0)) / gmass
-    if not finite[0]:
-        out_loss[0] = -np.inf
-    return out_loss, gmass
-
-
-@dataclass(frozen=True)
-class Pld:
-    """Discrete privacy-loss distribution: sorted loss atoms + mass at +inf.
-
-    Losses of -inf (outcomes impossible under the reference measure's
-    opposite side) are kept as a single sentinel atom; they contribute
-    nothing to any privacy profile.  Atoms at +inf join ``inf_mass``.  NaN
-    losses and non-finite masses are refused.
-    """
-
-    losses: np.ndarray
-    masses: np.ndarray
-    inf_mass: float = 0.0
-
-    def __post_init__(self):
-        losses = np.asarray(self.losses, dtype=float)
-        masses = np.asarray(self.masses, dtype=float)
-        inf_mass = float(self.inf_mass)
-        if losses.shape != masses.shape or losses.ndim != 1:
-            raise ValueError("losses and masses must be equal-length vectors")
-        if np.isnan(losses).any() or not (np.isfinite(masses).all() and math.isfinite(inf_mass)):
-            raise ValueError("a Pld loss is NaN or a mass is not finite")
-        if np.any(masses < -PROB_ATOL) or inf_mass < -PROB_ATOL:
-            raise ValueError("negative probability mass in Pld")
-        at_inf = (losses == np.inf) & (masses > 0.0)
-        if at_inf.any():
-            inf_mass += float(masses[at_inf].sum())
-            losses, masses = losses[~at_inf], masses[~at_inf]
-        losses, masses = _merge_atoms(losses, masses)
-        total = float(masses.sum()) + inf_mass
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"Pld total mass is {total}, not 1")
-        losses.flags.writeable = False
-        masses.flags.writeable = False
-        object.__setattr__(self, "losses", losses)
-        object.__setattr__(self, "masses", masses)
-        object.__setattr__(self, "inf_mass", inf_mass)
-
-    @staticmethod
-    def point(loss: float) -> "Pld":
-        return Pld(losses=np.array([loss]), masses=np.array([1.0]))
-
-
-_ZERO = Pld.point(0.0)  # the loss of a mechanism that reveals nothing
-
-
-def pld_from_pair(pair: DistPair) -> Pld:
-    """Loss atoms log(p/q) with mass p; p-mass where q = 0 goes to +inf."""
-    p, q = pair.p, pair.q
-    support = p > 0.0
-    inf_mass = float(p[support & (q == 0.0)].sum())
-    both = support & (q > 0.0)
-    losses = np.log(p[both]) - np.log(q[both])
-    return Pld(losses=losses, masses=p[both], inf_mass=inf_mass)
-
-
-def convolve(a: Pld, b: Pld) -> Pld:
+def convolve(a: LossProfile, b: LossProfile) -> LossProfile:
     """Distribution of the sum of two independent loss variables.
 
-    The outer sum holds |a| * |b| atoms before merging; a product above
-    ``config.OUTCOME_CAP`` is refused before anything is allocated.
+    The outer sum holds |a| * |b| atoms before grouping; a product above
+    ``config.OUTCOME_CAP`` is refused before anything is allocated.  Atoms
+    without mass (such as -inf + +inf) are dropped.
     """
     check_cap(a.losses.size * b.losses.size, f"convolution of {a.losses.size} x {b.losses.size} loss atoms")
-    losses = np.add.outer(a.losses, b.losses).ravel()
-    masses = np.multiply.outer(a.masses, b.masses).ravel()
-    inf_mass = a.inf_mass + b.inf_mass - a.inf_mass * b.inf_mass
-    return Pld(losses=losses, masses=masses, inf_mass=inf_mass)
+    with np.errstate(invalid="ignore"):  # -inf + +inf is NaN, on an atom without mass
+        losses = np.add.outer(a.losses, b.losses).ravel()
+    p_mass = np.multiply.outer(a.p_mass, b.p_mass).ravel()
+    q_mass = np.multiply.outer(a.q_mass, b.q_mass).ravel()
+    keep = (p_mass > 0.0) | (q_mass > 0.0)
+    return LossProfile.of_atoms(losses[keep], p_mass[keep], q_mass[keep])
 
 
 # e^x is a finite float for |x| up to this
@@ -122,35 +50,34 @@ _EXP_MAX = math.log(np.finfo(float).max)
 
 class LossSum:
     """Privacy profile of W + M, the sum of two independent loss variables,
-    read off W's PLD and M's (a PLD or a pair's ``LossProfile``) without
-    forming their convolution.
+    read off their ``LossProfile``s without forming their convolution.
 
     An atom w of W meets the atoms of M above eps - w; one ``searchsorted``
     into M's sorted losses finds them, and suffix sums of M's p-masses and
-    q-masses (a PLD's p-mass times e^-m), built once here, give their
-    contribution.  So a profile value costs O(|W| log |M|) and the object
-    O(|W| + |M|) memory, where the convolution holds |W| * |M| atoms.  A
-    single PLD is the case W = 0 (``privacy_profile``, ``epsilon_for_delta``).
+    q-masses, built once here, give their contribution.  So a profile value
+    costs O(|W| log |M|) and the object O(|W| + |M|) memory, where the
+    convolution holds |W| * |M| atoms.
 
-    Those sums hold e^+-loss, so a finite loss beyond +-709.78 (a
-    probability ratio past the float range) is refused with ``ValueError``.
+    A finite loss beyond +-709.78 (a probability ratio past the float
+    range) is refused with ``ValueError``: a profile value scales those
+    sums by e^(eps - w), up to e^ of M's top loss.
     """
 
-    def __init__(self, w: Pld, m: Pld | LossProfile):
+    def __init__(self, w: LossProfile, m: LossProfile):
         # -inf atoms add nothing at any finite eps, alone or in a sum
         keep = np.isfinite(w.losses)
-        self._w, self._w_mass = w.losses[keep], w.masses[keep]
+        # W's q-mass scales M's q-mass sums to e^-(w+m)
+        self._w, self._w_mass, self._w_weight = w.losses[keep], w.p_mass[keep], w.q_mass[keep]
         keep = np.isfinite(m.losses)
-        m_loss, m_mass = m.losses[keep], (m.masses if isinstance(m, Pld) else m.p_mass)[keep]
+        m_loss = m.losses[keep]
         if (self._w.size and self._w[0] < -_EXP_MAX) or (
                 m_loss.size and max(-m_loss[0], m_loss[-1]) > _EXP_MAX):
             raise ValueError(f"a loss atom lies beyond +-{_EXP_MAX:.2f}, where e^loss leaves the float range")
-        self._w_weight = self._w_mass * np.exp(-self._w)  # scales M's q-mass sums to e^-(w+m)
         self._m = m_loss
         self._m_top = float(m_loss[-1]) if m_loss.size else 0.0
-        m_q = m_mass * np.exp(-m_loss) if isinstance(m, Pld) else m.q_mass[keep]
         # entry j sums M's atoms j, j+1, ...; the entry past the last is 0
-        self._mass_above, self._b_above = (np.append(np.cumsum(v[::-1])[::-1], 0.0) for v in (m_mass, m_q))
+        self._mass_above, self._b_above = (np.append(np.cumsum(v[keep][::-1])[::-1], 0.0)
+                                           for v in (m.p_mass, m.q_mass))
         self.inf_mass = w.inf_mass + m.inf_mass - w.inf_mass * m.inf_mass
 
     def _active(self, t: np.ndarray) -> np.ndarray:
@@ -215,31 +142,35 @@ class LossSum:
             eps, k = root, k_root
 
 
-def privacy_profile(pld: Pld, eps: float) -> float:
-    """delta(eps) = E[(1 - e^(eps - L))+] plus the mass at +inf."""
-    return LossSum(_ZERO, pld).delta(eps)
+def privacy_profile(pld: LossProfile, eps: float) -> float:
+    """delta(eps) = E[(1 - e^(eps - L))+] plus the mass at +inf, for finite eps."""
+    return pld.hockey_stick(np.ones(1), np.ones(1), eps)
 
 
-def epsilon_for_delta(pld: Pld, delta: float) -> float:
-    """Smallest eps >= 0 with privacy_profile(pld, eps) <= delta, as ``LossSum.epsilon``."""
-    return LossSum(_ZERO, pld).epsilon(delta)
+def epsilon_for_delta(pld: LossProfile, delta: float) -> float:
+    """Smallest eps >= 0 with privacy_profile(pld, eps) <= delta, as ``LossProfile.epsilon``."""
+    return pld.epsilon(delta)
 
 
-def pld_csv(pld: Pld) -> str:
-    """``loss,mass`` rows, each float as its ``repr``, and a final ``inf,<mass>`` row."""
-    rows = "".join(f"{loss!r},{mass!r}\n" for loss, mass in zip(pld.losses.tolist(), pld.masses.tolist()))
+def pld_csv(pld: LossProfile) -> str:
+    """``loss,mass`` rows of the finite groups' loss and p-mass, each float
+    as its ``repr``, and a final ``inf,<mass>`` row."""
+    finite = np.isfinite(pld.losses)
+    rows = "".join(f"{loss!r},{mass!r}\n" for loss, mass in zip(pld.losses[finite].tolist(),
+                                                                 pld.p_mass[finite].tolist()))
     return f"loss,mass\n{rows}inf,{pld.inf_mass!r}\n"
 
 
-def write_pld_csv(pld: Pld, path) -> None:
+def write_pld_csv(pld: LossProfile, path) -> None:
     """Serialize as ``pld_csv`` does."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(pld_csv(pld))
 
 
-def read_pld_csv(path) -> Pld:
-    """The ``Pld`` of a ``dcp pld`` output or ``write_pld_csv`` file, ``#``
-    lines skipped: each row an atom, the ``inf`` row's mass at +inf."""
+def read_pld_csv(path) -> LossProfile:
+    """The ``LossProfile`` of a ``dcp pld`` output or ``write_pld_csv`` file,
+    ``#`` lines skipped: each row an atom of that p-mass and q-mass p e^-loss,
+    the ``inf`` row's at +inf."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line.strip() for line in fh if not line.startswith("#")]
     if lines[:1] != ["loss,mass"]:
@@ -249,7 +180,13 @@ def read_pld_csv(path) -> Pld:
         loss, mass = line.split(",")
         losses.append(float(loss))
         masses.append(float(mass))
-    return Pld(losses=np.array(losses), masses=np.array(masses))
+    losses, masses = np.array(losses), np.array(masses)
+    with np.errstate(over="ignore", invalid="ignore"):  # a NaN or overflow left is refused as a mass
+        q_mass = masses * np.exp(-losses)
+        # e^-loss past the float range (p below about 1e-308): the log domain
+        past = q_mass == math.inf
+        q_mass[past] = np.exp(np.log(masses[past]) - losses[past])
+    return LossProfile.of_atoms(losses, masses, q_mass)
 
 
 @dataclass(frozen=True)

@@ -114,7 +114,11 @@ def test_pld_serialization(tmp_path):
     model = load_model(MIXING)
     assert model.mechanisms[0].name == "rr_a"
     want, back = pld_from_pair(effective_kernel(model.world, model.mechanisms[0]).pair(0, 1)), read_pld_csv(out)
-    assert back.losses.tobytes() == want.losses.tobytes() and back.masses.tobytes() == want.masses.tobytes()
+    # the file's finite rows come back as they were, and its inf row as a group at +inf
+    assert np.isfinite(want.losses).all() and back.losses[-1] == math.inf
+    assert back.losses[:-1].tobytes() == want.losses.tobytes()
+    assert back.p_mass[:-1].tobytes() == want.p_mass.tobytes()
+    assert np.allclose(back.q_mass[:-1], want.q_mass, rtol=1e-15, atol=0.0) and back.q_mass[-1] == 0.0
     assert back.inf_mass == want.inf_mass
 
 
@@ -482,10 +486,11 @@ def test_repeated_kernels_print_the_dense_route_numbers(capsys):
         assert code == (0 if certified else 1)
 
 
-def test_check_and_pld_read_the_lumped_law_and_build_no_joint(capsys):
+def test_check_pld_and_audit_read_the_lumped_law_and_build_no_joint(capsys):
     from dcpkit import composition
 
-    for argv in (["check", "--eps", "1.0", "--delta", "0.05"], ["pld", "--pair", "s0", "s1"]):
+    for argv in (["check", "--eps", "1.0", "--delta", "0.05"], ["pld", "--pair", "s0", "s1"],
+                 ["audit", "--single", "flag", "--eps-g", "0.5", "--delta-g", "0.02"]):
         composition._SLOT[0] = None
         run(["--model", str(REPEATED), *argv])
         value = composition._SLOT[0][1]

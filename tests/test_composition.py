@@ -17,7 +17,7 @@ from dcpkit import config
 from dcpkit import model as model_layer
 from dcpkit import pld as pld_layer
 from dcpkit.cli import main
-from dcpkit.divergence import DistPair, hockey_stick, optimal_epsilon, tradeoff_curve
+from dcpkit.divergence import DistPair, LossProfile, hockey_stick, optimal_epsilon, tradeoff_curve
 from dcpkit.ic import certify
 from dcpkit.model import (
     DependenceGroup,
@@ -434,8 +434,7 @@ def _world_pld(dec):
     combined, mass = dec.world_term + dec.dependence_term, dec.ref_masses
     live = mass > 0.0
     combined, mass = combined[live], mass[live]
-    at_inf = np.isposinf(combined)
-    return pld_layer.Pld(losses=combined[~at_inf], masses=mass[~at_inf], inf_mass=float(mass[at_inf].sum()))
+    return LossProfile.of_atoms(combined, mass, mass * np.exp(-combined))
 
 
 def test_overline_columns_match_the_materialized_convolution():
@@ -490,7 +489,7 @@ def test_report_convolves_nothing_and_sorts_each_product_pair_once(monkeypatch):
                 monkeypatch.setattr(layer, name, counted)
     sorts, marginals = [], []
     steps, loss_sum = divergence._np_steps, comp.LossSum
-    monkeypatch.setattr(divergence, "_np_steps", lambda p, q: sorts.append(1) or steps(p, q))
+    monkeypatch.setattr(divergence, "_np_steps", lambda loss, p, q: sorts.append(1) or steps(loss, p, q))
     monkeypatch.setattr(comp, "LossSum", lambda w, m: marginals.append(m) or loss_sum(w, m))
     for rel in ("demos/models/dependent_pair.json", "tests/data/repeated_kernel.json"):
         model = load_model(pathlib.Path(__file__).parent.parent / rel)
@@ -499,8 +498,9 @@ def test_report_convolves_nothing_and_sorts_each_product_pair_once(monkeypatch):
         comp.composition_report(world, mechs, dependence, [0.0, 0.02], [0.5, 1.0])
         value = comp.Composition.of(world, mechs, dependence)
         assert calls == {"convolve": 0, "pld_from_pair": 0, "PlrvDecomposition": 0}
-        # one sort per unordered pair of the joint and of the product
-        assert len(sorts) == 2 * len({frozenset(pair) for pair in world.adjacency})
+        # one sort per unordered pair of the joint and of the product, and
+        # one of the copula term per ordered pair
+        assert len(sorts) == 2 * len({frozenset(pair) for pair in world.adjacency}) + len(world.adjacency)
         assert [id(m) for m in marginals] == [id(value.lumped_product.pair(*pair).profile)
                                               for pair in sorted(world.adjacency)]
 
@@ -776,7 +776,7 @@ def test_each_law_sorts_each_unordered_adjacent_pair_once(monkeypatch, n_secrets
     assert len(world.adjacency) == n_secrets * (n_secrets - 1)
     monkeypatch.setattr(comp, "_SLOT", [None])
     calls, steps = [], divergence._np_steps
-    monkeypatch.setattr(divergence, "_np_steps", lambda a, b: calls.append(a.size) or steps(a, b))
+    monkeypatch.setattr(divergence, "_np_steps", lambda loss, p, q: calls.append(loss.size) or steps(loss, p, q))
     _large_alphabet_op(world, mechs)
     assert len(calls) == sorts
     assert max(calls) <= comp.Composition.of(world, mechs).sizes["atoms"]  # no sort of dense outcomes

@@ -71,7 +71,8 @@ def test_copula_plrv_equals_per_state_scipy_cdfs():
         want = pld_from_pair(DistPair(p, q))
         got = copula_plrv(spec, world, 0, 1, bins=bins)
         assert np.array_equal(got.losses, want.losses)
-        assert np.array_equal(got.masses, want.masses) and got.inf_mass == want.inf_mass
+        assert np.array_equal(got.p_mass, want.p_mass) and np.array_equal(got.q_mass, want.q_mass)
+        assert got.inf_mass == want.inf_mass
 
 
 def network_projection(mat):

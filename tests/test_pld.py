@@ -2,21 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_dist_pair
 from dcpkit import config
-from dcpkit.divergence import DistPair, hockey_stick, optimal_epsilon
+from dcpkit.divergence import DistPair, LossProfile, hockey_stick, optimal_epsilon
 from dcpkit.model import MechanismKernel, World, default_adjacency
 from dcpkit.pld import (
-    MERGE_ATOL,
     LossSum,
-    Pld,
-    _merge_atoms,
     convolve,
     decompose_plrv,
     epsilon_for_delta,
+    pld_csv,
     pld_from_pair,
     privacy_profile,
     read_pld_csv,
@@ -26,38 +24,47 @@ from dcpkit.pld import (
 RR = DistPair(np.array([0.75, 0.25]), np.array([0.25, 0.75]))
 
 
+def point(loss):
+    """The PLD of one loss atom of mass 1, its q-mass e^-loss."""
+    return LossProfile.of_atoms([loss], [1.0], [math.exp(-loss)])
+
+
+def test_pld_from_pair_is_the_pairs_profile():
+    pair = DistPair(np.array([0.5, 0.3, 0.2, 0.0]), np.array([0.1, 0.3, 0.0, 0.6]))
+    assert pld_from_pair(pair) is pair.profile
+
+
 def test_pld_from_identical_pair():
     pld = pld_from_pair(DistPair(np.array([0.3, 0.7]), np.array([0.3, 0.7])))
     assert pld.losses.size == 1
-    assert pld.losses[0] == 0.0 and pld.masses[0] == pytest.approx(1.0)
+    assert pld.losses[0] == 0.0 and pld.p_mass[0] == pytest.approx(1.0) and pld.q_mass[0] == pytest.approx(1.0)
     assert pld.inf_mass == 0.0
 
 
 def test_pld_from_rr_pair():
     pld = pld_from_pair(RR)
     assert np.allclose(pld.losses, [-math.log(3), math.log(3)])
-    assert np.allclose(pld.masses, [0.25, 0.75])
+    assert np.allclose(pld.p_mass, [0.25, 0.75]) and np.allclose(pld.q_mass, [0.75, 0.25])
 
 
 def test_pld_with_infinity_atom():
     pld = pld_from_pair(DistPair(np.array([0.5, 0.5]), np.array([1.0, 0.0])))
-    assert np.allclose(pld.losses, [-math.log(2)])
-    assert np.allclose(pld.masses, [0.5])
+    assert np.allclose(pld.losses, [-math.log(2), math.inf])
+    assert np.allclose(pld.p_mass, [0.5, 0.5]) and np.allclose(pld.q_mass, [1.0, 0.0])
     assert pld.inf_mass == pytest.approx(0.5)
 
 
 def test_convolve_point_masses():
-    a = Pld.point(1.5)
-    b = Pld.point(-0.5)
-    c = convolve(a, b)
-    assert np.allclose(c.losses, [1.0]) and np.allclose(c.masses, [1.0])
+    c = convolve(point(1.5), point(-0.5))
+    assert np.allclose(c.losses, [1.0]) and np.allclose(c.p_mass, [1.0])
+    assert np.allclose(c.q_mass, [math.exp(-1.0)])
 
 
 def test_convolve_identity_element():
     pld = pld_from_pair(RR)
-    out = convolve(pld, Pld.point(0.0))
+    out = convolve(pld, point(0.0))
     assert np.allclose(out.losses, pld.losses)
-    assert np.allclose(out.masses, pld.masses)
+    assert np.allclose(out.p_mass, pld.p_mass) and np.allclose(out.q_mass, pld.q_mass)
 
 
 def test_convolve_rr_with_itself():
@@ -65,7 +72,8 @@ def test_convolve_rr_with_itself():
     out = convolve(pld_from_pair(RR), pld_from_pair(RR))
     l3 = math.log(3)
     assert np.allclose(out.losses, [-2 * l3, 0.0, 2 * l3])
-    assert np.allclose(out.masses, [0.0625, 0.375, 0.5625])
+    assert np.allclose(out.p_mass, [0.0625, 0.375, 0.5625])
+    assert np.allclose(out.q_mass, [0.5625, 0.375, 0.0625])
 
 
 def test_convolve_commutative_associative():
@@ -76,7 +84,8 @@ def test_convolve_commutative_associative():
         ab = convolve(a, b)
         ba = convolve(b, a)
         assert np.allclose(ab.losses, ba.losses, atol=1e-12)
-        assert np.allclose(ab.masses, ba.masses, atol=1e-12)
+        assert np.allclose(ab.p_mass, ba.p_mass, atol=1e-12)
+        assert np.allclose(ab.q_mass, ba.q_mass, atol=1e-12)
         left = convolve(ab, c)
         right = convolve(a, convolve(b, c))
         for eps in (0.0, 0.5, 1.0):
@@ -85,10 +94,34 @@ def test_convolve_commutative_associative():
             )
 
 
+@st.composite
+def zero_pairs(draw):
+    """A pair whose sides both draw zeros: outcomes at loss -inf and +inf."""
+    n = draw(st.integers(1, 5))
+    p, q = (np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(0.05, 1.0)), min_size=n, max_size=n)))
+            for _ in range(2))
+    assume(p.sum() > 0.0 and q.sum() > 0.0)
+    return DistPair(p / p.sum(), q / q.sum())
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(a=zero_pairs(), b=zero_pairs())
+def test_convolve_of_two_pairs_is_the_profile_of_their_product_pair(a, b):
+    conv = convolve(a.profile, b.profile)
+    product = DistPair(np.multiply.outer(a.p, b.p).ravel(), np.multiply.outer(a.q, b.q).ravel()).profile
+    assert (np.diff(conv.losses) > 0.0).all()  # no two groups share a loss
+    for eps in (0.0, 0.3, 1.0, 2.5):
+        assert abs(privacy_profile(conv, eps) - privacy_profile(product, eps)) <= 1e-12
+    for delta in (0.0, 0.01, 0.2):
+        got, want = epsilon_for_delta(conv, delta), epsilon_for_delta(product, delta)
+        assert got == want if math.isinf(want) else abs(got - want) <= 1e-12
+
+
 def test_privacy_profile_examples():
-    assert privacy_profile(Pld.point(0.0), 0.0) == 0.0
+    assert privacy_profile(point(0.0), 0.0) == 0.0
     assert privacy_profile(pld_from_pair(RR), 0.0) == pytest.approx(0.5, abs=1e-15)
-    heavy = Pld(losses=np.array([-1.0, 0.5]), masses=np.array([0.3, 0.4]), inf_mass=0.3)
+    heavy = LossProfile.of_atoms([-1.0, 0.5, math.inf], [0.3, 0.4, 0.3],
+                                 [0.3 * math.e, 0.4 * math.exp(-0.5), 0.0])
     assert privacy_profile(heavy, 2.0) == pytest.approx(0.3)
 
 
@@ -142,13 +175,15 @@ def test_convolution_equals_product_law_on_invertible_world():
 
 
 def test_negative_infinity_atoms_are_inert():
-    pld = Pld(losses=np.array([-np.inf, 1.0]), masses=np.array([0.25, 0.75]))
-    assert privacy_profile(pld, 0.0) == pytest.approx(0.75 * (1 - math.exp(-1.0)))
+    # q-mass at -inf, where the other secret alone reaches: no eps sees it
+    pld = LossProfile.of_atoms([-math.inf, 1.0], [0.0, 1.0], [0.6, math.exp(-1.0)])
+    assert privacy_profile(pld, 0.0) == pytest.approx(1 - math.exp(-1.0))
+    assert privacy_profile(pld, 0.0) == privacy_profile(point(1.0), 0.0)
 
 
 def test_positive_infinity_atoms_join_the_mass_at_infinity():
-    pld = Pld(losses=np.array([np.inf, 0.0]), masses=np.array([0.5, 0.5]))
-    assert (pld.losses.tolist(), pld.inf_mass) == ([0.0], 0.5)
+    pld = LossProfile.of_atoms([math.inf, 0.0], [0.5, 0.5], [0.0, 0.5])
+    assert (pld.losses.tolist(), pld.p_mass.tolist(), pld.inf_mass) == ([0.0, math.inf], [0.5, 0.5], 0.5)
     assert epsilon_for_delta(pld, 0.1) == math.inf
 
 
@@ -157,19 +192,27 @@ def test_positive_infinity_atoms_join_the_mass_at_infinity():
     ([0.0], [1.0], math.nan),
     ([0.0], [0.5], math.inf),
     ([0.0, 1.0], [math.nan, 1.0], 0.0),
+    ([0.0, 1.0], [1.5, -0.5], 0.0),       # a negative mass
+    ([0.0, 1.0], [1.0, -math.inf], 0.0),  # a mass of -inf
+    ([-800.0], [1.0], 0.0),               # a q-mass of e^800, past the float range
+    ([0.0], [0.5], 0.4),                  # a total p-mass off 1
 ])
 def test_pld_refuses_nan_losses_and_non_finite_masses(losses, masses, inf_mass):
-    with pytest.raises(ValueError):
-        Pld(losses=np.array(losses), masses=np.array(masses), inf_mass=inf_mass)
+    # finite atoms of q-mass p e^-loss, and inf_mass at +inf
+    losses, masses = np.array(losses + [math.inf]), np.array(masses + [inf_mass])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+        LossProfile.of_atoms(losses, masses, masses * np.exp(-losses))
 
 
 def test_read_pld_csv_books_overflowing_losses_at_infinity_and_refuses_nan(tmp_path):
     path = tmp_path / "pld.csv"
     path.write_text("loss,mass\n1e400,0.5\n0.0,0.5\ninf,0.0\n")
     pld = read_pld_csv(path)
-    assert (pld.losses.tolist(), pld.inf_mass) == ([0.0], 0.5)
+    assert (pld.losses.tolist(), pld.p_mass.tolist(), pld.inf_mass) == ([0.0, math.inf], [0.5, 0.5], 0.5)
+    assert pld.q_mass.tolist() == [0.5, 0.0]
     assert epsilon_for_delta(pld, 0.0) == math.inf
-    for rows in ("1e400,0.5\nnan,0.3\n0.0,0.2\n", "0.0,1.0\ninf,nan\n"):
+    for rows in ("1e400,0.5\nnan,0.3\n0.0,0.2\n", "0.0,1.0\ninf,nan\n", "0.0,1.2\n-1.0,-0.2\ninf,0.0\n",
+                 "0.0,0.5\ninf,0.4\n"):
         path.write_text("loss,mass\n" + rows)
         with pytest.raises(ValueError):
             read_pld_csv(path)
@@ -181,8 +224,21 @@ def test_csv_round_trip(tmp_path):
     write_pld_csv(pld, path)
     back = read_pld_csv(path)
     assert np.array_equal(back.losses, pld.losses)
-    assert np.array_equal(back.masses, pld.masses)
+    assert np.array_equal(back.p_mass, pld.p_mass)
+    assert np.allclose(back.q_mass, pld.q_mass, rtol=1e-15, atol=0.0)
     assert back.inf_mass == pld.inf_mass
+    assert pld_csv(back) == pld_csv(pld)
+
+
+def test_read_pld_csv_takes_a_q_mass_past_e709_in_the_log_domain(tmp_path):
+    # loss log(1e-310 / 0.5) = -713.1: e^-loss overflows, p e^-loss is 0.5
+    pld = pld_from_pair(DistPair(np.array([1e-310, 0.5, 0.5]), np.array([0.5, 0.5, 0.0])))
+    path = tmp_path / "pld.csv"
+    write_pld_csv(pld, path)
+    back = read_pld_csv(path)
+    assert np.array_equal(back.losses, pld.losses) and np.array_equal(back.p_mass, pld.p_mass)
+    assert np.allclose(back.q_mass, pld.q_mass, rtol=1e-12, atol=0.0)
+    assert pld_csv(back) == pld_csv(pld)
 
 
 def _world(joint):
@@ -270,7 +326,7 @@ def test_decomposition_requires_adjacent_pair(invertible_world, rr_mechanism):
 
 
 def test_convolve_refuses_past_the_cap(monkeypatch):
-    a = Pld(losses=np.array([-1.0, 0.0, 1.0]), masses=np.array([0.2, 0.3, 0.5]))
+    a = LossProfile.of_atoms([-1.0, 0.0, 1.0], [0.2, 0.3, 0.5], [0.2 * math.e, 0.3, 0.5 / math.e])
     b = pld_from_pair(RR)
     monkeypatch.setattr(config, "OUTCOME_CAP", 5)
     with pytest.raises(ValueError, match="3 x 2 loss atoms exceeds cap 5"):
@@ -280,26 +336,32 @@ def test_convolve_refuses_past_the_cap(monkeypatch):
 
 
 # losses on a quarter grid make many sums tie exactly; -inf atoms stand for
-# outcomes the other secret cannot produce
-GRID_LOSS = st.one_of(st.integers(-12, 12).map(lambda i: i / 4), st.floats(-3.0, 3.0),
-                      st.just(-math.inf))
+# outcomes only the other secret can produce
+FINITE_LOSS = st.one_of(st.integers(-12, 12).map(lambda i: i / 4), st.floats(-3.0, 3.0))
+GRID_LOSS = st.one_of(FINITE_LOSS, st.just(-math.inf))
 
 
 @st.composite
 def plds(draw):
-    losses = draw(st.lists(GRID_LOSS, min_size=1, max_size=6))
-    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=len(losses),
-                                     max_size=len(losses))))
+    """A PLD of explicit p- and q-masses: q = p e^-loss at a finite loss, a
+    -inf atom q-mass only, a +inf atom p-mass only."""
+    losses = np.array([draw(FINITE_LOSS)] + draw(st.lists(GRID_LOSS, max_size=5)))
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=losses.size, max_size=losses.size)))
     inf_mass = draw(st.sampled_from([0.0, 0.0, 0.05, 0.3]))
-    return Pld(losses=np.array(losses), masses=(1.0 - inf_mass) * weights / weights.sum(),
-               inf_mass=inf_mass)
+    finite = np.isfinite(losses)
+    p_mass, q_mass = np.zeros(losses.size), weights.copy()
+    p_mass[finite] = (1.0 - inf_mass) * weights[finite] / weights[finite].sum()
+    q_mass[finite] = p_mass[finite] * np.exp(-losses[finite])
+    if inf_mass:
+        losses, p_mass, q_mass = np.append(losses, math.inf), np.append(p_mass, inf_mass), np.append(q_mass, 0.0)
+    return LossProfile.of_atoms(losses, p_mass, q_mass)
 
 
 def fsum_profile(w, m, eps):
     """delta(eps) of W + M summed pair by pair with math.fsum."""
     inf_mass = w.inf_mass + m.inf_mass - w.inf_mass * m.inf_mass
     terms = [a * b * max(1.0 - math.exp(eps - x - y), 0.0)
-             for x, a in zip(w.losses, w.masses) for y, b in zip(m.losses, m.masses)
+             for x, a in zip(w.losses, w.p_mass) for y, b in zip(m.losses, m.p_mass)
              if math.isfinite(x) and math.isfinite(y) and eps - x - y < 700.0]
     return inf_mass + math.fsum(terms)
 
@@ -332,13 +394,15 @@ def test_loss_sum_matches_the_materialized_convolution(w, m, eps, pick, u):
 
 
 def test_loss_sum_refuses_losses_past_the_float_range():
-    # a probability ratio past e^709.78 cannot enter the e^-loss sums
-    far = Pld(losses=np.array([0.0, 750.0]), masses=np.array([0.5, 0.5]))
-    for w, m in ((Pld.point(0.0), far), (Pld.point(-750.0), Pld.point(0.0))):
+    # a probability ratio past e^709.78 cannot enter the e^(eps - w) scaling
+    far = LossProfile.of_atoms([0.0, 750.0], [0.5, 0.5], [0.5, 0.0])
+    # p-mass 0.5 e^-750 underflows to 0
+    low = LossProfile.of_atoms([-750.0, math.log(2.0)], [0.0, 1.0], [0.5, 0.5])
+    for w, m in ((point(0.0), far), (low, point(0.0))):
         with pytest.raises(ValueError, match="float range"):
             LossSum(w, m)
     # within it, delta holds at any eps; a root whose e^eps leaves the range is refused
-    near = LossSum(Pld.point(700.0), Pld.point(700.0))
+    near = LossSum(point(700.0), point(700.0))
     assert near.delta(1399.0) == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
     assert near.delta(1e300) == 0.0
     with pytest.raises(ValueError, match="float range"):
@@ -348,52 +412,16 @@ def test_loss_sum_refuses_losses_past_the_float_range():
 def test_nan_delta_and_eps_are_refused():
     loss_sum = LossSum(pld_from_pair(RR), pld_from_pair(RR))
     for call in (lambda: optimal_epsilon(RR, math.nan), lambda: loss_sum.epsilon(math.nan),
-                 lambda: loss_sum.delta(math.nan), lambda: epsilon_for_delta(pld_from_pair(RR), math.nan)):
+                 lambda: loss_sum.delta(math.nan), lambda: epsilon_for_delta(pld_from_pair(RR), math.nan),
+                 lambda: privacy_profile(pld_from_pair(RR), math.nan)):
         with pytest.raises(ValueError):
             call()
 
 
-def _merge_atoms_by_scatter_add(losses, masses):
-    """``pld._merge_atoms`` as written with ``np.add.at``: the oracle of its bits."""
-    keep = masses > 0.0
-    losses, masses = losses[keep], masses[keep]
-    if losses.size == 0:
-        return losses, masses
-    order = np.argsort(losses)
-    losses, masses = losses[order], masses[order]
-    new_group = np.empty(losses.size, dtype=bool)
-    new_group[0] = True
-    with np.errstate(invalid="ignore"):
-        new_group[1:] = np.diff(losses) > MERGE_ATOL
-    gid = np.cumsum(new_group) - 1
-    n = gid[-1] + 1
-    gmass = np.zeros(n)
-    gloss = np.zeros(n)
-    np.add.at(gmass, gid, masses)
-    finite = np.isfinite(losses)
-    np.add.at(gloss, gid[finite], (losses * masses)[finite])
-    with np.errstate(invalid="ignore"):
-        out_loss = np.where(gmass > 0, gloss / np.where(gmass > 0, gmass, 1.0), 0.0)
-    neg_inf_groups = np.zeros(n, dtype=bool)
-    np.logical_or.at(neg_inf_groups, gid, ~finite)
-    return np.where(neg_inf_groups, -np.inf, out_loss), gmass
-
-
-# exact ties, ties within MERGE_ATOL, a gap just past it, and -inf atoms
-MERGE_LOSS = st.one_of(
-    st.builds(lambda base, step: base + step, st.sampled_from([-2.5, 0.0, 0.1, 3.0]),
-              st.sampled_from([0.0, 0.0, 3e-13, 1e-12, 1.5e-12, 1e-6])),
-    st.floats(-5.0, 5.0), st.just(-math.inf))
-
-
-@settings(derandomize=True, deadline=None, max_examples=300)
-@given(atoms=st.lists(st.tuples(MERGE_LOSS, st.one_of(st.just(0.0), st.floats(1e-300, 1.0))), max_size=12))
-def test_merge_atoms_matches_the_scatter_add_bit_for_bit(atoms):
-    losses = np.array([a for a, _ in atoms], dtype=float)
-    masses = np.array([b for _, b in atoms], dtype=float)
-    got, want = _merge_atoms(losses, masses), _merge_atoms_by_scatter_add(losses, masses)
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+def test_privacy_profile_refuses_an_infinite_eps_as_hockey_stick_does():
+    for eps in (math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            privacy_profile(pld_from_pair(RR), eps)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
