@@ -303,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="seed recorded in outputs")
     parser.add_argument("--out", help="output file (default stdout)")
     parser.add_argument("--cap", type=CAP, default=None,
-                        help="override the outcome-space cap (at most 1e7)")
+                        help="override the cap on atoms, or outcomes x symbols, a build allocates (at most 1e7)")
     parser.add_argument("--bins", type=COUNT, default=None,
                         help="grid resolution for continuous discretization")
     sub = parser.add_subparsers(dest="command", required=True)

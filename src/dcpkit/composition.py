@@ -17,7 +17,7 @@ import numpy as np
 from . import config
 from .divergence import DistPair, Law, LossProfile, _adjacent_pairs, hockey_stick, tradeoff_curve
 from .model import (DependenceGroup, MechanismKernel, TypeClass, World, _freeze, _posterior, atom_index,
-                    effective_kernel, lay_out, lumped_law, mix_kernel, type_classes)
+                    check_cap, effective_kernel, lay_out, lumped_law, mix_kernel, type_classes)
 from .pld import LossSum, convolve, epsilon_for_delta, pld_from_pair
 
 
@@ -32,13 +32,13 @@ class Composition:
     ``lumped`` is the joint on the type ``classes`` (``model.type_classes``),
     the one build of a composed law (``model.lumped_law``): ungrouped
     mechanisms with bitwise-equal kernels share one atom per multiset of
-    their outputs, ``counts`` outcomes in all.  When no class has two
+    their outputs (``index`` maps each outcome to it).  When no class has two
     members the classes are single mechanisms, ``lumped`` is the dense
     composed law and ``joint`` is ``lumped``; else ``joint`` is spread from
     it and hands out its pairs.  ``lumped_product`` is the product of the
     ``effs`` on the same atoms, and ``copula_loss`` the log ratio of the
-    two.  The bounds read these; ``joint.matrix`` serves the callers that
-    need one column per outcome.
+    two.  The bounds and the IC solvers read these; ``joint.matrix``
+    serves the callers that need one column per outcome.
     """
 
     world: World
@@ -112,20 +112,21 @@ class Composition:
         return _freeze(out)
 
     @cached_property
-    def counts(self) -> np.ndarray:
-        """Outcomes per atom of ``lumped``."""
-        return _freeze(np.bincount(self.index))
-
-    @cached_property
     def index(self) -> np.ndarray:
         """The atom of ``lumped`` each outcome of ``joint`` lies in."""
+        check_cap(self.sizes["outcomes"], f"product outcome space {self.sizes['outcomes']}")
         index = atom_index(self.classes)
         index.flags.writeable = False
         return index
 
     def per_outcome(self, rows: np.ndarray) -> np.ndarray:
-        """Rows given per atom of ``lumped`` repeated for each outcome of ``joint``."""
-        return np.take(rows, self.index, axis=0) if self.repeats else rows
+        """Rows given per atom of ``lumped``, or per (atom, symbol) atom-major,
+        repeated for each outcome of ``joint``, or each (outcome, symbol)."""
+        if not self.repeats:
+            return rows
+        symbols, outcomes = len(rows) // self.lumped.matrix.shape[1], self.sizes["outcomes"]
+        check_cap(outcomes * symbols, f"{outcomes} outcomes x {symbols} symbols")
+        return np.take(rows.reshape(-1, symbols, *rows.shape[1:]), self.index, axis=0).reshape(-1, *rows.shape[1:])
 
     @property
     def sizes(self) -> dict:

@@ -4,13 +4,14 @@ existing composition, through posterior constraints.
 The design problem couples a leader's secret-channel kernel alpha with a
 follower's response pi under a strictly proper scoring rule; feasibility of
 the induced posterior inside the ratio/expectation constraint set is what
-certifies the composition.  Task 1 designs alpha exactly: a prescreen of
-the constant channel decides certifiability, and the channel is then built
-on extreme rays of the cone of feasible columns, in closed form for two
-secrets and by a linear program over those rays for more.  Task 2 reads
-the tightest ratio bound in closed form.  Every answer is re-certified from
-the exact posterior and a direct divergence check, so no guarantee rests
-on a solver's tolerance.
+certifies the composition.  Task 1 designs alpha: a prescreen of the
+constant channel decides certifiability, and the channel is then built on
+extreme rays of the cone of feasible columns, in closed form for two
+secrets and by a linear program over those rays for more (exact at
+delta_g = 0 or with two secrets; else the rays come from a 1/n direction
+grid, an inner approximation).  Task 2 reads the tightest ratio bound in closed
+form.  Every answer is re-certified from the exact posterior and a direct
+divergence check, so no guarantee rests on a solver's tolerance.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -81,21 +83,24 @@ def joint_with_alpha(
     dataset channel, so the joint given s is the outer product of the
     composed row with alpha's row.
     """
-    b = _composed_law(world, mechs, dependence).matrix
-    if alpha is None:
-        return b
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape[0] != b.shape[0]:
+    law = Composition.of(world, mechs, dependence).joint if mechs else _composed_law(world, mechs, dependence)[0]
+    return _joined(law.matrix, alpha)
+
+
+def _joined(b: np.ndarray, alpha: np.ndarray | None) -> np.ndarray:
+    """The per-secret law ``b`` joined with alpha's output, or ``b`` without alpha."""
+    if alpha is not None and np.shape(alpha)[0] != b.shape[0]:
         raise ValueError("alpha must have one row per secret")
-    return join_per_secret(b, alpha)
+    return b if alpha is None else join_per_secret(b, np.asarray(alpha, dtype=float))
 
 
 def _composed_law(world: World, mechs: list[MechanismKernel],
-                  dependence: list[DependenceGroup]) -> Law:
-    """The composed joint, or one sure outcome without mechanisms."""
+                  dependence: list[DependenceGroup]) -> tuple[Law, Callable]:
+    """The composition's ``lumped`` law and its ``per_outcome`` spread, or
+    one sure outcome, spread as it is, without mechanisms."""
     if mechs:
-        return Composition.of(world, mechs, dependence).joint
-    return Law(np.ones((len(world.secrets), 1)))
+        return (value := Composition.of(world, mechs, dependence)).lumped, value.per_outcome
+    return Law(np.ones((len(world.secrets), 1))), np.asarray
 
 
 def posterior(
@@ -253,8 +258,8 @@ class IcSolution:
 def solve_task1(problem: IcProblem) -> IcSolution:
     """Design an added secret-channel kernel hitting (tau_g, delta_g).
 
-    Exact and deterministic, each answer certified from scratch.  The
-    constant channel is judged first: no alpha certifies when it fails (the
+    Deterministic, each answer certified from scratch.  The constant
+    channel is judged first: no alpha certifies when it fails (the
     posterior at y mixes those at (y, a), each residual is convex in it, and
     joining alpha can only raise the direct delta), so the uniform alpha is
     returned then.  Otherwise the columns are extreme rays of the cone of
@@ -268,13 +273,15 @@ def solve_task1(problem: IcProblem) -> IcSolution:
     With fewer ``alpha_size`` symbols than rays used, the pair of columns
     whose sum costs the least loss merges until they fit (a sum of feasible
     columns is feasible); spare symbols get zero columns.  A zero-prior
-    secret gets a uniform row.
+    secret gets a uniform row.  It reads the atoms: an atom's column is a
+    multiple of its outcomes', with the same ratio cuts and the same L(v).
     """
     if problem.tau_g is None:
         raise ValueError("task 1 needs a fixed tau_g")
     tau_g, m = problem.tau_g, problem.alpha_size
-    b_all = _composed_law(problem.world, problem.mechs, problem.dependence).matrix
-    check_cap(b_all.shape[1] * m, f"{b_all.shape[1]} outcomes x {m} channel symbols")
+    lumped, spread = _composed_law(problem.world, problem.mechs, problem.dependence)
+    b_all = lumped.matrix
+    check_cap(b_all.shape[1] * m, f"{b_all.shape[1]} atoms x {m} channel symbols")
     prior = problem.world.marginal_secret
     keep = np.flatnonzero(prior > 0.0)
     b, live_prior = b_all[keep], prior[keep]
@@ -284,7 +291,7 @@ def solve_task1(problem: IcProblem) -> IcSolution:
         alpha_all[keep] = alpha / alpha.sum(axis=1, keepdims=True)
         law = join_per_secret(b_all, alpha_all)
         post, _, live = _posterior(prior, law)
-        return _certified_solution(problem, alpha_all, tau_g, Law(law), post, live, diagnostics)
+        return _certified_solution(problem, alpha_all, tau_g, Law(law), post, live, diagnostics, spread)
 
     constant = judged(np.ones((len(keep), m)), {"design": "constant"})
     design = None
@@ -457,12 +464,10 @@ def solve_task2(problem: IcProblem) -> IcSolution:
     the certificate and the loss are read on the composition's ``lumped``
     law, one atom per type; ``pi`` repeats each atom's row for its outcomes.
     """
-    world, mechs, dependence = problem.world, problem.mechs, problem.dependence
-    delta_g = problem.delta_g
+    world, delta_g = problem.world, problem.delta_g
     alpha = np.ones((len(world.secrets), 1))
     # joined with a constant alpha the composition's law is itself
-    value = Composition.of(world, mechs, dependence) if mechs else None
-    law = value.lumped if mechs else _composed_law(world, mechs, dependence)
+    law, spread = _composed_law(world, problem.mechs, problem.dependence)
     post, _, live = _posterior(world.marginal_secret, law.matrix)
     prior, rows = _on_support(world, post if live.all() else post[live])
     with np.errstate(divide="ignore"):  # pi = 0 on a positive-prior secret: no finite tau
@@ -473,24 +478,23 @@ def solve_task2(problem: IcProblem) -> IcSolution:
         tau = max(tau, float((rows / prior).max()))
     if tau > TAU_CAP:
         raise ValueError(f"no feasible tau_g below the cap {TAU_CAP}")
-    return _certified_solution(problem, alpha, tau, law, post, live, {}, value)
+    return _certified_solution(problem, alpha, tau, law, post, live, {}, spread)
 
 
 def _certified_solution(problem: IcProblem, alpha: np.ndarray, tau_g: float, law: Law,
                         post: np.ndarray, live: np.ndarray, diagnostics: dict,
-                        value: Composition | None = None) -> IcSolution:
+                        spread: Callable) -> IcSolution:
     """Certify from scratch at tau_g: constraint residuals of the exact
-    posterior ``post`` under ``law`` (the composition joined with
-    ``alpha``), plus a direct divergence check of that law.  With ``value``
-    the law is its ``lumped`` law: ``post`` has one row per atom, and the
-    solution's ``pi`` and live count are per outcome."""
+    posterior ``post`` under ``law`` (``lumped`` joined with ``alpha``, a
+    row of ``post`` per (atom, symbol)), plus a direct divergence check of
+    that law; ``spread`` gives ``pi`` and the live count per (outcome, symbol)."""
     world = problem.world
     report = pi_feasible(post, world, tau_g, problem.delta_g, live)
     eps_g = epsilon_of_tau(tau_g, world)
     direct = law.worst(world, eps=eps_g).value
     return IcSolution(
         alpha=alpha,
-        pi=post if value is None else value.per_outcome(post),
+        pi=spread(post),
         tau_g=tau_g,
         eps_g=eps_g,
         feasibility=report.max_residual,
@@ -498,7 +502,7 @@ def _certified_solution(problem: IcProblem, alpha: np.ndarray, tau_g: float, law
         direct_check_delta=direct,
         loss_value=_spsr_loss(post, world.marginal_secret, law.matrix, problem.loss),
         diagnostics={**diagnostics, "residuals": report,
-                     "live_outcomes": int(live.sum() if value is None else value.counts[live].sum())},
+                     "live_outcomes": int(spread(live).sum())},
     )
 
 
@@ -530,7 +534,9 @@ def certify(
     tau_g: float,
     delta_g: float,
 ) -> CertReport:
-    law = joint_with_alpha(world, mechs, dependence, alpha)
+    """The three stages, maxima over outcomes, read on the ``lumped`` law
+    joined with ``alpha``: an atom's outcomes share its posterior row."""
+    law = _joined(_composed_law(world, mechs, dependence)[0].matrix, alpha)
     post, _, live = _posterior(world.marginal_secret, law)
     report = pi_feasible(post, world, tau_g, delta_g, live)
     stage1 = report.max_residual <= 1e-6

@@ -356,23 +356,23 @@ def check_cap(size: int, what: str) -> None:
         raise ValueError(f"{what} exceeds cap {config.OUTCOME_CAP}")
 
 
-def _check_size(mechs: Sequence[MechanismKernel]) -> None:
-    """Refuse no mechanisms, and a product alphabet above ``config.OUTCOME_CAP``."""
+def _check_size(mechs: Sequence[MechanismKernel], atoms: int) -> None:
+    """Refuse no mechanisms, and a composed law of more atoms than ``config.OUTCOME_CAP``."""
     if not mechs:
         raise ValueError("need at least one mechanism")
-    size = math.prod(m.n_outputs for m in mechs)
-    check_cap(size, f"product outcome space {size}")
+    check_cap(atoms, f"composed law of {atoms} atoms")
 
 
 def type_classes(mechs: Sequence[MechanismKernel],
                  dependence: Sequence[DependenceGroup] = ()) -> tuple[TypeClass, ...]:
     """The ungrouped mechanisms grouped by the bytes of their kernels, in the
     order their first members appear; a grouped mechanism is a class of one."""
-    _check_size(mechs)
     grouped = {i for g in dependence for i in g.members}
     members: dict = {}
     for i, m in enumerate(mechs):
         members.setdefault(i if i in grouped else (m.kernel.shape, m.kernel.tobytes()), []).append(i)
+    _check_size(mechs, math.prod(math.comb(mechs[ms[0]].n_outputs + len(ms) - 1, len(ms))
+                                 for ms in members.values()))
     return tuple(_type_class(tuple(ms), mechs[ms[0]].n_outputs) for ms in members.values())
 
 
@@ -390,7 +390,7 @@ def lumped_law(world: World, mechs: Sequence[MechanismKernel], dependence: Seque
     """``composed_law`` on type classes: one column per atom, a type of each
     class in C order over the classes, holding the mass of all its outcomes.
     Classes of one mechanism each give the composed law itself."""
-    _check_size(mechs)
+    _check_size(mechs, math.prod(len(c.types) for c in classes))
     for m in mechs:
         if m.kernel.shape[0] != len(world.datasets):
             raise ValueError(f"mechanism {m.name!r} dataset dimension mismatch")

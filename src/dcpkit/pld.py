@@ -58,9 +58,10 @@ class LossSum:
     costs O(|W| log |M|) and the object O(|W| + |M|) memory, where the
     convolution holds |W| * |M| atoms.
 
-    A finite loss beyond +-709.78 (a probability ratio past the float
+    A finite loss of M above 709.78 (a probability ratio past the float
     range) is refused with ``ValueError``: a profile value scales those
-    sums by e^(eps - w), up to e^ of M's top loss.
+    sums by e^(eps - w), up to e^ of M's top loss.  The masses are read as
+    given, so no other loss enters an exponent.
     """
 
     def __init__(self, w: LossProfile, m: LossProfile):
@@ -70,9 +71,8 @@ class LossSum:
         self._w, self._w_mass, self._w_weight = w.losses[keep], w.p_mass[keep], w.q_mass[keep]
         keep = np.isfinite(m.losses)
         m_loss = m.losses[keep]
-        if (self._w.size and self._w[0] < -_EXP_MAX) or (
-                m_loss.size and max(-m_loss[0], m_loss[-1]) > _EXP_MAX):
-            raise ValueError(f"a loss atom lies beyond +-{_EXP_MAX:.2f}, where e^loss leaves the float range")
+        if m_loss.size and m_loss[-1] > _EXP_MAX:
+            raise ValueError(f"a loss atom lies beyond {_EXP_MAX:.2f}, where e^loss leaves the float range")
         self._m = m_loss
         self._m_top = float(m_loss[-1]) if m_loss.size else 0.0
         # entry j sums M's atoms j, j+1, ...; the entry past the last is 0

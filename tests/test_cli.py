@@ -498,6 +498,22 @@ def test_check_pld_and_audit_read_the_lumped_law_and_build_no_joint(capsys):
     capsys.readouterr()
 
 
+def test_a_cap_between_the_atoms_and_the_outcomes_refuses_only_the_per_outcome_output(capsys):
+    # 30 atoms, 162 outcomes: the readers of the lumped law print their
+    # uncapped bytes, and the IC tasks, whose pi has a row per outcome, exit 2
+    for argv in (["check", "--eps", "1.0", "--delta", "0.05"], ["compose"], ["pld", "--pair", "s0", "s1"],
+                 ["audit", "--single", "flag", "--eps-g", "0.5", "1.0", "--delta-g", "0.0", "0.02"]):
+        runs = []
+        for cap in ([], ["--cap", "100"]):
+            code = run([*cap, "--model", str(REPEATED), *argv])
+            runs.append((code, capsys.readouterr()))
+        assert runs[0] == runs[1] and runs[1][0] <= 1 and runs[1][1].err == "", argv
+    for argv in (["ic", "--task", "1", "--tau", "2.0"], ["ic", "--task", "2", "--delta-g", "0.02"]):
+        assert run(["--cap", "100", "--model", str(REPEATED), *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.endswith("exceeds cap 100\n"), argv
+
+
 def readme_usage_lines() -> list[str]:
     """The ``dcp`` lines of the README's command-line usage block."""
     readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()

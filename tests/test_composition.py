@@ -865,13 +865,16 @@ def test_threads_asking_about_their_own_compositions_get_their_own_laws(monkeypa
 
 
 def test_a_law_cached_under_a_large_cap_is_refused_under_a_lower_one(monkeypatch):
+    # three copies of one 4-output kernel: 64 outcomes, 20 atoms
     monkeypatch.setattr(comp, "_SLOT", [None])
     world, mechs = _random_instance(np.random.default_rng(43), dims=(4, 4, 4))
     comp.composed_joint(world, mechs)
     comp.true_opt(world, mechs, [], 0.0)
     monkeypatch.setattr(config, "OUTCOME_CAP", 63)
-    for call in (lambda: comp.composed_joint(world, mechs), lambda: comp.true_opt(world, mechs, [], 0.0),
-                 lambda: comp.tradeoff_dominance(world, mechs)):
+    with pytest.raises(ValueError, match="cap"):
+        comp.composed_joint(world, mechs)
+    monkeypatch.setattr(config, "OUTCOME_CAP", 19)
+    for call in (lambda: comp.true_opt(world, mechs, [], 0.0), lambda: comp.tradeoff_dominance(world, mechs)):
         with pytest.raises(ValueError, match="cap"):
             call()
 

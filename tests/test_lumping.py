@@ -9,6 +9,7 @@ product's bytes.
 """
 
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -16,10 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcpkit import composition as comp
-from dcpkit import ic
+from dcpkit import config, ic
 from dcpkit.audit import lr_attack_roc, worst_pair_roc
 from dcpkit.divergence import Law, LossProfile, hockey_stick, tradeoff_curve, worst_pair
-from dcpkit.model import DependenceGroup, MechanismKernel, World, atom_index, composed_law, default_adjacency
+from dcpkit.model import (DependenceGroup, MechanismKernel, World, atom_index, composed_law, default_adjacency,
+                          load_model)
 from dcpkit.pld import decompose_plrv, pld_from_pair, privacy_profile
 from dense_route import (close, close_arrays, close_curves, dense_cel, dense_dominance, dense_laws,
                          dense_mechanism, dense_task2)
@@ -125,13 +127,20 @@ def _assert_joint_matches(world, mechs, dependence, value, joint, dense):
 
 def _assert_task1_matches(world, mechs, dependence, dense, tau_g, delta_g):
     """IC task 1 on the composition against task 1 on its dense joint: the
-    added channel, its columns in their canonical order, and the response."""
+    added channel, its columns in their canonical order, the response and
+    its live (outcome, symbol) rows; then ``certify``'s three stages."""
     got, want = (ic.solve_task1(ic.IcProblem(world=world, mechs=ms, dependence=dep, delta_g=delta_g, tau_g=tau_g))
                  for ms, dep in ((mechs, dependence), ([dense], [])))
     assert got.certified == want.certified
     assert close_arrays(got.alpha, want.alpha)
     assert close_arrays(got.pi, want.pi)
     assert close(got.feasibility, want.feasibility)
+    assert got.diagnostics["live_outcomes"] == want.diagnostics["live_outcomes"]
+    for alpha in (None, want.alpha):
+        reports = [ic.certify(world, ms, dep, alpha, tau_g, delta_g)
+                   for ms, dep in ((mechs, dependence), ([dense], []))]
+        for key in ("stage1_residual", "stage2_max_tail", "stage3_delta"):
+            assert close(*(getattr(r, key) for r in reports)), key
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -140,7 +149,7 @@ def test_lumped_answers_match_the_dense_route(case):
     world, mechs, dependence = case
     joint, product = dense_laws(world, mechs, dependence)
     value = comp.Composition.of(world, mechs, dependence)
-    assert value.sizes["outcomes"] == joint.shape[1] == int(value.counts.sum())
+    assert value.sizes["outcomes"] == joint.shape[1] == int(np.bincount(value.index).sum())
     assert value.sizes["atoms"] == value.lumped.matrix.shape[1] == value.lumped_product.matrix.shape[1]
     # the epsilon bounds at fixed deltas and at each pair's own delta(0)
     delta0s = [float(LossProfile(Law(joint).pair(*pair))._breaks[1][0]) for pair in sorted(world.adjacency)]
@@ -238,13 +247,14 @@ def test_six_copies_of_one_kernel_read_one_atom_per_multiset():
     assert value.sizes == {"outcomes": 7**6, "atoms": 924, "classes": [((0, 1, 2, 3, 4, 5), 924)]}
     assert value.lumped.matrix.shape == (2, 924)
     # the outcomes per atom are the multinomial coefficients of the types
-    assert np.array_equal(value.counts, value.classes[0].counts) and int(value.counts.sum()) == 7**6
+    counts = np.bincount(value.index)
+    assert np.array_equal(counts, value.classes[0].counts) and int(counts.sum()) == 7**6
     # a type's mass is its count times the probability of any one of its outcomes
     index = atom_index(value.classes)
-    per_outcome = value.lumped.matrix[:, index] / value.counts[index]
+    per_outcome = value.lumped.matrix[:, index] / counts[index]
     assert np.array_equal(value.joint.matrix, per_outcome)
     assert np.allclose(per_outcome, dense_laws(value.world, value.mechs)[0], rtol=1e-13, atol=0.0)
-    assert np.array_equal(np.bincount(index, minlength=924), value.counts)
+    assert np.array_equal(np.bincount(index, minlength=924), counts)
 
 
 def test_classes_follow_first_members_and_leave_grouped_mechanisms_alone():
@@ -257,7 +267,7 @@ def test_classes_follow_first_members_and_leave_grouped_mechanisms_alone():
     assert value.sizes["classes"] == [((0,), 3), ((1, 3, 4), 4), ((2,), 2), ((5,), 3)]
     assert value.sizes["outcomes"] == 3 * 2 * 2 * 2 * 2 * 3
     assert value.sizes["atoms"] == 3 * 4 * 2 * 3
-    assert int(value.counts.sum()) == value.sizes["outcomes"]
+    assert np.bincount(value.index).sum() == value.sizes["outcomes"]
 
 
 def test_without_repeats_the_dense_laws_are_read():
@@ -270,9 +280,59 @@ def test_without_repeats_the_dense_laws_are_read():
     assert value.per_outcome(pi) is pi
 
 
-def test_repeated_compositions_keep_the_outcome_cap():
-    mech = _kernel("m", 7, 8)
-    value = comp.Composition(_mixing_world(), (mech,) * 9)  # its 5005 types would fit, 7^9 outcomes do not
-    with pytest.raises(ValueError, match="cap"):
-        value.lumped
-    assert math.comb(7 + 9 - 1, 9) < 10**7 < 7**9
+def test_the_cap_counts_atoms_and_refuses_the_per_outcome_spreads(monkeypatch):
+    # 4 copies of a 4-output kernel: 35 atoms, 256 outcomes
+    world, mechs = _mixing_world(), [_kernel("m", 4, 8)] * 4
+    joint, product = dense_laws(world, mechs)
+    deltas, eps_sum = (0.0, 0.02), 1.5
+    want = {"true": [worst_pair(world, joint, delta=d).value for d in deltas],
+            "under": [worst_pair(world, product, delta=d).value for d in deltas],
+            "over": [comp.overline_opt(world, mechs, [], d) for d in deltas],
+            "check": worst_pair(world, joint, eps=eps_sum).value}
+    monkeypatch.setattr(comp, "_SLOT", [None])
+    monkeypatch.setattr(config, "OUTCOME_CAP", 100)
+    value = comp.Composition.of(world, mechs)
+    assert value.sizes["atoms"] == 35 and value.sizes["outcomes"] == 256
+    got = {"true": [comp.true_opt(world, mechs, [], d) for d in deltas],
+           "under": [comp.underline_opt(world, mechs, d) for d in deltas],
+           "over": [comp.overline_opt(world, mechs, [], d) for d in deltas],
+           "check": value.lumped.check(world, eps_sum, 0.05).worst_delta}
+    for key in ("true", "under", "over"):
+        assert all(close(g, w) for g, w in zip(got[key], want[key])), key
+    assert close(got["check"], want["check"])
+    problem = ic.IcProblem(world=world, mechs=mechs, tau_g=2.0, alpha_size=3)  # 35 x 3 atom cells
+    for call in (lambda: value.joint, lambda: value.per_outcome(np.ones((35, 2))),
+                 lambda: comp.composed_joint(world, mechs), lambda: ic.solve_task2(problem),
+                 lambda: ic.solve_task1(problem)):
+        with pytest.raises(ValueError, match="cap"):
+            call()
+
+
+def test_twenty_copies_answer_on_their_atoms_under_the_default_cap():
+    # 7^20 outcomes, C(26, 6) = 230 230 atoms
+    world, mechs = _mixing_world(), [_kernel("m", 7, 9)] * 20
+    value = comp.Composition.of(world, mechs)
+    assert value.sizes["atoms"] == math.comb(26, 6) < config.OUTCOME_CAP < value.sizes["outcomes"] == 7**20
+    true = comp.true_opt(world, mechs, [], 0.02, per_pair=True)[1]
+    over = comp.overline_opt(world, mechs, [], 0.02, per_pair=True)[1]
+    report = comp.composition_report(world, mechs, [], [0.02], [1.0])
+    for s0, s1, _, under, tight, conservative in report.opt_rows:
+        assert tight == true[(s0, s1)] and conservative == over[(s0, s1)] and math.isfinite(under)
+    assert pld_from_pair(value.lumped.pair(0, 1)).epsilon(0.02) == true[(0, 1)]
+    for call in (lambda: comp.composed_joint(world, mechs),
+                 lambda: ic.solve_task2(ic.IcProblem(world=world, mechs=mechs, delta_g=0.02))):
+        with pytest.raises(ValueError, match="cap"):
+            call()
+
+
+def test_task1_and_certify_read_the_lumped_law_and_build_no_joint(monkeypatch):
+    model = load_model(pathlib.Path(__file__).parent / "data" / "repeated_kernel.json")
+    world, mechs = model.world, list(model.mechanisms)
+    alpha = ic.solve_task1(ic.IcProblem(world=world, mechs=mechs, tau_g=2.0)).alpha
+    for call in (lambda: ic.solve_task1(ic.IcProblem(world=world, mechs=mechs, tau_g=2.0, delta_g=0.02)),
+                 lambda: ic.certify(world, mechs, [], alpha, 2.0, 0.0),
+                 lambda: ic.certify(world, mechs, [], None, 2.0, 0.02)):
+        monkeypatch.setattr(comp, "_SLOT", [None])
+        call()
+        value = comp._SLOT[0][1]
+        assert value.repeats and "lumped" in value.__dict__ and "joint" not in value.__dict__

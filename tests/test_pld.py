@@ -396,11 +396,16 @@ def test_loss_sum_matches_the_materialized_convolution(w, m, eps, pick, u):
 def test_loss_sum_refuses_losses_past_the_float_range():
     # a probability ratio past e^709.78 cannot enter the e^(eps - w) scaling
     far = LossProfile.of_atoms([0.0, 750.0], [0.5, 0.5], [0.5, 0.0])
-    # p-mass 0.5 e^-750 underflows to 0
+    with pytest.raises(ValueError, match="float range"):
+        LossSum(point(0.0), far)
+    # a loss below -709.78 enters no exponent: the masses are read as given
+    # (p-mass 0.5 e^-750 underflows to 0)
     low = LossProfile.of_atoms([-750.0, math.log(2.0)], [0.0, 1.0], [0.5, 0.5])
-    for w, m in ((point(0.0), far), (low, point(0.0))):
-        with pytest.raises(ValueError, match="float range"):
-            LossSum(w, m)
+    total, conv = LossSum(low, point(0.0)), convolve(low, point(0.0))
+    for eps in (0.0, 0.3, 0.69, 1.0):
+        assert abs(total.delta(eps) - privacy_profile(conv, eps)) <= 1e-12
+    for delta in (0.0, 0.1, 0.3):
+        assert abs(total.epsilon(delta) - epsilon_for_delta(conv, delta)) <= 1e-12
     # within it, delta holds at any eps; a root whose e^eps leaves the range is refused
     near = LossSum(point(700.0), point(700.0))
     assert near.delta(1399.0) == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
