@@ -18,7 +18,7 @@ from . import config
 from .divergence import DistPair, Law, LossProfile, _adjacent_pairs, hockey_stick, tradeoff_curve
 from .model import (DependenceGroup, MechanismKernel, TypeClass, World, _freeze, _posterior, atom_index,
                     check_cap, effective_kernel, lay_out, lumped_law, mix_kernel, type_classes)
-from .pld import LossSum, convolve, epsilon_for_delta, pld_from_pair
+from .pld import convolve, epsilon_for_delta, pld_from_pair
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,18 +170,18 @@ def underline_opt(
     return (worst.value, worst.values) if per_pair else worst.value
 
 
-def _overline_loss(value: Composition, s0: int, s1: int) -> LossSum:
-    """The accounting object behind the conservative bound: the copula term
-    (``copula_loss``), which only pins down the loss under s0 and so is
-    pushed forward under ``lumped``'s row s0, plus the marginals' loss as an
-    independent factor: the product pair's ``LossProfile``, the sort the
-    dependence-ignoring bound reads.  Nothing is convolved."""
+def _copula_term(value: Composition, s0: int, s1: int) -> tuple[np.ndarray, np.ndarray]:
+    """The p- and q-masses of the copula term (``copula_loss``), which the
+    conservative bound joins to the product pair's ``LossProfile`` (the sort
+    the dependence-ignoring bound reads) as an independent factor.  It only
+    pins down the loss under s0, so it is pushed forward under ``lumped``'s
+    row s0, and sorted by loss for the joined search.  Nothing is convolved."""
     mass, c = value.lumped.matrix[s0], value.copula_loss
     live = mass > 0.0
     mass, loss = mass[live], c[s0, live] - c[s1, live]
     with np.errstate(over="ignore"):  # a loss past the float range is refused as a q-mass
         copula = LossProfile.of_atoms(loss, mass, mass * np.exp(-loss))
-    return LossSum(copula, value.lumped_product.pair(s0, s1).profile)
+    return copula.p_mass, copula.q_mass
 
 
 def overline_opt(
@@ -193,7 +193,8 @@ def overline_opt(
 ):
     """Conservative epsilon: copula loss treated as one extra independent mechanism."""
     value = Composition.of(world, mechs, dependence)
-    vals = {pair: _overline_loss(value, *pair).epsilon(delta_g) for pair in _adjacent_pairs(world)}
+    vals = {pair: value.lumped_product.pair(*pair).profile.joined_epsilon(*_copula_term(value, *pair), delta_g)
+            for pair in _adjacent_pairs(world)}
     worst = max(vals.values())
     return (worst, vals) if per_pair else worst
 
@@ -226,20 +227,20 @@ def composition_report(
     opt_rows, dt_rows = [], []
     for (s0, s1) in sorted(world.adjacency):
         joint_pair, prod_pair = joint.pair(s0, s1), prod.pair(s0, s1)
-        over = _overline_loss(value, s0, s1)
+        a, b = _copula_term(value, s0, s1)
         for dg in delta_gs:
             opt_rows.append(
                 (s0, s1, dg,
                  prod_pair.profile.epsilon(dg),
                  joint_pair.profile.epsilon(dg),
-                 over.epsilon(dg))
+                 prod_pair.profile.joined_epsilon(a, b, dg))
             )
         for eg in eps_gs:
             dt_rows.append(
                 (s0, s1, eg,
                  hockey_stick(prod_pair, eg),
                  hockey_stick(joint_pair, eg),
-                 over.delta(eg))
+                 prod_pair.profile.hockey_stick(a, b, eg))
             )
     basic = basic_composition_check(world, mechs, dependence)
     return CompositionReport(

@@ -6,9 +6,9 @@ a mechanism against a world's adjacency, and Neyman-Pearson trade-off
 curves.  It also holds the three primitives every other layer builds on: the
 worst adjacent pair of a per-secret law (``worst_pair``), the one sort of a
 pair's losses behind its tight epsilon, trade-off curve, attacker ROC and
-joined delta, and its twin's (``LossProfile``, also the privacy-loss
-distribution that ``dcpkit.pld`` composes), and the bracketing root finder
-behind every calibration (one ITP search, ``_itp``, run alone by
+joined delta and epsilon, and its twin's (``LossProfile``, also the PLD that
+``dcpkit.pld`` composes), and the bracketing root finder behind every
+calibration (one ITP search, ``_itp``, run alone by
 ``monotone_root`` or several in lockstep by ``monotone_roots``).  The direct
 ``hockey_stick`` computes the same quantities without that sort; it and the
 profile stay independent routes, so each can serve as the other's oracle.
@@ -100,11 +100,11 @@ class LossProfile:
     """The losses log p - log q of one pair in [-inf, +inf], ascending, equal
     ones merged into a group with its p- and q-mass summed in outcome order:
     the one order that the trade-off curve, ROC, tight epsilon and joined
-    delta of the pair read, and its twin reads reversed (``reversed``)
-    (Balle, Barthe & Gaboardi 2018; Dong, Roth & Su 2022).  It is the pair's
-    privacy-loss distribution too; ``of_atoms`` builds one from loss atoms,
-    such as a convolution's.  The sums from each group on are taken once
-    asked for."""
+    delta and epsilon of the pair read, and its twin reads reversed
+    (``reversed``) (Balle, Barthe & Gaboardi 2018; Dong, Roth & Su 2022).
+    It is the pair's privacy-loss distribution too; ``of_atoms`` builds one
+    from loss atoms, such as a convolution's.  The sums from each group on
+    are taken once asked for."""
 
     def __init__(self, pair: DistPair):
         with np.errstate(divide="ignore"):
@@ -189,6 +189,8 @@ class LossProfile:
         # quotient is as accurate and log rounds closer than log1p
         p_from, q_from = self._from
         gap, b = gaps[k] - delta, q_from[first + k]
+        if b == 0.0:  # the profile stays at a > delta up to l_j, where it drops
+            return float(self.losses[first + k])
         if gap < b:
             eps = math.log1p(gap / b)
         else:
@@ -215,6 +217,35 @@ class LossProfile:
         p_run[-1], q_run[-1] = 1.0, 1.0 - q_start
         return p_run, q_run
 
+    def _above(self, t: np.ndarray) -> np.ndarray:
+        """Per entry of ``t``, the first group with a loss above it.  A
+        joined term sorted by loss gives a descending ``t``, so it is searched
+        reversed: ``searchsorted`` is fastest on ascending keys, and gives the
+        same indices in any order."""
+        return np.searchsorted(self.losses, t[::-1], side="right")[::-1]
+
+    @staticmethod
+    def _joined(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The outcomes k with a_k > 0: their a_k, b_k and loss log(a_k / b_k)."""
+        live = a > 0.0
+        a, b = a[live], b[live]
+        with np.errstate(divide="ignore"):
+            return a, b, np.log(a) - np.log(b)
+
+    def _joined_delta(self, a: np.ndarray, b: np.ndarray, j: np.ndarray, eps: float) -> float:
+        """``hockey_stick`` at ``eps`` joined with the live (``a``, ``b``), at
+        ``j`` each one's first group above its shifted eps.  Where b_k
+        q_from[j] underflows to 0 from two positive factors, e^eps scales it
+        in the log domain."""
+        p_from, q_from = self._from
+        q_j = q_from[j]
+        scaled = _exp_times(eps, b * q_j)
+        if not scaled.all():
+            lost = (scaled == 0.0) & (b > 0.0) & (q_j > 0.0)
+            with np.errstate(over="ignore"):
+                scaled[lost] = np.exp(eps + np.log(b[lost]) + np.log(q_j[lost]))
+        return float(np.maximum(a * p_from[j] - scaled, 0.0).sum())
+
     def hockey_stick(self, a: np.ndarray, b: np.ndarray, eps: float) -> float:
         """``hockey_stick`` at ``eps`` of this pair joined with (``a``, ``b``),
         i.e. of (p_i a_k, q_i b_k) over the outcomes (i, k).  Outcome k adds
@@ -223,12 +254,44 @@ class LossProfile:
         q_from[j], j the first group with a loss above the shifted eps."""
         if not math.isfinite(eps):
             raise ValueError(f"eps must be finite, got {eps}")
-        live = a > 0.0
-        a, b = a[live], b[live]
-        with np.errstate(divide="ignore"):
-            j = np.searchsorted(self.losses, eps - (np.log(a) - np.log(b)), side="right")
+        a, b, loss = self._joined(a, b)
+        return self._joined_delta(a, b, self._above(eps - loss), eps)
+
+    def joined_epsilon(self, a: np.ndarray, b: np.ndarray, delta: float) -> float:
+        """Smallest eps >= 0 with ``hockey_stick(a, b, eps)`` <= delta: inf
+        if none, and if delta exceeds a positive +inf mass by at most 4 ulps
+        of the mass, as ``epsilon`` reads it.
+
+        On the segment of joined groups active at eps the profile is A -
+        e^eps B, A and B the sums of a_k p_from[j] and b_k q_from[j].  The
+        profile is convex in e^eps and each segment's line lies below it, so
+        the root of the line at eps is at most the profile's root: starting
+        from 0 the roots climb, and the first one that stays on its own
+        segment is exact.  No tolerance, no bisection.  A root whose e^eps
+        leaves the float range (B is 0) is refused with ``ValueError``.
+        """
+        if not 0.0 <= delta <= 1.0:
+            raise ValueError(f"delta must lie in [0, 1], got {delta}")
+        a, b, loss = self._joined(a, b)
+        # the joined +inf mass: all of a_k where b_k = 0, else the pair's share
+        inf_mass = float(a @ np.where(b > 0.0, self.inf_mass, 1.0))
+        if inf_mass > 0.0 and delta <= inf_mass + 4.0 * math.ulp(inf_mass):
+            return math.inf
+        eps, j = 0.0, self._above(-loss)
+        if self._joined_delta(a, b, j, eps) <= delta:
+            return 0.0
         p_from, q_from = self._from
-        return float(np.maximum(a * p_from[j] - _exp_times(eps, b * q_from[j]), 0.0).sum())
+        while True:
+            above, weight = float((a * p_from[j]).sum()), float((b * q_from[j]).sum())
+            if above <= delta:  # nothing left above eps to bring down: it is the root
+                return eps
+            if weight == 0.0 or (above - delta) / weight == math.inf:
+                raise ValueError("the root lies where e^eps leaves the float range")
+            root = math.log((above - delta) / weight)
+            j_root = self._above(root - loss)
+            if root <= eps or (j_root == j).all():
+                return float(max(root, 0.0))
+            eps, j = root, j_root
 
 
 def optimal_epsilon(pair: DistPair, delta: float) -> float:

@@ -3,18 +3,17 @@
 A privacy-loss distribution is a ``LossProfile``: loss groups in [-inf,
 +inf], ascending, each with its p- and q-mass.  Construction from a
 distribution pair, exact convolution, the privacy profile delta(eps) and
-its inverse (of one PLD, or of the sum of two independent losses without
-convolving them), and the per-outcome decomposition of a composed loss
-variable into the world-induced, mechanism-dependence, and independent
-terms all live here.  The direct ``hockey_stick`` is the profile's
-independent oracle.
+its inverse, and the per-outcome decomposition of a composed loss variable
+into the world-induced, mechanism-dependence, and independent terms all
+live here; ``LossProfile.hockey_stick`` and ``.joined_epsilon`` read the
+sum of two independent losses without convolving them.  The direct
+``hockey_stick`` is the profile's independent oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -42,104 +41,6 @@ def convolve(a: LossProfile, b: LossProfile) -> LossProfile:
     q_mass = np.multiply.outer(a.q_mass, b.q_mass).ravel()
     keep = (p_mass > 0.0) | (q_mass > 0.0)
     return LossProfile.of_atoms(losses[keep], p_mass[keep], q_mass[keep])
-
-
-# e^x is a finite float for |x| up to this
-_EXP_MAX = math.log(np.finfo(float).max)
-
-
-class LossSum:
-    """Privacy profile of W + M, the sum of two independent loss variables,
-    read off their ``LossProfile``s without forming their convolution.
-
-    An atom w of W meets the atoms of M above eps - w; one ``searchsorted``
-    into M's sorted losses finds them, and suffix sums of M's p-masses and
-    q-masses, built once here, give their contribution.  So a profile value
-    costs O(|W| log |M|) and the object O(|W| + |M|) memory, where the
-    convolution holds |W| * |M| atoms.
-
-    A finite loss of M above 709.78 (a probability ratio past the float
-    range) is refused with ``ValueError``: a profile value scales those
-    sums by e^(eps - w), up to e^ of M's top loss.  The masses are read as
-    given, so no other loss enters an exponent.
-    """
-
-    def __init__(self, w: LossProfile, m: LossProfile):
-        # -inf atoms add nothing at any finite eps, alone or in a sum
-        keep = np.isfinite(w.losses)
-        # W's q-mass scales M's q-mass sums to e^-(w+m)
-        self._w, self._w_mass, self._w_weight = w.losses[keep], w.p_mass[keep], w.q_mass[keep]
-        keep = np.isfinite(m.losses)
-        m_loss = m.losses[keep]
-        if m_loss.size and m_loss[-1] > _EXP_MAX:
-            raise ValueError(f"a loss atom lies beyond {_EXP_MAX:.2f}, where e^loss leaves the float range")
-        self._m = m_loss
-        self._m_top = float(m_loss[-1]) if m_loss.size else 0.0
-        # entry j sums M's atoms j, j+1, ...; the entry past the last is 0
-        self._mass_above, self._b_above = (np.append(np.cumsum(v[keep][::-1])[::-1], 0.0)
-                                           for v in (m.p_mass, m.q_mass))
-        self.inf_mass = w.inf_mass + m.inf_mass - w.inf_mass * m.inf_mass
-
-    def _active(self, t: np.ndarray) -> np.ndarray:
-        """Per atom w, given t = eps - w, the index of the first atom of M
-        above t.  t descends, so it is searched reversed: ``searchsorted`` is
-        fastest on ascending keys, and gives the same indices."""
-        return np.searchsorted(self._m, t[::-1], side="right")[::-1]
-
-    def _at(self, eps: float) -> tuple[np.ndarray, float]:
-        """The search at eps and delta(eps)."""
-        t = eps - self._w
-        k = self._active(t)
-        # e^t only multiplies a nonzero suffix where t < m_top, so capping t
-        # there changes no term and keeps e^t finite at any eps
-        tail = np.exp(np.minimum(t, self._m_top)) * self._b_above[k]
-        return k, self.inf_mass + float((self._w_mass * np.maximum(self._mass_above[k] - tail, 0.0)).sum())
-
-    @cached_property
-    def _zero(self) -> tuple[np.ndarray, float]:
-        """The search at 0 and delta(0), where every ``epsilon`` call starts:
-        taken once per object."""
-        return self._at(0.0)
-
-    def delta(self, eps: float) -> float:
-        """delta(eps) = E[(1 - e^(eps - W - M))+] plus the mass at +inf."""
-        if math.isnan(eps):
-            raise ValueError(f"eps must be a number, got {eps}")
-        return self._at(eps)[1]
-
-    def epsilon(self, delta: float) -> float:
-        """Smallest eps >= 0 with delta(eps) <= delta: inf if none, and if
-        delta exceeds a positive +inf mass by at most 4 ulps of the mass.
-
-        On the segment of sum atoms active at eps the profile is a - e^eps b.
-        The profile is convex in e^eps and each segment's line lies below
-        it, so the root of the line at eps is at most the profile's root:
-        starting from 0 the roots climb, and the first one that stays on its
-        own segment is exact.  No tolerance, no bisection.
-        """
-        if not 0.0 <= delta <= 1.0:
-            raise ValueError(f"delta must lie in [0, 1], got {delta}")
-        # the pessimistic rule of ``LossProfile.epsilon``: a positive +inf mass
-        # up to 4 ulps below delta reads as above it; first, as delta(0) can equal it
-        if self.inf_mass > 0.0 and delta <= self.inf_mass + 4.0 * math.ulp(self.inf_mass):
-            return math.inf
-        k, delta_0 = self._zero
-        if delta_0 <= delta:
-            return 0.0
-        eps = 0.0
-        while True:
-            a = self.inf_mass + float((self._w_mass * self._mass_above[k]).sum())
-            b = float((self._w_weight * self._b_above[k]).sum())
-            if a <= delta:  # nothing left above eps to bring down: it is the root
-                return eps
-            ratio = (a - delta) / b if b > 0.0 else math.inf
-            if ratio == math.inf:  # b underflowed: e^root is past the float range
-                raise ValueError(f"the root lies beyond {_EXP_MAX:.2f}, where e^eps leaves the float range")
-            root = math.log(ratio)
-            k_root = self._active(root - self._w)
-            if root <= eps or np.array_equal(k_root, k):
-                return float(max(root, 0.0))
-            eps, k = root, k_root
 
 
 def privacy_profile(pld: LossProfile, eps: float) -> float:

@@ -10,7 +10,6 @@ from dcpkit import config
 from dcpkit.divergence import DistPair, LossProfile, hockey_stick, optimal_epsilon
 from dcpkit.model import MechanismKernel, World, default_adjacency
 from dcpkit.pld import (
-    LossSum,
     convolve,
     decompose_plrv,
     epsilon_for_delta,
@@ -359,11 +358,16 @@ def plds(draw):
 
 def fsum_profile(w, m, eps):
     """delta(eps) of W + M summed pair by pair with math.fsum."""
-    inf_mass = w.inf_mass + m.inf_mass - w.inf_mass * m.inf_mass
+    inf_mass = joined_inf_mass(w, m)
     terms = [a * b * max(1.0 - math.exp(eps - x - y), 0.0)
              for x, a in zip(w.losses, w.p_mass) for y, b in zip(m.losses, m.p_mass)
              if math.isfinite(x) and math.isfinite(y) and eps - x - y < 700.0]
     return inf_mass + math.fsum(terms)
+
+
+def joined_inf_mass(w, m):
+    """The +inf mass of W + M."""
+    return w.inf_mass + m.inf_mass - w.inf_mass * m.inf_mass
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
@@ -372,19 +376,20 @@ def fsum_profile(w, m, eps):
        pick=st.sampled_from(["zero", "at_zero", "above_zero", "below_inf", "random"]),
        u=st.floats(0.0, 1.0))
 def test_loss_sum_matches_the_materialized_convolution(w, m, eps, pick, u):
-    total = LossSum(w, m)
+    # W joined with M's pair, and M joined with W's, without convolving
     conv = convolve(w, m)
     ref = fsum_profile(w, m, eps)
-    assert abs(total.delta(eps) - ref) <= 1e-12
-    assert abs(LossSum(m, w).delta(eps) - ref) <= 1e-12
+    assert abs(m.hockey_stick(w.p_mass, w.q_mass, eps) - ref) <= 1e-12
+    assert abs(w.hockey_stick(m.p_mass, m.q_mass, eps) - ref) <= 1e-12
     assert abs(privacy_profile(conv, eps) - ref) <= 1e-12
 
-    at_zero = fsum_profile(w, m, 0.0)
+    at_zero, inf_mass = fsum_profile(w, m, 0.0), joined_inf_mass(w, m)
     delta = {"zero": 0.0, "at_zero": at_zero, "above_zero": min(1.0, at_zero + u * (1 - at_zero)),
-             "below_inf": u * total.inf_mass, "random": u}[pick]
-    eps_star = total.epsilon(delta)
+             "below_inf": u * inf_mass, "random": u}[pick]
+    eps_star = m.joined_epsilon(w.p_mass, w.q_mass, delta)
     assert eps_star == pytest.approx(epsilon_for_delta(conv, delta), abs=1e-12)
-    if total.inf_mass > 0.0 and delta <= total.inf_mass + 4.0 * math.ulp(total.inf_mass):
+    assert w.joined_epsilon(m.p_mass, m.q_mass, delta) == pytest.approx(eps_star, abs=1e-12)
+    if inf_mass > 0.0 and delta <= inf_mass + 4.0 * math.ulp(inf_mass):
         assert eps_star == math.inf  # the pessimistic rule at the +inf mass
     elif at_zero <= delta:
         assert eps_star == pytest.approx(0.0, abs=1e-12)
@@ -393,31 +398,58 @@ def test_loss_sum_matches_the_materialized_convolution(w, m, eps, pick, u):
         assert eps_star > 0.0 and fsum_profile(w, m, eps_star) == pytest.approx(delta, abs=1e-12)
 
 
-def test_loss_sum_refuses_losses_past_the_float_range():
-    # a probability ratio past e^709.78 cannot enter the e^(eps - w) scaling
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(w=plds(), m=plds(), eps=st.floats(-4.0, 8.0), u=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_loss_sum_term_order_does_not_change_values(w, m, eps, u, seed):
+    # the reversed search is only fastest on a sorted term; any order reads the same
+    order = np.random.default_rng(seed).permutation(w.losses.size)
+    a, b = w.p_mass[order], w.q_mass[order]
+    assert abs(m.hockey_stick(a, b, eps) - m.hockey_stick(w.p_mass, w.q_mass, eps)) <= 1e-12
+    assert m.joined_epsilon(a, b, u) == pytest.approx(m.joined_epsilon(w.p_mass, w.q_mass, u), abs=1e-12)
+
+
+def test_loss_sum_holds_past_the_float_range():
+    # a loss above 709.78 enters no exponent through e^eps alone: the joined
+    # delta matches the convolution's at any eps
     far = LossProfile.of_atoms([0.0, 750.0], [0.5, 0.5], [0.5, 0.0])
-    with pytest.raises(ValueError, match="float range"):
-        LossSum(point(0.0), far)
+    conv = convolve(point(0.0), far)
+    for eps in (0.0, 1.0, 700.0, 749.9, 760.0, 800.0):
+        assert abs(far.hockey_stick(np.ones(1), np.ones(1), eps) - privacy_profile(conv, eps)) <= 1e-12
     # a loss below -709.78 enters no exponent: the masses are read as given
     # (p-mass 0.5 e^-750 underflows to 0)
     low = LossProfile.of_atoms([-750.0, math.log(2.0)], [0.0, 1.0], [0.5, 0.5])
-    total, conv = LossSum(low, point(0.0)), convolve(low, point(0.0))
+    conv = convolve(low, point(0.0))
     for eps in (0.0, 0.3, 0.69, 1.0):
-        assert abs(total.delta(eps) - privacy_profile(conv, eps)) <= 1e-12
+        assert abs(point(0.0).hockey_stick(low.p_mass, low.q_mass, eps) - privacy_profile(conv, eps)) <= 1e-12
     for delta in (0.0, 0.1, 0.3):
-        assert abs(total.epsilon(delta) - epsilon_for_delta(conv, delta)) <= 1e-12
-    # within it, delta holds at any eps; a root whose e^eps leaves the range is refused
-    near = LossSum(point(700.0), point(700.0))
-    assert near.delta(1399.0) == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
-    assert near.delta(1e300) == 0.0
+        assert abs(point(0.0).joined_epsilon(low.p_mass, low.q_mass, delta)
+                   - epsilon_for_delta(conv, delta)) <= 1e-12
+    # within it, delta holds at any eps, where b q underflows too; a root
+    # whose e^eps leaves the range is refused
+    near = point(700.0)
+    assert near.hockey_stick(near.p_mass, near.q_mass, 1399.0) == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
+    assert near.hockey_stick(near.p_mass, near.q_mass, 1e300) == 0.0
     with pytest.raises(ValueError, match="float range"):
-        near.epsilon(0.0)
+        near.joined_epsilon(near.p_mass, near.q_mass, 0.0)
+
+
+def test_epsilon_past_a_zero_q_mass_is_that_loss(tmp_path):
+    # q-mass 0 at a finite loss (p e^-750 underflows): the profile stays at
+    # 0.5 up to loss 750 and is 0 there, so eps is 750, not a division by 0
+    far = LossProfile.of_atoms([0.0, 750.0], [0.5, 0.5], [0.5, 0.0])
+    assert far.epsilon(0.3) == 750.0
+    assert far.hockey_stick(np.ones(1), np.ones(1), 750.0) == 0.0
+    assert far.hockey_stick(np.ones(1), np.ones(1), math.nextafter(750.0, 0.0)) == 0.5
+    path = tmp_path / "far.csv"
+    path.write_text("loss,mass\n0.0,0.5\n750.0,0.5\ninf,0.0\n", encoding="utf-8")
+    assert epsilon_for_delta(read_pld_csv(path), 0.1) == 750.0
 
 
 def test_nan_delta_and_eps_are_refused():
-    loss_sum = LossSum(pld_from_pair(RR), pld_from_pair(RR))
-    for call in (lambda: optimal_epsilon(RR, math.nan), lambda: loss_sum.epsilon(math.nan),
-                 lambda: loss_sum.delta(math.nan), lambda: epsilon_for_delta(pld_from_pair(RR), math.nan),
+    rr = pld_from_pair(RR)
+    for call in (lambda: optimal_epsilon(RR, math.nan), lambda: rr.joined_epsilon(rr.p_mass, rr.q_mass, math.nan),
+                 lambda: rr.hockey_stick(rr.p_mass, rr.q_mass, math.nan),
+                 lambda: epsilon_for_delta(pld_from_pair(RR), math.nan),
                  lambda: privacy_profile(pld_from_pair(RR), math.nan)):
         with pytest.raises(ValueError):
             call()
@@ -433,20 +465,6 @@ def test_privacy_profile_refuses_an_infinite_eps_as_hockey_stick_does():
 @given(w=plds(), m=plds(), eps=st.one_of(st.floats(-8.0, 8.0), st.integers(-8, 24).map(lambda i: i / 4),
                                          st.sampled_from([-math.inf, math.inf, 1e300])))
 def test_loss_sum_search_matches_the_ascending_search(w, m, eps):
-    loss_sum = LossSum(w, m)
-    t = eps - loss_sum._w
-    want = np.searchsorted(loss_sum._m, t, side="right")
-    assert np.array_equal(loss_sum._active(t), want)
-
-
-def test_loss_sum_searches_zero_once(monkeypatch):
-    loss_sum = LossSum(pld_from_pair(RR), pld_from_pair(DistPair(np.array([0.6, 0.4]), np.array([0.2, 0.8]))))
-    searches, search = [], LossSum._active
-    monkeypatch.setattr(LossSum, "_active", lambda self, t: searches.append(t.copy()) or search(self, t))
-    at_zero = lambda: sum(np.array_equal(t, 0.0 - loss_sum._w) for t in searches)
-    first = loss_sum.epsilon(0.01)
-    assert first > 0.0 and at_zero() == 1  # the profile's root lies past 0
-    assert loss_sum.epsilon(0.001) > first and loss_sum.epsilon(1.0) == 0.0
-    assert at_zero() == 1
-    # delta(0), taken with that search, is the value the public profile gives
-    assert loss_sum.delta(0.0) == loss_sum._zero[1] and at_zero() == 2
+    t = eps - w.losses[np.isfinite(w.losses)]
+    want = np.searchsorted(m.losses, t, side="right")
+    assert np.array_equal(m._above(t), want)
