@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from . import config
-from .divergence import DistPair, Law, LossProfile, _adjacent_pairs, hockey_stick, tradeoff_curve
+from .divergence import DistPair, Law, LossProfile, _adjacent_pairs, tradeoff_curve
 from .model import (DependenceGroup, MechanismKernel, TypeClass, World, _freeze, _posterior, atom_index,
                     check_cap, effective_kernel, lay_out, lumped_law, mix_kernel, type_classes)
 from .pld import convolve, epsilon_for_delta, pld_from_pair
@@ -224,6 +224,7 @@ def composition_report(
 ) -> CompositionReport:
     value = Composition.of(world, mechs, dependence)
     joint, prod = value.lumped, value.lumped_product
+    dts = [(eg, prod.worst(world, eps=eg).values, joint.worst(world, eps=eg).values) for eg in eps_gs]
     opt_rows, dt_rows = [], []
     for (s0, s1) in sorted(world.adjacency):
         joint_pair, prod_pair = joint.pair(s0, s1), prod.pair(s0, s1)
@@ -235,13 +236,8 @@ def composition_report(
                  joint_pair.profile.epsilon(dg),
                  prod_pair.profile.joined_epsilon(a, b, dg))
             )
-        for eg in eps_gs:
-            dt_rows.append(
-                (s0, s1, eg,
-                 hockey_stick(prod_pair, eg),
-                 hockey_stick(joint_pair, eg),
-                 prod_pair.profile.hockey_stick(a, b, eg))
-            )
+        for eg, under, true in dts:
+            dt_rows.append((s0, s1, eg, under[s0, s1], true[s0, s1], prod_pair.profile.hockey_stick(a, b, eg)))
     basic = basic_composition_check(world, mechs, dependence)
     return CompositionReport(
         opt_rows=opt_rows,

@@ -78,8 +78,10 @@ def _keep_live(pair: DistPair, p: np.ndarray, q: np.ndarray) -> DistPair:
 
 
 def _exp_times(eps: float, q: np.ndarray) -> np.ndarray:
-    """e^eps q.  Where e^eps is past the float range, each q is scaled in
-    the log domain, where q = 0 gives e^-inf = 0 and no inf * 0."""
+    """e^eps q of a finite eps.  Where e^eps is past the float range, each q
+    is scaled in the log domain, where q = 0 gives e^-inf = 0 and no inf * 0."""
+    if not math.isfinite(eps):
+        raise ValueError(f"eps must be finite, got {eps}")
     try:
         return math.exp(eps) * q
     except OverflowError:
@@ -89,11 +91,14 @@ def _exp_times(eps: float, q: np.ndarray) -> np.ndarray:
 
 def hockey_stick(pair: DistPair, eps: float) -> float:
     """Sum of (p - e^eps q)+ over outcomes; the delta achieved at this eps."""
-    if not math.isfinite(eps):
-        raise ValueError(f"eps must be finite, got {eps}")
-    gaps = _exp_times(eps, pair.q)
-    np.subtract(pair.p, gaps, out=gaps)
-    return float(np.maximum(gaps, 0.0, out=gaps).sum())
+    return float(_hockey_sums(pair.p, pair.q, eps))
+
+
+def _hockey_sums(p: np.ndarray, q: np.ndarray, eps: float) -> np.ndarray:
+    """The sums of (p - e^eps q)+ along the last axis, in one buffer."""
+    gaps = _exp_times(eps, q)
+    np.subtract(p, gaps, out=gaps)
+    return np.add.reduce(np.maximum(gaps, 0.0, out=gaps), -1)
 
 
 class LossProfile:
@@ -267,8 +272,9 @@ class LossProfile:
         profile is convex in e^eps and each segment's line lies below it, so
         the root of the line at eps is at most the profile's root: starting
         from 0 the roots climb, and the first one that stays on its own
-        segment is exact.  No tolerance, no bisection.  A root whose e^eps
-        leaves the float range (B is 0) is refused with ``ValueError``.
+        segment is exact.  No tolerance, no bisection.  Where B is 0 the
+        climb goes on from the next loss at which an active set changes.  A
+        root whose e^eps leaves the float range is refused with ``ValueError``.
         """
         if not 0.0 <= delta <= 1.0:
             raise ValueError(f"delta must lie in [0, 1], got {delta}")
@@ -285,6 +291,15 @@ class LossProfile:
             above, weight = float((a * p_from[j]).sum()), float((b * q_from[j]).sum())
             if above <= delta:  # nothing left above eps to bring down: it is the root
                 return eps
+            if not ((b > 0.0) & (q_from[j] > 0.0)).any():
+                # B is 0, not rounded to 0: flat up to where an active set next changes
+                eps = max(float(np.min(np.append(self.losses, math.inf)[j] + loss)), math.nextafter(eps, math.inf))
+                if eps == math.inf:
+                    return eps
+                j = self._above(eps - loss)
+                if self._joined_delta(a, b, j, eps) <= delta:
+                    return eps
+                continue
             if weight == 0.0 or (above - delta) / weight == math.inf:
                 raise ValueError("the root lies where e^eps leaves the float range")
             root = math.log((above - delta) / weight)
@@ -382,15 +397,14 @@ class Law:
 
     def worst(self, world: World, *, eps: float | None = None,
               delta: float | None = None) -> WorstPair:
-        """``worst_pair`` of this law."""
+        """``worst_pair`` of this law; with ``eps``, its ``_pair_deltas`` row: each pair
+        summed on the rows if every entry is positive, else on the pair its cut makes."""
         if (eps is None) == (delta is None):
             raise ValueError("give exactly one of eps and delta")
         pairs = _adjacent_pairs(world)
-        values = {
-            (s0, s1): hockey_stick(self.pair(s0, s1), eps) if delta is None
-            else self.pair(s0, s1).profile.epsilon(delta)
-            for (s0, s1) in pairs
-        }
+        row = (_pair_deltas(self._rows[None], pairs, eps, self)[0] if delta is None
+               else [self.pair(s0, s1).profile.epsilon(delta) for s0, s1 in pairs])
+        values = dict(zip(pairs, row))
         first = max(values, key=values.__getitem__)
         return WorstPair(values[first], first, values)
 
@@ -422,6 +436,18 @@ def _adjacent_pairs(world: World) -> list[tuple[int, int]]:
     if not pairs:
         raise ValueError("nothing to certify: world has an empty adjacency relation")
     return pairs
+
+
+def _pair_deltas(stack: np.ndarray, pairs: list[tuple[int, int]], eps: float,
+                 law: Law | None = None) -> list[list[float]]:
+    """``hockey_stick`` at ``eps`` of each of ``pairs`` in each law of a stack
+    (laws, secrets, outcomes), bit for bit (``law``: a one-law stack's ``Law``).
+    With every entry positive nothing is cut: a pair is one pass over all laws;
+    else each cut ``Law.pair`` (the cut reorders the sum) is one call."""
+    if np.minimum.reduce(stack, None) > 0.0:
+        return np.array([_hockey_sums(stack[:, s0], stack[:, s1], eps) for s0, s1 in pairs]).T.tolist()
+    laws = [law] if law else map(Law, stack)
+    return [[hockey_stick(cut.pair(s0, s1), eps) for s0, s1 in pairs] for cut in laws]
 
 
 def worst_pair(world: World, law: np.ndarray, *, eps: float | None = None,

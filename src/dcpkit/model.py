@@ -108,12 +108,17 @@ class World:
         """The prior over secrets, summed once and read-only."""
         return _freeze(self.joint.sum(axis=1))
 
+    @cached_property
+    def _mixing(self) -> tuple[np.ndarray, np.ndarray]:
+        """``mix_kernel``'s read-only P(x|s) per secret (0 at a zero prior) and zero-prior secrets."""
+        live = self.marginal_secret > 0.0
+        return _freeze(self.joint / np.where(live, self.marginal_secret, 1.0)[:, None])[:, None], np.flatnonzero(~live)
+
     def conditional_dataset(self, s: int) -> np.ndarray:
         """Return the dataset distribution conditioned on secret index ``s``."""
-        marg = float(self.marginal_secret[s])
-        if marg <= 0.0:
+        if self.marginal_secret[s] <= 0.0:
             raise ModelError(f"secret {self.secrets[s]!r} has zero marginal; conditional undefined")
-        return self.joint[s] / marg
+        return self._mixing[0][s, 0]
 
     def secret_index(self, label: str) -> int:
         try:
@@ -235,14 +240,15 @@ def build_adjacency(
 
 def mix_kernel(world: World, kernel: np.ndarray) -> np.ndarray:
     """Per-secret rows P(x|s) @ K of any kernel K with one row per dataset
-    (a mechanism's, a dependence group's, or their per-dataset product).
+    (a mechanism's, a dependence group's, or their per-dataset product), or
+    of each K of a stack (..., datasets, outputs): one vector-matrix product
+    a row, as ``P(x|s) @ K`` makes it; one of all P(x|s) rounds otherwise.
     A zero-prior secret gets a uniform row: no adjacent pair touches it."""
-    marg = world.marginal_secret
-    n = kernel.shape[1]
-    return np.array([
-        world.joint[s] / marg[s] @ kernel if marg[s] > 0 else np.full(n, 1.0 / n)
-        for s in range(len(world.secrets))
-    ])
+    conds, dead = world._mixing
+    mixed = np.matmul(conds, kernel[..., None, :, :])[..., 0, :]
+    if dead.size:
+        mixed[..., dead, :] = 1.0 / kernel.shape[-1]
+    return mixed
 
 
 def lay_out(factors: Sequence[tuple[Sequence[int], np.ndarray]], dims: tuple[int, ...],

@@ -9,8 +9,8 @@ import math
 
 import numpy as np
 
-from .divergence import Law, _exp_times, monotone_root, monotone_roots
-from .model import MechanismKernel, ModelError, World, _check_rows_stochastic, default_adjacency
+from .divergence import Law, _adjacent_pairs, _pair_deltas, monotone_root, monotone_roots
+from .model import MechanismKernel, ModelError, World, _check_rows_stochastic, default_adjacency, mix_kernel
 
 # the bracket of every noise-scale calibration and of the secret-channel fill
 SCALE_BOUNDS = (1e-3, 1e4)
@@ -148,71 +148,42 @@ def _calibrate_noise_scales(world: World, noise, values_list, eps_target: float,
 
     The K calibrations run in lockstep (``monotone_roots``): both bounds of
     all K in one step, then one step a round on the searches still running.
-    A step bins the scales in one CDF call, checks the stacked rows and the
-    stacked mixtures once each, mixes each secret's P(x|s) with the rows as
-    ``effective_kernel`` does (one gemv per secret and scale: a zero-prior
-    secret gets ``mix_kernel``'s uniform row) and, on the mixtures with
-    every entry positive, sums (p - e^eps q)+ of all pairs in one array;
-    any other mixture, whose dead outcomes ``Law`` cuts before summing, goes
-    through ``Law.worst``.  Each value is that law's, bit for bit, and each
-    scale the one its calibration finds alone.  When a step raises, the
-    calibrations run again one at a time in order, so a batch raises what
-    the first failing calibration raises alone."""
-    try:
-        return _lockstep_noise_scales(world, noise, values_list, eps_target, delta, bins)
-    except ValueError:  # ModelError included
-        if len(values_list) == 1:
-            raise
-        return [_lockstep_noise_scales(world, noise, [values], eps_target, delta, bins)[0]
-                for values in values_list]
-
-
-def _lockstep_noise_scales(world: World, noise, values_list, eps_target: float, delta: float,
-                           bins: int) -> list[float]:
-    """``_calibrate_noise_scales`` without the one-at-a-time rerun."""
-    values, n = np.array(values_list, dtype=float), len(world.datasets)
-    if values.shape[1:] != (n,):
-        raise ModelError(f"{values[0].size} query values, world has {n} datasets")
+    A step bins its scales in one CDF call, mixes them (``mix_kernel``) and
+    reads every mixture off one ``_pair_deltas`` sweep, so each scale is the
+    one its calibration finds alone.  Every error is raised before the
+    rounds, as the calibrations one at a time in order raise it."""
+    # a vector of the wrong length raises once the vectors before it pass their ends
+    n, count = len(world.datasets), len(values_list)
+    k = next((j for j, values in enumerate(values_list) if np.shape(values) != (n,)), count)
+    wrong = k < count and ModelError(f"{np.size(values_list[k])} query values, world has {n} datasets")
+    if not k:
+        raise wrong or ValueError("no query-value vector to calibrate")
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta must lie in [0, 1], got {delta}")
-    binned = _noise_binner(values, bins, *noise)
-    marg = world.marginal_secret
-    dead = marg <= 0.0
-    any_dead = bool(dead.any())
-    conds = np.zeros_like(world.joint)
-    conds[~dead] = world.joint[~dead] / marg[~dead, None]
-    cond_rows = conds[None, :, None, :]
-    s0, s1 = np.array(sorted(world.adjacency), dtype=np.intp).reshape(-1, 2).T
+    binned = _noise_binner(values_list[:k], bins, *noise)
 
-    def worst(on):
-        """The worst pair's (p - e^eps q)+ sum of each law in a stack with every entry positive."""
-        gaps = on[:, s0] - _exp_times(eps_target, on[:, s1])
-        return np.maximum.reduce(np.add.reduce(np.maximum(gaps, 0.0, out=gaps), -1), -1).tolist()
-
-    def excess(which, scales):
-        """The values at ``scales`` of the calibrations ``which`` (all K: a slice)."""
-        rows = binned(scales, which)
+    def excess(rows):
+        """The values at the scales that ``rows`` (scales, datasets, bins) were binned at."""
         _check_rows_stochastic(rows.reshape(-1, bins), "binned noise kernel")
-        # one vector-matrix product per secret and scale, as ``cond @ rows`` makes it
-        mixed = np.matmul(cond_rows, rows[:, None]).reshape(len(scales), -1, bins)
-        if any_dead:
-            mixed[:, dead] = 1.0 / bins
+        mixed = mix_kernel(world, rows)
         _check_rows_stochastic(mixed.reshape(-1, bins), "per-secret law")
-        if s0.size and np.minimum.reduce(mixed, None) > 0.0:
-            reached = worst(mixed)
-        else:
-            reached = [worst(m[None])[0] if s0.size and m.min() > 0.0
-                       else Law(m).worst(world, eps=eps_target).value for m in mixed]
         return [-math.inf if r == 0.0 else math.log(r / delta) if delta > 0.0 else math.inf
-                for r in reached]
+                for r in map(max, _pair_deltas(mixed, _adjacent_pairs(world), eps_target))]
 
-    k = len(values_list)
     lo, hi = SCALE_BOUNDS
-    ends = excess(list(range(k)) * 2, [lo] * k + [hi] * k)
-    if any(v_lo < 0.0 or v_hi > 0.0 for v_lo, v_hi in zip(ends[:k], ends[k:])):
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite value's rows are refused below
+        rows = binned([lo] * k + [hi] * k, list(range(k)) * 2)
+    # so does the first vector j with a non-finite row at its ends (rows j and k + j)
+    good = next((j for j in range(k) if not np.isfinite(rows[j::k]).all()), k)
+    ends = excess(rows[np.r_[:good, k:k + good]]) if good else []
+    if any(v_lo < 0.0 or v_hi > 0.0 for v_lo, v_hi in zip(ends[:good], ends[good:])):
         raise ValueError("eps_target outside the reachable range for these bounds")
+    if good < k:
+        _check_rows_stochastic(rows[good::k].reshape(-1, bins), "binned noise kernel")
+    if wrong:
+        raise wrong
     found = monotone_roots(
-        lambda which, scales: excess(slice(None) if len(which) == k else which, scales),
+        lambda which, scales: excess(binned(scales, slice(None) if len(which) == k else which)),
         [(lo, hi, v_lo, v_hi) for v_lo, v_hi in zip(ends[:k], ends[k:])],
         above=lambda v: v <= 0.0, tol=1e-12)
     return [scale for _, scale in found]

@@ -14,6 +14,7 @@ from dcpkit.audit import lr_attack_roc
 from dcpkit.composition import composed_joint
 from dcpkit.divergence import (
     _ITP_N0,
+    _pair_deltas,
     DistPair,
     Law,
     LossProfile,
@@ -25,7 +26,7 @@ from dcpkit.divergence import (
     tradeoff_curve,
     worst_pair,
 )
-from dcpkit.model import MechanismKernel, World, default_adjacency, join_per_secret
+from dcpkit.model import MechanismKernel, World, default_adjacency, join_per_secret, mix_kernel
 from dcpkit.synth import mixing_world
 
 RR = DistPair(np.array([0.75, 0.25]), np.array([0.25, 0.75]))
@@ -835,6 +836,71 @@ def test_tight_epsilon_past_the_float_range_of_e_loss():
         assert hockey_stick(pair, eps) <= delta < hockey_stick(pair, eps * (1.0 - 1e-12))
         worst = worst_pair(world, law, delta=delta)
         assert (worst.value, worst.pair) == (eps, (0, 1)) and worst.values[(1, 0)] < 1.0
+
+
+SWEEP_EPS = (0.0, 0.3, 1.0, 709.5, 800.0)  # 800 takes ``_exp_times``' log-domain branch
+
+
+def _sweep_stack(rng, n_secrets, n_out, k):
+    """K laws on ``n_secrets`` rows, each all positive, with zeros on either
+    side, with dead outcomes, or with signed zeros."""
+    stack = rng.random((k, n_secrets, n_out)) ** 2 + 1e-3
+    for law in stack:
+        kind = int(rng.integers(4))
+        if kind == 1:
+            law[rng.random(law.shape) < 0.3] = 0.0
+        elif kind == 2:
+            law[:, rng.random(n_out) < 0.4] = 0.0
+        elif kind == 3:
+            law[rng.random(law.shape) < 0.2] = -0.0
+        law[:, 0] += law.sum(axis=1) == 0.0  # no row without mass
+    return stack / stack.sum(axis=-1, keepdims=True)
+
+
+def test_the_pair_sweep_is_hockey_stick_bit_for_bit():
+    # every pair's delta of every law in a stack (one array pass on the laws
+    # with every entry positive, the ``Law.pair`` cut otherwise) is
+    # ``hockey_stick`` of the cut pair, and ``Law.worst`` reads it; 2-4
+    # secrets, partial adjacency, a zero-prior secret's uniform row, K = 1-4
+    rng = np.random.default_rng(31)
+    seen = {"one_pass": 0, "cut": 0, "mixed_stack": 0}
+    for draw in range(300):
+        n_secrets, k = int(rng.integers(2 + (draw % 4 == 0), 5)), int(rng.integers(1, 5))
+        n_out = int(rng.choice([1, 2, 7, 9, 21, 33, 200, 1500]))
+        if draw % 4 == 0:  # mixtures on a world whose last secret has no prior
+            joint = rng.dirichlet(np.ones(n_secrets * 3)).reshape(n_secrets, 3)
+            joint[-1] = 0.0
+            world = World(tuple(f"s{i}" for i in range(n_secrets)), ("x0", "x1", "x2"),
+                          joint / joint.sum(), default_adjacency(joint))
+            stack = mix_kernel(world, rng.dirichlet(np.ones(n_out), size=(k, 3)))
+            pairs = sorted(world.adjacency)
+        else:
+            stack = _sweep_stack(rng, n_secrets, n_out, k)
+            every = [(a, b) for a in range(n_secrets) for b in range(n_secrets) if a != b]
+            pairs = sorted(every[i] for i in rng.permutation(len(every))[:int(rng.integers(1, len(every) + 1))])
+        positive = [bool(law.min() > 0.0) for law in stack]
+        seen["one_pass"] += all(positive)
+        seen["cut"] += not any(positive)
+        seen["mixed_stack"] += 0 < sum(positive) < k
+        for eps in SWEEP_EPS:
+            want = [[hockey_stick(Law(law).pair(s0, s1), eps).hex() for s0, s1 in pairs] for law in stack]
+            got = _pair_deltas(stack, pairs, eps)
+            assert [[v.hex() for v in row] for row in got] == want, (draw, eps)
+            if draw % 4 == 0:
+                worst = Law(stack[-1]).worst(world, eps=eps)
+                assert [v.hex() for v in worst.values.values()] == want[-1]
+    assert min(seen.values()) >= 30, seen
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+def test_the_pair_sweep_refuses_a_non_finite_eps_as_hockey_stick_does(eps):
+    positive, dead = np.full((1, 2, 2), 0.5), np.array([[[0.5, 0.5, 0.0], [0.25, 0.75, 0.0]]])
+    with pytest.raises(ValueError) as want:
+        hockey_stick(RR, eps)
+    for stack in (positive, dead):
+        with pytest.raises(ValueError) as got:
+            _pair_deltas(stack, [(0, 1), (1, 0)], eps)
+        assert str(got.value) == str(want.value)
 
 
 def test_worst_pair_empty_adjacency_names_it():

@@ -139,9 +139,10 @@ def test_noise_scale_step_equals_the_mechanisms_law_bit_for_bit(monkeypatch, ker
 
 def test_a_noise_scale_step_builds_no_law_where_every_outcome_is_live(monkeypatch):
     # a mixture without a zero entry is read as one array; one with a zero
-    # goes through ``Law.worst``, whose dead-outcome cut orders the sum
+    # is built into a ``Law``, whose dead-outcome cut orders the sum
     world, built, steps = mixing_world(LAM), [], []
-    monkeypatch.setattr(synth, "Law", lambda matrix: built.append(matrix) or Law(matrix))
+    init = Law.__post_init__
+    monkeypatch.setattr(Law, "__post_init__", lambda law: built.append(law) or init(law))
     monkeypatch.setattr(synth, "monotone_roots", _capture(steps))
     _calibrate_noise_scale(world, _GAUSSIAN, _QUERY_MAPS[0], 0.6, 0.02, MECH_BINS)
     built.clear()
@@ -222,18 +223,25 @@ def test_lockstep_scales_equal_one_at_a_time_calibrations(name):
     [_QUERY_MAPS[0], (0.0, 1.0, 0.0), _QUERY_MAPS[1]],        # three values on four datasets
     [(0.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0)],                   # the first failure decides
     [(0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 0.0)],
+    [_QUERY_MAPS[0], (0.0, 1.0, math.nan, 0.0), _QUERY_MAPS[1]],  # non-finite binned rows
+    [_QUERY_MAPS[0], (0.0, math.inf, 1.0, 0.0)],
+    [_QUERY_MAPS[1], (1.0, 0.0, 0.0, -math.inf)],
+    [(0.0, 0.0, 0.0, 0.0), (math.nan, 0.0, 1.0, 0.0)],
+    [(0.0, math.inf, 1.0, 0.0), (0.0, 1.0, 0.0)],
 ])
 def test_a_failing_lockstep_raises_what_the_sequential_loop_raises(batch):
+    # also without adjacent pairs, which the first vector's bracket ends meet
     world = mixing_world(LAM)
-    for noise, bins in ((_GAUSSIAN, MECH_BINS), (_LAPLACE, 3 * MECH_BINS)):
-        for target in (0.6, 50.0):
-            alone = [_outcome(lambda: _calibrate_noise_scale(world, noise, values, target, 0.02, bins))
-                     for values in batch]
-            failed = [a for a in alone if isinstance(a, tuple)]
-            assert failed
-            with pytest.raises(failed[0][0]) as raised:
-                synth._calibrate_noise_scales(world, noise, batch, target, 0.02, bins)
-            assert str(raised.value) == failed[0][1]
+    for world in (world, dataclasses.replace(world, adjacency=frozenset())):
+        for noise, bins in ((_GAUSSIAN, MECH_BINS), (_LAPLACE, 3 * MECH_BINS)):
+            for target in (0.6, 50.0):
+                alone = [_outcome(lambda: _calibrate_noise_scale(world, noise, values, target, 0.02, bins))
+                         for values in batch]
+                failed = [a for a in alone if isinstance(a, tuple)]
+                assert failed
+                with pytest.raises(failed[0][0]) as raised:
+                    synth._calibrate_noise_scales(world, noise, batch, target, 0.02, bins)
+                assert str(raised.value) == failed[0][1]
 
 
 @pytest.mark.parametrize("delta", [math.nan, -0.1, 1.5, -math.inf])

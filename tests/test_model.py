@@ -15,6 +15,7 @@ from dcpkit.model import (
     effective_kernel,
     is_invertible,
     load_model,
+    mix_kernel,
 )
 
 
@@ -163,6 +164,44 @@ def test_effective_kernel_rows_sum_to_one():
         mech = MechanismKernel("m", tuple(map(str, range(ny))), rng.dirichlet(np.ones(ny), size=nx))
         eff = effective_kernel(world, mech)
         assert np.abs(eff.matrix.sum(axis=1) - 1.0).max() <= 1e-12
+
+
+def random_world(rng, n_secrets, n_datasets, zero_prior=False):
+    """A Dirichlet joint, its last secret's prior set to 0 if asked."""
+    joint = rng.dirichlet(np.ones(n_secrets * n_datasets)).reshape(n_secrets, n_datasets)
+    if zero_prior:
+        joint[-1] = 0.0
+        joint /= joint.sum()
+    return World(tuple(f"s{i}" for i in range(n_secrets)), tuple(f"x{j}" for j in range(n_datasets)),
+                 joint, default_adjacency(joint))
+
+
+def per_secret_loop(world, kernel):
+    """The oracle ``mix_kernel`` stacks: row s is P(x|s) @ kernel, a uniform
+    row for a zero-prior secret."""
+    marg, n = world.marginal_secret, kernel.shape[1]
+    return np.array([world.joint[s] / marg[s] @ kernel if marg[s] > 0 else np.full(n, 1.0 / n)
+                     for s in range(len(world.secrets))])
+
+
+def test_mix_kernel_is_the_per_secret_loop_bit_for_bit():
+    # one kernel, stacks of K = 1-4 kernels and a stack of stacks: each row is
+    # the loop's vector-matrix product to the bit (one matrix product of all
+    # P(x|s) rounds differently on most of these draws)
+    rng = np.random.default_rng(30)
+    seen = {"zero_prior": 0, "stack": 0}
+    for draw in range(600):
+        n_secrets, n_datasets, n_out = int(rng.integers(2, 6)), int(rng.integers(1, 9)), int(rng.integers(1, 40))
+        world = random_world(rng, n_secrets, n_datasets, zero_prior=draw % 3 == 0)
+        lead = ((), (1,), (2,), (3,), (4,), (2, 3))[draw % 6]
+        kernel = rng.dirichlet(np.ones(n_out), size=lead + (n_datasets,))
+        want = np.array([per_secret_loop(world, k) for k in kernel.reshape(-1, n_datasets, n_out)])
+        got = mix_kernel(world, kernel)
+        assert got.shape == lead + (n_secrets, n_out)
+        assert got.tobytes() == want.tobytes(), (draw, lead)
+        seen["zero_prior"] += draw % 3 == 0
+        seen["stack"] += bool(lead)
+    assert min(seen.values()) >= 100, seen
 
 
 def test_effective_kernel_dimension_mismatch(invertible_world):

@@ -445,6 +445,23 @@ def test_epsilon_past_a_zero_q_mass_is_that_loss(tmp_path):
     assert epsilon_for_delta(read_pld_csv(path), 0.1) == 750.0
 
 
+def test_joined_epsilon_climbs_past_a_zero_q_mass():
+    # where the active groups' joined q-mass is 0 (q-mass 0 at a finite loss,
+    # as where p e^-750 underflows), the profile is flat up to the next loss
+    # at which an active set changes: the climb goes on from there, to the
+    # epsilon that the materialized convolution reads
+    far = LossProfile.of_atoms([0.0, 750.0], [0.5, 0.5], [0.5, 0.0])
+    assert far.joined_epsilon(np.ones(1), np.ones(1), 0.3) == 750.0
+    steps = LossProfile.of_atoms([0.0, 5.0, 750.0, 760.0], [0.4, 0.3, 0.2, 0.1],
+                                 [0.4, 0.3 * math.exp(-5.0), 0.0, 0.0])
+    for profile in (far, steps):
+        for a, b in ((np.ones(1), np.ones(1)), (RR.p, RR.q), (np.array([0.2, 0.8]), np.array([0.6, 0.4]))):
+            conv = convolve(LossProfile.of_atoms(np.log(a) - np.log(b), a, b), profile)
+            for delta in (0.0, 0.05, 0.15, 0.2, 0.35, 0.5):
+                want = epsilon_for_delta(conv, delta)
+                assert profile.joined_epsilon(a, b, delta) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
 def test_nan_delta_and_eps_are_refused():
     rr = pld_from_pair(RR)
     for call in (lambda: optimal_epsilon(RR, math.nan), lambda: rr.joined_epsilon(rr.p_mass, rr.q_mass, math.nan),
