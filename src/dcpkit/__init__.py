@@ -13,10 +13,12 @@ __version__ = "0.1.0"
 from .audit import RocCurve, compare_protocol, lr_attack_roc, roc_bound_check
 from .composition import (
     CompositionReport,
+    PlrvDecomposition,
     basic_composition_check,
     cel_compare,
     composed_joint,
     composition_report,
+    decompose_plrv,
     dominating_pair,
     dp_optcomp,
     overline_opt,
@@ -70,9 +72,7 @@ from .model import (
     load_model,
 )
 from .pld import (
-    PlrvDecomposition,
     convolve,
-    decompose_plrv,
     epsilon_for_delta,
     pld_from_pair,
     privacy_profile,

@@ -25,7 +25,7 @@ from . import ic
 from .audit import compare_protocol
 from .copula import copula_spec_from_mapping, psedr_samples
 from .experiments import run_copula_experiment, run_independent_experiment
-from .model import Model, ModelError, adjacency_labels, effective_kernel, load_model
+from .model import Model, ModelError, adjacency_labels, check_cap, effective_kernel, load_model
 from .pld import pld_csv, pld_from_pair
 
 
@@ -179,6 +179,7 @@ def cmd_copula_sample(args) -> int:
         raise ModelError("model file has no copula section")
     spec = copula_spec_from_mapping(model.copula, adjacency_labels(model.world))
     state = args.state or model.world.secrets[0]
+    check_cap(6 * args.n, f"{args.n} samples x 6 columns")
     rng = np.random.default_rng(args.seed)
     out = psedr_samples(spec, state, rng, args.n)
     lines = [_header(args, "copula-sample"), "z1,z2,u1,u2,v1,v2\n", *_sample_lines(out)]

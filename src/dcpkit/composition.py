@@ -2,7 +2,8 @@
 
 Builds the joint output distribution per secret, computes the naive
 (dependence-ignoring), true, and conservative epsilon/delta bounds for the
-composition, checks basic composition, and runs the informativeness
+composition, splits the composed loss into its world, dependence and
+independent terms, checks basic composition, and runs the informativeness
 comparisons (trade-off dominance and expected cross-entropy loss).
 """
 
@@ -25,9 +26,9 @@ from .pld import convolve, epsilon_for_delta, pld_from_pair
 class Composition:
     """The laws of one composition, each built, checked and made read-only
     on first use: the composed ``joint`` (rows secrets, columns the product
-    alphabet in C order over the mechanisms' outputs), the effective
-    kernels ``effs`` and each group's members and effective joint.  Each
-    pair of a law and its twin share one ``LossProfile``, sorted once.
+    alphabet in C order over the mechanisms' outputs) and the effective
+    kernels ``effs``.  Each pair of a law and its twin share one
+    ``LossProfile``, sorted once.
 
     ``lumped`` is the joint on the type ``classes`` (``model.type_classes``),
     the one build of a composed law (``model.lumped_law``): ungrouped
@@ -36,9 +37,11 @@ class Composition:
     members the classes are single mechanisms, ``lumped`` is the dense
     composed law and ``joint`` is ``lumped``; else ``joint`` is spread from
     it and hands out its pairs.  ``lumped_product`` is the product of the
-    ``effs`` on the same atoms, and ``copula_loss`` the log ratio of the
-    two.  The bounds and the IC solvers read these; ``joint.matrix``
-    serves the callers that need one column per outcome.
+    ``effs`` on the same atoms.  ``log_terms`` is the one build of the
+    copula split's log terms on the atoms: ``copula_loss`` (the log ratio
+    of ``lumped`` to ``lumped_product``) and ``decompose_plrv`` read it.
+    The bounds and the IC solvers read these; ``joint.matrix`` serves the
+    callers that need one column per outcome.
     """
 
     world: World
@@ -67,10 +70,6 @@ class Composition:
         return [effective_kernel(self.world, mech) for mech in self.mechs]
 
     @cached_property
-    def groups(self) -> list[tuple[tuple[int, ...], np.ndarray]]:
-        return [(g.members, _freeze(mix_kernel(self.world, g.joint_kernel))) for g in self.dependence]
-
-    @cached_property
     def classes(self) -> tuple[TypeClass, ...]:
         return type_classes(self.mechs, self.dependence)
 
@@ -89,23 +88,36 @@ class Composition:
         return Law(_freeze(law))
 
     @cached_property
-    def copula_loss(self) -> np.ndarray:
-        """Per secret and atom, log ``lumped`` less log ``lumped_product``,
-        summed from log factors (no product underflows): row s0 less row s1
-        is pair (s0, s1)'s world plus dependence loss (``decompose_plrv``).
-        Where ``lumped`` is 0 it is -inf if the product is positive, else
-        the groups' summed log law less log members' product (-inf where a
-        group law is 0, and 0 without groups), as that split books it."""
+    def log_terms(self) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+        """The log terms of the copula split, per secret and atom, summed from
+        log factors (no product underflows): the log of ``lumped_product``,
+        and each dependence group's log law (its joint kernel mixed over the
+        datasets) next to the log product of its members."""
         dims = tuple(len(c.types) for c in self.classes)
         axis = {i: a for a, c in enumerate(self.classes) for i in c.members}
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore"):
             logs = [np.log(np.maximum(eff.matrix, 0.0)) for eff in self.effs]
             log_prod = lay_out([((a,), c.factor(logs[c.members[0]], np.add)) for a, c in enumerate(self.classes)],
                                dims, np.add)
+            groups = []
+            for g in self.dependence:
+                log_law = np.log(np.maximum(mix_kernel(self.world, g.joint_kernel), 0.0))
+                groups.append((_freeze(lay_out([(tuple(axis[i] for i in g.members), log_law)], dims, np.add)),
+                               _freeze(lay_out([((axis[i],), logs[i]) for i in g.members], dims, np.add))))
+        return _freeze(log_prod), groups
+
+    @cached_property
+    def copula_loss(self) -> np.ndarray:
+        """Per secret and atom, log ``lumped`` less the log of
+        ``lumped_product`` (``log_terms``): row s0 less row s1 is pair
+        (s0, s1)'s world plus dependence loss (``decompose_plrv``).  Where
+        ``lumped`` is 0 it is -inf if the product is positive, else the
+        groups' summed log law less log members' product (-inf where a group
+        law is 0, and 0 without groups), as that split books it."""
+        log_prod, groups = self.log_terms
+        with np.errstate(divide="ignore", invalid="ignore"):
             dep = np.zeros_like(log_prod)
-            for members, law in self.groups:
-                g = lay_out([(tuple(axis[i] for i in members), np.log(np.maximum(law, 0.0)))], dims, np.add)
-                p = lay_out([((axis[i],), logs[i]) for i in members], dims, np.add)
+            for g, p in groups:
                 dep += np.where(np.isneginf(g), -np.inf, g - p)
             log_law = np.log(np.maximum(self.lumped.matrix, 0.0))
             out = np.where(log_law > -np.inf, log_law - log_prod, np.where(log_prod > -np.inf, -np.inf, dep))
@@ -197,6 +209,71 @@ def overline_opt(
             for pair in _adjacent_pairs(world)}
     worst = max(vals.values())
     return (worst, vals) if per_pair else worst
+
+
+@dataclass(frozen=True)
+class PlrvDecomposition:
+    """Per-outcome split of the composed loss into world, dependence, and
+    independent terms, with the reference masses under the first secret.
+
+    Entries can be +-inf where a joint outcome is impossible under one
+    secret; those are excluded from the pointwise-sum identity but their
+    reference mass is retained.
+    """
+
+    total: np.ndarray
+    world_term: np.ndarray       # loss induced by the secret/dataset coupling
+    dependence_term: np.ndarray  # loss induced by declared mechanism dependence
+    independent_term: np.ndarray
+    ref_masses: np.ndarray       # composed joint under s0, per outcome
+
+    @property
+    def finite(self) -> np.ndarray:
+        terms = (self.total, self.world_term, self.dependence_term, self.independent_term)
+        return np.logical_and.reduce([np.isfinite(t) for t in terms])
+
+
+def _log_mass_ratio(log_num: np.ndarray, log_den: np.ndarray) -> np.ndarray:
+    """log(num/den), 0/0 read as 1: an outcome the reference density already
+    forbids carries no coupling information (its infinity lives in the
+    marginal terms)."""
+    return np.where(np.isneginf(log_num) & np.isneginf(log_den), 0.0, log_num - log_den)
+
+
+def decompose_plrv(world: World, mechs: list[MechanismKernel], dependence: list[DependenceGroup],
+                   s0: int, s1: int) -> PlrvDecomposition:
+    """Split the composed loss log(b_s0/b_s1) into its three sources.
+
+    Each term is computed per atom of ``lumped``, rows s0 and s1 at once,
+    from ``log_terms`` (the build ``copula_loss`` reads), and spread to the
+    outcomes of ``joint`` by ``per_outcome``; ``joint`` itself is not built.
+    The world term is computed directly as the log-ratio of discrete copula
+    masses (joint over group-product), so the identity total = world +
+    dependence + independent is a genuine floating-point check rather than
+    a definition.
+    """
+    if (s0, s1) not in world.adjacency:
+        raise ValueError(f"({s0},{s1}) is not an adjacent pair")
+    value = Composition.of(world, mechs, dependence)
+    (log_prod, groups), rows = value.log_terms, [s0, s1]
+    counts = np.bincount(value.index) if value.repeats else 1.0  # outcomes per atom
+    b = value.lumped.matrix[rows] / counts  # each outcome's mass, as ``joint`` spreads it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_b = np.log(np.maximum(b, 0.0))
+        # log of the group-product reference density per outcome: each
+        # group's law stands in for its members' product
+        log_m = sum((g[rows] - p[rows] for g, p in groups), log_prod[rows] - np.log(counts))
+        dep = np.subtract(*sum((_log_mass_ratio(g[rows], p[rows]) for g, p in groups), np.zeros_like(log_b)))
+        total = log_b[0] - log_b[1]
+        # copula mass ratio: joint over the group-product reference, s0 vs s1
+        world_term = np.subtract(*_log_mass_ratio(log_b, log_m))
+        independent = log_prod[s0] - log_prod[s1]
+    # one-sided impossibilities report as +-inf like the total does; outcomes
+    # impossible under both secrets (total NaN) are undefined everywhere
+    dead = np.isnan(total)
+    world_term = np.where(np.isnan(world_term) & np.isinf(total) | dead, total, world_term)
+    dep[dead] = np.nan
+    return PlrvDecomposition(*map(value.per_outcome, (total, world_term, dep, independent, b[0])))
 
 
 @dataclass(frozen=True)

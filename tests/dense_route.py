@@ -9,8 +9,9 @@ import math
 import numpy as np
 
 from dcpkit import ic
+from dcpkit.composition import Composition, PlrvDecomposition
 from dcpkit.divergence import Law, tradeoff_curve, worst_pair
-from dcpkit.model import MechanismKernel, _posterior, composed_law, effective_kernel, lay_out
+from dcpkit.model import MechanismKernel, _posterior, composed_law, effective_kernel, lay_out, mix_kernel
 
 TOL = 1e-12  # relative to max(1, |value|)
 
@@ -101,3 +102,44 @@ def dense_task2(world, joint, delta_g, loss="log") -> dict:
                    feasibility=ic.pi_feasible(post, world, tau, delta_g, live).max_residual,
                    loss_value=ic._spsr_loss(post, world.marginal_secret, joint, loss))
     return out
+
+
+def _log_mass_ratio(log_num, log_den):
+    # log(num/den) with the 0/0 case neutral
+    out = log_num - log_den
+    out[np.isneginf(log_num) & np.isneginf(log_den)] = 0.0
+    return out
+
+
+def dense_decomposition(world, mechs, dependence, s0, s1) -> PlrvDecomposition:
+    """``composition.decompose_plrv`` on the composed joint, one column per
+    outcome: the effective kernels' logs laid out on the product alphabet
+    and each term computed per outcome, the world term directly as the log
+    ratio of the joint to the group-product reference density."""
+    value = Composition.of(world, mechs, dependence)
+    effs = [eff.matrix for eff in value.effs]
+    groups = [(g.members, mix_kernel(world, g.joint_kernel)) for g in dependence]
+    b0, b1 = value.joint.matrix[s0], value.joint.matrix[s1]
+    dims = tuple(eff.shape[1] for eff in effs)
+    rows = [s0, s1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = [np.log(eff[rows]) for eff in effs]  # per mechanism: rows s0, s1
+        log_id = lay_out([((i,), lg[:1] - lg[1:]) for i, lg in enumerate(logs)], dims, np.add)[0]
+        # log of the group-product reference density, rows s0 and s1
+        log_m = lay_out([((i,), lg) for i, lg in enumerate(logs)], dims, np.add)
+        dep_term = np.zeros(b0.size)
+        for members, law in groups:
+            g = lay_out([(members, np.log(law[rows]))], dims, np.add)
+            # members' marginal factors inside this group
+            p = lay_out([((i,), logs[i]) for i in members], dims, np.add)
+            dep_term = dep_term + _log_mass_ratio(g[0], p[0]) - _log_mass_ratio(g[1], p[1])
+            # the group's joint replaces its members' product in the reference density
+            log_m = log_m + (g - p)
+        log_b0, log_b1 = np.log(np.maximum(value.joint.matrix[rows], 0.0))
+        total = log_b0 - log_b1
+        world_term = _log_mass_ratio(log_b0, log_m[0]) - _log_mass_ratio(log_b1, log_m[1])
+        world_term = np.where(np.isnan(world_term) & (b0 > 0.0) & (b1 == 0.0), np.inf, world_term)
+        world_term = np.where(np.isnan(world_term) & (b0 == 0.0) & (b1 > 0.0), -np.inf, world_term)
+    dead = (b0 == 0.0) & (b1 == 0.0)
+    total[dead] = world_term[dead] = dep_term[dead] = np.nan
+    return PlrvDecomposition(total, world_term, dep_term, log_id, ref_masses=b0)

@@ -28,7 +28,7 @@ from dcpkit.divergence import DistPair, hockey_stick, optimal_epsilon
 from dcpkit.experiments import run_copula_experiment, run_independent_experiment
 from dcpkit.ic import IcProblem, joint_with_alpha, pi_feasible, posterior, solve_task1, solve_task2
 from dcpkit.model import World, default_adjacency, load_model
-from dcpkit.pld import decompose_plrv, pld_from_pair, privacy_profile
+from dcpkit.pld import pld_from_pair, privacy_profile
 from dcpkit.synth import triangulating_instance
 from generators import dirichlet_world, invertible_world, random_mechanisms, rr_style_mechanism
 from response_step import response_step
@@ -64,7 +64,7 @@ def test_criterion_2_invertible_collapse():
         world = invertible_world(rng, ns, int(rng.integers(ns, 5)))
         mechs = random_mechanisms(rng, len(world.datasets), 2)
         for (s0, s1) in sorted(world.adjacency):
-            dec = decompose_plrv(world, mechs, [], s0, s1)
+            dec = comp.decompose_plrv(world, mechs, [], s0, s1)
             fin = dec.finite
             if fin.any():
                 worst_lg = max(worst_lg, float(np.abs(dec.world_term[fin]).max()))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -383,6 +384,25 @@ def test_bad_cli_numbers_exit_2_before_any_output(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: argument" in captured.err and "Traceback" not in captured.err
+
+
+def test_copula_sample_past_the_cap_exits_2_with_one_line(capsys):
+    # 6 x 10^13 cells are refused before drawing, not by numpy's allocation
+    # error; --cap governs the command as it governs every build
+    for argv in (["copula-sample", "-n", "10000000000000"], ["--cap", "11999", "copula-sample", "-n", "2000"]):
+        assert run(["--model", MIXING, *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"dcp: error: [^\n]* exceeds cap \d+\n", captured.err), captured.err
+    assert run(["--model", MIXING, "--cap", "12000", "copula-sample", "-n", "2000"]) == 0
+
+
+def test_copula_sample_under_the_default_cap_prints_the_same_bytes(capsys):
+    assert run(["--model", MIXING, "copula-sample", "-n", "2000"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 2002
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7d902844cae7c810807b6f32a42e9ff307448ec77294de9e103aaa6333f5661c")
 
 
 # --------------------------------------------------- copula-sample formatting

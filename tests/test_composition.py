@@ -18,6 +18,7 @@ from dcpkit import config
 from dcpkit import model as model_layer
 from dcpkit import pld as pld_layer
 from dcpkit.cli import main
+from dcpkit.composition import decompose_plrv
 from dcpkit.divergence import DistPair, LossProfile, hockey_stick, optimal_epsilon, tradeoff_curve
 from dcpkit.ic import certify
 from dcpkit.model import (
@@ -28,7 +29,7 @@ from dcpkit.model import (
     effective_kernel,
     load_model,
 )
-from dcpkit.pld import convolve, decompose_plrv, epsilon_for_delta, pld_from_pair, privacy_profile
+from dcpkit.pld import convolve, epsilon_for_delta, pld_from_pair, privacy_profile
 from dcpkit.synth import mixing_world, triangulating_instance
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -891,7 +892,8 @@ def test_cached_arrays_are_read_only():
     value = comp.Composition.of(world, mechs, dependence)
     arrays = [comp.composed_joint(world, mechs, dependence).matrix, value.joint.matrix,
               value.lumped_product.matrix, *(eff.matrix for eff in value.effs),
-              *(law for _, law in value.groups)]
+              value.copula_loss, value.log_terms[0], *(a for terms in value.log_terms[1] for a in terms)]
+    assert len(value.log_terms[1]) == len(dependence) == 1
     for arr in arrays:
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):

@@ -22,9 +22,9 @@ from dcpkit.audit import lr_attack_roc, worst_pair_roc
 from dcpkit.divergence import Law, LossProfile, hockey_stick, tradeoff_curve, worst_pair
 from dcpkit.model import (DependenceGroup, MechanismKernel, World, atom_index, composed_law, default_adjacency,
                           load_model)
-from dcpkit.pld import decompose_plrv, pld_from_pair, privacy_profile
-from dense_route import (close, close_arrays, close_curves, dense_cel, dense_dominance, dense_laws,
-                         dense_mechanism, dense_task2)
+from dcpkit.pld import pld_from_pair, privacy_profile
+from dense_route import (close, close_arrays, close_curves, dense_cel, dense_decomposition, dense_dominance,
+                         dense_laws, dense_mechanism, dense_task2)
 
 
 def _normalized(weights):
@@ -118,8 +118,8 @@ def _assert_joint_matches(world, mechs, dependence, value, joint, dense):
         assert close(plds[0].inf_mass, plds[1].inf_mass)
         for eps in np.union1d(*(p.losses[np.isfinite(p.losses)] for p in plds)):
             assert close(privacy_profile(plds[0], eps), privacy_profile(plds[1], eps)), eps
-        assert close_arrays(decompose_plrv(world, mechs, dependence, *pair).total,
-                            decompose_plrv(world, [dense], [], *pair).total)
+        assert close_arrays(comp.decompose_plrv(world, mechs, dependence, *pair).total,
+                            comp.decompose_plrv(world, [dense], [], *pair).total)
     assert close(worst_pair_roc(world, cj.matrix)[0].auc, worst_pair_roc(world, joint)[0].auc)
     for eps in (0.0, 0.3, 1.0, 2.5):
         assert close(cj.check(world, eps, 0.05).worst_delta, worst_pair(world, joint, eps=eps).value)
@@ -197,6 +197,32 @@ def test_joint_spread_from_the_atoms_reads_as_the_dense_joint(case):
     assert composed_law(world, [dense]).tobytes() == joint.tobytes()
     _assert_joint_matches(world, mechs, dependence, comp.Composition.of(world, mechs, dependence), joint, dense)
     _assert_task1_routes_match(world, mechs, dependence, joint, dense)
+
+
+def _assert_decompositions_match(world, mechs, dependence):
+    """``decompose_plrv``, read on the atoms and spread, against the dense
+    split on every adjacent ordered pair: each term ``close``, with the same
+    NaN and infinities, and the reference masses byte for byte."""
+    for pair in sorted(world.adjacency):
+        got = comp.decompose_plrv(world, mechs, dependence, *pair)
+        want = dense_decomposition(world, mechs, dependence, *pair)
+        for term in ("total", "world_term", "dependence_term", "independent_term"):
+            assert close_arrays(getattr(got, term), getattr(want, term)), (pair, term)
+        assert got.ref_masses.tobytes() == want.ref_masses.tobytes()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(compositions())
+def test_decomposition_on_the_atoms_matches_the_dense_split(case):
+    _assert_decompositions_match(*case)
+
+
+@pytest.mark.parametrize("path", [*sorted(pathlib.Path(__file__).parent.parent.glob("demos/models/*.json")),
+                                  pathlib.Path(__file__).parent / "data" / "repeated_kernel.json"],
+                         ids=lambda p: p.stem)
+def test_decomposition_on_the_models_matches_the_dense_split(path):
+    model = load_model(path)
+    _assert_decompositions_match(model.world, list(model.mechanisms), list(model.dependence))
 
 
 def _assert_task1_routes_match(world, mechs, dependence, joint, dense):
@@ -336,3 +362,14 @@ def test_task1_and_certify_read_the_lumped_law_and_build_no_joint(monkeypatch):
         call()
         value = comp._SLOT[0][1]
         assert value.repeats and "lumped" in value.__dict__ and "joint" not in value.__dict__
+
+
+def test_decomposition_reads_the_atoms_and_builds_no_joint(monkeypatch):
+    model = load_model(pathlib.Path(__file__).parent / "data" / "repeated_kernel.json")
+    world, mechs = model.world, list(model.mechanisms)
+    monkeypatch.setattr(comp, "_SLOT", [None])
+    for pair in sorted(world.adjacency):
+        dec = comp.decompose_plrv(world, mechs, [], *pair)
+        assert dec.total.shape == (comp._SLOT[0][1].sizes["outcomes"],)
+    value = comp._SLOT[0][1]
+    assert value.repeats and "log_terms" in value.__dict__ and "joint" not in value.__dict__

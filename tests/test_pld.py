@@ -1,4 +1,5 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -7,11 +8,12 @@ from hypothesis import strategies as st
 
 from conftest import random_dist_pair
 from dcpkit import config
+from dcpkit.cli import main
+from dcpkit.composition import decompose_plrv
 from dcpkit.divergence import DistPair, LossProfile, hockey_stick, optimal_epsilon
 from dcpkit.model import MechanismKernel, World, default_adjacency
 from dcpkit.pld import (
     convolve,
-    decompose_plrv,
     epsilon_for_delta,
     pld_csv,
     pld_from_pair,
@@ -227,6 +229,16 @@ def test_csv_round_trip(tmp_path):
     assert np.allclose(back.q_mass, pld.q_mass, rtol=1e-15, atol=0.0)
     assert back.inf_mass == pld.inf_mass
     assert pld_csv(back) == pld_csv(pld)
+
+
+def test_read_pld_csv_skips_a_trailing_blank_line_as_it_skips_comments(tmp_path):
+    # a ``dcp pld`` output, header comment and all, with one more newline
+    path, model = tmp_path / "pld.csv", pathlib.Path(__file__).parent.parent / "demos" / "models" / "mixing_pair.json"
+    assert main(["--model", str(model), "--out", str(path), "pld", "--pair", "s0", "s1"]) == 0
+    body = "".join(line for line in path.read_text().splitlines(keepends=True) if not line.startswith("#"))
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("\n")
+    assert pld_csv(read_pld_csv(path)) == body
 
 
 def test_read_pld_csv_takes_a_q_mass_past_e709_in_the_log_domain(tmp_path):
