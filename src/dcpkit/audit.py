@@ -9,12 +9,11 @@ composed setup against a single mechanism at matched budgets, which reads
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import DistPair, Law
+from .divergence import DistPair, Law, _exp_times
 from .model import World
 
 
@@ -56,9 +55,8 @@ def roc_bound_check(roc: RocCurve, eps: float, delta: float) -> float:
     delta and, through complements, (1 - fpr) <= e^eps (1 - tpr) + delta;
     linearity makes checking the vertices sufficient.
     """
-    e = math.exp(eps)
-    direct = roc.tpr - e * roc.fpr - delta
-    complement = (1.0 - roc.fpr) - e * (1.0 - roc.tpr) - delta
+    direct = roc.tpr - _exp_times(eps, roc.fpr) - delta
+    complement = (1.0 - roc.fpr) - _exp_times(eps, 1.0 - roc.tpr) - delta
     return float(max(direct.max(), complement.max()))
 
 

@@ -212,7 +212,9 @@ def cmd_ic(args) -> int:
     sol = ic.solve_task1(problem) if args.task == 1 else ic.solve_task2(problem)
     payload = {
         "alpha": sol.alpha,
-        "pi": sol.pi,
+        # the per-atom rows, one per outcome as printed; the cap refuses too many
+        "pi": comp.Composition.of(problem.world, problem.mechs, problem.dependence).per_outcome(sol.pi)
+        if problem.mechs else sol.pi,
         "tau_g": sol.tau_g,
         "eps_g": sol.eps_g,
         "feasibility": sol.feasibility,

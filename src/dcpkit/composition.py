@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -33,14 +33,15 @@ class Composition:
     ``lumped`` is the joint on the type ``classes`` (``model.type_classes``),
     the one build of a composed law (``model.lumped_law``): ungrouped
     mechanisms with bitwise-equal kernels share one atom per multiset of
-    their outputs (``index`` maps each outcome to it).  When no class has two
-    members the classes are single mechanisms, ``lumped`` is the dense
-    composed law and ``joint`` is ``lumped``; else ``joint`` is spread from
-    it and hands out its pairs.  ``lumped_product`` is the product of the
-    ``effs`` on the same atoms.  ``log_terms`` is the one build of the
-    copula split's log terms on the atoms: ``copula_loss`` (the log ratio
-    of ``lumped`` to ``lumped_product``) and ``decompose_plrv`` read it.
-    The bounds and the IC solvers read these; ``joint.matrix`` serves the
+    their outputs (``index`` maps each outcome to it; ``counts`` is the
+    number of outcomes in each).  When no class has two members the
+    classes are single mechanisms, ``lumped`` is the dense composed law and
+    ``joint`` is ``lumped``; else ``joint`` is spread from it and hands out
+    its pairs.  ``lumped_product`` is the product of the ``effs`` on the
+    same atoms.  ``log_terms`` is the one build of the copula split's log
+    terms on the atoms: ``copula_loss`` (the log ratio of ``lumped`` to
+    ``lumped_product``) and ``decompose_plrv`` read it.  The bounds and the
+    IC solvers read these; ``joint.matrix`` and ``per_outcome`` serve the
     callers that need one column per outcome.
     """
 
@@ -63,7 +64,7 @@ class Composition:
     @cached_property
     def joint(self) -> Law:
         # each outcome its atom's mass over the atom's count
-        return self.lumped.spread(self.index) if self.repeats else self.lumped
+        return self.lumped.spread(self.index, self.counts) if self.repeats else self.lumped
 
     @cached_property
     def effs(self) -> list[Law]:
@@ -130,6 +131,14 @@ class Composition:
         index = atom_index(self.classes)
         index.flags.writeable = False
         return index
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """The number of outcomes of ``joint`` in each atom of ``lumped``: the
+        product of its types' multinomial counts, exact in int64."""
+        counts = reduce(np.multiply.outer, [c.counts for c in self.classes]).ravel()
+        counts.flags.writeable = False
+        return counts
 
     def per_outcome(self, rows: np.ndarray) -> np.ndarray:
         """Rows given per atom of ``lumped``, or per (atom, symbol) atom-major,
@@ -256,13 +265,12 @@ def decompose_plrv(world: World, mechs: list[MechanismKernel], dependence: list[
         raise ValueError(f"({s0},{s1}) is not an adjacent pair")
     value = Composition.of(world, mechs, dependence)
     (log_prod, groups), rows = value.log_terms, [s0, s1]
-    counts = np.bincount(value.index) if value.repeats else 1.0  # outcomes per atom
-    b = value.lumped.matrix[rows] / counts  # each outcome's mass, as ``joint`` spreads it
+    b = value.lumped.matrix[rows] / value.counts  # each outcome's mass, as ``joint`` spreads it
     with np.errstate(divide="ignore", invalid="ignore"):
         log_b = np.log(np.maximum(b, 0.0))
         # log of the group-product reference density per outcome: each
         # group's law stands in for its members' product
-        log_m = sum((g[rows] - p[rows] for g, p in groups), log_prod[rows] - np.log(counts))
+        log_m = sum((g[rows] - p[rows] for g, p in groups), log_prod[rows] - np.log(value.counts))
         dep = np.subtract(*sum((_log_mass_ratio(g[rows], p[rows]) for g, p in groups), np.zeros_like(log_b)))
         total = log_b[0] - log_b[1]
         # copula mass ratio: joint over the group-product reference, s0 vs s1
@@ -371,10 +379,12 @@ def dominating_pair(eps: float, delta: float) -> DistPair:
     """Canonical 4-outcome pair achieving (eps, delta) with equality."""
     if not eps >= 0 or not 0 <= delta <= 1:
         raise ValueError(f"need eps >= 0 and delta in [0, 1], got ({eps}, {delta})")
-    e = math.exp(eps)
-    p = np.array([delta, (1 - delta) * e / (1 + e), (1 - delta) / (1 + e), 0.0])
-    q = np.array([0.0, (1 - delta) / (1 + e), (1 - delta) * e / (1 + e), delta])
-    return DistPair(p, q)
+    try:
+        e = math.exp(eps)
+        big, small = (1 - delta) * e / (1 + e), (1 - delta) / (1 + e)
+    except OverflowError:  # the same masses in e^-eps, which is below 1e-308: 1 + e^-eps rounds to 1
+        big, small = 1 - delta, (1 - delta) * math.exp(-eps)
+    return DistPair(np.array([delta, big, small, 0.0]), np.array([0.0, small, big, delta]))
 
 
 def dp_optcomp(params: list[tuple[float, float]], delta_g: float) -> float:

@@ -374,11 +374,11 @@ class Law:
         found = _LAWS.get(id(matrix))  # a live law holds its matrix, so its id is not reused
         return Law(matrix) if found is None else found
 
-    def spread(self, index: np.ndarray) -> Law:
-        """The read-only law whose column i is column ``index[i]`` over the
-        number of outcomes ``index`` sends there: its outcomes split each
-        column at one likelihood ratio, so it hands out this law's pairs."""
-        law = Law(_freeze(np.take(self.matrix / np.bincount(index), index, axis=1)))
+    def spread(self, index: np.ndarray, counts: np.ndarray) -> Law:
+        """The read-only law whose column i is column ``index[i]`` over its
+        ``counts`` of outcomes: its outcomes split each column at one
+        likelihood ratio, so it hands out this law's pairs."""
+        law = Law(_freeze(np.take(self.matrix / counts, index, axis=1)))
         object.__setattr__(law, "_rows", self._rows)
         object.__setattr__(law, "_pairs", self._pairs)
         return law

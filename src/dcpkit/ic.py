@@ -11,7 +11,10 @@ secrets and by a linear program over those rays for more (exact at
 delta_g = 0 or with two secrets; else the rays come from a 1/n direction
 grid, an inner approximation).  Task 2 reads the tightest ratio bound in closed
 form.  Every answer is re-certified from the exact posterior and a direct
-divergence check, so no guarantee rests on a solver's tolerance.
+divergence check, so no guarantee rests on a solver's tolerance.  Both
+tasks read the composition's atoms (``Composition.lumped``), and the
+response ``pi`` keeps one row per atom; ``Composition.per_outcome``
+repeats it for each outcome.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -54,7 +56,10 @@ def tau_of_epsilon(eps_g: float, world: World) -> float:
     """Inverse of epsilon_of_tau: the ratio bound matching a target epsilon."""
     if not eps_g >= 0:
         raise ValueError(f"eps_g must be >= 0, got {eps_g}")
-    return 1.0 + p_star(world) * math.expm1(eps_g)
+    try:
+        return 1.0 + p_star(world) * math.expm1(eps_g)
+    except OverflowError:
+        raise ValueError(f"eps_g = {eps_g} puts e^eps_g past the float range") from None
 
 
 def pi_set_nonempty(tau_g: float, delta_g: float) -> bool:
@@ -95,12 +100,12 @@ def _joined(b: np.ndarray, alpha: np.ndarray | None) -> np.ndarray:
 
 
 def _composed_law(world: World, mechs: list[MechanismKernel],
-                  dependence: list[DependenceGroup]) -> tuple[Law, Callable]:
-    """The composition's ``lumped`` law and its ``per_outcome`` spread, or
-    one sure outcome, spread as it is, without mechanisms."""
+                  dependence: list[DependenceGroup]) -> tuple[Law, np.ndarray]:
+    """The composition's ``lumped`` law and the number of outcomes in each
+    of its atoms, or one sure outcome without mechanisms."""
     if mechs:
-        return (value := Composition.of(world, mechs, dependence)).lumped, value.per_outcome
-    return Law(np.ones((len(world.secrets), 1))), np.asarray
+        return (value := Composition.of(world, mechs, dependence)).lumped, value.counts
+    return Law(np.ones((len(world.secrets), 1))), np.ones(1, dtype=np.int64)
 
 
 def posterior(
@@ -244,6 +249,12 @@ class IcProblem:
 
 @dataclass(frozen=True)
 class IcSolution:
+    """An answer: the added channel ``alpha`` (secrets x symbols) and the
+    response ``pi``, a posterior row per (atom, symbol) of the composition's
+    ``lumped`` law joined with ``alpha``, atom-major (one sure atom without
+    mechanisms).  ``diagnostics["live_outcomes"]`` counts the live
+    (outcome, symbol) rows of the per-outcome law, exactly."""
+
     alpha: np.ndarray
     pi: np.ndarray
     tau_g: float
@@ -279,7 +290,7 @@ def solve_task1(problem: IcProblem) -> IcSolution:
     if problem.tau_g is None:
         raise ValueError("task 1 needs a fixed tau_g")
     tau_g, m = problem.tau_g, problem.alpha_size
-    lumped, spread = _composed_law(problem.world, problem.mechs, problem.dependence)
+    lumped, counts = _composed_law(problem.world, problem.mechs, problem.dependence)
     b_all = lumped.matrix
     check_cap(b_all.shape[1] * m, f"{b_all.shape[1]} atoms x {m} channel symbols")
     prior = problem.world.marginal_secret
@@ -291,7 +302,7 @@ def solve_task1(problem: IcProblem) -> IcSolution:
         alpha_all[keep] = alpha / alpha.sum(axis=1, keepdims=True)
         law = join_per_secret(b_all, alpha_all)
         post, _, live = _posterior(prior, law)
-        return _certified_solution(problem, alpha_all, tau_g, Law(law), post, live, diagnostics, spread)
+        return _certified_solution(problem, alpha_all, tau_g, Law(law), post, live, diagnostics, counts)
 
     constant = judged(np.ones((len(keep), m)), {"design": "constant"})
     design = None
@@ -462,12 +473,12 @@ def solve_task2(problem: IcProblem) -> IcSolution:
     secrets): tau_g >= P/pi, and pi/P (delta_g = 0) or sum(pi^2/P)/delta_g.
     Every outcome of a type class has its type's posterior, so the bound,
     the certificate and the loss are read on the composition's ``lumped``
-    law, one atom per type; ``pi`` repeats each atom's row for its outcomes.
+    law, one atom per type, and ``pi`` holds each atom's row once.
     """
     world, delta_g = problem.world, problem.delta_g
     alpha = np.ones((len(world.secrets), 1))
     # joined with a constant alpha the composition's law is itself
-    law, spread = _composed_law(world, problem.mechs, problem.dependence)
+    law, counts = _composed_law(world, problem.mechs, problem.dependence)
     post, _, live = _posterior(world.marginal_secret, law.matrix)
     prior, rows = _on_support(world, post if live.all() else post[live])
     with np.errstate(divide="ignore"):  # pi = 0 on a positive-prior secret: no finite tau
@@ -478,23 +489,28 @@ def solve_task2(problem: IcProblem) -> IcSolution:
         tau = max(tau, float((rows / prior).max()))
     if tau > TAU_CAP:
         raise ValueError(f"no feasible tau_g below the cap {TAU_CAP}")
-    return _certified_solution(problem, alpha, tau, law, post, live, {}, spread)
+    return _certified_solution(problem, alpha, tau, law, post, live, {}, counts)
 
 
 def _certified_solution(problem: IcProblem, alpha: np.ndarray, tau_g: float, law: Law,
                         post: np.ndarray, live: np.ndarray, diagnostics: dict,
-                        spread: Callable) -> IcSolution:
+                        counts: np.ndarray) -> IcSolution:
     """Certify from scratch at tau_g: constraint residuals of the exact
     posterior ``post`` under ``law`` (``lumped`` joined with ``alpha``, a
     row of ``post`` per (atom, symbol)), plus a direct divergence check of
-    that law; ``spread`` gives ``pi`` and the live count per (outcome, symbol)."""
+    that law; the live (outcome, symbol) rows are counted by the ``counts``
+    of outcomes per atom, in int64.  With atoms x symbols capped, that sum
+    can wrap only where an atom holds 2^32 outcomes or more: there each
+    32-bit half of the counts is summed on its own."""
     world = problem.world
+    halves = ((counts >> 32, 32), (counts & 0xFFFFFFFF, 0)) if counts.max() >> 32 else ((counts, 0),)
+    cells = live.reshape(counts.size, -1)
     report = pi_feasible(post, world, tau_g, problem.delta_g, live)
     eps_g = epsilon_of_tau(tau_g, world)
     direct = law.worst(world, eps=eps_g).value
     return IcSolution(
         alpha=alpha,
-        pi=spread(post),
+        pi=post,
         tau_g=tau_g,
         eps_g=eps_g,
         feasibility=report.max_residual,
@@ -502,7 +518,7 @@ def _certified_solution(problem: IcProblem, alpha: np.ndarray, tau_g: float, law
         direct_check_delta=direct,
         loss_value=_spsr_loss(post, world.marginal_secret, law.matrix, problem.loss),
         diagnostics={**diagnostics, "residuals": report,
-                     "live_outcomes": int(spread(live).sum())},
+                     "live_outcomes": sum(int((half @ cells).sum()) << shift for half, shift in halves)},
     )
 
 

@@ -301,7 +301,7 @@ class TypeClass(NamedTuple):
     output tuple the same probability, so the class needs one atom per
     multiset of outputs (a type).  ``types`` lists them as rows of sorted
     output indices in lexicographic order and ``counts`` the number of
-    output tuples each holds (its multinomial coefficient).
+    output tuples each holds (its multinomial coefficient, in int64).
     """
 
     members: tuple[int, ...]
@@ -343,7 +343,7 @@ def _codes(types: np.ndarray, n: int) -> np.ndarray:
 
 def _type_class(members: tuple[int, ...], n: int) -> TypeClass:
     if len(members) == 1:  # a class of one: its types are its outputs, one tuple each
-        return TypeClass(members, n, np.arange(n)[:, None], np.ones(n))
+        return TypeClass(members, n, np.arange(n)[:, None], np.ones(n, dtype=np.int64))
     types = np.array(list(combinations_with_replacement(range(n), len(members))), dtype=np.intp)
     types = types.reshape(-1, len(members))
     # k!/prod(run lengths!) one position at a time: each prefix's count is an
@@ -353,7 +353,7 @@ def _type_class(members: tuple[int, ...], n: int) -> TypeClass:
     for j in range(1, len(members)):
         run = np.where(types[:, j] == types[:, j - 1], run + 1, 1)
         counts = counts * (j + 1) // run
-    return TypeClass(members, n, types, counts.astype(float))
+    return TypeClass(members, n, types, counts)
 
 
 def check_cap(size: int, what: str) -> None:

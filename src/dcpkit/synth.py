@@ -151,16 +151,17 @@ def _calibrate_noise_scales(world: World, noise, values_list, eps_target: float,
     A step bins its scales in one CDF call, mixes them (``mix_kernel``) and
     reads every mixture off one ``_pair_deltas`` sweep, so each scale is the
     one its calibration finds alone.  Every error is raised before the
-    rounds, as the calibrations one at a time in order raise it."""
-    # a vector of the wrong length raises once the vectors before it pass their ends
-    n, count = len(world.datasets), len(values_list)
-    k = next((j for j, values in enumerate(values_list) if np.shape(values) != (n,)), count)
-    wrong = k < count and ModelError(f"{np.size(values_list[k])} query values, world has {n} datasets")
+    rounds: a vector's length, then delta, then a non-finite binned row
+    and an unreachable target at the bracket ends."""
+    n, k = len(world.datasets), len(values_list)
     if not k:
-        raise wrong or ValueError("no query-value vector to calibrate")
+        raise ValueError("no query-value vector to calibrate")
+    for values in values_list:
+        if np.shape(values) != (n,):
+            raise ModelError(f"{np.size(values)} query values, world has {n} datasets")
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta must lie in [0, 1], got {delta}")
-    binned = _noise_binner(values_list[:k], bins, *noise)
+    binned = _noise_binner(values_list, bins, *noise)
 
     def excess(rows):
         """The values at the scales that ``rows`` (scales, datasets, bins) were binned at."""
@@ -171,17 +172,11 @@ def _calibrate_noise_scales(world: World, noise, values_list, eps_target: float,
                 for r in map(max, _pair_deltas(mixed, _adjacent_pairs(world), eps_target))]
 
     lo, hi = SCALE_BOUNDS
-    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite value's rows are refused below
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite value's rows are refused by excess
         rows = binned([lo] * k + [hi] * k, list(range(k)) * 2)
-    # so does the first vector j with a non-finite row at its ends (rows j and k + j)
-    good = next((j for j in range(k) if not np.isfinite(rows[j::k]).all()), k)
-    ends = excess(rows[np.r_[:good, k:k + good]]) if good else []
-    if any(v_lo < 0.0 or v_hi > 0.0 for v_lo, v_hi in zip(ends[:good], ends[good:])):
+    ends = excess(rows)
+    if any(v_lo < 0.0 or v_hi > 0.0 for v_lo, v_hi in zip(ends[:k], ends[k:])):
         raise ValueError("eps_target outside the reachable range for these bounds")
-    if good < k:
-        _check_rows_stochastic(rows[good::k].reshape(-1, bins), "binned noise kernel")
-    if wrong:
-        raise wrong
     found = monotone_roots(
         lambda which, scales: excess(binned(scales, slice(None) if len(which) == k else which)),
         [(lo, hi, v_lo, v_hi) for v_lo, v_hi in zip(ends[:k], ends[k:])],

@@ -17,10 +17,11 @@ from dcpkit import composition as comp
 from dcpkit import config
 from dcpkit import model as model_layer
 from dcpkit import pld as pld_layer
+from dcpkit.audit import lr_attack_roc, roc_bound_check
 from dcpkit.cli import main
 from dcpkit.composition import decompose_plrv
 from dcpkit.divergence import DistPair, LossProfile, hockey_stick, optimal_epsilon, tradeoff_curve
-from dcpkit.ic import certify
+from dcpkit.ic import certify, p_star, tau_of_epsilon
 from dcpkit.model import (
     DependenceGroup,
     MechanismKernel,
@@ -309,6 +310,44 @@ def test_dp_optcomp_matches_product_oracle():
 
 def test_dp_optcomp_unachievable():
     assert comp.dp_optcomp([(0.5, 0.3), (0.5, 0.3)], 0.1) == math.inf
+
+
+_ROC = lr_attack_roc(DistPair(np.array([0.5, 0.3, 0.2]), np.array([0.2, 0.3, 0.5])))
+
+
+@pytest.mark.parametrize("eps", [709.78, 710.0, 1e4])
+def test_a_finite_eps_past_the_float_range_of_e_eps_overflows_nowhere(eps):
+    # e^eps overflows from eps = 709.79: the dominating pair's middle masses
+    # are taken in e^-eps, the ROC bound scales in the log domain, and the
+    # ratio bound, which is e^eps itself, is refused with eps in the message
+    pair = comp.dominating_pair(eps, 0.1)
+    assert pair.p[1] == pair.q[2] > 0.0 and pair.p[2] == pair.q[1] >= 0.0
+    assert pair.p.sum() == pytest.approx(1.0, abs=1e-15)
+    if pair.p[2] > 0.0:
+        assert math.log(pair.p[1]) - math.log(pair.p[2]) == pytest.approx(eps, rel=1e-12)
+    assert comp.dp_optcomp([(eps, 0.0), (1.0, 0.0)], 0.1) >= eps
+    assert roc_bound_check(_ROC, eps, 0.0) == 0.0  # the ROC's ends touch the region's corners
+    world = mixing_world(0.3)
+    if eps < 709.79:
+        assert math.isfinite(tau_of_epsilon(eps, world))
+    else:
+        with pytest.raises(ValueError, match=f"eps_g = {eps}"):
+            tau_of_epsilon(eps, world)
+
+
+def test_below_the_float_range_of_e_eps_the_values_are_the_old_ones_bit_for_bit():
+    world = mixing_world(0.3)
+    for eps in (0.0, 1e-9, 0.5, 1.0, math.log(3), 50.0, 300.0, 708.5, 709.0):
+        e = math.exp(eps)
+        for delta in (0.0, 0.1, 0.5):
+            pair = comp.dominating_pair(eps, delta)
+            want = DistPair(np.array([delta, (1 - delta) * e / (1 + e), (1 - delta) / (1 + e), 0.0]),
+                            np.array([0.0, (1 - delta) / (1 + e), (1 - delta) * e / (1 + e), delta]))
+            assert (pair.p.tobytes(), pair.q.tobytes()) == (want.p.tobytes(), want.q.tobytes()), (eps, delta)
+            old = max((_ROC.tpr - e * _ROC.fpr - delta).max(),
+                      ((1.0 - _ROC.fpr) - e * (1.0 - _ROC.tpr) - delta).max())
+            assert roc_bound_check(_ROC, eps, delta).hex() == float(old).hex(), (eps, delta)
+        assert tau_of_epsilon(eps, world).hex() == (1.0 + p_star(world) * math.expm1(eps)).hex()
 
 
 def test_overline_route_matches_budget_composition_on_dominating_mechanisms():

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -230,7 +231,17 @@ def test_lockstep_scales_equal_one_at_a_time_calibrations(name):
     [(0.0, math.inf, 1.0, 0.0), (0.0, 1.0, 0.0)],
 ])
 def test_a_failing_lockstep_raises_what_the_sequential_loop_raises(batch):
-    # also without adjacent pairs, which the first vector's bracket ends meet
+    # the batch raises what one of its vectors raises alone: the first wrong
+    # length before anything else, then the first non-finite binned row (its
+    # row number counts the batch's stacked rows), then an unreachable
+    # target; also without adjacent pairs, which the bracket ends meet
+    def fault(outcome):
+        kind, message = outcome
+        return kind, re.sub(r"row \d+", "row", message)
+
+    def rank(outcome):
+        return 0 if "query values" in outcome[1] else 1 if "non-finite" in outcome[1] else 2
+
     world = mixing_world(LAM)
     for world in (world, dataclasses.replace(world, adjacency=frozenset())):
         for noise, bins in ((_GAUSSIAN, MECH_BINS), (_LAPLACE, 3 * MECH_BINS)):
@@ -239,9 +250,9 @@ def test_a_failing_lockstep_raises_what_the_sequential_loop_raises(batch):
                          for values in batch]
                 failed = [a for a in alone if isinstance(a, tuple)]
                 assert failed
-                with pytest.raises(failed[0][0]) as raised:
-                    synth._calibrate_noise_scales(world, noise, batch, target, 0.02, bins)
-                assert str(raised.value) == failed[0][1]
+                got = _outcome(lambda: synth._calibrate_noise_scales(world, noise, batch, target, 0.02, bins))
+                assert isinstance(got, tuple)
+                assert fault(got) == fault(min(failed, key=rank)), (noise, target)
 
 
 @pytest.mark.parametrize("delta", [math.nan, -0.1, 1.5, -math.inf])

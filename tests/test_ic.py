@@ -464,7 +464,7 @@ def _hex(x):
 
 def test_posterior_readers_match_the_outcome_major_formulas():
     # 2, 3 and 9 secrets (numpy sums 8 or more terms pairwise along a C row),
-    # dense mechanisms, a repeated one (lumped outcomes spread back by
+    # dense mechanisms, a repeated one (pi on the atoms, spread back by
     # ``per_outcome``) and one with a zero column (dead outcomes) or a column
     # live on one dataset (zero-weight cells: the log loss's masked route)
     rng = np.random.default_rng(2024)
@@ -495,8 +495,11 @@ def test_posterior_readers_match_the_outcome_major_formulas():
                 continue
             for loss in ("log", "brier"):
                 sol = ic.solve_task2(ic.IcProblem(world=world, mechs=mechs, delta_g=delta_g, loss=loss))
+                # pi keeps a row per atom; spread, it is the per-outcome posterior
+                assert _hex(sol.pi) == _hex(post)
                 pi = np.take(post, value.index, axis=0) if value.repeats else post
-                assert _hex(sol.pi) == _hex(pi)
+                assert _hex(value.per_outcome(sol.pi)) == _hex(pi)
+                assert sol.diagnostics["live_outcomes"] == int(np.take(live, value.index).sum())
                 assert _hex(sol.tau_g) == _hex(tau)
                 assert _hex(sol.feasibility) == _hex(_outcome_major_residual(prior, post, live, tau, delta_g))
                 assert _hex(sol.loss_value) == _hex(_outcome_major_loss(post, prior, lumped, loss))

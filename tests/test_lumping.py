@@ -8,6 +8,7 @@ repeats must read the dense joint itself and a product law with the dense
 product's bytes.
 """
 
+import dataclasses
 import math
 import pathlib
 
@@ -127,13 +128,14 @@ def _assert_joint_matches(world, mechs, dependence, value, joint, dense):
 
 def _assert_task1_matches(world, mechs, dependence, dense, tau_g, delta_g):
     """IC task 1 on the composition against task 1 on its dense joint: the
-    added channel, its columns in their canonical order, the response and
-    its live (outcome, symbol) rows; then ``certify``'s three stages."""
+    added channel, its columns in their canonical order, the response (per
+    atom, spread to the outcomes) and its live (outcome, symbol) rows; then
+    ``certify``'s three stages."""
     got, want = (ic.solve_task1(ic.IcProblem(world=world, mechs=ms, dependence=dep, delta_g=delta_g, tau_g=tau_g))
                  for ms, dep in ((mechs, dependence), ([dense], [])))
     assert got.certified == want.certified
     assert close_arrays(got.alpha, want.alpha)
-    assert close_arrays(got.pi, want.pi)
+    assert close_arrays(comp.Composition.of(world, mechs, dependence).per_outcome(got.pi), want.pi)
     assert close(got.feasibility, want.feasibility)
     assert got.diagnostics["live_outcomes"] == want.diagnostics["live_outcomes"]
     for alpha in (None, want.alpha):
@@ -150,6 +152,7 @@ def test_lumped_answers_match_the_dense_route(case):
     joint, product = dense_laws(world, mechs, dependence)
     value = comp.Composition.of(world, mechs, dependence)
     assert value.sizes["outcomes"] == joint.shape[1] == int(np.bincount(value.index).sum())
+    assert np.array_equal(value.counts, np.bincount(value.index)) and value.counts.sum() == value.sizes["outcomes"]
     assert value.sizes["atoms"] == value.lumped.matrix.shape[1] == value.lumped_product.matrix.shape[1]
     # the epsilon bounds at fixed deltas and at each pair's own delta(0)
     delta0s = [float(LossProfile(Law(joint).pair(*pair))._breaks[1][0]) for pair in sorted(world.adjacency)]
@@ -183,8 +186,10 @@ def test_lumped_answers_match_the_dense_route(case):
         for key in ("tau_g", "eps_g", "direct_check_delta", "loss_value"):
             assert close(getattr(sol, key), want[key]), key
         assert abs(sol.feasibility - want["feasibility"]) <= 1e-12
-        assert sol.pi.shape == want["pi"].shape
-        assert float(np.abs(sol.pi - want["pi"]).max()) <= 1e-12
+        assert len(sol.pi) == value.sizes["atoms"]
+        pi = value.per_outcome(sol.pi)
+        assert pi.shape == want["pi"].shape
+        assert float(np.abs(pi - want["pi"]).max()) <= 1e-12
         assert sol.diagnostics["live_outcomes"] == want["live_outcomes"]
 
 
@@ -311,10 +316,12 @@ def test_the_cap_counts_atoms_and_refuses_the_per_outcome_spreads(monkeypatch):
     world, mechs = _mixing_world(), [_kernel("m", 4, 8)] * 4
     joint, product = dense_laws(world, mechs)
     deltas, eps_sum = (0.0, 0.02), 1.5
+    problem = ic.IcProblem(world=world, mechs=mechs, tau_g=2.0)  # 35 x 2 atom cells, 256 x 2 outcome cells
     want = {"true": [worst_pair(world, joint, delta=d).value for d in deltas],
             "under": [worst_pair(world, product, delta=d).value for d in deltas],
             "over": [comp.overline_opt(world, mechs, [], d) for d in deltas],
-            "check": worst_pair(world, joint, eps=eps_sum).value}
+            "check": worst_pair(world, joint, eps=eps_sum).value,
+            "ic": [solve(problem) for solve in (ic.solve_task1, ic.solve_task2)]}
     monkeypatch.setattr(comp, "_SLOT", [None])
     monkeypatch.setattr(config, "OUTCOME_CAP", 100)
     value = comp.Composition.of(world, mechs)
@@ -326,10 +333,17 @@ def test_the_cap_counts_atoms_and_refuses_the_per_outcome_spreads(monkeypatch):
     for key in ("true", "under", "over"):
         assert all(close(g, w) for g, w in zip(got[key], want[key])), key
     assert close(got["check"], want["check"])
-    problem = ic.IcProblem(world=world, mechs=mechs, tau_g=2.0, alpha_size=3)  # 35 x 3 atom cells
-    for call in (lambda: value.joint, lambda: value.per_outcome(np.ones((35, 2))),
-                 lambda: comp.composed_joint(world, mechs), lambda: ic.solve_task2(problem),
-                 lambda: ic.solve_task1(problem)):
+    # both IC tasks answer on the atoms as under the default cap; their pi
+    # cannot be spread to the outcomes
+    for solve, sol in zip((ic.solve_task1, ic.solve_task2), want["ic"]):
+        got = solve(problem)
+        assert got.pi.tobytes() == sol.pi.tobytes() and len(got.pi) == 35 * got.alpha.shape[1]
+        assert (got.tau_g, got.certified, got.diagnostics["live_outcomes"]) == (
+            sol.tau_g, sol.certified, sol.diagnostics["live_outcomes"])
+        with pytest.raises(ValueError, match="256 outcomes x .* exceeds cap 100"):
+            value.per_outcome(got.pi)
+    for call in (lambda: value.joint, lambda: comp.composed_joint(world, mechs),
+                 lambda: ic.solve_task1(dataclasses.replace(problem, alpha_size=3))):  # 35 x 3 atom cells
         with pytest.raises(ValueError, match="cap"):
             call()
 
@@ -345,10 +359,20 @@ def test_twenty_copies_answer_on_their_atoms_under_the_default_cap():
     for s0, s1, _, under, tight, conservative in report.opt_rows:
         assert tight == true[(s0, s1)] and conservative == over[(s0, s1)] and math.isfinite(under)
     assert pld_from_pair(value.lumped.pair(0, 1)).epsilon(0.02) == true[(0, 1)]
-    for call in (lambda: comp.composed_joint(world, mechs),
-                 lambda: ic.solve_task2(ic.IcProblem(world=world, mechs=mechs, delta_g=0.02))):
+    # both IC tasks answer with a pi row per (atom, symbol), and count the
+    # live outcomes exactly past 2^53; neither the joint nor pi spread fits
+    task2 = ic.solve_task2(ic.IcProblem(world=world, mechs=mechs, delta_g=0.02))
+    task1 = ic.solve_task1(ic.IcProblem(world=world, mechs=mechs, delta_g=0.02, tau_g=task2.tau_g))
+    assert task2.pi.shape == (math.comb(26, 6), 2) and task2.diagnostics["live_outcomes"] == 7**20
+    assert task1.pi.shape == (math.comb(26, 6) * 2, 2) and task1.certified
+    assert task1.diagnostics["live_outcomes"] == 7**20 * int((task1.alpha > 0.0).any(axis=0).sum())
+    for call in (lambda: comp.composed_joint(world, mechs), lambda: value.per_outcome(task2.pi),
+                 lambda: value.per_outcome(task1.pi)):
         with pytest.raises(ValueError, match="cap"):
             call()
+    # 3^40 outcomes on 861 atoms: an int64 sum of the counts would wrap
+    forty = [_kernel("t", 3, 10)] * 40
+    assert ic.solve_task2(ic.IcProblem(world=world, mechs=forty)).diagnostics["live_outcomes"] == 3**40 > 2**63
 
 
 def test_task1_and_certify_read_the_lumped_law_and_build_no_joint(monkeypatch):
